@@ -592,29 +592,9 @@ class ProtocolNode:
     # ------------------------------------------------------------------
 
     def _on_message(self, message: Message, overheard: bool) -> None:
-        # Dispatch order follows traffic volume: measurement reports
-        # dominate every phase (Fig 15), then the §5.1 heartbeat pair;
-        # the election messages are a per-epoch trickle.
-        if isinstance(message, DataReport):
-            self._on_data_report(message)
-        elif isinstance(message, Heartbeat):
-            self._on_heartbeat(message)
-        elif isinstance(message, HeartbeatReply):
-            self._on_heartbeat_reply(message)
-        elif isinstance(message, Invitation):
-            self._on_invitation(message)
-        elif isinstance(message, CandidateList):
-            self._on_candidate_list(message)
-        elif isinstance(message, Accept):
-            self._on_accept(message)
-        elif isinstance(message, Recall):
-            self._on_recall(message)
-        elif isinstance(message, StayActive):
-            self._on_stay_active(message)
-        elif isinstance(message, AckRepresenting):
-            self._on_ack_representing(message)
-        elif isinstance(message, Resign):
-            self._on_resign(message)
+        handler = _HANDLERS.get(type(message))
+        if handler is not None:
+            handler(self, message)
 
     def _on_invitation(self, message: Invitation) -> None:
         if message.sender == self.node_id:
@@ -931,3 +911,20 @@ class ProtocolNode:
             f"ProtocolNode(id={self.node_id}, mode={self.mode.value}, "
             f"rep={self.representative_id}, members={sorted(self.represented)})"
         )
+
+
+#: Exact message type -> handler for :meth:`ProtocolNode._on_message`.
+#: Keyed on the exact type (protocol messages are never subclassed);
+#: query traffic has no entry and is ignored by the protocol layer.
+_HANDLERS = {
+    DataReport: ProtocolNode._on_data_report,
+    Heartbeat: ProtocolNode._on_heartbeat,
+    HeartbeatReply: ProtocolNode._on_heartbeat_reply,
+    Invitation: ProtocolNode._on_invitation,
+    CandidateList: ProtocolNode._on_candidate_list,
+    Accept: ProtocolNode._on_accept,
+    Recall: ProtocolNode._on_recall,
+    StayActive: ProtocolNode._on_stay_active,
+    AckRepresenting: ProtocolNode._on_ack_representing,
+    Resign: ProtocolNode._on_resign,
+}

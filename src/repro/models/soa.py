@@ -603,12 +603,17 @@ class ModelAwareCacheFleet:
     procedure evaluated vectorized across lanes.  Because the lanes are
     *independent caches*, a batch is trivially equivalent to running
     each cache's scalar procedure in sequence: no lane reads or writes
-    another lane's rows.  Per-lane fallbacks (warmup fills, newcomers,
-    near-ties) drop to the scalar path row-wise.
+    another lane's rows.  Warm-up appends (a known neighbor of a cache
+    below its pair budget) and full-cache decisions run column-wise;
+    only a neighbor's first sample, which must claim a line slot, drops
+    to the scalar path row-wise.
 
-    This is the throughput kernel for fleet-scale simulation and the
-    ``vectorized`` line of ``BENCH_cache``; per-node caches inside the
-    simulator use :class:`NeighborBlock` through ``ModelAwareCache``.
+    This is the simulator's production cache engine:
+    ``SnapshotRuntime`` binds every node's ``ModelAwareCache`` to one
+    lane of a shared fleet, and the maintenance rounds'
+    ``BatchedObservationRouter`` feeds it through :meth:`observe_lanes`.
+    A ``ModelAwareCache`` outside a runtime keeps its own
+    :class:`NeighborBlock`.
 
     Parameters
     ----------
@@ -668,7 +673,7 @@ class ModelAwareCacheFleet:
         state["idmap"] = None
         return state
 
-    # -- scalar per-lane operations (warmup, newcomers, rare paths) ----------
+    # -- scalar per-lane operations (first samples, rare paths) --------------
 
     def _row(self, c: int, j: int, make: bool = False) -> Optional[int]:
         s = self.slot[c].get(j)
@@ -1003,7 +1008,7 @@ class ModelAwareCacheFleet:
         return a, (sy_ - a * sx_) / n_
 
     def observe(self, c: int, j: int, x: float, y: float) -> str:
-        """Scalar single-cache observe (warmup and fallback path)."""
+        """Scalar single-cache observe (first-sample and fallback path)."""
         x = float(x); y = float(y)
         r = self._row(c, j)
         if self.total[c] < self.capacity_pairs:
@@ -1133,10 +1138,10 @@ class ModelAwareCacheFleet:
         """Advance every cache by one observation; lane ``i`` → cache ``i``.
 
         Returns an int8 array of :data:`ACTION_CODES` per lane.  Lanes
-        whose cache is not yet full, or whose neighbor has no line
-        (newcomers), fall back to the scalar per-lane path; everything
-        else — candidate scoring, victim selection, eviction, append,
-        memo refresh — runs column-wise across the fast lanes.
+        whose neighbor has no line yet fall back to the scalar per-lane
+        path; everything else — warm-up appends, candidate scoring,
+        victim selection, eviction, append, memo refresh — runs
+        column-wise.
         """
         F = self.F
         js = np.asarray(neighbor_ids, dtype=np.int64)
@@ -1188,19 +1193,32 @@ class ModelAwareCacheFleet:
             return self._observe_lanes(cs, js, xs, ys, slot)
 
     def _observe_lanes(self, cs, js, xs, ys, slot) -> np.ndarray:
-        F, S, C = self.F, self.S, self.C
-        # Lane dispatch: slow lanes (cache not yet full, or unknown/empty
-        # line) take the scalar path one by one.
-        fast = (slot >= 0) & (self.total[cs] >= self.capacity_pairs)
-        rows = cs * S + slot
+        # Lane dispatch.  Lanes are distinct caches, so the three groups
+        # below touch disjoint rows; only the shared ring capacity and
+        # line stride can change under a later group (pure relayouts),
+        # so both are read after the group that may grow them.
         actions = np.zeros(cs.size, dtype=np.int8)  # 0 = reject
-        slow = np.flatnonzero(~fast)
-        for i in slow:
+        known = slot >= 0
+        full = self.total[cs] >= self.capacity_pairs
+        # A neighbor's first sample (no line yet) takes the scalar path:
+        # it claims a slot, and in a full cache evicts a newcomer victim.
+        for i in np.flatnonzero(~known):
             actions[i] = ACTION_CODES[
                 self.observe(int(cs[i]), int(js[i]), float(xs[i]), float(ys[i]))
             ]
+        F, S = self.F, self.S
+        rows = cs * S + slot
+        # Warm-up: a known neighbor of a cache below its pair budget
+        # appends, exactly as the scalar ``observe`` would.
+        warm = np.flatnonzero(known & ~full)
+        if warm.size:
+            self._append_rows(rows[warm], xs[warm], ys[warm])
+            self.total[cs[warm]] += 1
+            actions[warm] = ACTION_CODES["append"]
+        fast = known & full
         if not fast.any():
             return actions
+        C = self.C
         fr = rows[fast]
         x = xs[fast]; y = ys[fast]
         n0 = self.n[fr]
@@ -1333,17 +1351,7 @@ class ModelAwareCacheFleet:
         # Vectorized append of the new pair to each applying lane's row.
         apply_lanes = np.concatenate([shift_lanes, aug_apply])
         if apply_lanes.size:
-            P = fr[apply_lanes]
-            if (self.n[P] >= C - 1).any():
-                self._grow_rings()
-                C = self.C
-            xP = x[apply_lanes]; yP = y[apply_lanes]
-            t = (self.head[P] + self.n[P]) % C
-            self.rx[P, t] = xP; self.ry[P, t] = yP
-            self.n[P] += 1
-            self.sx[P] += xP; self.sy[P] += yP
-            self.sxx[P] += xP * xP; self.sxy[P] += xP * yP; self.syy[P] += yP * yP
-            self.fok[P] = False; self.bok[P] = False; self.pok[P] = False
+            self._append_rows(fr[apply_lanes], x[apply_lanes], y[apply_lanes])
         if aug_apply.size:
             ar = fr[aug_apply]
             n1a = n1f[aug_apply]
@@ -1372,6 +1380,22 @@ class ModelAwareCacheFleet:
         actions[flane[shift_lanes]] = ACTION_CODES["shift"]
         actions[flane[aug_apply]] = ACTION_CODES["augment"]
         return actions
+
+    def _append_rows(self, P: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Vectorized :meth:`_append` of one pair to each of the distinct
+        rows ``P``, minus the per-cache ``total`` update (the caller
+        knows whether an eviction offset it).  Each row sees the scalar
+        append's float operations in the same order.
+        """
+        if (self.n[P] >= self.C - 1).any():
+            self._grow_rings()
+        n = self.n[P]
+        t = (self.head[P] + n) % self.C
+        self.rx[P, t] = xs; self.ry[P, t] = ys
+        self.n[P] = n + 1
+        self.sx[P] += xs; self.sy[P] += ys
+        self.sxx[P] += xs * xs; self.sxy[P] += xs * ys; self.syy[P] += ys * ys
+        self.fok[P] = False; self.bok[P] = False; self.pok[P] = False
 
     def _refresh_penalties(self, rows: np.ndarray) -> None:
         """Vectorized eviction-penalty refresh for the given rows."""

@@ -80,15 +80,12 @@ class NetworkNode:
     def deliver(self, message: Message, overheard: bool = False) -> None:
         """Dispatch a delivered message to all attached handlers.
 
-        Dead nodes receive nothing; the radio also filters, but the
-        guard here keeps the invariant local.  Handlers are stored as
-        an immutable tuple so dispatch iterates a stable snapshot
-        without the per-delivery defensive copy the hot path used to
-        pay; attach/detach during dispatch affect only later
-        deliveries, exactly as before.
+        The caller filters liveness: the radio checks :attr:`alive`
+        once per receiver and never delivers to a dead node, so this
+        hot path does not check again.  Handlers are stored as an
+        immutable tuple so dispatch iterates a stable snapshot;
+        attach/detach during dispatch affect only later deliveries.
         """
-        if not self.alive:
-            return
         for handler in self._handlers:
             handler(message, overheard)
 

@@ -393,8 +393,12 @@ class Radio:
     def _deliver_batch(
         self, message: Message, pending: list[tuple[NetworkNode, bool]]
     ) -> None:
+        # NetworkNode.deliver does not check liveness; this loop does,
+        # once per receiver, and again after a paid receive, which can
+        # drain the battery.  A free receive skips the no-op zero draw.
         cost_receive = self.cost_model.receive
-        record_delivered = self.stats.record_delivered
+        delivered = self.stats.delivered
+        kind = message.kind
         per_entity = self._per_entity
         lineage = self.simulator.lineage
         if lineage is None:
@@ -403,10 +407,12 @@ class Radio:
                     if per_entity:
                         self.stats.record_dropped_dead(message, 1)
                     continue
-                receiver.battery.draw(cost_receive)
+                delivered[(receiver.node_id, kind)] += 1
                 if cost_receive > 0:
+                    receiver.battery.draw(cost_receive)
                     self.ledger.record(receiver.node_id, "receive", cost_receive)
-                record_delivered(receiver.node_id, message)
+                    if not receiver.alive:
+                        continue
                 receiver.deliver(message, overheard)
             return
         # Lineage mode: each receiver's handler runs in a branch scope so
@@ -419,10 +425,12 @@ class Radio:
                     continue
                 branch_token = lineage.branch_begin(receiver.node_id)
                 try:
-                    receiver.battery.draw(cost_receive)
+                    delivered[(receiver.node_id, kind)] += 1
                     if cost_receive > 0:
+                        receiver.battery.draw(cost_receive)
                         self.ledger.record(receiver.node_id, "receive", cost_receive)
-                    record_delivered(receiver.node_id, message)
+                        if not receiver.alive:
+                            continue
                     receiver.deliver(message, overheard)
                 finally:
                     lineage.branch_end(branch_token)
@@ -448,7 +456,8 @@ class Radio:
         if self.cost_model.receive > 0:
             self.ledger.record(receiver.node_id, "receive", self.cost_model.receive)
         self.stats.record_delivered(receiver.node_id, message)
-        receiver.deliver(message, overheard)
+        if receiver.alive:
+            receiver.deliver(message, overheard)
 
     # -- misc --------------------------------------------------------------
 

@@ -103,12 +103,20 @@ class TraceLog:
         self._subscribers: dict[str, tuple[TraceSubscription, ...]] = {}
 
     def emit(self, time: float, kind: str, **payload: Any) -> None:
-        """Record an occurrence of ``kind`` at ``time``."""
-        record = TraceRecord(time=time, kind=kind, payload=payload)
+        """Record an occurrence of ``kind`` at ``time``.
+
+        The record object is built only when it is stored or some
+        subscription of ``kind`` receives it; otherwise only the
+        counter moves.
+        """
         self.counts[kind] += 1
+        subscribers = self._subscribers.get(kind)
+        if not (self.keep_records or subscribers):
+            return
+        record = TraceRecord(time=time, kind=kind, payload=payload)
         if self.keep_records:
             self.records.append(record)
-        for subscription in self._subscribers.get(kind, ()):
+        for subscription in subscribers or ():
             subscription._deliver(record)
 
     def subscribe(

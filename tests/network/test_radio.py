@@ -120,6 +120,26 @@ class TestAccounting:
         simulator.run()
         assert radio.node(1).battery.charge == pytest.approx(9.75)
 
+    @pytest.mark.parametrize("batch_fanout", [True, False])
+    def test_receive_that_drains_the_battery_is_not_handled(self, batch_fanout):
+        simulator = Simulator(seed=3)
+        radio = Radio(
+            simulator,
+            Topology([(0.0, 0.0), (0.1, 0.0)], 2.0),
+            cost_model=EnergyCostModel(receive=0.25),
+            batch_fanout=batch_fanout,
+        )
+        radio.populate(battery_capacity=10.0)
+        radio.node(1).battery.draw(9.75)
+        log = received_log(radio)
+        radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))
+        simulator.run()
+        # The receive is paid and counted, but a node it kills handles nothing.
+        assert not radio.node(1).alive
+        assert radio.ledger.node_breakdown(1)["receive"] == pytest.approx(0.25)
+        assert radio.stats.delivered[(1, "Invitation")] == 1
+        assert log == []
+
     def test_stats_counters(self):
         simulator, radio = make_radio([(0.0, 0.0), (0.1, 0.0)])
         radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))

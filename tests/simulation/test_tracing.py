@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pytest
+
+from repro.simulation import tracing
 from repro.simulation.tracing import TraceLog
 
 
@@ -187,3 +190,65 @@ class TestResubscriptionCounters:
         marker = log.mark()
         log.clear()
         assert log.counts_since(marker) == {}
+
+
+class TestUnobservedFastPath:
+    """With ``keep_records=False``, a kind nobody subscribes to only
+    moves its counter: no :class:`TraceRecord` is built for it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count the TraceRecord objects the log constructs."""
+        made = []
+
+        class CountingRecord(tracing.TraceRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(tracing, "TraceRecord", CountingRecord)
+        return made
+
+    @staticmethod
+    def _script(log):
+        for t in range(5):
+            log.emit(float(t), "a", i=t)
+            log.emit(float(t), "b")
+        log.emit(9.0, "c", i=9)
+
+    def test_counts_match_with_and_without_subscribers(self, built):
+        quiet, watched = TraceLog(keep_records=False), TraceLog(keep_records=False)
+        for kind in ("a", "b", "c"):
+            watched.subscribe(kind, lambda record: None)
+        self._script(quiet)
+        assert built == []
+        self._script(watched)
+        assert len(built) == 11
+        assert quiet.counts == watched.counts == {"a": 5, "b": 5, "c": 1}
+        assert list(quiet.counts) == list(watched.counts)
+
+    def test_mid_run_subscription_sees_exactly_the_later_records(self, built):
+        log = TraceLog(keep_records=False)
+        log.emit(0.0, "k", i=0)
+        log.emit(1.0, "k", i=1)
+        seen = []
+        handle = log.subscribe("k", lambda record: seen.append(record))
+        log.emit(2.0, "k", i=2)
+        log.emit(2.0, "other")
+        log.emit(3.0, "k", i=3)
+        assert [(r.time, r.payload) for r in seen] == [(2.0, {"i": 2}), (3.0, {"i": 3})]
+        assert built == seen
+        handle.cancel()
+        log.emit(4.0, "k", i=4)
+        assert len(built) == 2  # back on the fast path
+        assert handle.deliveries == 2
+        assert log.count("k") == 5
+
+    def test_keep_records_still_stores_every_record(self, built):
+        log = TraceLog(keep_records=True)
+        seen = []
+        log.subscribe("a", lambda record: seen.append(record))
+        self._script(log)
+        assert len(log.records) == len(built) == 11
+        assert [r.kind for r in log.records] == ["a", "b"] * 5 + ["c"]
+        assert seen == log.of_kind("a")
