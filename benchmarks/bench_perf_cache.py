@@ -2,17 +2,19 @@
 
 Unlike the figure benchmarks, this one measures the *implementation*,
 not the paper: the per-observation cost of the §4 decision procedure at
-the paper's default 2,048-byte (256-pair) budget.  Version 2 of the
-saved record (``results/BENCH_cache.json``) keeps the original
-flat ``ops_per_sec`` keys — now measuring the struct-of-arrays default
-engine — and adds two sections:
+the paper's default 2,048-byte (256-pair) budget.  Version 3 of the
+saved record (``results/BENCH_cache.json``) keeps the original flat
+``ops_per_sec`` keys — a single cache on its own, which runs the
+scalar engine — and two sections:
 
-* ``matrix`` — neighbors ∈ {4, 8, 16, 32} × engine (scalar object
-  graph vs SoA block) for the model-aware policy, with round-robin as
-  the per-neighbor-count control;
+* ``matrix`` — neighbors ∈ {4, 8, 16, 32} for the single model-aware
+  cache, with round-robin as the per-neighbor-count control;
 * ``fleet`` — the cross-cache numpy engine driving 512 caches in
   lock-step through ``observe_batch``, the configuration that closes
   the throughput gap against the single-cache interpreter loop.
+
+The fleet's end-to-end win over scalar observation inside a simulation
+is asserted by ``bench_perf_rounds.py``.
 
 Scales: ``quick`` streams 20k observations per cell, ``paper`` 100k.
 """
@@ -106,7 +108,7 @@ def test_bench_cache_observe_throughput(benchmark, report):
     def run() -> dict:
         stream = correlated_stream(WARMUP_OBSERVATIONS + length)
         headline = {
-            # historical keys: the default (now SoA) engine at §6.1 size
+            # historical keys: a single unbound cache at §6.1 size
             "model_aware_2048": throughput(ModelAwareCache(CACHE_BYTES), stream),
             "round_robin_2048": throughput(RoundRobinCache(CACHE_BYTES), stream),
         }
@@ -117,10 +119,7 @@ def test_bench_cache_observe_throughput(benchmark, report):
             )
             matrix[neighbors] = {
                 "model_aware_scalar": throughput(
-                    ModelAwareCache(CACHE_BYTES, vectorized=False), cell_stream
-                ),
-                "model_aware_vectorized": throughput(
-                    ModelAwareCache(CACHE_BYTES, vectorized=True), cell_stream
+                    ModelAwareCache(CACHE_BYTES), cell_stream
                 ),
                 "round_robin": throughput(
                     RoundRobinCache(CACHE_BYTES), cell_stream
@@ -138,11 +137,9 @@ def test_bench_cache_observe_throughput(benchmark, report):
             for policy, rate in sorted(headline.items())
         ),
         "  engine matrix (ops/sec by neighbor count)",
-        f"    {'neighbors':<10} {'ma-scalar':>12} {'ma-vector':>12} "
-        f"{'round-robin':>12}",
+        f"    {'neighbors':<10} {'ma-scalar':>12} {'round-robin':>12}",
         *(
             f"    {neighbors:<10} {cell['model_aware_scalar']:>12,.0f} "
-            f"{cell['model_aware_vectorized']:>12,.0f} "
             f"{cell['round_robin']:>12,.0f}"
             for neighbors, cell in sorted(matrix.items())
         ),
@@ -153,7 +150,7 @@ def test_bench_cache_observe_throughput(benchmark, report):
         "BENCH_cache",
         "\n".join(lines),
         data={
-            "version": 2,
+            "version": 3,
             "cache_bytes": CACHE_BYTES,
             "neighbors": NEIGHBORS,
             "observations": length,
@@ -174,11 +171,6 @@ def test_bench_cache_observe_throughput(benchmark, report):
     # The O(1) decision procedure comfortably clears this floor even on
     # slow CI hardware; the pre-rewrite batch refitting managed ~20k.
     assert headline["model_aware_2048"] > 40_000
-    # The SoA block must not lose to the scalar object graph anywhere.
-    for neighbors, cell in matrix.items():
-        assert (
-            cell["model_aware_vectorized"] > 0.9 * cell["model_aware_scalar"]
-        ), f"vectorized engine regressed at {neighbors} neighbors"
     # The fleet engine is the 3x-the-baseline contract: the pinned
     # pre-SoA BENCH_cache.json measured ~110k ops/sec at this cell.
     assert fleet_rate > 330_000

@@ -471,8 +471,13 @@ def cmd_fleet_start(args: argparse.Namespace) -> int:
                 if kind == "stop":
                     stopped_by_command = True
                 elif kind == "reconfigure":
-                    runner.request_reconfigure(command.get("change") or {})
-                    print(f"queued reconfiguration: {command.get('change')}")
+                    change = command.get("change") or {}
+                    try:
+                        runner.request_reconfigure(change)
+                    except ValueError as error:
+                        print(f"rejected reconfiguration {change}: {error}")
+                    else:
+                        print(f"queued reconfiguration: {change}")
             write_status(args.dir, runner.status())
             if stopped_by_command:
                 break

@@ -199,22 +199,19 @@ class SnapshotRuntime:
     def _build_fleet(self) -> Optional[ModelAwareCacheFleet]:
         """A shared cache fleet with one lane per node, if the policy allows.
 
-        Every cache must be an empty, vectorized
+        Every cache must be an empty
         :class:`~repro.models.cache_manager.ModelAwareCache` on a single
-        byte budget; anything else (round-robin, mixed budgets,
-        pre-warmed caches) returns ``None`` and the observation router
-        falls back to scalar application — still batched at the same
-        barrier, just without the vectorized sweep.  Lane order is
-        ascending node id.
+        byte budget; binding it to a lane makes the fleet its engine.
+        Anything else (round-robin, mixed budgets, pre-warmed caches)
+        returns ``None``: the caches stay unbound on the scalar engine
+        and the observation router applies their samples scalarly —
+        still batched at the same barrier, just without the vectorized
+        sweep.  Lane order is ascending node id.
         """
         policies = []
         for node_id in sorted(self.nodes):
             policy = self.nodes[node_id].store.policy
-            if (
-                not isinstance(policy, ModelAwareCache)
-                or not policy.vectorized
-                or policy.total_pairs != 0
-            ):
+            if not isinstance(policy, ModelAwareCache) or policy.total_pairs != 0:
                 return None
             policies.append(policy)
         if not policies:

@@ -98,34 +98,30 @@ class NetworkSetup:
 class _CacheFactory:
     """Picklable cache-policy factory (lambdas would break checkpointing)."""
 
-    __slots__ = ("policy_cls", "cache_bytes", "kwargs")
+    __slots__ = ("policy_cls", "cache_bytes")
 
-    def __init__(self, policy_cls: type, cache_bytes: int, **kwargs) -> None:
+    def __init__(self, policy_cls: type, cache_bytes: int) -> None:
         self.policy_cls = policy_cls
         self.cache_bytes = cache_bytes
-        self.kwargs = kwargs
 
     def __call__(self) -> CachePolicy:
-        return self.policy_cls(self.cache_bytes, **self.kwargs)
+        return self.policy_cls(self.cache_bytes)
 
 
 def make_cache_factory(policy: str, cache_bytes: int) -> Callable[[], CachePolicy]:
     """Cache-policy factory from a registry name.
 
-    ``model-aware`` uses the struct-of-arrays backing store (the
-    default engine); ``model-aware-scalar`` pins the original per-line
-    object graph — bit-identical in behavior, kept as the golden
-    reference for equivalence tests and A/B benchmarking.
+    ``model-aware`` is the §4 manager: a runtime binds each cache to a
+    lane of its shared fleet, and a cache used on its own runs the
+    scalar reference engine.  ``round-robin`` is Figure 8's baseline.
     """
     if policy == "model-aware":
         return _CacheFactory(ModelAwareCache, cache_bytes)
-    if policy == "model-aware-scalar":
-        return _CacheFactory(ModelAwareCache, cache_bytes, vectorized=False)
     if policy == "round-robin":
         return _CacheFactory(RoundRobinCache, cache_bytes)
     raise ValueError(
-        f"unknown cache policy {policy!r}; expected 'model-aware', "
-        f"'model-aware-scalar' or 'round-robin'"
+        f"unknown cache policy {policy!r}; expected 'model-aware' or "
+        f"'round-robin'"
     )
 
 

@@ -71,6 +71,57 @@ MUTABLE_PROTOCOL_FIELDS = (
 )
 
 
+def _plan_change(config, change: dict[str, Any]) -> tuple:
+    """Validate ``change`` against ``config`` without mutating anything.
+
+    Builds every replacement a change installs — the loss model, the
+    protocol config, the cache factory — so any bad field raises here,
+    before :func:`apply_change` touches the runtime.  Returns
+    ``(loss_model or None, protocol config or None, cache factory or
+    None)``.
+    """
+    recognized = set(MUTABLE_PROTOCOL_FIELDS) | {
+        "loss", "loss_model", "cache_policy", "cache_bytes",
+    }
+    unknown = sorted(set(change) - recognized)
+    if unknown:
+        raise ValueError(f"unknown reconfiguration keys {unknown}; "
+                         f"choose from {sorted(recognized)}")
+    if "loss" in change and "loss_model" in change:
+        raise ValueError("give either 'loss' or 'loss_model', not both")
+    if "cache_bytes" in change and "cache_policy" not in change:
+        raise ValueError("'cache_bytes' requires 'cache_policy'")
+
+    new_loss: Optional[LossModel] = None
+    if "loss_model" in change:
+        new_loss = change["loss_model"]
+        if not isinstance(new_loss, LossModel):
+            raise ValueError(
+                f"'loss_model' must be a LossModel, got {type(new_loss).__name__}"
+            )
+    elif "loss" in change:
+        new_loss = GlobalLoss(float(change["loss"]))
+
+    protocol_updates = {
+        key: change[key] for key in MUTABLE_PROTOCOL_FIELDS if key in change
+    }
+    new_config = (
+        dataclasses.replace(config, **protocol_updates) if protocol_updates else None
+    )
+
+    factory = None
+    if "cache_policy" in change:
+        from repro.core.runtime import DEFAULT_CACHE_BYTES
+        from repro.experiments.harness import make_cache_factory
+
+        factory = make_cache_factory(
+            change["cache_policy"],
+            int(change.get("cache_bytes", DEFAULT_CACHE_BYTES)),
+        )
+        factory()  # the policy validates its budget on construction
+    return new_loss, new_config, factory
+
+
 def apply_change(target: Any, change: dict[str, Any]) -> None:
     """Apply one rolling-reconfiguration ``change`` to a live runtime.
 
@@ -95,69 +146,45 @@ def apply_change(target: Any, change: dict[str, Any]) -> None:
         batched-round fleet to match.  Models are rebuilt from scratch
         — the new policy re-learns from post-change traffic.
 
-    Raises ``ValueError`` on unknown keys and ``RuntimeError`` if a
-    cache swap is attempted while the observation router holds pending
-    observations (not a slice boundary).
+    A change applies whole or not at all: every field is validated
+    before the first mutation.  Raises ``ValueError`` on unknown keys
+    or bad values and ``RuntimeError`` if a cache swap is attempted
+    while the observation router holds pending observations (not a
+    slice boundary).
     """
     runtime = getattr(target, "runtime", target)
-    change = dict(change)
-    recognized = set(MUTABLE_PROTOCOL_FIELDS) | {
-        "loss", "loss_model", "cache_policy", "cache_bytes",
-    }
-    unknown = sorted(set(change) - recognized)
-    if unknown:
-        raise ValueError(f"unknown reconfiguration keys {unknown}; "
-                         f"choose from {sorted(recognized)}")
-    if "loss" in change and "loss_model" in change:
-        raise ValueError("give either 'loss' or 'loss_model', not both")
-    if "cache_bytes" in change and "cache_policy" not in change:
-        raise ValueError("'cache_bytes' requires 'cache_policy'")
-
-    if "loss" in change or "loss_model" in change:
-        new_loss: LossModel = (
-            change["loss_model"]
-            if "loss_model" in change
-            else GlobalLoss(float(change["loss"]))
+    new_loss, new_config, factory = _plan_change(runtime.config, dict(change))
+    router = runtime.observation_router
+    if factory is not None and router is not None and router.pending:
+        raise RuntimeError(
+            "cache policy swap requires a quiescent observation "
+            "router (reconfigure at a slice boundary)"
         )
+
+    if new_loss is not None:
         current = runtime.radio.loss_model
         if isinstance(current, _FaultOverlayLoss):
             current.base = new_loss
         else:
             runtime.radio.loss_model = new_loss
 
-    protocol_updates = {
-        key: change[key] for key in MUTABLE_PROTOCOL_FIELDS if key in change
-    }
-    if protocol_updates:
-        new_config = dataclasses.replace(runtime.config, **protocol_updates)
+    if new_config is not None:
         runtime.config = new_config
         for node in runtime.nodes.values():
             node.config = new_config
-            if "snoop_probability" in protocol_updates:
+            if "snoop_probability" in change:
                 node.snoop_probability = new_config.snoop_probability
         runtime.coordinator.config = new_config
         runtime.maintenance.config = new_config
 
-    if "cache_policy" in change:
-        from repro.core.runtime import DEFAULT_CACHE_BYTES
-        from repro.experiments.harness import make_cache_factory
+    if factory is not None:
         from repro.models.estimator import NeighborModelStore
 
-        router = runtime.observation_router
-        if router is not None and router.pending:
-            raise RuntimeError(
-                "cache policy swap requires a quiescent observation "
-                "router (reconfigure at a slice boundary)"
-            )
-        factory = make_cache_factory(
-            change["cache_policy"],
-            int(change.get("cache_bytes", DEFAULT_CACHE_BYTES)),
-        )
         for node_id in sorted(runtime.nodes):
             runtime.nodes[node_id].store = NeighborModelStore(factory())
         if router is not None:
-            # None => the router falls back to scalar application (the
-            # round-robin path); fresh model-aware caches re-vectorize.
+            # None => the router applies samples scalarly (round-robin);
+            # fresh model-aware caches bind to a new fleet.
             router.fleet = runtime._build_fleet()
 
 
@@ -434,9 +461,15 @@ class FleetRunner:
     # ------------------------------------------------------------------
 
     def request_reconfigure(self, change: dict[str, Any]) -> None:
-        """Queue ``change`` for the next slice boundary (thread-safe)."""
+        """Queue ``change`` for the next slice boundary (thread-safe).
+
+        The change is validated now, so a bad one raises ``ValueError``
+        to the caller instead of stopping the fleet when it is applied.
+        """
+        change = dict(change)
         with self._lock:
-            self._pending.append(dict(change))
+            _plan_change(self.state.runtime.config, change)
+            self._pending.append(change)
 
     def _roundtrip_reconfigure(self, change: dict[str, Any]) -> None:
         """checkpoint → mutate → restore: the rolling-reconfig contract.

@@ -66,95 +66,23 @@ from repro.models.regression import (
     fit_coefficients,
     model_sse,
 )
-from repro.models.soa import ModelAwareCacheFleet, NeighborBlock
+from repro.models.soa import ModelAwareCacheFleet
 
-__all__ = ["ModelAwareCache", "CacheLineView", "FleetLineView"]
-
-
-class CacheLineView:
-    """Read-only :class:`CacheLine` facade over a :class:`NeighborBlock` row.
-
-    Resolves its row by neighbor id at every access, so the view stays
-    valid across evictions that move or free rows; it exposes the exact
-    read surface consumers of ``policy.line(j)`` use — ``len``,
-    iteration, ``pairs``, ``oldest``, ``stats``, the fitted model,
-    benefit and eviction penalty — all answered from the block's
-    columns and memos.
-    """
-
-    __slots__ = ("_block", "neighbor_id")
-
-    def __init__(self, block: NeighborBlock, neighbor_id: int) -> None:
-        self._block = block
-        self.neighbor_id = neighbor_id
-
-    def _row(self) -> Optional[int]:
-        return self._block.row_of(self.neighbor_id)
-
-    def __len__(self) -> int:
-        r = self._row()
-        return 0 if r is None else self._block.pair_count(r)
-
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        r = self._row()
-        return iter(()) if r is None else iter(self._block.pairs(r))
-
-    @property
-    def pairs(self) -> PairsView:
-        """The stored pairs, oldest first (a lazy, read-only view)."""
-        r = self._row()
-        return PairsView(() if r is None else self._block.pairs(r))
-
-    @property
-    def oldest(self) -> tuple[float, float]:
-        r = self._row()
-        if r is None:
-            raise IndexError(f"cache line for neighbor {self.neighbor_id} is empty")
-        return self._block.pairs(r)[0]
-
-    @property
-    def stats(self) -> RegressionStats:
-        """A fresh :class:`RegressionStats` snapshot of the row's sums."""
-        r = self._row()
-        if r is None:
-            return RegressionStats()
-        return RegressionStats(*self._block.sums(r))
-
-    @property
-    def evictions_since_sync(self) -> int:
-        r = self._row()
-        return 0 if r is None else self._block.evictions_since_sync(r)
-
-    def model_coefficients(self) -> tuple[float, float]:
-        r = self._row()
-        if r is None:
-            raise ValueError("cannot fit a model to an empty cache line")
-        return self._block.fit(r)
-
-    def model(self) -> LinearModel:
-        return LinearModel(*self.model_coefficients())
-
-    def benefit(self) -> float:
-        r = self._row()
-        return 0.0 if r is None else self._block.benefit(r)
-
-    def eviction_penalty(self) -> float:
-        r = self._row()
-        return 0.0 if r is None else self._block.penalty(r)
-
-    def __repr__(self) -> str:
-        return f"CacheLineView(neighbor={self.neighbor_id}, pairs={len(self)})"
+__all__ = ["ModelAwareCache", "FleetLineView"]
 
 
 class FleetLineView:
     """Read-only line facade over one lane of a :class:`ModelAwareCacheFleet`.
 
-    The fleet-backed twin of :class:`CacheLineView`: resolves its row by
-    ``(lane, neighbor_id)`` on every access and answers the same read
-    surface from the fleet's columns and memos.  Memo reads
-    (fit/benefit/penalty) refresh the fleet's memo columns exactly as
-    the per-node engine's lazy accessors do — memoized values are pure
-    functions of the sums, so reads never perturb future decisions.
+    Resolves its row by ``(lane, neighbor_id)`` on every access, so the
+    view stays valid across evictions that free or reuse slots, and
+    answers the read surface consumers of ``policy.line(j)`` use —
+    ``len``, iteration, ``pairs``, ``oldest``, ``stats``, the fitted
+    model, benefit and eviction penalty — from the fleet's columns and
+    memos, exactly as a scalar :class:`CacheLine` would.  Memo reads
+    (fit/benefit/penalty) refresh the fleet's memo columns; memoized
+    values are pure functions of the sums, so reads never perturb
+    future decisions.
     """
 
     __slots__ = ("_fleet", "_lane", "neighbor_id")
@@ -232,28 +160,25 @@ class FleetLineView:
 class ModelAwareCache(CachePolicy):
     """Benefit-driven cache admission and replacement (§4).
 
+    Two engines sit behind one API, chosen by whether a fleet is bound,
+    not by an option.  A cache bound to a lane of a shared
+    :class:`~repro.models.soa.ModelAwareCacheFleet` (see
+    :meth:`bind_fleet`; ``SnapshotRuntime`` binds every node's cache)
+    runs the fleet's columns and answers :meth:`line` through
+    :class:`FleetLineView`.  An unbound cache runs the scalar
+    :class:`CacheLine` object graph below — the literal §4 reading and
+    the oracle the fleet is tested against, decision for decision.
+
     Parameters
     ----------
     cache_bytes:
         Total budget (Figure 8 sweeps 200 B – 4 KB; 2,048 B default).
-    vectorized:
-        ``True`` (default) stores all lines in one struct-of-arrays
-        :class:`~repro.models.soa.NeighborBlock` and answers the line
-        API through :class:`CacheLineView` facades; ``False`` keeps the
-        original per-line object graph.  The two backing stores are
-        decision-for-decision bit-identical (pinned by the golden-trace
-        and property suites) — the flag only trades representation.
     """
 
-    def __init__(self, cache_bytes: int, vectorized: bool = True) -> None:
+    def __init__(self, cache_bytes: int) -> None:
         super().__init__(cache_bytes)
-        self.vectorized = bool(vectorized)
-        self._block: Optional[NeighborBlock] = (
-            NeighborBlock(cache_bytes) if self.vectorized else None
-        )
         #: Fleet backing (see :meth:`bind_fleet`): when set, this cache
-        #: is lane ``_lane`` of a shared :class:`ModelAwareCacheFleet`
-        #: and ``_block`` is dropped.
+        #: is lane ``_lane`` of a shared :class:`ModelAwareCacheFleet`.
         self._fleet: Optional[ModelAwareCacheFleet] = None
         self._lane = -1
         #: Memoized Penalty_Evict per line; absent while a line is dirty.
@@ -268,16 +193,13 @@ class ModelAwareCache(CachePolicy):
     def bind_fleet(self, fleet: ModelAwareCacheFleet, lane: int) -> None:
         """Back this cache by lane ``lane`` of a shared fleet.
 
-        Only an *empty* vectorized cache can be rebound (the fleet lane
-        starts empty too, so no state migration is needed — binding
-        happens at network construction time).  After binding, every
-        read and write dispatches to the fleet's columns; the cache
-        keeps its class and digest shape, so checkpoints and
-        equivalence digests are indistinguishable from the per-node
-        engine's.
+        Only an *empty* cache can be bound (the fleet lane starts empty
+        too, so no state migration is needed — binding happens at
+        network construction time).  After binding, every read and
+        write dispatches to the fleet's columns; the cache keeps its
+        class and digest shape, so checkpoints and equivalence digests
+        are indistinguishable from the scalar engine's.
         """
-        if not self.vectorized:
-            raise ValueError("only a vectorized ModelAwareCache can join a fleet")
         if self.total_pairs:
             raise ValueError("cannot rebind a non-empty cache to a fleet")
         if fleet.cache_bytes != self.cache_bytes:
@@ -286,14 +208,11 @@ class ModelAwareCache(CachePolicy):
             )
         self._fleet = fleet
         self._lane = int(lane)
-        self._block = None
 
     def observe(self, neighbor_id: int, own_value: float, neighbor_value: float) -> str:
         """Offer a fresh pair for ``neighbor_id``; returns the action taken."""
         if self._fleet is not None:
             return self._fleet.observe(self._lane, neighbor_id, own_value, neighbor_value)
-        if self._block is not None:
-            return self._block.observe(neighbor_id, own_value, neighbor_value)
 
         new_pair = (float(own_value), float(neighbor_value))
 
@@ -319,50 +238,37 @@ class ModelAwareCache(CachePolicy):
         if self._fleet is not None:
             self._fleet.forget(self._lane, neighbor_id)
             return
-        if self._block is not None:
-            self._block.forget(neighbor_id)
-            return
         super().forget(neighbor_id)
         self._penalties.pop(neighbor_id, None)
         self._dirty.discard(neighbor_id)
 
-    # -- block-backed read surface -------------------------------------------
+    # -- fleet-backed read surface -------------------------------------------
 
     @property
     def total_pairs(self) -> int:
         """Pairs currently stored across all lines (O(1) running count)."""
         if self._fleet is not None:
             return int(self._fleet.total[self._lane])
-        if self._block is not None:
-            return self._block.total
         return self._total_pairs
 
     def known_neighbors(self) -> list[int]:
         """Neighbors with at least one stored pair, ascending id."""
         if self._fleet is not None:
             return self._fleet.known_neighbors(self._lane)
-        if self._block is not None:
-            return self._block.neighbor_ids()
         return super().known_neighbors()
 
-    def line(self, neighbor_id: int) -> Optional[CacheLine | CacheLineView | FleetLineView]:
+    def line(self, neighbor_id: int) -> Optional[CacheLine | FleetLineView]:
         """The cache line for ``neighbor_id``, or ``None``."""
         if self._fleet is not None:
             if self._fleet._row(self._lane, neighbor_id) is None:
                 return None
             return FleetLineView(self._fleet, self._lane, neighbor_id)
-        if self._block is not None:
-            if self._block.row_of(neighbor_id) is None:
-                return None
-            return CacheLineView(self._block, neighbor_id)
         return super().line(neighbor_id)
 
     def digest_state(self) -> tuple:
         """Canonical state: the shared line state plus the newcomer cursor."""
         if self._fleet is not None:
             cursor = int(self._fleet.rr[self._lane])
-        elif self._block is not None:
-            cursor = self._block.rr_cursor
         else:
             cursor = self._rr_cursor
         return super().digest_state() + (cursor,)

@@ -1,48 +1,34 @@
-"""Struct-of-arrays backing stores for the model-aware cache (§4).
+"""Struct-of-arrays fleet engine for the model-aware cache (§4).
 
-Two granularities of the same layout live here, both bit-identical to
-the scalar :class:`~repro.models.cache.CacheLine` object graph (pinned
-by the golden-trace and hypothesis suites):
+:class:`ModelAwareCacheFleet` lays out ``F`` independent caches as one
+block of contiguous numpy columns (row = cache × line slot): the six
+RegressionStats sufficient sums ``(n, Σx, Σy, Σx², Σxy, Σy²)``, the
+ring-buffered sample pairs, and the memoized fit/benefit/penalty
+columns with their validity flags.  :meth:`~ModelAwareCacheFleet.observe_batch`
+and :meth:`~ModelAwareCacheFleet.observe_lanes` advance many caches by
+one observation each with the §4 decision procedure evaluated
+lane-parallel.  A :class:`~repro.models.cache_manager.ModelAwareCache`
+bound to a fleet lane answers its whole API from these columns; an
+unbound one runs the scalar :class:`~repro.models.cache.CacheLine`
+path, which is the reference every fleet decision is tested against
+(golden-trace and hypothesis suites).
 
-* :class:`NeighborBlock` — *one block per node*.  All cache lines of a
-  node live in parallel columns indexed by row: the six RegressionStats
-  sufficient sums ``(n, Σx, Σy, Σx², Σxy, Σy²)``, the ring-buffered
-  sample pairs, and the memoized fit/benefit/penalty columns with their
-  validity flags.  ``ModelAwareCache(vectorized=True)`` delegates to it
-  and exposes the old line API as thin views
-  (:class:`~repro.models.cache_manager.CacheLineView`).
-
-* :class:`ModelAwareCacheFleet` — *many caches per block*.  The same
-  columns flattened across ``F`` independent caches (row = cache × slot)
-  as contiguous numpy arrays, advanced one observation per cache per
-  :meth:`~ModelAwareCacheFleet.observe_batch` call with the §4 decision
-  procedure evaluated lane-parallel.  This is the ≥3x throughput kernel
-  and the substrate for the 10k+-node scale goals (ROADMAP items 1–3).
-
-Why two storage representations?  The §4 decision procedure is
+Why are lanes caches and not neighbors?  The §4 decision procedure is
 inherently sequential *within* a cache: ~85% of full-cache decisions
 augment, and an augment mutates a victim line chosen across the whole
 cache, so consecutive observations of one node conflict and cannot be
-evaluated as independent lanes without changing results.  Lanes must
-therefore be *caches*, not neighbors.  For a single cache the hot path
-is scalar element access, where CPython reads a Python list ~3x faster
-than a numpy array (each numpy scalar read boxes a fresh float object);
-for the fleet the hot path is column arithmetic across hundreds of
-lanes, where numpy wins by an order of magnitude.  Each block therefore
-uses the column container its access pattern favors — Python lists per
-node, numpy arrays per fleet — while keeping identical column meaning
-and identical arithmetic.  ``NeighborBlock.as_arrays`` materializes the
-per-node columns as numpy arrays for column-wise consumers.
+evaluated as independent lanes without changing results.  Independent
+caches in lock-step vectorize cleanly, which is exactly the shape of a
+measurement round (every node snoops one sample per tick).
 
-Bit-identity with the scalar path rests on a few load-bearing rules,
-shared by both blocks and documented once here:
+Bit-identity with the scalar path rests on a few load-bearing rules:
 
 * eviction applies sums *subtract-then-add* while decision scoring
   builds candidates *add-then-subtract* — exactly the scalar orders;
 * a row whose count reaches zero snaps its sums to exact ``0.0``;
-* drift resyncs accumulate left-to-right (``cumsum`` row prefixes in
-  the fleet), matching the scalar loop — ``np.sum``'s pairwise order
-  would differ in the last bits;
+* drift resyncs accumulate left-to-right (``cumsum`` row prefixes),
+  matching the scalar loop — ``np.sum``'s pairwise order would differ
+  in the last bits;
 * the near-tie fallbacks (:data:`~repro.models.cache._NEAR_TIE_RTOL`)
   re-score candidates with the original batch arithmetic, so exact
   floating-point ties resolve the same way they always did.
@@ -50,19 +36,14 @@ shared by both blocks and documented once here:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.models.cache import (
-    _NEAR_TIE_RTOL,
-    BYTES_PER_PAIR,
-    STATS_SYNC_INTERVAL,
-    pairs_for_budget,
-)
+from repro.models.cache import _NEAR_TIE_RTOL, STATS_SYNC_INTERVAL, pairs_for_budget
+from repro.models.regression import batch_fit_coefficients, fit_coefficients
 
-__all__ = ["NeighborBlock", "ModelAwareCacheFleet", "ACTION_CODES", "ACTION_NAMES"]
+__all__ = ["ModelAwareCacheFleet", "ACTION_CODES", "ACTION_NAMES"]
 
 _RTOL = _NEAR_TIE_RTOL
 _DEG = 1e-12  # regression._DEGENERATE_RTOL, inlined on the hot path
@@ -73,492 +54,6 @@ _SYNC = STATS_SYNC_INTERVAL
 #: a Python string per cache).  Names match :class:`~repro.models.policy.Action`.
 ACTION_CODES = {"reject": 0, "shift": 1, "augment": 2, "append": 3, "newcomer": 4}
 ACTION_NAMES = {code: name for name, code in ACTION_CODES.items()}
-
-
-class NeighborBlock:
-    """Per-node struct-of-arrays store of all cache lines (§4).
-
-    Columns are parallel Python lists indexed by row; a row holds one
-    neighbor's line.  Freed rows (lines emptied by eviction or
-    ``forget``) go on a free-list and are reused, so the columns never
-    shrink and row indices stay dense.  All §4 quantities — fit,
-    benefit, eviction penalty — are memoized per row with validity
-    flags and recomputed lazily, mirroring the scalar ``CacheLine``
-    memos exactly.
-
-    The public entry point is :meth:`observe`; everything else is the
-    read surface the :class:`~repro.models.cache_manager.CacheLineView`
-    adapters and the digest canonicalization consume.
-    """
-
-    __slots__ = (
-        "cache_bytes", "capacity_pairs", "total", "rr_cursor",
-        "_index", "_ids", "_free",
-        "_n", "_sx", "_sy", "_sxx", "_sxy", "_syy",
-        "_fa", "_fb", "_fok", "_ben", "_bok", "_pen", "_pok",
-        "_esync", "_pairs",
-    )
-
-    def __init__(self, cache_bytes: int) -> None:
-        self.cache_bytes = int(cache_bytes)
-        self.capacity_pairs = pairs_for_budget(self.cache_bytes)
-        self.total = 0            #: pairs stored across all rows
-        self.rr_cursor = -1       #: last round-robin newcomer victim id
-        self._index: dict[int, int] = {}   # neighbor id -> row
-        self._ids: list[int] = []          # row -> neighbor id (-1 = free)
-        self._free: list[int] = []
-        # sufficient sums
-        self._n: list[int] = []
-        self._sx: list[float] = []
-        self._sy: list[float] = []
-        self._sxx: list[float] = []
-        self._sxy: list[float] = []
-        self._syy: list[float] = []
-        # memo columns + validity flags
-        self._fa: list[float] = []
-        self._fb: list[float] = []
-        self._fok: list[bool] = []
-        self._ben: list[float] = []
-        self._bok: list[bool] = []
-        self._pen: list[float] = []
-        self._pok: list[bool] = []
-        self._esync: list[int] = []
-        # ring-buffered sample pairs, oldest first
-        self._pairs: list[deque[tuple[float, float]]] = []
-
-    # -- row management -----------------------------------------------------
-
-    def row_of(self, neighbor_id: int) -> Optional[int]:
-        """The row holding ``neighbor_id``'s line, or ``None``."""
-        return self._index.get(neighbor_id)
-
-    def neighbor_ids(self) -> list[int]:
-        """Neighbors with at least one stored pair, ascending id."""
-        return sorted(j for j, r in self._index.items() if self._n[r] > 0)
-
-    def _new_row(self, j: int) -> int:
-        if self._free:
-            r = self._free.pop()
-            self._ids[r] = j
-            self._n[r] = 0
-            self._sx[r] = self._sy[r] = 0.0
-            self._sxx[r] = self._sxy[r] = self._syy[r] = 0.0
-            self._fok[r] = self._bok[r] = self._pok[r] = False
-            self._esync[r] = 0
-            self._pairs[r].clear()
-        else:
-            r = len(self._ids)
-            self._ids.append(j)
-            self._n.append(0)
-            self._sx.append(0.0); self._sy.append(0.0)
-            self._sxx.append(0.0); self._sxy.append(0.0); self._syy.append(0.0)
-            self._fa.append(0.0); self._fb.append(0.0); self._fok.append(False)
-            self._ben.append(0.0); self._bok.append(False)
-            self._pen.append(0.0); self._pok.append(False)
-            self._esync.append(0)
-            self._pairs.append(deque())
-        self._index[j] = r
-        return r
-
-    def _free_row(self, r: int) -> None:
-        del self._index[self._ids[r]]
-        self._ids[r] = -1
-        self._n[r] = 0
-        self._free.append(r)
-
-    # -- the observe hot path -----------------------------------------------
-
-    def observe(self, neighbor_id: int, own_value: float, neighbor_value: float) -> str:
-        """Offer a fresh pair; returns the §4 action name taken."""
-        x = float(own_value); y = float(neighbor_value)
-        j = neighbor_id
-        r = self._index.get(j)
-        if self.total < self.capacity_pairs:
-            if r is None:
-                r = self._new_row(j)
-            self._append(r, x, y)
-            return "append"
-        if r is None or self._n[r] == 0:
-            return self._newcomer(j, x, y)
-        return self._decide(r, j, x, y)
-
-    def forget(self, neighbor_id: int) -> None:
-        """Drop all history for ``neighbor_id`` (e.g. a departed node)."""
-        r = self._index.get(neighbor_id)
-        if r is None:
-            return
-        self.total -= self._n[r]
-        self._free_row(r)
-
-    def _append(self, r: int, x: float, y: float) -> None:
-        self._pairs[r].append((x, y))
-        self._n[r] += 1
-        self._sx[r] += x; self._sy[r] += y
-        self._sxx[r] += x * x; self._sxy[r] += x * y; self._syy[r] += y * y
-        self._fok[r] = self._bok[r] = self._pok[r] = False
-        self.total += 1
-
-    def _evict(self, r: int) -> None:
-        pairs = self._pairs[r]
-        ox, oy = pairs.popleft()
-        n0 = self._n[r]
-        sxx0 = self._sxx[r]; syy0 = self._syy[r]
-        # Same dominance rule as CacheLine.evict_oldest, checked on the
-        # pre-removal sums: a departing pair that carries most of a sum
-        # would cancel catastrophically under subtraction.
-        dominant = ox * ox > 0.5 * sxx0 or oy * oy > 0.5 * syy0
-        n0 -= 1
-        self._n[r] = n0
-        if n0 == 0:
-            self._sx[r] = self._sy[r] = 0.0
-            self._sxx[r] = self._sxy[r] = self._syy[r] = 0.0
-        else:
-            self._sx[r] -= ox; self._sy[r] -= oy
-            self._sxx[r] = sxx0 - ox * ox
-            self._sxy[r] -= ox * oy
-            self._syy[r] = syy0 - oy * oy
-        es = self._esync[r] + 1
-        if dominant or es >= _SYNC:
-            self._resync(r)
-        else:
-            self._esync[r] = es
-        self._fok[r] = self._bok[r] = self._pok[r] = False
-        self.total -= 1
-        if n0 == 0:
-            self._free_row(r)
-
-    def _resync(self, r: int) -> None:
-        # Left-to-right accumulation over the stored pairs: the exact
-        # order CacheLine._resync_stats (RegressionStats.from_pairs) uses.
-        sx = sy = sxx = sxy = syy = 0.0
-        for px, py in self._pairs[r]:
-            sx += px; sy += py
-            sxx += px * px; sxy += px * py; syy += py * py
-        self._sx[r] = sx; self._sy[r] = sy
-        self._sxx[r] = sxx; self._sxy[r] = sxy; self._syy[r] = syy
-        self._esync[r] = 0
-
-    # -- memoized §4 quantities ----------------------------------------------
-
-    @staticmethod
-    def _fit(n_, sx_, sy_, sxx_, sxy_):
-        # fit_coefficients inlined (same ops, same degenerate rule).
-        nsxx = n_ * sxx_; sxsx = sx_ * sx_
-        den = nsxx - sxsx
-        scale = nsxx if nsxx > sxsx else sxsx
-        if scale < 1.0:
-            scale = 1.0
-        if den <= _DEG * scale:
-            return 0.0, sy_ / n_
-        a = (n_ * sxy_ - sx_ * sy_) / den
-        return a, (sy_ - a * sx_) / n_
-
-    @staticmethod
-    def _batch_fit(n_, sx_, sy_, sxx_, sxy_):
-        # batch_fit_coefficients inlined (the original degeneracy rule).
-        den = n_ * sxx_ - sx_ * sx_
-        if abs(den) <= _DEG * max(1.0, n_ * sxx_, sx_ * sx_):
-            return 0.0, sy_ / n_
-        a = (n_ * sxy_ - sx_ * sy_) / den
-        return a, (sy_ - a * sx_) / n_
-
-    def fit(self, r: int) -> tuple[float, float]:
-        """The row's memoized ``(slope, intercept)``."""
-        if self._fok[r]:
-            return self._fa[r], self._fb[r]
-        n_ = self._n[r]
-        sx_ = self._sx[r]; sy_ = self._sy[r]
-        sxx_ = self._sxx[r]; sxy_ = self._sxy[r]
-        nsxx = n_ * sxx_; sxsx = sx_ * sx_
-        den = nsxx - sxsx
-        scale = nsxx if nsxx > sxsx else sxsx
-        if scale < 1.0:
-            scale = 1.0
-        if den <= _DEG * scale:
-            a = 0.0; b = sy_ / n_
-        else:
-            a = (n_ * sxy_ - sx_ * sy_) / den
-            b = (sy_ - a * sx_) / n_
-        self._fa[r] = a; self._fb[r] = b; self._fok[r] = True
-        return a, b
-
-    def benefit(self, r: int) -> float:
-        """The row's memoized §4 benefit over the no-answer policy."""
-        if self._bok[r]:
-            return self._ben[r]
-        n_ = self._n[r]
-        a, b = self.fit(r)
-        sx_ = self._sx[r]; sy_ = self._sy[r]
-        sxx_ = self._sxx[r]; sxy_ = self._sxy[r]; syy_ = self._syy[r]
-        mean_x = sx_ / n_; mean_y = sy_ / n_
-        cxx = sxx_ - sx_ * mean_x
-        cxy = sxy_ - sx_ * mean_y
-        cyy = syy_ - sy_ * mean_y
-        mr = mean_y - a * mean_x - b
-        tot = cyy - 2.0 * a * cxy + a * a * cxx + n_ * mr * mr
-        sse = tot if tot > 0.0 else 0.0
-        ben = ((syy_ if syy_ > 0.0 else 0.0) - sse) / n_
-        self._ben[r] = ben; self._bok[r] = True
-        return ben
-
-    def penalty(self, r: int) -> float:
-        """The row's memoized §4 eviction penalty."""
-        if self._pok[r]:
-            return self._pen[r]
-        n_ = self._n[r]
-        full = self.benefit(r)
-        if n_ == 1:
-            self._pen[r] = full; self._pok[r] = True
-            return full
-        sx_ = self._sx[r]; sy_ = self._sy[r]
-        sxx_ = self._sxx[r]; sxy_ = self._sxy[r]; syy_ = self._syy[r]
-        ox, oy = self._pairs[r][0]
-        if ox * ox > 0.5 * sxx_ or oy * oy > 0.5 * syy_:
-            rsx = rsy = rsxx = rsxy = 0.0
-            rn = 0
-            it = iter(self._pairs[r]); next(it)
-            for px, py in it:
-                rn += 1
-                rsx += px; rsy += py; rsxx += px * px; rsxy += px * py
-            a, b = self._fit(rn, rsx, rsy, rsxx, rsxy)
-        else:
-            a, b = self._fit(n_ - 1, sx_ - ox, sy_ - oy, sxx_ - ox * ox, sxy_ - ox * oy)
-        mean_x = sx_ / n_; mean_y = sy_ / n_
-        cxx = sxx_ - sx_ * mean_x
-        cxy = sxy_ - sx_ * mean_y
-        cyy = syy_ - sy_ * mean_y
-        mr = mean_y - a * mean_x - b
-        tot = cyy - 2.0 * a * cxy + a * a * cxx + n_ * mr * mr
-        rsse = tot if tot > 0.0 else 0.0
-        rben = ((syy_ if syy_ > 0.0 else 0.0) - rsse) / n_
-        pen = full - rben
-        scale = syy_ / n_
-        if pen < _RTOL * (scale if scale > 1.0 else 1.0):
-            pen = self._exact_penalty(r)
-        self._pen[r] = pen; self._pok[r] = True
-        return pen
-
-    # -- exact near-tie fallbacks (original batch arithmetic) ----------------
-
-    def _exact_penalty(self, r: int) -> float:
-        pairs = self._pairs[r]
-        n = len(pairs)
-        sx = sy = sxx = sxy = 0.0
-        sx_r = sy_r = sxx_r = sxy_r = 0.0
-        first = True
-        for px, py in pairs:
-            sx += px; sy += py; sxx += px * px; sxy += px * py
-            if first:
-                first = False
-            else:
-                sx_r += px; sy_r += py; sxx_r += px * px; sxy_r += px * py
-        a_f, b_f = self._batch_fit(n, sx, sy, sxx, sxy)
-        a_r, b_r = self._batch_fit(n - 1, sx_r, sy_r, sxx_r, sxy_r)
-        base = sse_f = sse_r = 0.0
-        for px, py in pairs:
-            base += py * py
-            t = py - (a_f * px + b_f); sse_f += t * t
-            t = py - (a_r * px + b_r); sse_r += t * t
-        base /= n
-        return (base - sse_f / n) - (base - sse_r / n)
-
-    def _exact_benefits(self, r: int, x: float, y: float) -> tuple[float, float, float]:
-        sx = sy = sxx = sxy = 0.0
-        first = True
-        sx_sh = sy_sh = sxx_sh = sxy_sh = 0.0
-        n = 0
-        pairs = self._pairs[r]
-        for px, py in pairs:
-            n += 1
-            sx += px; sy += py; sxx += px * px; sxy += px * py
-            if first:
-                first = False
-            else:
-                sx_sh += px; sy_sh += py; sxx_sh += px * px; sxy_sh += px * py
-        a_cur, b_cur = self._batch_fit(n, sx, sy, sxx, sxy)
-        a_sh, b_sh = self._batch_fit(n, sx_sh + x, sy_sh + y, sxx_sh + x * x, sxy_sh + x * y)
-        n_aug = n + 1
-        a_aug, b_aug = self._batch_fit(n_aug, sx + x, sy + y, sxx + x * x, sxy + x * y)
-        syy = 0.0
-        sse_cur = sse_sh = sse_aug = 0.0
-        for px, py in pairs:
-            syy += py * py
-            t = py - (a_cur * px + b_cur); sse_cur += t * t
-            t = py - (a_sh * px + b_sh); sse_sh += t * t
-            t = py - (a_aug * px + b_aug); sse_aug += t * t
-        syy += y * y
-        t = y - (a_cur * x + b_cur); sse_cur += t * t
-        t = y - (a_sh * x + b_sh); sse_sh += t * t
-        t = y - (a_aug * x + b_aug); sse_aug += t * t
-        baseline = syy / n_aug
-        return (baseline - sse_cur / n_aug, baseline - sse_sh / n_aug,
-                baseline - sse_aug / n_aug)
-
-    # -- the full-cache decision procedure ------------------------------------
-
-    def _decide(self, r: int, j: int, x: float, y: float) -> str:
-        n0 = self._n[r]
-        sx0 = self._sx[r]; sy0 = self._sy[r]
-        sxx0 = self._sxx[r]; sxy0 = self._sxy[r]; syy0 = self._syy[r]
-        xx = x * x; xy = x * y; yy = y * y
-        # c_aug: add-then-subtract order, exactly as _decide_full_cache.
-        n1 = n0 + 1
-        sx1 = sx0 + x; sy1 = sy0 + y
-        sxx1 = sxx0 + xx; sxy1 = sxy0 + xy; syy1 = syy0 + yy
-
-        ox, oy = self._pairs[r][0]
-        sxs = sx1 - ox; sys_ = sy1 - oy
-        sxxs = sxx1 - ox * ox; sxys = sxy1 - ox * oy
-
-        baseline = (syy1 if syy1 > 0.0 else 0.0) / n1
-        a_cur, b_cur = self.fit(r)
-        a_sh, b_sh = self._fit(n0, sxs, sys_, sxxs, sxys)
-        a_aug, b_aug = self._fit(n1, sx1, sy1, sxx1, sxy1)
-
-        # model_sse inlined: shared centered moments of c_aug.
-        mean_x = sx1 / n1; mean_y = sy1 / n1
-        cxx = sxx1 - sx1 * mean_x
-        cxy = sxy1 - sx1 * mean_y
-        cyy = syy1 - sy1 * mean_y
-
-        mr = mean_y - a_cur * mean_x - b_cur
-        tot = cyy - 2.0 * a_cur * cxy + a_cur * a_cur * cxx + n1 * mr * mr
-        sse_cur = tot if tot > 0.0 else 0.0
-        mr = mean_y - a_sh * mean_x - b_sh
-        tot = cyy - 2.0 * a_sh * cxy + a_sh * a_sh * cxx + n1 * mr * mr
-        sse_sh = tot if tot > 0.0 else 0.0
-        mr = mean_y - a_aug * mean_x - b_aug
-        tot = cyy - 2.0 * a_aug * cxy + a_aug * a_aug * cxx + n1 * mr * mr
-        sse_aug = tot if tot > 0.0 else 0.0
-
-        b_c = baseline - sse_cur / n1
-        b_s = baseline - sse_sh / n1
-        b_a = baseline - sse_aug / n1
-
-        near = _RTOL * (baseline if baseline > 1.0 else 1.0)
-        d_cs = b_c - b_s
-        d_ca = b_c - b_a
-        d_sa = b_s - b_a
-        if (-near < d_cs < near) or (-near < d_ca < near) or (-near < d_sa < near):
-            b_c, b_s, b_a = self._exact_benefits(r, x, y)
-
-        if b_c >= b_s and b_c >= b_a:
-            return "reject"
-        if b_s >= b_a:
-            self._evict(r)
-            if self._index.get(j) is None:  # eviction emptied the line
-                r = self._new_row(j)
-            self._append(r, x, y)
-            return "shift"
-        gain = b_a - b_s
-        victim = self._cheapest_victim(r, gain)
-        if victim is not None:
-            self._evict(victim)
-            self._append(r, x, y)
-            # Eager memo reuse: the augmented line's fit and benefit are
-            # the decision's aug values — pure functions of the same sums.
-            self._fa[r] = a_aug; self._fb[r] = b_aug; self._fok[r] = True
-            self._ben[r] = ((syy1 if syy1 > 0.0 else 0.0) - sse_aug) / n1
-            self._bok[r] = True
-            return "augment"
-        if b_s > b_c:
-            self._evict(r)
-            if self._index.get(j) is None:
-                r = self._new_row(j)
-            self._append(r, x, y)
-            return "shift"
-        return "reject"
-
-    def _cheapest_victim(self, exclude_row: int, below: float) -> Optional[int]:
-        # Flat scan over the dense rows.  With one row per neighbor
-        # (node degree, not cache size) this beats maintaining the
-        # scalar path's lazy heap — no allocation, no heap churn —
-        # and reproduces its lexicographic (penalty, id) minimum.
-        best_pen = None
-        best_id = -1
-        best_row = -1
-        n = self._n
-        ids = self._ids
-        pok = self._pok
-        pen = self._pen
-        for r in range(len(ids)):
-            i = ids[r]
-            if i < 0 or r == exclude_row or n[r] == 0:
-                continue
-            p = pen[r] if pok[r] else self.penalty(r)
-            if best_pen is None or p < best_pen or (p == best_pen and i < best_id):
-                best_pen = p; best_id = i; best_row = r
-        if best_pen is not None and best_pen < below:
-            return best_row
-        return None
-
-    def _newcomer(self, j: int, x: float, y: float) -> str:
-        candidates = sorted(
-            self._ids[r] for r in range(len(self._ids))
-            if self._ids[r] >= 0 and self._ids[r] != j and self._n[r] > 0
-        )
-        if not candidates:
-            return "reject"
-        victim = None
-        for k in candidates:
-            if k > self.rr_cursor:
-                victim = k
-                break
-        if victim is None:
-            victim = candidates[0]
-        self.rr_cursor = victim
-        self._evict(self._index[victim])
-        r = self._index.get(j)
-        if r is None:
-            r = self._new_row(j)
-        self._append(r, x, y)
-        return "newcomer"
-
-    # -- read surface for views, digests and tests ----------------------------
-
-    def pair_count(self, r: int) -> int:
-        return self._n[r]
-
-    def pairs(self, r: int) -> deque[tuple[float, float]]:
-        """The row's live pair ring, oldest first (no copy)."""
-        return self._pairs[r]
-
-    def sums(self, r: int) -> tuple[int, float, float, float, float, float]:
-        """``(n, Σx, Σy, Σx², Σxy, Σy²)`` of row ``r``."""
-        return (self._n[r], self._sx[r], self._sy[r],
-                self._sxx[r], self._sxy[r], self._syy[r])
-
-    def evictions_since_sync(self, r: int) -> int:
-        return self._esync[r]
-
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        """The live rows' columns as contiguous numpy arrays.
-
-        A column-wise snapshot (``ids``, ``n``, ``sx`` … ``syy``) over
-        rows holding at least one pair, ordered by neighbor id — the
-        SoA view consumed by diagnostics and the property suite.
-        """
-        rows = [self._index[j] for j in self.neighbor_ids()]
-        return {
-            "ids": np.array([self._ids[r] for r in rows], dtype=np.int64),
-            "n": np.array([self._n[r] for r in rows], dtype=np.int64),
-            "sx": np.array([self._sx[r] for r in rows]),
-            "sy": np.array([self._sy[r] for r in rows]),
-            "sxx": np.array([self._sxx[r] for r in rows]),
-            "sxy": np.array([self._sxy[r] for r in rows]),
-            "syy": np.array([self._syy[r] for r in rows]),
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"NeighborBlock(bytes={self.cache_bytes}, "
-            f"lines={len(self._index)}, pairs={self.total})"
-        )
-
-
-# ----------------------------------------------------------------------
-# the cross-cache fleet kernel
-# ----------------------------------------------------------------------
 
 
 def _vfit(n, sx, sy, sxx, sxy):
@@ -612,8 +107,8 @@ class ModelAwareCacheFleet:
     ``SnapshotRuntime`` binds every node's ``ModelAwareCache`` to one
     lane of a shared fleet, and the maintenance rounds'
     ``BatchedObservationRouter`` feeds it through :meth:`observe_lanes`.
-    A ``ModelAwareCache`` outside a runtime keeps its own
-    :class:`NeighborBlock`.
+    A ``ModelAwareCache`` outside a runtime is unbound and runs the
+    scalar ``CacheLine`` reference path instead.
 
     Parameters
     ----------
@@ -662,8 +157,6 @@ class ModelAwareCacheFleet:
         self.idcap = 64
         self.idmap: Optional[np.ndarray] = None
         self._arF = np.arange(F)
-        # Lanes freed by :meth:`retire_lane`, reused by :meth:`add_lane`.
-        self._free_lanes: list[int] = []
 
     def __getstate__(self):
         # The dense idmap is a pure gather cache over the slot dicts;
@@ -818,14 +311,11 @@ class ModelAwareCacheFleet:
         self.head[:] = 0
         self.C = C2
 
-    _fit = staticmethod(NeighborBlock._fit)
-    _batch_fit = staticmethod(NeighborBlock._batch_fit)
-
     def _current_fit(self, r: int) -> tuple[float, float]:
         if self.fok[r]:
             return float(self.fa[r]), float(self.fb[r])
-        a, b = self._fit(int(self.n[r]), float(self.sx[r]), float(self.sy[r]),
-                         float(self.sxx[r]), float(self.sxy[r]))
+        a, b = fit_coefficients(int(self.n[r]), float(self.sx[r]), float(self.sy[r]),
+                                float(self.sxx[r]), float(self.sxy[r]))
         self.fa[r] = a; self.fb[r] = b; self.fok[r] = True
         return a, b
 
@@ -863,9 +353,9 @@ class ModelAwareCacheFleet:
             rsx = rsy = rsxx = rsxy = 0.0
             for px, py in pairs:
                 rsx += px; rsy += py; rsxx += px * px; rsxy += px * py
-            a, b = self._fit(rn, rsx, rsy, rsxx, rsxy)
+            a, b = fit_coefficients(rn, rsx, rsy, rsxx, rsxy)
         else:
-            a, b = self._fit(n_ - 1, sx_ - ox, sy_ - oy, sxx_ - ox * ox, sxy_ - ox * oy)
+            a, b = fit_coefficients(n_ - 1, sx_ - ox, sy_ - oy, sxx_ - ox * ox, sxy_ - ox * oy)
         mean_x = sx_ / n_; mean_y = sy_ / n_
         cxx = sxx_ - sx_ * mean_x; cxy = sxy_ - sx_ * mean_y; cyy = syy_ - sy_ * mean_y
         mr = mean_y - a * mean_x - b
@@ -891,8 +381,8 @@ class ModelAwareCacheFleet:
                 first = False
             else:
                 sx_r += px; sy_r += py; sxx_r += px * px; sxy_r += px * py
-        a_f, b_f = self._batch_fit(n, sx, sy, sxx, sxy)
-        a_r, b_r = self._batch_fit(n - 1, sx_r, sy_r, sxx_r, sxy_r)
+        a_f, b_f = batch_fit_coefficients(n, sx, sy, sxx, sxy)
+        a_r, b_r = batch_fit_coefficients(n - 1, sx_r, sy_r, sxx_r, sxy_r)
         base = sse_f = sse_r = 0.0
         for px, py in pairs:
             base += py * py
@@ -914,10 +404,10 @@ class ModelAwareCacheFleet:
                 first = False
             else:
                 sx_sh += px; sy_sh += py; sxx_sh += px * px; sxy_sh += px * py
-        a_cur, b_cur = self._batch_fit(n, sx, sy, sxx, sxy)
-        a_sh, b_sh = self._batch_fit(n, sx_sh + x, sy_sh + y, sxx_sh + x * x, sxy_sh + x * y)
+        a_cur, b_cur = batch_fit_coefficients(n, sx, sy, sxx, sxy)
+        a_sh, b_sh = batch_fit_coefficients(n, sx_sh + x, sy_sh + y, sxx_sh + x * x, sxy_sh + x * y)
         n_aug = n + 1
-        a_aug, b_aug = self._batch_fit(n_aug, sx + x, sy + y, sxx + x * x, sxy + x * y)
+        a_aug, b_aug = batch_fit_coefficients(n_aug, sx + x, sy + y, sxx + x * x, sxy + x * y)
         syy = 0.0
         sse_cur = sse_sh = sse_aug = 0.0
         for px, py in pairs:
@@ -999,7 +489,7 @@ class ModelAwareCacheFleet:
 
     @staticmethod
     def _vbatch_fit(n_, sx_, sy_, sxx_, sxy_):
-        """Vectorized :meth:`_batch_fit` (same degeneracy rule per row)."""
+        """Vectorized ``batch_fit_coefficients`` (same degeneracy rule per row)."""
         nsxx = n_ * sxx_
         sxsx = sx_ * sx_
         den = nsxx - sxsx
@@ -1055,8 +545,8 @@ class ModelAwareCacheFleet:
         sxxs = sxx1 - ox * ox; sxys = sxy1 - ox * oy
         baseline = (syy1 if syy1 > 0.0 else 0.0) / n1
         a_cur, b_cur = self._current_fit(r)
-        a_sh, b_sh = self._fit(n0, sxs, sys_, sxxs, sxys)
-        a_aug, b_aug = self._fit(n1, sx1, sy1, sxx1, sxy1)
+        a_sh, b_sh = fit_coefficients(n0, sxs, sys_, sxxs, sxys)
+        a_aug, b_aug = fit_coefficients(n1, sx1, sy1, sxx1, sxy1)
         mean_x = sx1 / n1; mean_y = sy1 / n1
         cxx = sxx1 - sx1 * mean_x; cxy = sxy1 - sx1 * mean_y; cyy = syy1 - sy1 * mean_y
         mr = mean_y - a_cur * mean_x - b_cur
@@ -1482,9 +972,9 @@ class ModelAwareCacheFleet:
         """Canonical per-cache state for tests and digests.
 
         ``{"lines": {id: (pairs, sums, evictions_since_sync)},
-        "total": pairs, "rr_cursor": id}`` — the same shape the per-node
-        engines canonicalize to, so cross-engine equality is a dict
-        comparison.
+        "total": pairs, "rr_cursor": id}`` — the same shape the tests
+        canonicalize a scalar cache to, so cross-engine equality is a
+        dict comparison.
         """
         lines = {}
         for j in self.known_neighbors(c):
@@ -1501,9 +991,9 @@ class ModelAwareCacheFleet:
             "rr_cursor": int(self.rr[c]),
         }
 
-    # -- lane lifecycle -------------------------------------------------------
+    # -- line-slot growth -----------------------------------------------------
 
-    #: 1-D per-row columns grown together when a lane is added.
+    #: 1-D per-row columns re-laid together when line slots grow.
     _ROW_COLUMNS = ("ids", "n", "sx", "sy", "sxx", "sxy", "syy", "fa", "fb",
                     "fok", "ben", "bok", "pen", "pok", "esync", "head")
 
@@ -1535,9 +1025,9 @@ class ModelAwareCacheFleet:
     def forget(self, c: int, j: int) -> None:
         """Drop all history cache ``c`` holds for neighbor ``j``.
 
-        Mirrors :meth:`NeighborBlock.forget`: the line's pairs leave the
-        pair budget and the row is freed; the round-robin cursor is
-        untouched (exactly what the per-node engine does).
+        Mirrors the scalar ``forget``: the line's pairs leave the pair
+        budget and the row is freed; the round-robin cursor is
+        untouched.
         """
         r = self._row(c, j)
         if r is None:
@@ -1545,52 +1035,6 @@ class ModelAwareCacheFleet:
         self.total[c] -= int(self.n[r])
         self.n[r] = 0
         self._free_row(c, r)
-
-    def retire_lane(self, c: int) -> None:
-        """Clear cache ``c`` and mark its lane reusable by :meth:`add_lane`.
-
-        For deployments where a cache leaves the fleet for good (a
-        crashed node whose flash is wiped, a departed mobile).  Retiring
-        an already-retired lane is an error in the caller.
-        """
-        base = c * self.S
-        for j in list(self.slot[c]):
-            r = base + self.slot[c][j]
-            self.n[r] = 0
-            self._free_row(c, r)
-        self.total[c] = 0
-        self.rr[c] = -1
-        self._free_lanes.append(int(c))
-
-    def add_lane(self) -> int:
-        """A fresh empty cache lane: reuse a retired one or grow the fleet.
-
-        Returns the lane index.  Growth appends ``max_lines`` zeroed
-        rows to every column, so existing rows — and hence every other
-        cache's state — are untouched.
-        """
-        if self._free_lanes:
-            return self._free_lanes.pop()
-        c, S = self.F, self.S
-        for name in self._ROW_COLUMNS:
-            col = getattr(self, name)
-            if name == "ids":
-                pad = np.full(S, -1, dtype=col.dtype)
-            else:
-                pad = np.zeros(S, dtype=col.dtype)
-            setattr(self, name, np.concatenate([col, pad]))
-        self.rx = np.concatenate([self.rx, np.zeros((S, self.C))])
-        self.ry = np.concatenate([self.ry, np.zeros((S, self.C))])
-        self.total = np.concatenate([self.total, np.zeros(1, dtype=np.int64)])
-        self.rr = np.concatenate([self.rr, np.full(1, -1, dtype=np.int64)])
-        self.slot.append({})
-        if self.idmap is not None:
-            self.idmap = np.concatenate(
-                [self.idmap, np.full((1, self.idcap), -1, dtype=np.int32)]
-            )
-        self.F = c + 1
-        self._arF = np.arange(self.F)
-        return c
 
     def __repr__(self) -> str:
         return (

@@ -95,6 +95,12 @@ def test_fleet_control_plane_round_trip(tmp_path):
         assert shown.returncode == 0, shown.stderr
         assert json.loads(shown.stdout)["n_nodes"] == 16
 
+        # A bad reconfiguration is rejected when it is dequeued; the
+        # fleet keeps slicing and still applies the good one after it.
+        bad = _cli("fleet", "reconfigure", "--dir", fleet_dir,
+                   "--set", "cache_policy=bogus")
+        assert bad.returncode == 0, bad.stderr
+
         # A reconfiguration submitted through the control plane lands.
         reconf = _cli("fleet", "reconfigure", "--dir", fleet_dir,
                       "--set", "rotation_probability=0.5", "--set", "loss=0.05")
@@ -115,6 +121,7 @@ def test_fleet_control_plane_round_trip(tmp_path):
         out, _ = start.communicate(timeout=60)
         assert start.returncode == 0, out
         assert "reconfiguration(s)" in out
+        assert "rejected reconfiguration" in out
 
         final = read_status(fleet_dir)
         assert final["running"] is False

@@ -126,14 +126,57 @@ def test_apply_change_rejects_cache_bytes_alone():
 
 def test_cache_swap_requires_quiescent_router():
     state = make_state(31, chaos=False)
-    router = state.runtime.observation_router
+    runtime = state.runtime
+    loss_before = runtime.radio.loss_model
+    router = runtime.observation_router
     assert router is not None and not router.pending
     router.pending.append(object())  # mid-round, not a slice boundary
     try:
         with pytest.raises(RuntimeError, match="quiescent"):
-            apply_change(state, {"cache_policy": "round-robin"})
+            apply_change(
+                state,
+                {"loss": 0.4, "rotation_probability": 0.7,
+                 "cache_policy": "round-robin"},
+            )
     finally:
         router.pending.clear()
+    # Rejected before the first mutation: the other fields did not land.
+    assert runtime.radio.loss_model is loss_before
+    assert runtime.config.rotation_probability == 0.1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"cache_policy": "bogus"},
+        {"cache_policy": "model-aware-scalar"},
+        {"cache_policy": "model-aware", "cache_bytes": 4},
+        {"snoop_probability": 2.0},
+    ],
+    ids=["unknown-policy", "retired-policy", "tiny-budget", "bad-knob"],
+)
+def test_rejected_change_leaves_the_runtime_untouched(bad):
+    """A change applies whole or not at all: one bad field rejects it
+    before the loss model, protocol knobs or caches are touched."""
+    state = make_state(31, chaos=False)
+    runtime = state.runtime
+    loss_before = runtime.radio.loss_model
+    config_before = runtime.config
+    policies_before = [runtime.nodes[n].store.policy for n in sorted(runtime.nodes)]
+    fleet_before = runtime.observation_router.fleet
+    change = {"loss": 0.4, "rotation_probability": 0.7, **bad}
+    with pytest.raises(ValueError):
+        apply_change(state, change)
+    assert runtime.radio.loss_model is loss_before
+    assert runtime.config is config_before
+    assert runtime.config.rotation_probability == 0.1
+    assert all(node.config is config_before for node in runtime.nodes.values())
+    assert runtime.coordinator.config is config_before
+    assert runtime.maintenance.config is config_before
+    assert [
+        runtime.nodes[n].store.policy for n in sorted(runtime.nodes)
+    ] == policies_before
+    assert runtime.observation_router.fleet is fleet_before
 
 
 def test_apply_change_swaps_loss_under_a_fault_overlay():
@@ -248,6 +291,29 @@ def test_reconfigure_request_applies_at_next_boundary(tmp_path):
     assert runner.ring.header()["meta"]["reconfigure"] == {
         "rotation_probability": 0.75
     }
+
+
+def test_bad_reconfigure_request_is_rejected_at_enqueue():
+    """A bad change raises to the requester and is never queued, so the
+    runner keeps slicing instead of dying on it at the next boundary."""
+    state = make_state(37, chaos=False)
+    runner = FleetRunner(state, SLICE, max_slices=3)
+    for bad in (
+        {"cache_policy": "model-aware-scalar"},
+        {"cache_policy": "model-aware", "cache_bytes": 4},
+        {"rotation_probability": 0.5, "bogus": 1},
+    ):
+        with pytest.raises(ValueError):
+            runner.request_reconfigure(bad)
+    assert runner.status()["pending_reconfigurations"] == 0
+    with runner:
+        deadline = time.monotonic() + 30.0
+        while runner.running and time.monotonic() < deadline:
+            time.sleep(0.01)
+    assert runner.last_error is None
+    assert runner.state.slices_done == 3
+    assert runner.state.reconfigurations == []
+    assert runner.state.runtime.config.rotation_probability == 0.1
 
 
 def test_reconfigure_roundtrip_without_a_ring_uses_scratch():

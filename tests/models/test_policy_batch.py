@@ -1,6 +1,6 @@
 """Batch parity for cache policies and the fleet's lane sweep.
 
-Three layers of the batched-rounds equivalence argument, pinned at the
+Two layers of the batched-rounds equivalence argument, pinned at the
 model level:
 
 * ``CachePolicy.observe_batch`` equals the loop of scalar ``observe``
@@ -8,10 +8,7 @@ model level:
   order-dependent, so the batch is defined as the loop);
 * ``ModelAwareCacheFleet.observe_lanes`` — the kernel the
   ``BatchedObservationRouter`` sweeps per wave — equals per-lane scalar
-  application, wave order interleaved arbitrarily across lanes;
-* lane retire / re-add (the fleet-level shape of a node crash and
-  revival) leaves the reused lane behaving exactly like a fresh scalar
-  cache while untouched lanes stay on their scalar twins' trajectory.
+  application, wave order interleaved arbitrarily across lanes.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ def _fleet_with_twins(n_lanes):
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_fleet_lane_sweep_matches_scalar_with_retires(data):
+def test_fleet_lane_sweep_matches_scalar(data):
     n_lanes = data.draw(st.integers(2, 5), label="n_lanes")
     fleet, backed, twins = _fleet_with_twins(n_lanes)
     n_waves = data.draw(st.integers(1, 15), label="n_waves")
@@ -94,62 +91,8 @@ def test_fleet_lane_sweep_matches_scalar_with_retires(data):
         codes = fleet.observe_lanes(cs, js, xs, ys)
         for lane, (j, x, y), code in zip(lanes, samples, codes.tolist()):
             assert ACTION_NAMES[int(code)] == twins[lane].observe(j, x, y)
-        # Occasionally crash-and-revive a lane: its scalar twin resets
-        # too, and the freed lane must come back (LIFO) as a blank slate.
-        if data.draw(st.booleans(), label=f"crash{wave}"):
-            victim = data.draw(st.sampled_from(range(n_lanes)), label=f"victim{wave}")
-            fleet.retire_lane(victim)
-            assert fleet.add_lane() == victim
-            twins[victim] = ModelAwareCache(BUDGET)
     for lane in range(n_lanes):
         assert backed[lane].digest_state() == twins[lane].digest_state()
-
-
-def test_retired_then_readded_lane_is_a_fresh_cache():
-    fleet, backed, twins = _fleet_with_twins(3)
-    rng = np.random.default_rng(7)
-    for _ in range(150):
-        cs = np.arange(3, dtype=np.int64)
-        js = rng.integers(0, MAX_LINES, size=3)
-        xs = rng.normal(10.0, 4.0, size=3)
-        ys = 1.5 * xs + rng.normal(0.0, 0.5, size=3)
-        codes = fleet.observe_lanes(cs, js, xs, ys)
-        for lane in range(3):
-            want = twins[lane].observe(int(js[lane]), float(xs[lane]), float(ys[lane]))
-            assert ACTION_NAMES[int(codes[lane])] == want
-    fleet.retire_lane(1)
-    assert int(fleet.total[1]) == 0
-    lane = fleet.add_lane()
-    assert lane == 1  # freed lanes are reused before the fleet grows
-
-    revived = ModelAwareCache(BUDGET)
-    revived.bind_fleet(fleet, lane)
-    fresh = ModelAwareCache(BUDGET)
-    for _ in range(80):
-        j = int(rng.integers(0, MAX_LINES))
-        x = float(rng.normal(10.0, 4.0))
-        y = 1.5 * x + float(rng.normal(0.0, 0.5))
-        assert revived.observe(j, x, y) == fresh.observe(j, x, y)
-    assert revived.digest_state() == fresh.digest_state()
-    # The crash never touched the surviving lanes.
-    for lane in (0, 2):
-        assert backed[lane].digest_state() == twins[lane].digest_state()
-
-
-def test_add_lane_grows_the_fleet():
-    fleet, backed, twins = _fleet_with_twins(2)
-    assert fleet.add_lane() == 2
-    assert fleet.F == 3
-    grown = ModelAwareCache(BUDGET)
-    grown.bind_fleet(fleet, 2)
-    fresh = ModelAwareCache(BUDGET)
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        j = int(rng.integers(0, MAX_LINES))
-        x = float(rng.normal(0.0, 3.0))
-        y = 0.8 * x + float(rng.normal(0.0, 0.3))
-        assert grown.observe(j, x, y) == fresh.observe(j, x, y)
-    assert grown.digest_state() == fresh.digest_state()
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
-"""Golden-trace equivalence of the three model-aware cache engines.
+"""Golden-trace equivalence of the two model-aware cache engines.
 
-The scalar object-graph path (``vectorized=False``), the per-node
-struct-of-arrays block (``vectorized=True``, the default) and the
-cross-cache numpy fleet must make the *same decision on every
-observation* and hold *bit-identical state* afterwards — that is the
-contract that lets the fast engines replace the reference one under the
-pinned trajectory/digest tests.  Streams are the correlated neighbor
-walks the perf bench uses, long enough to cross the
+The scalar object-graph path (an unbound ``ModelAwareCache``) and the
+cross-cache numpy fleet (a cache bound to a ``ModelAwareCacheFleet``
+lane, or the fleet driven directly through ``observe_batch``) must make
+the *same decision on every observation* and hold *bit-identical state*
+afterwards — that is the contract that lets the fleet replace the
+reference engine under the pinned trajectory/digest tests.  Cases
+named "block" drive a cache bound to a one-lane fleet, so the fleet's
+per-lane path and ``FleetLineView`` are pinned too.  Streams are the
+correlated neighbor walks the perf bench uses, long enough to cross the
 ``STATS_SYNC_INTERVAL`` drift-resync boundary many times and to hit
 every action (append, newcomer, shift, augment, reject) plus dominant
 evictions.
@@ -62,6 +64,13 @@ def adversarial_stream(length: int, neighbors: int, seed: int):
     return out
 
 
+def fleet_cache(cache_bytes: int) -> ModelAwareCache:
+    """A cache bound to lane 0 of its own one-lane fleet."""
+    cache = ModelAwareCache(cache_bytes)
+    cache.bind_fleet(ModelAwareCacheFleet(1, cache_bytes), 0)
+    return cache
+
+
 def block_state(cache: ModelAwareCache) -> dict:
     """Engine-independent canonical state of a ModelAwareCache."""
     lines = {}
@@ -73,8 +82,7 @@ def block_state(cache: ModelAwareCache) -> dict:
             (st.n, st.sum_x, st.sum_y, st.sum_xx, st.sum_xy, st.sum_yy),
             line.evictions_since_sync,
         )
-    block = cache._block
-    cursor = block.rr_cursor if block is not None else cache._rr_cursor
+    cursor = cache.digest_state()[-1]
     return {"lines": lines, "total": cache.total_pairs, "rr_cursor": cursor}
 
 
@@ -85,8 +93,8 @@ def block_state(cache: ModelAwareCache) -> dict:
 ])
 @pytest.mark.parametrize("capacity", [8, 48])
 def test_scalar_and_block_bitwise_identical(stream_fn, seed, capacity):
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=False)
-    block = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=True)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
+    block = fleet_cache(BYTES_PER_PAIR * capacity)
     stream = (
         stream_fn(3000, 6, seed)
         if stream_fn is adversarial_stream
@@ -113,8 +121,8 @@ def test_scalar_and_block_bitwise_identical(stream_fn, seed, capacity):
 
 def test_scalar_and_block_agree_on_benefit_penalty_columns():
     """Every memoized §4 quantity matches the scalar value exactly."""
-    scalar = ModelAwareCache(BYTES_PER_PAIR * 24, vectorized=False)
-    block = ModelAwareCache(BYTES_PER_PAIR * 24, vectorized=True)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * 24)
+    block = fleet_cache(BYTES_PER_PAIR * 24)
     for j, x, y in correlated_stream(1500, neighbors=5, seed=11):
         assert scalar.observe(j, x, y) == block.observe(j, x, y)
     assert scalar.known_neighbors() == block.known_neighbors()
@@ -127,8 +135,8 @@ def test_scalar_and_block_agree_on_benefit_penalty_columns():
 
 
 def test_forget_matches_across_engines():
-    scalar = ModelAwareCache(BYTES_PER_PAIR * 16, vectorized=False)
-    block = ModelAwareCache(BYTES_PER_PAIR * 16, vectorized=True)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * 16)
+    block = fleet_cache(BYTES_PER_PAIR * 16)
     stream = correlated_stream(600, neighbors=5, seed=23)
     for step, (j, x, y) in enumerate(stream):
         assert scalar.observe(j, x, y) == block.observe(j, x, y)
@@ -154,7 +162,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
     ``STATS_SYNC_INTERVAL`` boundary in every lane.
     """
     refs = [
-        ModelAwareCache(cache_bytes, vectorized=False) for _ in range(n_caches)
+        ModelAwareCache(cache_bytes) for _ in range(n_caches)
     ]
     fleet = ModelAwareCacheFleet(
         n_caches, cache_bytes, max_lines=8, ring_cap=32
@@ -182,7 +190,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
 def test_fleet_ring_growth_preserves_state():
     """Ring doubling mid-run is a pure relayout: lanes keep matching."""
     n_caches = 8
-    refs = [ModelAwareCache(512, vectorized=False) for _ in range(n_caches)]
+    refs = [ModelAwareCache(512) for _ in range(n_caches)]
     fleet = ModelAwareCacheFleet(n_caches, 512, max_lines=4, ring_cap=4)
     streams = [
         correlated_stream(400, neighbors=3, seed=50 + c) for c in range(n_caches)

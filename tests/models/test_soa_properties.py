@@ -1,13 +1,15 @@
-"""Property tests: struct-of-arrays engines vs the scalar reference.
+"""Property tests: the fleet engine vs the scalar reference.
 
 Hypothesis drives adversarial observation streams — mixed magnitudes
 (1e-6 … 1e6, so dominant-sum evictions happen), repeated/collinear
 values (exact floating-point ties), tiny neighbor pools and tiny
 capacities (dense eviction traffic crossing the
-``STATS_SYNC_INTERVAL`` resync boundary) — and asserts the batched
+``STATS_SYNC_INTERVAL`` resync boundary) — and asserts the fleet's
 sufficient-sum updates, the centered-moment SSE quantities and the
 benefit/penalty columns agree with the scalar implementation to exact
-float equality, decision-for-decision.
+float equality, decision-for-decision.  The "block" side is a cache
+bound to a one-lane ``ModelAwareCacheFleet``; the fleet-lane case
+drives the vectorized ``observe_batch`` kernel directly.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.models.cache import BYTES_PER_PAIR, STATS_SYNC_INTERVAL
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet, NeighborBlock
+from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
 from repro.persist.digest import canonical_bytes
 
 #: Adversarial values: exponents spanning twelve orders of magnitude so
@@ -37,6 +39,13 @@ _observations = st.lists(
 )
 
 
+def _fleet_cache(cache_bytes: int) -> ModelAwareCache:
+    """A cache bound to lane 0 of its own one-lane fleet."""
+    cache = ModelAwareCache(cache_bytes)
+    cache.bind_fleet(ModelAwareCacheFleet(1, cache_bytes), 0)
+    return cache
+
+
 def _state(cache: ModelAwareCache) -> bytes:
     return canonical_bytes(cache.digest_state())
 
@@ -44,8 +53,8 @@ def _state(cache: ModelAwareCache) -> bytes:
 @given(_observations, st.integers(4, 24))
 @settings(max_examples=120, deadline=None)
 def test_block_matches_scalar_decision_for_decision(observations, capacity):
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=False)
-    block = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=True)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
+    block = _fleet_cache(BYTES_PER_PAIR * capacity)
     for j, x, y in observations:
         assert scalar.observe(j, x, y) == block.observe(j, x, y)
     assert _state(block) == _state(scalar)
@@ -61,8 +70,8 @@ def test_block_matches_scalar_decision_for_decision(observations, capacity):
 @settings(max_examples=60, deadline=None)
 def test_block_sums_are_bitwise_scalar_sums(observations):
     """Batched sufficient-sum maintenance ≡ RegressionStats add/remove."""
-    scalar = ModelAwareCache(BYTES_PER_PAIR * 8, vectorized=False)
-    block = ModelAwareCache(BYTES_PER_PAIR * 8, vectorized=True)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * 8)
+    block = _fleet_cache(BYTES_PER_PAIR * 8)
     for j, x, y in observations:
         scalar.observe(j, x, y)
         block.observe(j, x, y)
@@ -82,8 +91,8 @@ def test_resync_boundary_crossing_stays_identical(seed):
     line keep the engines identical through the periodic exact resync."""
     rng = np.random.default_rng(seed)
     capacity = 6  # tiny: almost every observation evicts something
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=False)
-    block = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=True)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
+    block = _fleet_cache(BYTES_PER_PAIR * capacity)
     evictions = 0
     for _ in range(3 * STATS_SYNC_INTERVAL):
         j = int(rng.integers(0, 3))
@@ -102,7 +111,7 @@ def test_fleet_lane_matches_scalar(observations, capacity):
     """A one-lane fleet driven through observe_batch replays the scalar
     reference exactly (the vectorized kernel, not just the scalar
     fallbacks, once the cache fills)."""
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity, vectorized=False)
+    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
     fleet = ModelAwareCacheFleet(
         1, BYTES_PER_PAIR * capacity, max_lines=8, ring_cap=8
     )
@@ -131,22 +140,3 @@ def test_fleet_lane_matches_scalar(observations, capacity):
         "rr_cursor": scalar._rr_cursor,
     }
     assert canonical_bytes(fleet.cache_state(0)) == canonical_bytes(want)
-
-
-@given(_observations)
-@settings(max_examples=40, deadline=None)
-def test_block_as_arrays_matches_line_sums(observations):
-    """The numpy column snapshot is exactly the per-line sums."""
-    block = NeighborBlock(BYTES_PER_PAIR * 12)
-    for j, x, y in observations:
-        block.observe(j, x, y)
-    arrays = block.as_arrays()
-    ids = arrays["ids"].tolist()
-    assert ids == block.neighbor_ids()
-    for k, j in enumerate(ids):
-        r = block.row_of(j)
-        n, sx, sy, sxx, sxy, syy = block.sums(r)
-        assert arrays["n"][k] == n
-        assert arrays["sx"][k] == sx and arrays["sy"][k] == sy
-        assert arrays["sxx"][k] == sxx
-        assert arrays["sxy"][k] == sxy and arrays["syy"][k] == syy

@@ -9,7 +9,9 @@ digest, trace records, message counters, event count, report rows,
 per-round digests) is equal to the scalar per-delivery path across
 both cache policies × lossless/lossy, through a randomized fault
 schedule, and through a checkpoint frozen mid-burst with observations
-still pending in the batch.
+still pending in the batch.  The unbatched runtime builds no fleet, so
+its model-aware caches run the scalar ``CacheLine`` engine: the
+model-aware cases double as the whole-run fleet-vs-scalar proof.
 """
 
 from __future__ import annotations
@@ -48,12 +50,21 @@ def _run(seed, policy, loss, batched):
     return outcome(runtime)
 
 
-@pytest.mark.parametrize("loss", [0.0, 0.3], ids=["lossless", "lossy"])
-def test_batched_matches_scalar_model_aware(loss):
-    assert_outcomes_equal(
-        _run(3, "model-aware", loss, batched=True),
-        _run(3, "model-aware", loss, batched=False),
-    )
+@pytest.mark.parametrize(
+    "seed,loss",
+    [
+        pytest.param(3, 0.0, id="lossless"),
+        pytest.param(3, 0.3, id="lossy"),
+        pytest.param(2005, 0.0, id="seed2005-lossless"),
+        pytest.param(1813, 0.3, id="seed1813-lossy"),
+    ],
+)
+def test_batched_matches_scalar_model_aware(seed, loss):
+    # Unbatched runs leave every cache unbound, so this is also the
+    # whole-run proof that the fleet engine matches the scalar one.
+    batched = _run(seed, "model-aware", loss, batched=True)
+    assert_outcomes_equal(batched, _run(seed, "model-aware", loss, batched=False))
+    assert batched["round_digests"], "script must complete maintenance rounds"
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.3], ids=["lossless", "lossy"])

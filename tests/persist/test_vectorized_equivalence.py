@@ -1,16 +1,13 @@
-"""Scalar vs struct-of-arrays cache: whole-simulation equivalence.
+"""Checkpoint and pickle equivalence of the vectorized fleet engine.
 
-The golden-trace guarantee behind the ``vectorized=True`` default: a
-complete scripted simulation — election, maintenance rounds, snapshot
-queries, lossless and lossy radio — produces *bit-identical*
-trajectories, per-round digests and whole-sim digests whichever
-backing store the model-aware cache uses.  Identical trajectories
-imply identical derived outputs (the Fig 8/12/13 pipelines read the
-same trace and cache state), so this suite pins the figures too.
-
-Also covered: the checkpoint/restore differential legs with the
-vectorized cache (a ``NeighborBlock`` frozen mid-round restores
-byte-identically) and direct pickle round-trips of the SoA engines.
+A runtime binds every node's model-aware cache to one lane of a shared
+``ModelAwareCacheFleet``.  These cases pin that the fleet-backed state
+survives freezing: a run checkpointed mid-script restores with its
+caches still fleet-bound and finishes bit-identically to the
+uninterrupted run, and direct pickle round-trips of a fleet-bound
+cache and of a bare fleet keep behaving identically under further
+traffic.  The whole-run scalar-vs-fleet proofs live in
+``test_batched_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import pytest
 
 from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.soa import ModelAwareCacheFleet, NeighborBlock
+from repro.models.soa import ModelAwareCacheFleet
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.persist.digest import canonical_bytes
 
@@ -41,22 +38,9 @@ def _run(seed: int, policy: str, loss: float) -> dict:
     return outcome(runtime)
 
 
-def test_vectorized_matches_scalar_whole_run_lossless():
-    vec = _run(2005, "model-aware", 0.0)
-    sca = _run(2005, "model-aware-scalar", 0.0)
-    assert_outcomes_equal(sca, vec)
-    assert vec["round_digests"], "script must complete maintenance rounds"
-
-
-def test_vectorized_matches_scalar_whole_run_lossy():
-    assert_outcomes_equal(
-        _run(1813, "model-aware-scalar", 0.3), _run(1813, "model-aware", 0.3)
-    )
-
-
 @pytest.mark.parametrize("loss", [0.0, 0.25], ids=["lossless", "lossy"])
 def test_vectorized_cache_resumes_bit_identically(loss, tmp_path):
-    """Freeze mid-script with the SoA cache; the resumed run matches."""
+    """Freeze mid-script with fleet-bound caches; the resumed run matches."""
     seed = 5
     reference = _run(seed, "model-aware", loss)
     for cut in (3, 5):  # after start_maintenance / mid-round advances
@@ -68,11 +52,10 @@ def test_vectorized_cache_resumes_bit_identically(loss, tmp_path):
         del runtime
         resumed = load_checkpoint(path)
         assert resumed.state_digest().whole == saved.whole
-        # the restored policy still runs the SoA engine (as a fleet
-        # lane under batched rounds, as a per-node block otherwise)
+        # the restored policy still runs as a lane of the shared fleet
         policy = resumed.nodes[0].store.policy
-        assert policy.vectorized
-        assert policy._fleet is not None or policy._block is not None
+        assert policy._fleet is not None
+        assert policy._fleet is resumed.observation_router.fleet
         for step in SCRIPT[cut:]:
             step(resumed)
         assert_outcomes_equal(outcome(resumed), reference)
@@ -89,14 +72,17 @@ def _stream(length, neighbors, seed):
     ]
 
 
-def test_neighbor_block_pickle_roundtrip_is_byte_identical():
-    """A mid-stream NeighborBlock restores to the exact same state and
-    keeps behaving identically under further traffic."""
-    cache = ModelAwareCache(BYTES_PER_PAIR * 32, vectorized=True)
+def test_fleet_bound_cache_pickle_roundtrip_is_byte_identical():
+    """A mid-stream fleet-bound cache restores (with its fleet) to the
+    exact same state and keeps behaving identically under further
+    traffic."""
+    cache = ModelAwareCache(BYTES_PER_PAIR * 32)
+    cache.bind_fleet(ModelAwareCacheFleet(1, BYTES_PER_PAIR * 32), 0)
     stream = _stream(800, 5, 77)
     for j, x, y in stream[:500]:
         cache.observe(j, x, y)
     restored = pickle.loads(pickle.dumps(cache))
+    assert restored._fleet is not None and restored._fleet is not cache._fleet
     assert canonical_bytes(restored.digest_state()) == canonical_bytes(
         cache.digest_state()
     )
@@ -130,21 +116,3 @@ def test_fleet_pickle_roundtrip_is_byte_identical():
         assert canonical_bytes(restored.cache_state(c)) == canonical_bytes(
             fleet.cache_state(c)
         )
-
-
-def test_bare_block_pickle_preserves_free_list_and_cursor():
-    """Engine bookkeeping (row free-list, rr cursor) survives pickling:
-    the restored block reuses rows exactly as the original does."""
-    block = NeighborBlock(BYTES_PER_PAIR * 8)
-    rng = np.random.default_rng(9)
-    for _ in range(400):
-        block.observe(int(rng.integers(0, 4)), float(rng.normal()), float(rng.normal()))
-    clone = pickle.loads(pickle.dumps(block))
-    assert clone.rr_cursor == block.rr_cursor
-    assert clone._free == block._free
-    assert clone._index == block._index
-    for _ in range(200):
-        j = int(rng.integers(0, 4))
-        x, y = float(rng.normal()), float(rng.normal())
-        assert clone.observe(j, x, y) == block.observe(j, x, y)
-    assert clone._index == block._index and clone._free == block._free
