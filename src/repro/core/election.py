@@ -20,7 +20,7 @@ from functools import partial
 from typing import Mapping, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.protocol import ProtocolNode
+from repro.core.protocol import ProtocolNode, StructureTally
 from repro.simulation.engine import Simulator
 
 __all__ = ["ElectionCoordinator"]
@@ -91,11 +91,13 @@ class ElectionCoordinator:
         simulator: Simulator,
         nodes: Mapping[int, ProtocolNode],
         config: ProtocolConfig,
+        tally: Optional[StructureTally] = None,
     ) -> None:
         self.simulator = simulator
         self.nodes = nodes
         self.config = config
         self.epoch = 0
+        self.tally = tally if tally is not None else StructureTally()
         self._rounds = simulator.metrics.counter("election.rounds")
 
     @property
@@ -122,6 +124,7 @@ class ElectionCoordinator:
             )
         self.epoch += 1
         epoch = self.epoch
+        self.tally.reach(epoch)
         spacing = self.config.phase_spacing
 
         # The span opens at the invitation phase and closes when modes

@@ -52,7 +52,30 @@ from repro.network.messages import (
 from repro.network.radio import Radio
 from repro.simulation.events import Event
 
-__all__ = ["ProtocolNode", "MemberInfo"]
+__all__ = ["ProtocolNode", "MemberInfo", "StructureTally"]
+
+
+class StructureTally:
+    """Running totals behind ``SnapshotRuntime.structure_version``.
+
+    ``epoch`` is the largest election epoch the coordinator or any node
+    has reached and ``reelections`` the sum of every node's §5.1
+    re-elections.  The coordinator and the nodes sharing a tally update
+    it at their only writes, so reading the version costs O(1) instead
+    of a sweep over the network.  A node's epoch never decreases, which
+    keeps a running maximum exact.
+    """
+
+    __slots__ = ("epoch", "reelections")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        self.reelections = 0
+
+    def reach(self, epoch: int) -> None:
+        """Record that some participant is now at ``epoch``."""
+        if epoch > self.epoch:
+            self.epoch = epoch
 
 
 @dataclass
@@ -86,6 +109,7 @@ class ProtocolNode:
         config: ProtocolConfig,
         value_fn: Callable[[], float],
         location: tuple[float, float],
+        tally: Optional[StructureTally] = None,
     ) -> None:
         self.node_id = node_id
         self.radio = radio
@@ -107,6 +131,9 @@ class ProtocolNode:
         self.representative_id: Optional[int] = None
         self.represented: dict[int, MemberInfo] = {}
         self.epoch = 0
+        #: Shared with the runtime; ``epoch`` and ``reelections`` writes
+        #: go through to it.
+        self.tally = tally if tally is not None else StructureTally()
 
         # election-round scratch state
         self._collecting_invitations = False
@@ -190,6 +217,7 @@ class ProtocolNode:
     def reset_round(self, epoch: int) -> None:
         """Clear all round state and start collecting invitations."""
         self.epoch = epoch
+        self.tally.reach(epoch)
         self.mode = NodeMode.UNDEFINED
         self.representative_id = None
         self.represented.clear()
@@ -495,6 +523,7 @@ class ProtocolNode:
                 Recall(sender=self.node_id, target=old_rep, epoch=self.epoch), old_rep
             )
         self.reelections += 1
+        self.tally.reelections += 1
         self._reelections_counter.inc(self.node_id)
         self.simulator.spans.instant("reelection", node=self.node_id, epoch=self.epoch)
         self.mode = NodeMode.UNDEFINED
@@ -678,6 +707,7 @@ class ProtocolNode:
             if not (self._awaiting_offers and message.epoch > self.epoch):
                 return
             self.epoch = message.epoch
+            self.tally.reach(message.epoch)
         self._heard_list_lengths[message.sender] = len(message.candidates)
         if self.node_id in message.candidates:
             self._offers[message.sender] = (
@@ -691,6 +721,7 @@ class ProtocolNode:
         # the accepting member may have re-synchronized to the network's
         # epoch while we were down during an election.
         self.epoch = max(self.epoch, message.epoch)
+        self.tally.reach(self.epoch)
         self.represented[message.sender] = MemberInfo(
             location=message.location, accepted_at=message.timestamp
         )

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 from repro.core.config import ProtocolConfig
 from repro.core.election import ElectionCoordinator
 from repro.core.maintenance import MaintenanceManager
-from repro.core.protocol import ProtocolNode
+from repro.core.protocol import ProtocolNode, StructureTally
 from repro.core.round_batch import BatchedObservationRouter
 from repro.core.snapshot import SnapshotView
 from repro.data.series import Dataset
@@ -159,6 +159,8 @@ class SnapshotRuntime:
         if cache_factory is None:
             cache_factory = _default_cache_factory
 
+        #: Epoch maximum and re-election total, kept by the protocol.
+        self.tally = StructureTally()
         self.nodes: dict[int, ProtocolNode] = {}
         for node_id in topology.node_ids:
             if self.local_ids is not None and node_id not in self.local_ids:
@@ -171,6 +173,7 @@ class SnapshotRuntime:
                 config=self.config,
                 value_fn=self._value_fn(node_id),
                 location=topology.position(node_id),
+                tally=self.tally,
             )
         self.batched_rounds = bool(batched_rounds)
         self.observation_router: Optional[BatchedObservationRouter] = None
@@ -187,7 +190,9 @@ class SnapshotRuntime:
         #: Callables fired as ``hook(runtime, end_time)`` after every
         #: :meth:`run_slice` boundary (fleet-mode observation point).
         self.slice_hooks: list[Callable[["SnapshotRuntime", float], None]] = []
-        self.coordinator = ElectionCoordinator(self.simulator, self.nodes, self.config)
+        self.coordinator = ElectionCoordinator(
+            self.simulator, self.nodes, self.config, tally=self.tally
+        )
         self.maintenance = MaintenanceManager(
             self.simulator,
             self.nodes,
@@ -273,12 +278,12 @@ class SnapshotRuntime:
         Bumps exactly when a global (re-)election round starts — the
         only time the representative set is rebuilt wholesale — so
         snapshot answers computed at epoch ``e`` stay structurally
-        valid while ``current_epoch == e``.  Taken as the max over the
-        coordinator and every node: a node revived mid-election may
-        briefly lag, but the network-wide epoch is monotone.
+        valid while ``current_epoch == e``.  The max over the
+        coordinator and every node (a node revived mid-election may
+        briefly lag, but the network-wide epoch is monotone), read in
+        O(1) from the running :attr:`tally`.
         """
-        node_max = max((node.epoch for node in self.nodes.values()), default=0)
-        return max(self.coordinator.epoch, node_max)
+        return self.tally.epoch
 
     def structure_version(self) -> tuple[int, int]:
         """Invalidation key for epoch-scoped result caches.
@@ -288,10 +293,11 @@ class SnapshotRuntime:
         maintenance repairs that can reshape individual representative
         sets *within* an epoch.  Any change to the representation
         structure changes this tuple, so a cache keyed on it can never
-        serve an answer across a structural change.
+        serve an answer across a structural change.  O(1): both parts
+        are running totals the protocol keeps in :attr:`tally`.
         """
-        reelections = sum(node.reelections for node in self.nodes.values())
-        return (self.current_epoch, reelections)
+        tally = self.tally
+        return (tally.epoch, tally.reelections)
 
     def value_of(self, node_id: int) -> float:
         """Ground-truth measurement of ``node_id`` right now."""

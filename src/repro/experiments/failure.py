@@ -106,7 +106,7 @@ def _coverage_and_repairs(death_rate: float, seed: int) -> tuple[float, float]:
         subscription.cancel()
 
     rounds = max(1, runtime.maintenance.rounds_completed)
-    reelections = sum(node.reelections for node in runtime.nodes.values())
+    reelections = runtime.structure_version()[1]
     mean_coverage = float(np.mean(coverages)) if coverages else 0.0
     return mean_coverage, reelections / rounds
 

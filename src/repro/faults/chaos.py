@@ -319,7 +319,7 @@ class ChaosRun:
             bound_checks_run=self.checker.bound_checks_run,
             crashes=self.injector.crashes_applied,
             revivals=self.injector.revivals_applied,
-            reelections=sum(node.reelections for node in runtime.nodes.values()),
+            reelections=runtime.structure_version()[1],
             final_coverage=(
                 len(covered & alive_ids) / len(alive_ids) if alive_ids else 0.0
             ),

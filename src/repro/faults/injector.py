@@ -56,6 +56,10 @@ class _FaultOverlayLoss(LossModel):
         """Whether the overlay is currently a pure pass-through."""
         return not self._burst_losses and not self._partitions
 
+    @property
+    def lossless(self) -> bool:
+        return self.quiet and self.base.lossless
+
     # -- fault toggles -----------------------------------------------------
 
     def push_burst(self, loss: float) -> None:

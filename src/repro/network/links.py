@@ -70,6 +70,17 @@ class LossModel(abc.ABC):
             return False
         return rng.random() >= p
 
+    @property
+    def lossless(self) -> bool:
+        """Whether no link can drop a message, so sampling draws nothing.
+
+        Derived from the model, never set: a lossless model's
+        ``delivered`` is ``True`` on every link without touching the
+        RNG, which lets callers skip the per-link calls.  The base class
+        answers ``False`` (sample every link), which is always safe.
+        """
+        return False
+
     def loss_vector(
         self,
         sender: int,
@@ -103,6 +114,10 @@ class GlobalLoss(LossModel):
 
     def loss_probability(self, sender: int, receiver: int) -> float:
         return self.probability
+
+    @property
+    def lossless(self) -> bool:
+        return self.probability <= 0.0
 
     def loss_vector(
         self,
@@ -153,6 +168,10 @@ class PerLinkLoss(LossModel):
 
     def loss_probability(self, sender: int, receiver: int) -> float:
         return self.overrides.get((sender, receiver), self.base)
+
+    @property
+    def lossless(self) -> bool:
+        return self.base <= 0.0 and all(p <= 0.0 for p in self.overrides.values())
 
     def loss_vector(
         self,

@@ -183,6 +183,11 @@ class Radio:
         """Ids of devices whose batteries still hold charge."""
         return [node_id for node_id, node in self._nodes.items() if node.alive]
 
+    def is_alive(self, node_id: int) -> bool:
+        """Whether ``node_id`` is in :meth:`alive_ids`, in O(1)."""
+        device = self._nodes.get(node_id)
+        return device is not None and device.alive
+
     # -- transmission ------------------------------------------------------
 
     def broadcast(self, message: Message) -> bool:

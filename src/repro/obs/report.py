@@ -80,8 +80,13 @@ class RunReport:
         ``series`` row.  Extra ``meta`` entries override the captured
         defaults.
         """
+        from repro.core.runtime import SnapshotRuntime
         from repro.network.stats import PROTOCOL_KINDS
 
+        if isinstance(runtime, SnapshotRuntime):
+            reelections = runtime.structure_version()[1]
+        else:  # a sharded runtime: its nodes live in several runtimes
+            reelections = sum(node.reelections for node in runtime.nodes.values())
         simulator = runtime.simulator
         captured_meta: dict[str, Any] = {
             "seed": getattr(runtime, "seed", None),
@@ -89,7 +94,7 @@ class RunReport:
             "n_alive": sum(1 for node in runtime.nodes.values() if node.alive),
             "sim_time": simulator.now,
             "maintenance_rounds": runtime.maintenance.rounds_completed,
-            "reelections": sum(node.reelections for node in runtime.nodes.values()),
+            "reelections": reelections,
             "protocol_kinds": sorted(PROTOCOL_KINDS),
         }
         if meta:

@@ -13,12 +13,16 @@ tree in the first round it hears any re-broadcast.  When several
 same-round parents are heard the tie-break prefers nodes in ``prefer``
 (the §3.1 remark that routing can favor representatives, exercised by
 the routing ablation) and then the smallest id, keeping trees
-deterministic for a given RNG state.
+deterministic for a given RNG state.  Over a lossless model
+(:attr:`~repro.network.links.LossModel.lossless`) the flood is a plain
+BFS that samples no link: a lossless ``delivered`` draws nothing, so
+the tree and the RNG state are the ones the per-link flood leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import AbstractSet, Iterable, Optional
 
 import numpy as np
@@ -86,36 +90,57 @@ class AggregationTree:
         """
         if sink not in alive:
             raise ValueError(f"sink {sink} is not alive")
+        delivered = None if loss_model.lossless else loss_model.delivered
+        out_neighbors = topology.out_neighbors
         parents: dict[int, int] = {sink: sink}
         depths: dict[int, int] = {sink: 0}
+        # Alive nodes that have not joined yet: the only ones a
+        # re-broadcast can recruit (and the only links a lossy flood
+        # samples).
+        pending = set(alive)
+        pending.discard(sink)
         frontier = [sink]
         depth = 0
         while frontier:
             depth += 1
-            # Collect, for every not-yet-joined node, the parents whose
-            # re-broadcast it heard this round.
-            heard: dict[int, list[int]] = {}
+            # The parent each pending node picks among the broadcasters
+            # it heard this round.  The frontier is in ascending id
+            # order, so the first broadcaster heard is the smallest id;
+            # a later one replaces it only by being the first preferred
+            # one.  A lossy flood samples every pending link in frontier
+            # and neighbor order, as it always has.
+            heard: dict[int, int] = {}
             for broadcaster in frontier:
-                for receiver in topology.out_neighbors(broadcaster):
-                    if receiver in parents or receiver not in alive:
-                        continue
-                    if loss_model.delivered(broadcaster, receiver, rng):
-                        heard.setdefault(receiver, []).append(broadcaster)
-            next_frontier = []
-            for receiver in sorted(heard):
-                candidates = heard[receiver]
-                chosen = min(
-                    candidates, key=lambda node: (node not in prefer, node)
-                )
-                parents[receiver] = chosen
+                if delivered is None:
+                    hearers = pending.intersection(out_neighbors(broadcaster))
+                else:
+                    hearers = [
+                        receiver
+                        for receiver in out_neighbors(broadcaster)
+                        if receiver in pending
+                        and delivered(broadcaster, receiver, rng)
+                    ]
+                if broadcaster in prefer:
+                    for receiver in hearers:
+                        current = heard.get(receiver)
+                        if current is None or current not in prefer:
+                            heard[receiver] = broadcaster
+                else:
+                    for receiver in hearers:
+                        heard.setdefault(receiver, broadcaster)
+            frontier = sorted(heard)
+            for receiver in frontier:
+                parents[receiver] = heard[receiver]
                 depths[receiver] = depth
-                next_frontier.append(receiver)
-            frontier = next_frontier
+            pending.difference_update(frontier)
         return cls(sink=sink, parents=parents, depths=depths)
 
-    @property
+    @cached_property
     def members(self) -> frozenset[int]:
-        """Every node that joined the tree (heard the query)."""
+        """Every node that joined the tree (heard the query).
+
+        Built once per tree; the hot paths test ``parents`` directly.
+        """
         return frozenset(self.parents)
 
     def parent(self, node: int) -> Optional[int]:

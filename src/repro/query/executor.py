@@ -173,18 +173,19 @@ class QueryExecutor:
             batch).  Must be rooted at the effective sink.
         """
         runtime = self.runtime
-        alive = set(runtime.alive_ids())
-        if not alive:
-            raise RuntimeError("no alive node can act as sink")
+        is_alive = runtime.radio.is_alive
+        named = "sink"
+        if sink is None and tree is not None:
+            sink, named = tree.sink, "tree sink"
         if sink is None:
-            if tree is not None:
-                sink = tree.sink
-                if sink not in alive:
-                    raise ValueError(f"tree sink {sink} is not alive")
-            else:
-                sink = int(sorted(alive)[self._rng.integers(0, len(alive))])
-        elif sink not in alive:
-            raise ValueError(f"sink {sink} is not alive")
+            alive = sorted(runtime.alive_ids())
+            if not alive:
+                raise RuntimeError("no alive node can act as sink")
+            sink = int(alive[self._rng.integers(0, len(alive))])
+        elif not is_alive(sink):
+            if not runtime.alive_ids():
+                raise RuntimeError("no alive node can act as sink")
+            raise ValueError(f"{named} {sink} is not alive")
         if tree is not None and tree.sink != sink:
             raise ValueError(
                 f"prebuilt tree is rooted at {tree.sink}, not at sink {sink}"
@@ -202,10 +203,10 @@ class QueryExecutor:
             matching_all = frozenset(
                 self._matching_nodes(query, runtime.topology.node_ids)
             )
-            matching_alive = frozenset(node for node in matching_all if node in alive)
+            matching_alive = frozenset(node for node in matching_all if is_alive(node))
 
             if tree is None:
-                tree = self.build_tree(sink, alive, use_snapshot=query.use_snapshot)
+                tree = self.build_tree(sink, use_snapshot=query.use_snapshot)
 
             if query.use_snapshot:
                 bundles = self._snapshot_bundles(query, tree)
@@ -306,10 +307,11 @@ class QueryExecutor:
         self, query: Query, matching_alive: frozenset[int], tree: AggregationTree
     ) -> dict[int, dict[int, tuple[float, bool]]]:
         """Regular execution: every matching alive node reports itself."""
+        members = tree.parents
         return {
             node: {node: (self.runtime.value_of(node), False)}
             for node in sorted(matching_alive)
-            if node in tree.members
+            if node in members
         }
 
     def _snapshot_bundles(
@@ -318,18 +320,18 @@ class QueryExecutor:
         """Snapshot execution (§3.1): representatives answer for their sets.
 
         Returns each responder's bundle — its own matching reading plus
-        model estimates for its matching members.
+        model estimates for its matching members.  Only tree members can
+        respond, so the walk covers the tree, not the network; a
+        hand-built tree may still name dead or unknown nodes.
         """
-        runtime = self.runtime
+        nodes = self.runtime.nodes
         bundles: dict[int, dict[int, tuple[float, bool]]] = {}
-        for node_id in sorted(runtime.nodes):
-            node = runtime.nodes[node_id]
-            if not node.alive or node_id not in tree.members:
-                continue
+        for node_id in sorted(tree.parents):
+            node = nodes.get(node_id)
             # PASSIVE nodes do not respond to snapshot queries (§5);
             # UNDEFINED nodes (mid-re-election) conservatively answer
             # for themselves.
-            if node.mode is NodeMode.PASSIVE:
+            if node is None or node.mode is NodeMode.PASSIVE or not node.alive:
                 continue
             bundle: dict[int, tuple[float, bool]] = {}
             x, y = node.location
@@ -340,8 +342,8 @@ class QueryExecutor:
                 ):
                     bundle[node_id] = (own_value, False)
             if node.mode is NodeMode.ACTIVE:
-                for member_id in sorted(node.represented):
-                    location = node.member_location(member_id)
+                for member_id, info in sorted(node.represented.items()):
+                    location = info.location
                     if location is None or not query.region.contains(*location):
                         continue
                     estimate = node.estimate_for(member_id)

@@ -25,10 +25,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.multi_resolution import MultiResolutionSnapshot
+from repro.core.protocol import ProtocolNode
 from repro.core.runtime import SnapshotRuntime
 from repro.core.status import NodeMode
+from repro.network.topology import Topology
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor, QueryResult
+from repro.query.spatial import Region
 
 __all__ = ["QueryPlan", "QueryCostEstimate", "QueryPlanner"]
 
@@ -130,23 +133,75 @@ class QueryPlanner:
         self.runtime = runtime
         self.executor = executor if executor is not None else QueryExecutor(runtime)
         self.multi = multi
+        #: ``(topology, mean hops)`` of the last topology seen: ranges are
+        #: fixed at construction, and mobility installs a new object.
+        self._hops: Optional[tuple[Topology, float]] = None
 
     # ------------------------------------------------------------------
     # cost model
     # ------------------------------------------------------------------
 
     def _mean_hops(self) -> float:
-        """Expected tree-path length: mean pairwise distance over range."""
+        """Expected tree-path length: mean pairwise distance over range.
+
+        Computed once per :class:`Topology` object.
+        """
         topology = self.runtime.topology
-        if not len(topology):
-            raise ValueError(
-                "cannot estimate hop counts over an empty topology "
-                "(no nodes, hence no transmission ranges)"
-            )
-        reach = min(topology.range_of(node) for node in topology.node_ids)
-        # expected distance between two uniform points on the unit
-        # square is ~0.52; every hop covers at most one range
-        return max(1.0, 0.52 / reach)
+        if self._hops is None or self._hops[0] is not topology:
+            if not len(topology):
+                raise ValueError(
+                    "cannot estimate hop counts over an empty topology "
+                    "(no nodes, hence no transmission ranges)"
+                )
+            reach = min(topology.range_of(node) for node in topology.node_ids)
+            # expected distance between two uniform points on the unit
+            # square is ~0.52; every hop covers at most one range
+            self._hops = (topology, max(1.0, 0.52 / reach))
+        return self._hops[1]
+
+    @staticmethod
+    def _member_covers(node: ProtocolNode, region: Region) -> bool:
+        """Whether a representative holds a member location in ``region``.
+
+        The locations are the ones learned from the Accept messages
+        (§3.1); only ACTIVE nodes answer for members.
+        """
+        if node.mode is not NodeMode.ACTIVE:
+            return False
+        contains = region.contains
+        for info in node.represented.values():
+            location = info.location
+            if location is not None and contains(*location):
+                return True
+        return False
+
+    def _census(self, query: Query) -> tuple[int, int, int]:
+        """``(regular responders, snapshot responders, alive nodes)``.
+
+        The sizes of :meth:`regular_responders`,
+        :meth:`snapshot_responders` and ``alive_ids()``, counted in one
+        pass over the nodes.
+        """
+        region = query.region
+        position = self.runtime.topology.position
+        member_covers = self._member_covers
+        regular = snapshot = alive = 0
+        for node_id, node in self.runtime.nodes.items():
+            if not node.alive:
+                continue
+            alive += 1
+            where = position(node_id)
+            inside = region.contains(*where)
+            regular += inside
+            if node.mode is NodeMode.PASSIVE:
+                continue
+            # A node's location is its topology position object, unless
+            # one was moved without the other; then the node answers
+            # where it is.
+            if node.location is not where:
+                inside = region.contains(*node.location)
+            snapshot += inside or member_covers(node, region)
+        return regular, snapshot, alive
 
     def regular_responders(self, query: Query) -> frozenset[int]:
         """Alive nodes inside the spatial predicate (regular execution).
@@ -171,22 +226,14 @@ class QueryPlanner:
         responder set, so the planned set is a superset of the
         executed one (property-tested in ``tests/query``).
         """
-        responders = []
-        for node_id, node in self.runtime.nodes.items():
-            if not node.alive or node.mode is NodeMode.PASSIVE:
-                continue
-            x, y = node.location
-            covers = query.region.contains(x, y)
-            if not covers and node.mode is NodeMode.ACTIVE:
-                covers = any(
-                    location is not None and query.region.contains(*location)
-                    for location in (
-                        node.member_location(member) for member in node.represented
-                    )
-                )
-            if covers:
-                responders.append(node_id)
-        return frozenset(responders)
+        region = query.region
+        return frozenset(
+            node_id
+            for node_id, node in self.runtime.nodes.items()
+            if node.alive
+            and node.mode is not NodeMode.PASSIVE
+            and (region.contains(*node.location) or self._member_covers(node, region))
+        )
 
     def _transmissions_per_round(self, query: Query, responders: int) -> float:
         if query.is_aggregate:
@@ -233,14 +280,9 @@ class QueryPlanner:
         """
         if use_snapshot is None:
             use_snapshot = query.use_snapshot
-        responder_ids = (
-            self.snapshot_responders(query)
-            if use_snapshot
-            else self.regular_responders(query)
-        )
-        responders = len(responder_ids)
+        regular, snapshot, n_alive = self._census(query)
+        responders = snapshot if use_snapshot else regular
         hops = self._mean_hops()
-        n_alive = len(self.runtime.alive_ids())
         if query.is_aggregate:
             routers = hops  # one shared path of partial aggregates
             bytes_per_round = responders * REPORT_BYTES + routers * AGGREGATE_BYTES
@@ -252,7 +294,7 @@ class QueryPlanner:
             responders=responders,
             nodes_touched=min(n_alive, responders + math.ceil(routers)),
             bytes_on_network=bytes_per_round * query.rounds,
-            selectivity=self.spatial_selectivity(query),
+            selectivity=regular / n_alive if n_alive else 0.0,
             transmissions=self._transmissions_per_round(query, responders),
             rounds=query.rounds,
         )
@@ -271,7 +313,8 @@ class QueryPlanner:
         when that saves transmissions and the snapshot's threshold
         permits it.
         """
-        regular_cost = self.estimate_regular_cost(query)
+        regular, snapshot, _ = self._census(query)
+        regular_cost = self._transmissions_per_round(query, regular)
         needs_election = False
         snapshot_threshold_ok = True
 
@@ -298,7 +341,7 @@ class QueryPlanner:
                 ),
             )
 
-        snapshot_cost = self.estimate_snapshot_cost(query)
+        snapshot_cost = self._transmissions_per_round(query, snapshot)
         use_snapshot = snapshot_cost < regular_cost
         if use_snapshot:
             reason = (

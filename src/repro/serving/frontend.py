@@ -65,8 +65,11 @@ BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 class AdmissionRejected(RuntimeError):
     """A query the front door refused to enqueue.
 
-    ``reason`` is ``"queue"`` (admission queue full) or ``"cost"``
-    (planned cost above the front-end's ``max_cost`` budget).
+    ``reason`` is ``"queue"`` (admission queue full), ``"cost"``
+    (planned cost above the front-end's ``max_cost`` budget) or
+    ``"stopped"`` (submitted after :meth:`QueryFrontEnd.stop`, with no
+    dispatcher left to serve it; :meth:`QueryFrontEnd.start` admits
+    again).
     """
 
     def __init__(self, reason: str, message: str) -> None:
@@ -187,6 +190,10 @@ class QueryFrontEnd:
         self._runtime_lock = threading.RLock()
         self._dispatcher: Optional[threading.Thread] = None
         self._stopping = threading.Event()
+        # Orders admission against ``stop``: once ``_stopping`` is set
+        # under it, no request can reach the queue behind the
+        # dispatcher's last look.
+        self._admission = threading.Lock()
         self._bind_metrics()
 
     def _bind_metrics(self) -> None:
@@ -255,7 +262,8 @@ class QueryFrontEnd:
                 except queue.Empty:
                     break
                 request.future.cancel()
-        self._stopping.set()
+        with self._admission:
+            self._stopping.set()
         if self._dispatcher is not None:
             self._dispatcher.join()
             self._dispatcher = None
@@ -280,9 +288,12 @@ class QueryFrontEnd:
         Raises
         ------
         AdmissionRejected
-            When the admission queue is full (``reason="queue"``) or
-            the planned cost exceeds ``max_cost`` (``reason="cost"``).
+            When the front end is stopped (``reason="stopped"``), the
+            admission queue is full (``reason="queue"``) or the planned
+            cost exceeds ``max_cost`` (``reason="cost"``).
         """
+        if self._stopping.is_set():
+            self._reject_stopped()
         t0 = time.perf_counter()
         sink = self._resolve_sink(sink)
         future: "Future[ServedResult]" = Future()
@@ -316,14 +327,17 @@ class QueryFrontEnd:
             future=future,
             t0=t0,
         )
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            self._admitted.inc("rejected_queue")
-            raise AdmissionRejected(
-                "queue",
-                f"admission queue is full ({self._queue.maxsize} pending)",
-            ) from None
+        with self._admission:
+            if self._stopping.is_set():
+                self._reject_stopped()
+            try:
+                self._queue.put_nowait(request)
+            except queue.Full:
+                self._admitted.inc("rejected_queue")
+                raise AdmissionRejected(
+                    "queue",
+                    f"admission queue is full ({self._queue.maxsize} pending)",
+                ) from None
         self._admitted.inc("admitted")
         self._queue_depth.set(self._queue.qsize())
         return future
@@ -375,7 +389,6 @@ class QueryFrontEnd:
     def _execute_group(self, sink: int, requests: list[_Request]) -> None:
         """Serve one same-sink group, sharing a single aggregation tree."""
         with self._runtime_lock:
-            alive = set(self.runtime.alive_ids())
             tree = None
             for request in requests:
                 if not request.future.set_running_or_notify_cancel():
@@ -397,8 +410,7 @@ class QueryFrontEnd:
                 try:
                     if tree is None:
                         tree = self.executor.build_tree(
-                            sink, alive,
-                            use_snapshot=request.planned_query.use_snapshot,
+                            sink, use_snapshot=request.planned_query.use_snapshot
                         )
                         self._trees.inc()
                     result = self.executor.execute(
@@ -421,6 +433,12 @@ class QueryFrontEnd:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+
+    def _reject_stopped(self) -> None:
+        self._admitted.inc("rejected_stopped")
+        raise AdmissionRejected(
+            "stopped", "the front end is stopped; start() it to admit queries"
+        )
 
     def _resolve_sink(self, sink: Optional[int]) -> int:
         if sink is None:
@@ -464,6 +482,7 @@ class QueryFrontEnd:
             "admitted": self._admitted.value("admitted"),
             "rejected_queue": self._admitted.value("rejected_queue"),
             "rejected_cost": self._admitted.value("rejected_cost"),
+            "rejected_stopped": self._admitted.value("rejected_stopped"),
             "cache_hits": self._cache_served.value("hit"),
             "cache_misses": self._cache_served.value("miss"),
             "cache_invalidations": 0 if cache is None else cache.invalidations,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.query.ast import Aggregate, Query
@@ -167,3 +170,61 @@ class TestLifecycle:
         frontend.start()
         assert frontend._dispatcher is first
         frontend.stop()
+
+    def test_submit_after_stop_is_rejected(self):
+        """A stopped front end refuses submits instead of queueing them
+        behind a dispatcher that is gone (the future would never
+        resolve).  Cached hits are refused too; ``start`` admits again."""
+        runtime = served_runtime()
+        frontend = QueryFrontEnd(runtime, charge_energy=False).start()
+        cached = snapshot_avg()
+        frontend.submit(cached, sink=0).result(timeout=10)
+        frontend.stop()
+        fresh = snapshot_avg(Rect(0.0, 0.0, 0.5, 0.5))
+        for query in (fresh, cached):
+            with pytest.raises(AdmissionRejected) as info:
+                frontend.submit(query, sink=0).result(timeout=5)
+            assert info.value.reason == "stopped"
+        assert frontend.stats()["rejected_stopped"] == 2
+        frontend.start()
+        try:
+            assert frontend.submit(fresh, sink=0).result(timeout=10).result
+        finally:
+            frontend.stop()
+
+    def test_stop_racing_submitters_strands_no_future(self):
+        """Clients submitting while ``stop`` runs: every submit is either
+        refused as stopped or served; none is left pending."""
+        runtime = served_runtime()
+        frontend = QueryFrontEnd(runtime, charge_energy=False, max_queue=1000).start()
+        queries = [snapshot_avg(Rect(0.0, 0.0, 0.1 * k, 1.0)) for k in range(1, 11)]
+        admitted, refused, errors = [], [], []
+        lock = threading.Lock()
+
+        def client(offset: int) -> None:
+            for i in range(40):
+                try:
+                    future = frontend.submit(queries[(offset + i) % 10], sink=0)
+                except AdmissionRejected as error:
+                    with lock:
+                        (refused if error.reason == "stopped" else errors).append(error)
+                    continue
+                with lock:
+                    admitted.append(future)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            clients = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+            for thread in clients:
+                thread.start()
+            frontend.stop()
+            for thread in clients:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert refused and admitted
+        for future in admitted:
+            assert future.result(timeout=10).result is not None
