@@ -13,9 +13,6 @@ scalar engine — and two sections:
   lock-step through ``observe_batch``, the configuration that closes
   the throughput gap against the single-cache interpreter loop.
 
-The fleet's end-to-end win over scalar observation inside a simulation
-is asserted by ``bench_perf_rounds.py``.
-
 Scales: ``quick`` streams 20k observations per cell, ``paper`` 100k.
 """
 

@@ -99,7 +99,7 @@ def test_bench_fleet_slicing_overhead(benchmark, report):
         cells = {}
         for n in sizes:
             # Interleave best-of-N so machine-load drift hits both
-            # modes alike (the bench_perf_rounds discipline).
+            # modes alike.
             best = {"single": float("inf"), "sliced": float("inf")}
             checks = {}
             for _ in range(trials):

@@ -1,20 +1,12 @@
-"""Radio fan-out microbenchmark: batched vs legacy delivery (wall time).
+"""Radio hot-path microbenchmark: metrics-registry overhead (wall time).
 
 Like ``bench_perf_cache``, this measures the *implementation*, not the
-paper: the cost of the broadcast hot path that every §6 experiment
-funnels through.  Two quantities are reported and saved to
-``results/BENCH_radio.json``:
-
-* **broadcast throughput** — broadcasts/sec through a full-range radio
-  with Bernoulli loss, where the legacy path schedules one event and
-  one RNG draw per receiver and the batched path schedules a single
-  event per transmission with one blocked draw;
-* **discovery wall time** — the §6.1 representative-election phase
-  (the event-layer-dominated part of discovery) at N ∈ {100, 400}
-  (``paper`` scale adds N=1000), timed under both fan-out paths on
-  identical seeds.  The trajectories are bit-identical (pinned by
-  ``tests/network/test_batched_fanout.py``), so the ratio is pure
-  implementation speedup.
+paper.  It isolates the broadcast hot path that every §6 experiment
+funnels through — one transmission, its blocked loss draw and its
+single delivery event — and times it with the metrics registry absent,
+disabled and enabled.  The disabled registry must cost under
+``MAX_DISABLED_OVERHEAD``; results land in
+``results/BENCH_registry_overhead.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -25,148 +17,17 @@ import numpy as np
 
 from conftest import is_paper_scale, run_once
 
-from repro.core.runtime import SnapshotRuntime
-from repro.experiments.harness import (
-    FULL_RANGE,
-    NetworkSetup,
-    make_cache_factory,
-    random_walk_dataset,
-)
+from repro.experiments.harness import FULL_RANGE
 from repro.network.links import GlobalLoss
 from repro.network.messages import Invitation
 from repro.network.radio import Radio
 from repro.network.topology import uniform_random_topology
 from repro.simulation.engine import Simulator
 
-#: Acceptance floor: the batched fan-out must keep a clear multiple
-#: over legacy for the election phase at N=400, full range.  The floor
-#: dropped from 3.0x when the event queue moved to the transient slab:
-#: both paths got faster in absolute terms, but legacy — which pushes
-#: one event per receiver instead of one per transmission — pockets
-#: proportionally more of the cheaper push/pop, narrowing the ratio
-#: (3.3x → ~2.9x) while every absolute wall time improved ~20-30%.
-REQUIRED_DISCOVERY_SPEEDUP = 2.5
-
 #: Acceptance ceiling: a disabled metrics registry may slow the
 #: broadcast hot path by at most this fraction over the registry-free
 #: baseline (the gated fast path is two attribute loads and a branch).
 MAX_DISABLED_OVERHEAD = 0.03
-
-
-def broadcast_throughput(
-    n_nodes: int, n_broadcasts: int, batch: bool, seed: int = 17
-) -> float:
-    """Broadcasts/sec through a lossy full-range radio (includes delivery)."""
-    topology = uniform_random_topology(n_nodes, FULL_RANGE, np.random.default_rng(seed))
-    simulator = Simulator(seed=seed)
-    radio = Radio(simulator, topology, loss_model=GlobalLoss(0.3), batch_fanout=batch)
-    radio.populate()
-    message = Invitation(sender=0, value=1.0, epoch=0)
-    start = time.perf_counter()
-    for _ in range(n_broadcasts):
-        radio.broadcast(message)
-        simulator.run()
-    elapsed = time.perf_counter() - start
-    return n_broadcasts / elapsed
-
-
-def discovery_wall_time(n_nodes: int, batch: bool, seed: int = 1) -> tuple[float, int]:
-    """Wall time of the §6.1 election at ``n_nodes``; returns ``(secs, n1)``.
-
-    Training is deliberately short — the measured phase is the election,
-    whose cost is dominated by the event/radio layer the batching
-    targets; model quality does not change what is being timed.
-    """
-    setup = NetworkSetup(
-        n_nodes=n_nodes,
-        transmission_range=FULL_RANGE,
-        train_duration=2.0,
-        election_time=5.0,
-    )
-    dataset = random_walk_dataset(setup, n_classes=1, seed=seed, length=20)
-    topology = uniform_random_topology(
-        n_nodes, FULL_RANGE, np.random.default_rng(seed)
-    )
-    runtime = SnapshotRuntime(
-        topology=topology,
-        dataset=dataset,
-        config=setup.protocol_config(),
-        seed=seed,
-        cache_factory=make_cache_factory("model-aware", setup.cache_bytes),
-    )
-    runtime.radio.batch_fanout = batch
-    runtime.train(duration=setup.train_duration)
-    runtime.advance_to(setup.election_time)
-    start = time.perf_counter()
-    view = runtime.run_election()
-    return time.perf_counter() - start, view.size
-
-
-def test_bench_radio_fanout(benchmark, report):
-    sizes = [100, 400, 1000] if is_paper_scale() else [100, 400]
-    n_broadcasts = 2_000 if is_paper_scale() else 500
-
-    def run() -> dict:
-        throughput = {
-            "batched": broadcast_throughput(400, n_broadcasts, batch=True),
-            "legacy": broadcast_throughput(400, n_broadcasts, batch=False),
-        }
-        discovery = {}
-        for n in sizes:
-            batched_secs, batched_size = discovery_wall_time(n, batch=True)
-            legacy_secs, legacy_size = discovery_wall_time(n, batch=False)
-            assert batched_size == legacy_size  # identical trajectory
-            discovery[n] = {
-                "batched_secs": batched_secs,
-                "legacy_secs": legacy_secs,
-                "speedup": legacy_secs / batched_secs,
-                "snapshot_size": batched_size,
-            }
-        return {"throughput": throughput, "discovery": discovery}
-
-    results = run_once(benchmark, run)
-
-    throughput = results["throughput"]
-    lines = [
-        "BENCH radio — batched vs legacy broadcast fan-out",
-        f"  broadcast throughput (N=400, P_loss=0.3, {n_broadcasts} broadcasts)",
-        f"    batched  {throughput['batched']:>10,.0f} broadcasts/sec",
-        f"    legacy   {throughput['legacy']:>10,.0f} broadcasts/sec",
-        f"    speedup  {throughput['batched'] / throughput['legacy']:>10.2f}x",
-        "  §6.1 discovery (election wall time, full range)",
-    ]
-    for n, cell in results["discovery"].items():
-        lines.append(
-            f"    N={n:<5} batched {cell['batched_secs']:7.3f}s   "
-            f"legacy {cell['legacy_secs']:7.3f}s   "
-            f"speedup {cell['speedup']:5.2f}x   n1={cell['snapshot_size']}"
-        )
-    report(
-        "BENCH_radio",
-        "\n".join(lines),
-        data={
-            "n_broadcasts": n_broadcasts,
-            "broadcasts_per_sec": {
-                k: round(v, 1) for k, v in throughput.items()
-            },
-            "discovery": {
-                str(n): {
-                    "batched_secs": round(cell["batched_secs"], 4),
-                    "legacy_secs": round(cell["legacy_secs"], 4),
-                    "speedup": round(cell["speedup"], 2),
-                    "snapshot_size": cell["snapshot_size"],
-                }
-                for n, cell in results["discovery"].items()
-            },
-        },
-    )
-
-    assert results["discovery"][400]["speedup"] >= REQUIRED_DISCOVERY_SPEEDUP
-
-
-# ----------------------------------------------------------------------
-# observability overhead
-# ----------------------------------------------------------------------
 
 
 class _NullHistogram:

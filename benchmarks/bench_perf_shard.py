@@ -5,7 +5,7 @@ rounds (every node broadcasting per tick, all neighbors snooping) plus
 a full global election — on the single-process
 :class:`~repro.core.runtime.SnapshotRuntime` and on the 4-shard
 process-mode :class:`~repro.simulation.sharded.ShardedRuntime`.  Both
-engines run identical per-entity-disciplined deployments, so their
+engines run identical deployments with per-entity random streams, so their
 trajectories are bit-equivalent (pinned by
 ``tests/simulation/test_shard_equivalence.py``) and a message-count
 checksum re-asserts it on every timed run: whatever the ratio, the
@@ -76,10 +76,7 @@ def _inputs(n_nodes: int):
     topology = uniform_random_topology(
         n_nodes, radius, np.random.default_rng(SEED + 1)
     )
-    # Per-entity RNG streams — the discipline the sharded engine
-    # requires; the single-process side uses it too so the match-up is
-    # engine vs engine, not discipline vs discipline.
-    config = ProtocolConfig(threshold=1.0, rng_discipline="per-entity")
+    config = ProtocolConfig(threshold=1.0)
     return topology, dataset, config
 
 
@@ -126,7 +123,7 @@ def test_bench_sharded_engine(benchmark, report):
 
     def run() -> dict:
         # Interleave the engines best-of-N so machine-load drift hits
-        # both alike (the bench_perf_rounds overhead discipline).
+        # both alike.
         best = {"single": float("inf"), "sharded": float("inf")}
         checks = {}
         for _ in range(trials):

@@ -319,9 +319,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     topology = uniform_random_topology(
         args.nodes, radius, np.random.default_rng(args.seed + 1)
     )
-    config = ProtocolConfig(
-        threshold=args.threshold, rng_discipline="per-entity"
-    )
+    config = ProtocolConfig(threshold=args.threshold)
     with ShardedRuntime(
         topology,
         dataset,

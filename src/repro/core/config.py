@@ -99,18 +99,6 @@ class ProtocolConfig:
         or by ``action`` alone.  The per-node key is a label-cardinality
         footgun at scale — N × |actions| counter cells at N nodes — so
         large-deployment benches set this to ``False``.
-    rng_discipline:
-        How simulation randomness is streamed.  ``"shared"`` (the
-        default) draws protocol, radio and maintenance randomness from
-        three process-wide streams — the historical behaviour every
-        golden trace pins.  ``"per-entity"`` gives each entity its own
-        named stream (``radio.<sender>``, ``protocol.<node>``,
-        ``maintenance.<node>``) and makes the radio sample loss for
-        *every* in-range receiver, dead or alive (dead receivers are
-        then filtered — and accounted — at delivery time).  Per-entity
-        draws are independent of interleaving and of remote node state,
-        which is what lets the sharded engine reproduce a single-process
-        run bit-for-bit; see DESIGN.md §17.
     """
 
     threshold: float = 1.0
@@ -131,14 +119,8 @@ class ProtocolConfig:
     energy_resign_fraction: float = 0.0
     rotation_probability: float = 0.0
     observe_node_label: bool = True
-    rng_discipline: str = "shared"
 
     def __post_init__(self) -> None:
-        if self.rng_discipline not in ("shared", "per-entity"):
-            raise ValueError(
-                f"unknown rng_discipline {self.rng_discipline!r}; "
-                f"expected 'shared' or 'per-entity'"
-            )
         if self.threshold < 0:
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
         for name in (

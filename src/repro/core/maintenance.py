@@ -61,9 +61,8 @@ class MaintenanceManager:
         #: and round trace never straddle an un-applied batch.
         self.router = router
         self._tasks: list[PeriodicTask] = []
-        self._rng = simulator.random.stream("maintenance")
+        #: ``maintenance.<id>`` streams, created on a node's first draw.
         self._entity_rngs: dict[int, object] = {}
-        self._per_entity = config.rng_discipline == "per-entity"
         #: Sharded engine wiring: the full topology's node ids (this
         #: manager's ``nodes`` holds only the local shard's subset).
         #: Iterating the *global* list in :meth:`start` keeps every
@@ -83,16 +82,12 @@ class MaintenanceManager:
         self._round_span = None
 
     def _node_rng(self, node_id: int):
-        """The stream maintenance draws for ``node_id`` come from.
+        """The ``maintenance.<id>`` stream ``node_id`` draws from.
 
-        Under the default shared discipline every node draws from the
-        single ``maintenance`` stream (draws interleave in iteration
-        order); under ``per-entity`` each node owns
-        ``maintenance.<id>``, so a shard holding only a subset of the
-        fleet still draws exactly what the reference drew for each node.
+        Each node owns its stream, so a shard holding only a subset of
+        the fleet still draws exactly what the reference drew for each
+        node.
         """
-        if not self._per_entity:
-            return self._rng
         rng = self._entity_rngs.get(node_id)
         if rng is None:
             rng = self.simulator.random.stream(f"maintenance.{node_id}")

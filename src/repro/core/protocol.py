@@ -118,13 +118,7 @@ class ProtocolNode:
         self.value_fn = value_fn
         self.location = location
         self.simulator = radio.simulator
-        # Per-entity RNG discipline gives each node its own stream so a
-        # sharded run draws identically to the single-process reference
-        # regardless of how node events interleave across shards.
-        if config.rng_discipline == "per-entity":
-            self._rng = self.simulator.random.stream(f"protocol.{node_id}")
-        else:
-            self._rng = self.simulator.random.stream("protocol")
+        self._stream = None  # ``protocol.<id>``, created by the first draw
 
         # public protocol state
         self.mode = NodeMode.UNDEFINED
@@ -178,6 +172,23 @@ class ProtocolNode:
     # ------------------------------------------------------------------
     # public read side
     # ------------------------------------------------------------------
+
+    @property
+    def _rng(self):
+        """This node's own ``protocol.<id>`` stream.
+
+        One stream per node lets a sharded run draw identically to the
+        single-process reference however node events interleave across
+        shards.  It is created on the first draw: a stream's state
+        derives only from the seed and its name, so creation time does
+        not matter, and a node that never draws never pays for one.
+        """
+        rng = self._stream
+        if rng is None:
+            rng = self._stream = self.simulator.random.stream(
+                f"protocol.{self.node_id}"
+            )
+        return rng
 
     @property
     def alive(self) -> bool:
@@ -789,10 +800,10 @@ class ProtocolNode:
     def _on_heartbeat(self, message: Heartbeat) -> None:
         if message.target != self.node_id or not self.alive:
             return
-        # Read-after-write fallback (batched rounds): this handler both
-        # records an observation and immediately serves an estimate from
-        # the store, so any samples this node has sitting in the batch
-        # must land first — scalarly, in arrival order.
+        # Read-after-write fallback: this handler both records an
+        # observation and immediately serves an estimate from the store,
+        # so any samples this node has sitting in the batch must land
+        # first — scalarly, in arrival order.
         router = self.radio.observation_router
         if router is not None:
             router.sync(self)
@@ -860,13 +871,15 @@ class ProtocolNode:
         if probability >= 1.0 or self._rng.random() < probability:
             router = self.radio.observation_router
             if router is not None:
-                # Batched rounds: queue the sample for the burst-end
-                # fleet sweep.  The CPU cost is charged now — it does
-                # not depend on the cache's decision — so the battery
-                # and ledger timelines match the scalar path exactly.
+                # Queue the sample for the burst-end fleet sweep.  The
+                # CPU cost is charged now — it does not depend on the
+                # cache's decision — so the battery and ledger timelines
+                # match an inline application exactly.
                 router.enqueue(self, message.sender, self.value_fn(), message.value)
                 self.radio.charge_cpu(self.node_id)
             else:
+                # A stand-alone node on a bare radio (no runtime, so no
+                # router) applies the sample inline.
                 self._record_observation(message.sender, self.value_fn(), message.value)
 
     # ------------------------------------------------------------------

@@ -98,13 +98,12 @@ class SnapshotRuntime:
         infinite batteries (the §6.1 setting).
     cost_model:
         Energy prices (defaults to the paper's §6.2 accounting).
-    batched_rounds:
-        Collect overheard measurement observations into per-burst
-        batches applied through one fleet sweep (see
-        ``core.round_batch``) instead of one ``cache.observe`` call per
-        delivery.  Bit-identical to the scalar path (proven by the
-        differential suite in ``tests/persist/``); ``False`` keeps the
-        scalar per-delivery path as the golden reference.
+
+    Overheard measurement observations are collected into per-burst
+    batches and applied through one fleet sweep (see
+    ``core.round_batch``) instead of one ``cache.observe`` call per
+    delivery.  The differential suite in ``tests/persist/`` proves this
+    bit-identical to applying each sample inside its delivery.
     """
 
     def __init__(
@@ -119,7 +118,6 @@ class SnapshotRuntime:
         cost_model: EnergyCostModel = PAPER_COST_MODEL,
         keep_trace_records: bool = False,
         metrics_enabled: bool = True,
-        batched_rounds: bool = True,
         local_ids=None,
     ) -> None:
         if dataset.n_nodes < len(topology):
@@ -134,12 +132,8 @@ class SnapshotRuntime:
         #: Sharded-engine internal: when set, this runtime instantiates
         #: only the listed nodes (protocol state, devices, batteries,
         #: caches) while keeping the *full* topology for range/loss
-        #: computations.  Requires the per-entity RNG discipline.
+        #: computations.
         self.local_ids = None if local_ids is None else frozenset(local_ids)
-        if self.local_ids is not None and self.config.rng_discipline != "per-entity":
-            raise ValueError(
-                "a shard-local runtime requires rng_discipline='per-entity'"
-            )
         self.simulator = Simulator(
             seed=seed,
             keep_trace_records=keep_trace_records,
@@ -150,7 +144,6 @@ class SnapshotRuntime:
             topology,
             loss_model=loss_model,
             cost_model=cost_model,
-            rng_discipline=self.config.rng_discipline,
         )
         self.radio.populate(
             battery_capacity=battery_capacity,
@@ -175,17 +168,14 @@ class SnapshotRuntime:
                 location=topology.position(node_id),
                 tally=self.tally,
             )
-        self.batched_rounds = bool(batched_rounds)
-        self.observation_router: Optional[BatchedObservationRouter] = None
-        if self.batched_rounds:
-            router = BatchedObservationRouter(
-                self.simulator,
-                fleet=self._build_fleet(),
-                node_label=self.config.observe_node_label,
-            )
-            self.observation_router = router
-            self.simulator.observation_barrier = router
-            self.radio.observation_router = router
+        router = BatchedObservationRouter(
+            self.simulator,
+            fleet=self._build_fleet(),
+            node_label=self.config.observe_node_label,
+        )
+        self.observation_router = router
+        self.simulator.observation_barrier = router
+        self.radio.observation_router = router
 
         #: Callables fired as ``hook(runtime, end_time)`` after every
         #: :meth:`run_slice` boundary (fleet-mode observation point).

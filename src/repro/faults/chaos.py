@@ -77,10 +77,6 @@ class ChaosConfig:
     recovery_periods: float = 4.0
     #: Keep full trace records (span timelines) for post-run assertions.
     keep_trace_records: bool = False
-    #: Route overheard observations through the batched round path
-    #: (``core.round_batch``); ``False`` pins the scalar golden
-    #: reference for differential schedules.
-    batched_rounds: bool = True
 
     def __post_init__(self) -> None:
         if self.n_nodes < 4:
@@ -156,7 +152,6 @@ def build_chaos_runtime(config: ChaosConfig) -> SnapshotRuntime:
         cache_factory=make_cache_factory(config.cache_policy, 2048),
         battery_capacity=config.battery_capacity,
         keep_trace_records=config.keep_trace_records,
-        batched_rounds=config.batched_rounds,
     )
 
 

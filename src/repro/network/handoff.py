@@ -9,11 +9,11 @@ lineage stamp, the message and the remote ``(receiver, overheard)``
 pairs — and the controller routes it to each owning shard, which
 re-inserts it verbatim via :meth:`~repro.network.radio.Radio.receive_handoff`.
 
-Because loss is sampled entirely on the sender side (per-entity RNG
-discipline) and the stamp is shared by every fragment of the same
-transmission, the receiving shards' queue entries merge back into the
-single delivery event a single-process run would hold — the property
-the shard-conformance suite pins.
+Because loss is sampled entirely on the sender side (from the sender's
+own ``radio.<id>`` stream) and the stamp is shared by every fragment of
+the same transmission, the receiving shards' queue entries merge back
+into the single delivery event a single-process run would hold — the
+property the shard-conformance suite pins.
 """
 
 from __future__ import annotations

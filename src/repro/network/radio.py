@@ -1,9 +1,11 @@
 """The shared radio medium.
 
-Transmissions are broadcasts over a unit-disk neighborhood: every alive
-node within the sender's transmission range is a potential receiver, and
+Transmissions are broadcasts over a unit-disk neighborhood: every node
+within the sender's transmission range is a potential receiver, and
 each receiver independently loses the message with the link's loss
-probability (the paper's ``P_loss``).  A *unicast* is a broadcast with a
+probability (the paper's ``P_loss``), drawn from the sender's own
+``radio.<sender>`` stream.  A receiver that is dead when the message
+arrives is booked as ``dropped_dead``.  A *unicast* is a broadcast with a
 designated target — non-target receivers get the message flagged as
 ``overheard``, which is what feeds the snooping-based model building of
 §3 ("snooping ... values broadcast by its neighbor node in response to
@@ -37,8 +39,9 @@ __all__ = ["Radio"]
 #: traffic that "already happened".
 DELIVERY_PRIORITY = -1
 
-#: Buckets of the ``net.fanout`` histogram: alive receivers reached per
-#: transmission (unit-disk neighborhoods rarely exceed a few dozen).
+#: Buckets of the ``net.fanout`` histogram: in-range receivers per
+#: transmission, dead ones included — what a sharded sender knows
+#: (unit-disk neighborhoods rarely exceed a few dozen).
 FANOUT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
@@ -62,27 +65,6 @@ class Radio:
     latency:
         Propagation delay between send and delivery, in time units.
         Must be small relative to protocol phase spacing.
-    batch_fanout:
-        When true (the default), one transmission schedules a *single*
-        delivery event carrying the precomputed receiver list instead of
-        one event per receiver.  Loss outcomes are sampled at send time
-        with :meth:`LossModel.loss_vector` in ``out_neighbors`` order,
-        consuming the radio RNG stream draw-for-draw identically to the
-        scalar path, and the per-receiver delivery events of one
-        transmission are contiguous in the event queue — so collapsing
-        them into one batch preserves the global firing order and the
-        simulation trajectory bit-for-bit (pinned by a golden-trace
-        test).  ``False`` keeps the legacy per-receiver event path.
-    rng_discipline:
-        ``"shared"`` (default) draws loss from the one ``radio`` stream
-        with dead receivers filtered *before* sampling.  ``"per-entity"``
-        draws from a ``radio.<sender>`` stream per sender and samples
-        loss over the sender's *full* out-neighborhood — dead receivers
-        are filtered (and booked as ``dropped_dead``) at delivery time
-        instead.  That makes the draw count independent of remote node
-        state, which is what lets a sharded sender transmit without
-        knowing whether a receiver in another shard is alive.  Requires
-        ``batch_fanout``.
     """
 
     def __init__(
@@ -94,15 +76,9 @@ class Radio:
         stats: Optional[MessageStats] = None,
         ledger: Optional[EnergyLedger] = None,
         latency: float = 0.001,
-        batch_fanout: bool = True,
-        rng_discipline: str = "shared",
     ) -> None:
         if latency < 0:
             raise ValueError(f"latency must be non-negative, got {latency}")
-        if rng_discipline not in ("shared", "per-entity"):
-            raise ValueError(f"unknown rng_discipline {rng_discipline!r}")
-        if rng_discipline == "per-entity" and not batch_fanout:
-            raise ValueError("per-entity rng_discipline requires batch_fanout")
         self.simulator = simulator
         self.topology = topology
         self.loss_model = loss_model
@@ -115,11 +91,8 @@ class Radio:
         self.ledger = ledger if ledger is not None else EnergyLedger(registry)
         self._fanout = registry.histogram("net.fanout", FANOUT_BUCKETS)
         self.latency = latency
-        self.batch_fanout = batch_fanout
         self._nodes: dict[int, NetworkNode] = {}
-        self._rng = simulator.random.stream("radio")
-        self.rng_discipline = rng_discipline
-        self._per_entity = rng_discipline == "per-entity"
+        #: ``radio.<sender>`` streams, created on a sender's first draw.
         self._entity_rngs: dict[int, object] = {}
         #: Sharded-engine hooks (see ``simulation.sharded``): when
         #: ``shard_local_ids`` is set, this radio owns only that subset
@@ -129,11 +102,11 @@ class Radio:
         #: of being scheduled locally.
         self.shard_local_ids = None
         self.handoff_sink = None
-        #: Optional :class:`~repro.core.round_batch.BatchedObservationRouter`
-        #: attached by the runtime when ``batched_rounds`` is on.
-        #: Protocol handlers consult it to divert overheard measurement
-        #: observations into the per-burst batch instead of applying
-        #: them inline.
+        #: The runtime's
+        #: :class:`~repro.core.round_batch.BatchedObservationRouter`.
+        #: Protocol handlers divert overheard measurement observations
+        #: into its per-burst batch; on a bare radio (no runtime) it
+        #: stays ``None`` and they apply them inline.
         self.observation_router = None
 
     # -- registration ------------------------------------------------------
@@ -223,30 +196,8 @@ class Radio:
             self.simulator.now, "message.sent",
             sender=message.sender, message_kind=message.kind, target=target,
         )
-        if self.batch_fanout:
-            self._transmit_batched(message, target)
-        else:
-            self._transmit_scalar(message, target)
+        self._fan_out(message, target)
         return True
-
-    def _transmit_scalar(self, message: Message, target: Optional[int]) -> None:
-        """Legacy fan-out: one RNG draw and one delivery event per receiver."""
-        dead = 0
-        alive = 0
-        for receiver_id in self.topology.out_neighbors(message.sender):
-            receiver = self._nodes.get(receiver_id)
-            if receiver is None or not receiver.alive:
-                dead += 1
-                continue
-            alive += 1
-            if not self.loss_model.delivered(message.sender, receiver_id, self._rng):
-                self.stats.record_dropped(message)
-                continue
-            overheard = target is not None and receiver_id != target
-            self._schedule_delivery(receiver, message, overheard)
-        if dead:
-            self.stats.record_dropped_dead(message, dead)
-        self._fanout.observe(alive)
 
     def _sender_rng(self, sender: int):
         rng = self._entity_rngs.get(sender)
@@ -256,15 +207,17 @@ class Radio:
             )
         return rng
 
-    def _transmit_entity(self, message: Message, target: Optional[int]) -> None:
-        """Per-entity fan-out: loss sampled over the full neighborhood.
+    def _fan_out(self, message: Message, target: Optional[int]) -> None:
+        """Sample loss over the full neighborhood; schedule one delivery.
 
-        The draw comes from the sender's own ``radio.<sender>`` stream
-        and covers every in-range receiver regardless of liveness, so
-        neither interleaving with other senders nor remote node state
-        changes the stream position.  Dead receivers among the loss
-        survivors are filtered — and booked as ``dropped_dead`` — when
-        the batch is delivered, in the receiver's own shard.
+        The draw is one blocked :meth:`LossModel.loss_vector` call on
+        the sender's own ``radio.<sender>`` stream, in ``out_neighbors``
+        order, and covers every in-range receiver regardless of
+        liveness, so neither interleaving with other senders nor remote
+        node state changes the stream position.  The loss survivors ride
+        a single delivery event; dead ones among them are filtered — and
+        booked as ``dropped_dead`` — when the batch is delivered, in the
+        receiver's own shard.
         """
         sender = message.sender
         receivers = self.topology.out_neighbors(sender)
@@ -339,50 +292,6 @@ class Radio:
             sortkey=handoff.stamp,
         )
 
-    def _transmit_batched(self, message: Message, target: Optional[int]) -> None:
-        """Batched fan-out: one blocked loss draw and one delivery event.
-
-        Dead or unregistered receivers are filtered *before* sampling —
-        exactly where the scalar path skips them — so they consume no
-        RNG draws and the two paths stay draw-for-draw identical.
-        """
-        if self._per_entity:
-            self._transmit_entity(message, target)
-            return
-        nodes_get = self._nodes.get
-        alive_ids: list[int] = []
-        alive_nodes: list[NetworkNode] = []
-        dead = 0
-        for receiver_id in self.topology.out_neighbors(message.sender):
-            receiver = nodes_get(receiver_id)
-            if receiver is None or not receiver.alive:
-                dead += 1
-                continue
-            alive_ids.append(receiver_id)
-            alive_nodes.append(receiver)
-        if dead:
-            self.stats.record_dropped_dead(message, dead)
-        self._fanout.observe(len(alive_ids))
-        if not alive_ids:
-            return
-        outcomes = self.loss_model.loss_vector(message.sender, alive_ids, self._rng)
-        if outcomes.all():
-            pending = [
-                (node, target is not None and receiver_id != target)
-                for receiver_id, node in zip(alive_ids, alive_nodes)
-            ]
-        else:
-            dropped = len(alive_ids) - int(outcomes.sum())
-            self.stats.record_dropped(message, dropped)
-            pending = [
-                (node, target is not None and receiver_id != target)
-                for receiver_id, node, ok in zip(alive_ids, alive_nodes, outcomes)
-                if ok
-            ]
-        if not pending:
-            return
-        self._schedule_batch(message, pending)
-
     def _schedule_batch(
         self, message: Message, pending: list[tuple[NetworkNode, bool]]
     ) -> None:
@@ -404,13 +313,11 @@ class Radio:
         cost_receive = self.cost_model.receive
         delivered = self.stats.delivered
         kind = message.kind
-        per_entity = self._per_entity
         lineage = self.simulator.lineage
         if lineage is None:
             for receiver, overheard in pending:
                 if not receiver.alive:
-                    if per_entity:
-                        self.stats.record_dropped_dead(message, 1)
+                    self.stats.record_dropped_dead(message, 1)
                     continue
                 delivered[(receiver.node_id, kind)] += 1
                 if cost_receive > 0:
@@ -441,28 +348,6 @@ class Radio:
                     lineage.branch_end(branch_token)
         finally:
             lineage.fan_end(fan_token)
-
-    def _schedule_delivery(
-        self, receiver: NetworkNode, message: Message, overheard: bool
-    ) -> None:
-        self.simulator.schedule_transient(
-            self.latency,
-            partial(self._deliver, receiver, message, overheard),
-            label=f"deliver:{message.kind}",
-            priority=DELIVERY_PRIORITY,
-        )
-
-    def _deliver(
-        self, receiver: NetworkNode, message: Message, overheard: bool
-    ) -> None:
-        if not receiver.alive:
-            return
-        receiver.battery.draw(self.cost_model.receive)
-        if self.cost_model.receive > 0:
-            self.ledger.record(receiver.node_id, "receive", self.cost_model.receive)
-        self.stats.record_delivered(receiver.node_id, message)
-        if receiver.alive:
-            receiver.deliver(message, overheard)
 
     # -- misc --------------------------------------------------------------
 

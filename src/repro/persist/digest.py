@@ -351,7 +351,6 @@ def _runtime_structures(runtime: Any) -> dict[str, Any]:
         ),
         "radio": (
             radio.latency,
-            radio.batch_fanout,
             _describe_loss(radio.loss_model),
             tuple(topology._positions),
             tuple(topology._ranges),
@@ -365,9 +364,9 @@ def _runtime_structures(runtime: Any) -> dict[str, Any]:
         ),
         "coordinator": runtime.coordinator.epoch,
     }
-    # Un-flushed observation batch (batched rounds only, mid-burst
-    # checkpoints).  Added only when non-empty so a settled batched run
-    # digests identically to a scalar run, which has no router at all.
+    # Un-flushed observation batch (mid-burst checkpoints).  Added only
+    # when non-empty, so a run between bursts digests identically to
+    # one that applies every sample inside its delivery.
     router = getattr(runtime, "observation_router", None)
     if router is not None and router.pending:
         comps["observations"] = tuple(

@@ -101,7 +101,6 @@ def export_shard_state(runtime: Any) -> dict[str, Any]:
         "energy_cells": dict(radio.ledger._cells),
         "radio_static": (
             radio.latency,
-            radio.batch_fanout,
             _describe_loss(radio.loss_model),
             tuple(topology._positions),
             tuple(topology._ranges),

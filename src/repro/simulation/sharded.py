@@ -40,10 +40,10 @@ observation barrier and parks every clock at exactly ``T``.
 
 Equivalence with the single-process reference — same whole-run state
 digest, same trace records, same report rows — is pinned by
-``tests/simulation/test_shard_equivalence.py``; it requires the
-per-entity RNG discipline (``ProtocolConfig.rng_discipline``), under
-which every random stream is owned by exactly one node and therefore by
-exactly one shard.
+``tests/simulation/test_shard_equivalence.py``.  It rests on the
+per-entity RNG streams (``radio.<id>``, ``protocol.<id>``,
+``maintenance.<id>``): every random stream is owned by exactly one node
+and therefore by exactly one shard.
 """
 
 from __future__ import annotations
@@ -257,7 +257,6 @@ def _build_shard_runtime(spec: dict) -> tuple[SnapshotRuntime, _HandoffOutbox]:
         cost_model=spec["cost_model"],
         keep_trace_records=spec["keep_trace_records"],
         metrics_enabled=spec["metrics_enabled"],
-        batched_rounds=spec["batched_rounds"],
         local_ids=spec["members"],
     )
     outbox = _wire_shard(runtime, spec["shard_index"])
@@ -465,10 +464,9 @@ class ShardedRuntime:
     """A snapshot network simulated across ``n_shards`` partitioned engines.
 
     Accepts the :class:`~repro.core.runtime.SnapshotRuntime` construction
-    parameters plus the shard count and execution mode.  The protocol
-    configuration must use ``rng_discipline="per-entity"`` — the
-    discipline under which each node's random draws are independent of
-    which engine hosts it.
+    parameters plus the shard count and execution mode.  Each node draws
+    from its own random streams, so its draws are independent of which
+    engine hosts it.
 
     Use as a context manager (or call :meth:`close`) so process-mode
     workers are always reaped::
@@ -492,19 +490,13 @@ class ShardedRuntime:
         cost_model: EnergyCostModel = PAPER_COST_MODEL,
         keep_trace_records: bool = False,
         metrics_enabled: bool = True,
-        batched_rounds: bool = True,
         n_shards: int = 2,
         mode: str = "inline",
     ) -> None:
         if mode not in ("inline", "process"):
             raise ValueError(f"unknown shard mode {mode!r}")
         if config is None:
-            config = ProtocolConfig(rng_discipline="per-entity")
-        if config.rng_discipline != "per-entity":
-            raise ValueError(
-                "the sharded engine requires rng_discipline='per-entity'; "
-                "got {!r}".format(config.rng_discipline)
-            )
+            config = ProtocolConfig()
         self.topology = topology
         self.config = config
         self.seed = seed
@@ -528,7 +520,6 @@ class ShardedRuntime:
                 "cost_model": cost_model,
                 "keep_trace_records": keep_trace_records,
                 "metrics_enabled": metrics_enabled,
-                "batched_rounds": batched_rounds,
                 "members": self.partition.shard_members(shard),
                 "shard_index": shard,
             }

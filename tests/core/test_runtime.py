@@ -9,7 +9,9 @@ from repro.core.config import ProtocolConfig
 from repro.core.runtime import SnapshotRuntime
 from repro.data.series import Dataset
 from repro.models.metrics import AbsoluteError
+from repro.network.links import GlobalLoss
 from repro.network.topology import grid_topology
+from repro.simulation.rng import RandomSource
 from tests.conftest import make_runtime
 
 
@@ -114,3 +116,38 @@ class TestDeterminism:
             runtime.advance_to(100)
             results.add(runtime.run_election().representatives)
         assert len(results) > 1
+
+
+def _entity_streams(runtime) -> list[str]:
+    return sorted(
+        name
+        for name in runtime.simulator.random._streams
+        if name.split(".")[0] in ("protocol", "radio", "maintenance")
+    )
+
+
+class TestEntityStreams:
+    """Each node's random streams are created on its first draw."""
+
+    def test_fresh_runtime_holds_no_entity_streams(self):
+        runtime = make_runtime(n_nodes=20, loss_model=GlobalLoss(0.3))
+        assert _entity_streams(runtime) == []
+
+    def test_late_stream_draws_like_a_fresh_one(self):
+        seed = 7
+        runtime = make_runtime(n_nodes=20, seed=seed, loss_model=GlobalLoss(0.3))
+        runtime.train(duration=5)
+        created = _entity_streams(runtime)
+        # Training touches every sender's radio stream and no protocol
+        # or maintenance stream (snooping at probability 1 never draws).
+        assert created == sorted(f"radio.{i}" for i in runtime.nodes)
+        node = runtime.nodes[3]
+        late = {
+            "protocol.3": node._rng,
+            "maintenance.3": runtime.maintenance._node_rng(3),
+        }
+        for name, stream in late.items():
+            assert stream is runtime.simulator.random.stream(name)
+            assert list(stream.random(4)) == list(
+                RandomSource(seed).stream(name).random(4)
+            )

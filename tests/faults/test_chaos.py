@@ -103,7 +103,7 @@ SHARD_CHAOS_SEEDS = int(os.environ.get("REPRO_SHARD_CHAOS_SEEDS", "3"))
 
 
 def _chaos_inputs(config):
-    """The ``build_chaos_runtime`` deployment, per-entity disciplined."""
+    """The ``build_chaos_runtime`` deployment's inputs."""
     n = config.n_nodes
     base = np.linspace(0.0, 30.0, 400)
     dataset = Dataset(np.stack([base + 0.3 * i for i in range(n)]))
@@ -113,7 +113,6 @@ def _chaos_inputs(config):
         heartbeat_period=config.heartbeat_period,
         rotation_probability=config.rotation_probability,
         member_expiry_periods=config.member_expiry_periods,
-        rng_discipline="per-entity",
     )
     kwargs = dict(
         seed=config.seed,

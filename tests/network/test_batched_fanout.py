@@ -1,17 +1,17 @@
-"""Equivalence of the batched broadcast fan-out with the legacy path.
+"""The radio's one fan-out: a blocked loss draw and one delivery event.
 
-The radio's batched fan-out samples all of a transmission's loss
-outcomes with one blocked RNG draw and schedules one delivery event for
-the whole receiver list.  These tests pin the two invariants that make
-it safe to ship as the default:
+A transmission samples the loss of every in-range receiver with one
+:meth:`LossModel.loss_vector` call on the sender's own ``radio.<sender>``
+stream, dead receivers included, and schedules a single delivery event
+for the survivors.  These tests pin what that rests on:
 
-* ``LossModel.loss_vector`` consumes the radio RNG stream draw-for-draw
-  identically to per-receiver ``delivered`` calls, for every bundled
-  model and the scalar fallback;
-* a full §6.1 discovery run (train, idle, elect) produces bit-identical
-  traces, message statistics, election outcomes and final RNG state
-  whether the radio batches or not — for both cache policies, with and
-  without message loss.
+* ``LossModel.loss_vector`` consumes a stream draw-for-draw identically
+  to per-receiver ``delivered`` calls, for every bundled model and the
+  scalar fallback;
+* a dead receiver is booked as ``dropped_dead`` at delivery and changes
+  no other receiver's loss outcome and no sender stream's state;
+* ``net.fanout`` counts in-range receivers per transmission, dead ones
+  included.
 """
 
 from __future__ import annotations
@@ -19,12 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.harness import (
-    NetworkSetup,
-    make_cache_factory,
-    random_walk_dataset,
-)
-from repro.core.runtime import SnapshotRuntime
 from repro.network.links import (
     DistanceLoss,
     GlobalLoss,
@@ -32,9 +26,8 @@ from repro.network.links import (
     PerLinkLoss,
 )
 from repro.network.messages import Invitation
-from repro.network.node import NetworkNode
-from repro.network.radio import Radio
-from repro.network.topology import grid_topology, uniform_random_topology
+from repro.network.radio import FANOUT_BUCKETS, Radio
+from repro.network.topology import grid_topology
 from repro.simulation.engine import Simulator
 
 
@@ -100,29 +93,18 @@ class TestLossVectorEquivalence:
         assert rng.bit_generator.state == state
 
 
-def _radio_pair(loss_probability: float, seed: int, batteries=None):
-    """Two identically-seeded radios, one batched and one legacy."""
-    radios = []
-    for batch in (True, False):
-        topology = grid_topology(3, 0.5)
-        simulator = Simulator(seed=seed)
-        radio = Radio(
-            simulator,
-            topology,
-            loss_model=GlobalLoss(loss_probability),
-            batch_fanout=batch,
-        )
-        radio.populate(battery_capacity=batteries)
-        radios.append(radio)
-    return radios
+def _lossy_radio(seed: int, battery: float) -> Radio:
+    """A 3x3 grid radio with 40% loss and finite batteries."""
+    radio = Radio(Simulator(seed=seed), grid_topology(3, 0.5), loss_model=GlobalLoss(0.4))
+    radio.populate(battery_capacity=battery)
+    return radio
 
 
 class TestDeadReceiverAccounting:
-    @pytest.mark.parametrize("batch", [True, False])
-    def test_dead_receivers_counted_separately(self, batch):
+    def test_dead_receivers_counted_separately(self):
         topology = grid_topology(2, 1.0)  # everyone hears everyone
         simulator = Simulator(seed=1)
-        radio = Radio(simulator, topology, batch_fanout=batch)
+        radio = Radio(simulator, topology)
         radio.populate(battery_capacity=10.0)
         radio.node(3).battery.draw(10.0)
         assert not radio.node(3).alive
@@ -136,78 +118,46 @@ class TestDeadReceiverAccounting:
         assert radio.stats.delivered[(1, "Invitation")] == 1
         assert (3, "Invitation") not in radio.stats.delivered
 
-    def test_dead_receivers_consume_no_draws(self):
-        """Killing a node must not shift loss outcomes for the others."""
-        batched, legacy = _radio_pair(0.4, seed=9, batteries=10.0)
-        for radio in (batched, legacy):
-            radio.node(4).battery.draw(10.0)
-            radio.broadcast(Invitation(sender=0, value=1.0, epoch=0))
+    def test_dead_receiver_changes_no_other_outcome(self):
+        """Killing a node leaves every other loss outcome and stream alone."""
+        alive, killed = _lossy_radio(9, 10.0), _lossy_radio(9, 10.0)
+        victim = 4  # the grid's center hears, and is heard by, everyone
+        killed.node(victim).battery.draw(10.0)
+        for radio in (alive, killed):
+            for _ in range(5):
+                for sender in radio.topology.node_ids:
+                    if sender != victim:
+                        radio.broadcast(
+                            Invitation(sender=sender, value=1.0, epoch=0)
+                        )
             radio.simulator.run_until(1.0)
-        assert batched.stats.delivered == legacy.stats.delivered
-        assert batched.stats.dropped == legacy.stats.dropped
-        assert batched.stats.dropped_dead == legacy.stats.dropped_dead
-        assert (
-            batched._rng.bit_generator.state == legacy._rng.bit_generator.state
-        )
+        reached_victim = alive.stats.delivered[(victim, "Invitation")]
+        assert reached_victim > 0, "the victim must survive some loss draws"
+        assert killed.stats.delivered == {
+            key: count
+            for key, count in alive.stats.delivered.items()
+            if key[0] != victim
+        }
+        # Loss is sampled over the full neighborhood either way; the
+        # victim's survivors become dead drops at delivery.
+        assert killed.stats.dropped == alive.stats.dropped
+        assert killed.stats.dropped_dead["Invitation"] == reached_victim
+        assert alive.stats.dropped_dead["Invitation"] == 0
+        assert set(killed._entity_rngs) == set(alive._entity_rngs)
+        for sender, rng in alive._entity_rngs.items():
+            assert (
+                killed._entity_rngs[sender].bit_generator.state
+                == rng.bit_generator.state
+            )
 
 
-def _run_discovery_pair(policy: str, loss: float, seed: int = 2):
-    """Run the §6.1 skeleton twice, batched vs legacy, on identical inputs."""
-    setup = NetworkSetup(
-        n_nodes=30,
-        transmission_range=0.6,
-        loss_probability=loss,
-        cache_policy=policy,
-        cache_bytes=1024,
-        train_duration=5.0,
-        election_time=20.0,
-    )
-    dataset = random_walk_dataset(setup, n_classes=3, seed=seed, length=40)
-    results = []
-    for batch in (True, False):
-        topology_rng = np.random.default_rng(seed)
-        topology = uniform_random_topology(
-            setup.n_nodes, setup.transmission_range, topology_rng
-        )
-        runtime = SnapshotRuntime(
-            topology=topology,
-            dataset=dataset,
-            config=setup.protocol_config(),
-            seed=seed,
-            loss_model=GlobalLoss(loss),
-            cache_factory=make_cache_factory(setup.cache_policy, setup.cache_bytes),
-            keep_trace_records=True,
-        )
-        runtime.radio.batch_fanout = batch
-        runtime.train(duration=setup.train_duration)
-        runtime.advance_to(setup.election_time)
-        view = runtime.run_election()
-        results.append((runtime, view))
-    return results
-
-
-class TestGoldenTrace:
-    """Batched and legacy fan-out walk bit-identical trajectories."""
-
-    @pytest.mark.parametrize("policy", ["model-aware", "round-robin"])
-    @pytest.mark.parametrize("loss", [0.0, 0.3])
-    def test_discovery_trajectory_identical(self, policy, loss):
-        (batched, batched_view), (legacy, legacy_view) = _run_discovery_pair(
-            policy, loss
-        )
-        # same election outcome
-        assert batched_view == legacy_view
-        # same message accounting, category by category
-        assert batched.radio.stats.sent == legacy.radio.stats.sent
-        assert batched.radio.stats.delivered == legacy.radio.stats.delivered
-        assert batched.radio.stats.dropped == legacy.radio.stats.dropped
-        assert batched.radio.stats.dropped_dead == legacy.radio.stats.dropped_dead
-        # same event-by-event trace (times, kinds and payloads)
-        assert batched.simulator.trace.records == legacy.simulator.trace.records
-        # same final radio RNG state: every Bernoulli draw matched up
-        assert (
-            batched.radio._rng.bit_generator.state
-            == legacy.radio._rng.bit_generator.state
-        )
-        # and the clocks agree
-        assert batched.now == legacy.now
+def test_fanout_counts_in_range_receivers_dead_included():
+    """``net.fanout`` observes what a sharded sender knows: range, not liveness."""
+    radio = _lossy_radio(3, 10.0)
+    assert tuple(radio.topology.out_neighbors(0)) == (1, 3, 4)
+    radio.node(1).battery.draw(10.0)
+    radio.node(3).battery.draw(10.0)
+    radio.broadcast(Invitation(sender=0, value=1.0, epoch=0))
+    radio.simulator.run_until(1.0)
+    cell = radio.simulator.metrics.histogram("net.fanout", FANOUT_BUCKETS).cell()
+    assert (cell.count, cell.sum) == (1, 3.0)  # two of the three are dead

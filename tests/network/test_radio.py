@@ -120,14 +120,12 @@ class TestAccounting:
         simulator.run()
         assert radio.node(1).battery.charge == pytest.approx(9.75)
 
-    @pytest.mark.parametrize("batch_fanout", [True, False])
-    def test_receive_that_drains_the_battery_is_not_handled(self, batch_fanout):
+    def test_receive_that_drains_the_battery_is_not_handled(self):
         simulator = Simulator(seed=3)
         radio = Radio(
             simulator,
             Topology([(0.0, 0.0), (0.1, 0.0)], 2.0),
             cost_model=EnergyCostModel(receive=0.25),
-            batch_fanout=batch_fanout,
         )
         radio.populate(battery_capacity=10.0)
         radio.node(1).battery.draw(9.75)

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.core.round_batch import BatchedObservationRouter
 from repro.core.runtime import SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.experiments.harness import make_cache_factory
@@ -44,19 +45,59 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.bench)
 
 
+class _EagerRouter(BatchedObservationRouter):
+    """The production router, flushed after every enqueue.
+
+    Each overheard sample is then applied inside the delivery that
+    carried it, before the CPU charge that follows the enqueue — the
+    order a stand-alone node applies it inline.
+    """
+
+    def enqueue(self, node, neighbor_id, own_value, neighbor_value) -> None:
+        super().enqueue(node, neighbor_id, own_value, neighbor_value)
+        self.flush()
+
+
+class OracleRuntime(SnapshotRuntime):
+    """Test-side reference for the batched observation path.
+
+    It builds no fleet, so its model-aware caches run the scalar §4
+    ``CacheLine`` engine, and its router flushes after every delivery's
+    sample.  Comparing a whole run against :class:`SnapshotRuntime` thus
+    proves both the fleet engine against the scalar one and the burst
+    barrier against per-delivery application.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        router = _EagerRouter(
+            self.simulator, fleet=None, node_label=self.config.observe_node_label
+        )
+        self.observation_router = router
+        self.simulator.observation_barrier = router
+        self.radio.observation_router = router
+        self.maintenance.router = router
+
+    def _build_fleet(self):
+        return None
+
+
 def build_runtime(
     seed: int,
     policy: str = "model-aware",
     loss: float = 0.0,
-    batched_rounds: bool = True,
+    oracle: bool = False,
 ) -> SnapshotRuntime:
-    """A small maintenance-ready network, fully determined by its knobs."""
+    """A small maintenance-ready network, fully determined by its knobs.
+
+    ``oracle=True`` builds the :class:`OracleRuntime` reference instead.
+    """
     data_rng = np.random.default_rng(seed)
     dataset, _ = generate_random_walk(
         RandomWalkConfig(n_nodes=N_NODES, n_classes=3, length=200), data_rng
     )
     topology = uniform_random_topology(N_NODES, 1.5, data_rng)
-    runtime = SnapshotRuntime(
+    runtime = (OracleRuntime if oracle else SnapshotRuntime)(
         topology,
         dataset,
         # rule4_retry is shrunk so the election settles in ~13 time
@@ -67,7 +108,6 @@ def build_runtime(
         loss_model=GlobalLoss(loss),
         cache_factory=make_cache_factory(policy, 1024),
         keep_trace_records=True,
-        batched_rounds=batched_rounds,
     )
     # Rides inside the pickled graph, so per-round digests survive the
     # freeze/restore cycle along with everything else.

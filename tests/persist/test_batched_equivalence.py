@@ -1,17 +1,18 @@
-"""Differential proof that batched rounds match the scalar golden path.
+"""Differential proof that batched rounds match per-delivery application.
 
-``SnapshotRuntime(batched_rounds=True)`` routes every overheard
-measurement observation through the ``BatchedObservationRouter`` and —
-for the model-aware policy — applies them via the shared
-``ModelAwareCacheFleet``.  These cases pin the equivalence contract:
-the *entire observable outcome* (whole-sim digest, every component
-digest, trace records, message counters, event count, report rows,
-per-round digests) is equal to the scalar per-delivery path across
-both cache policies × lossless/lossy, through a randomized fault
+``SnapshotRuntime`` routes every overheard measurement observation
+through the ``BatchedObservationRouter`` and — for the model-aware
+policy — applies them via the shared ``ModelAwareCacheFleet``.  These
+cases pin the equivalence contract against the test-side
+``OracleRuntime`` (``tests/persist/conftest.py``), which builds no fleet
+and flushes its router after every enqueue: the *entire observable
+outcome* (whole-sim digest, every component digest, trace records,
+message counters, event count, report rows, per-round digests) is equal
+across both cache policies × lossless/lossy, through a randomized fault
 schedule, and through a checkpoint frozen mid-burst with observations
-still pending in the batch.  The unbatched runtime builds no fleet, so
-its model-aware caches run the scalar ``CacheLine`` engine: the
-model-aware cases double as the whole-run fleet-vs-scalar proof.
+still pending in the batch.  The oracle's model-aware caches run the
+scalar ``CacheLine`` engine, so the model-aware cases double as the
+whole-run fleet-vs-scalar proof.
 """
 
 from __future__ import annotations
@@ -21,12 +22,14 @@ from functools import partial
 import pytest
 
 from repro.core.config import ProtocolConfig
+from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.core.runtime import SnapshotRuntime
 
 from tests.persist.conftest import (
     SCRIPT,
+    OracleRuntime,
     assert_outcomes_equal,
     build_runtime,
     outcome,
@@ -34,17 +37,13 @@ from tests.persist.conftest import (
 
 
 def _run(seed, policy, loss, batched):
-    runtime = build_runtime(seed, policy, loss, batched_rounds=batched)
-    if batched:
-        assert runtime.observation_router is not None
-        if policy == "model-aware":
-            # The whole deployment shares one fleet, one lane per node.
-            fleet = runtime.observation_router.fleet
-            assert fleet is not None and fleet.F == len(runtime.nodes)
-        else:
-            assert runtime.observation_router.fleet is None
+    runtime = build_runtime(seed, policy, loss, oracle=not batched)
+    fleet = runtime.observation_router.fleet
+    if batched and policy == "model-aware":
+        # The whole deployment shares one fleet, one lane per node.
+        assert fleet is not None and fleet.F == len(runtime.nodes)
     else:
-        assert runtime.observation_router is None
+        assert fleet is None
     for step in SCRIPT:
         step(runtime)
     return outcome(runtime)
@@ -60,7 +59,7 @@ def _run(seed, policy, loss, batched):
     ],
 )
 def test_batched_matches_scalar_model_aware(seed, loss):
-    # Unbatched runs leave every cache unbound, so this is also the
+    # The oracle leaves every cache unbound, so this is also the
     # whole-run proof that the fleet engine matches the scalar one.
     batched = _run(seed, "model-aware", loss, batched=True)
     assert_outcomes_equal(batched, _run(seed, "model-aware", loss, batched=False))
@@ -77,21 +76,24 @@ def test_extended_batched_matches_scalar_round_robin(loss):
     )
 
 
-def _chaos_outcome(batched):
+def _chaos_outcome(monkeypatch, batched):
     config = ChaosConfig(
         seed=13,
         n_nodes=8,
         n_faults=5,
         loss_burst=0.15,
         keep_trace_records=True,
-        batched_rounds=batched,
     )
-    run = ChaosRun(config)
-    run.start()
-    result = run.finish()
+    with monkeypatch.context() as patch:
+        if not batched:
+            patch.setattr(chaos, "SnapshotRuntime", OracleRuntime)
+        run = ChaosRun(config)
+        run.start()
+        result = run.finish()
     runtime = result.runtime
     digest = runtime.state_digest()
     return {
+        "runtime": runtime,
         "ok": result.ok,
         "crashes": result.crashes,
         "revivals": result.revivals,
@@ -106,10 +108,12 @@ def _chaos_outcome(batched):
     }
 
 
-def test_extended_batched_chaos_schedule_matches_scalar():
+def test_extended_batched_chaos_schedule_matches_scalar(monkeypatch):
     """Crashes, revivals, partitions and a loss burst: still bit-identical."""
-    batched = _chaos_outcome(True)
-    scalar = _chaos_outcome(False)
+    batched = _chaos_outcome(monkeypatch, True)
+    scalar = _chaos_outcome(monkeypatch, False)
+    assert isinstance(scalar.pop("runtime"), OracleRuntime)
+    assert not isinstance(batched.pop("runtime"), OracleRuntime)
     assert batched == scalar
     assert batched["crashes"] > 0  # non-vacuity: faults really fired
 
@@ -118,9 +122,9 @@ def test_batched_checkpoint_mid_burst_resumes(tmp_path):
     """Freeze with observations still pending in the batch; the restored
     run flushes them exactly where the uninterrupted run would."""
     seed = 6
-    reference = _run(seed, "model-aware", 0.0, batched=True)
+    reference = _run(seed, "model-aware", 0.0, batched=False)
 
-    runtime = build_runtime(seed, "model-aware", 0.0, batched_rounds=True)
+    runtime = build_runtime(seed, "model-aware", 0.0)
     # Replay train()'s exact schedule, but drive it one event at a time
     # so we can stop mid-delivery-burst (train() itself runs the whole
     # window; see SnapshotRuntime.train).
@@ -159,8 +163,8 @@ def test_batched_checkpoint_mid_burst_resumes(tmp_path):
 
 
 def test_batched_respects_observe_node_label_knob():
-    """With the cardinality knob off, both paths key the counter by
-    action alone — and still agree cell-for-cell."""
+    """With the cardinality knob off, the runtime and the oracle key the
+    counter by action alone — and still agree cell-for-cell."""
     import numpy as np
 
     from repro.data.random_walk import RandomWalkConfig, generate_random_walk
@@ -173,12 +177,11 @@ def test_batched_respects_observe_node_label_knob():
             RandomWalkConfig(n_nodes=10, n_classes=2, length=100), rng
         )
         topology = uniform_random_topology(10, 1.5, rng)
-        runtime = SnapshotRuntime(
+        runtime = (SnapshotRuntime if batched else OracleRuntime)(
             topology,
             dataset,
             ProtocolConfig(observe_node_label=False),
             seed=2,
-            batched_rounds=batched,
         )
         runtime.train(duration=5.0)
         counter = runtime.metrics.counter("cache.observe", labels=("action",))

@@ -45,9 +45,9 @@ CACHE_BYTES = 4096
 def _build(n_shards=None, *, loss=0.0, cache_policy="model-aware", mode="inline"):
     """One runtime (reference when ``n_shards`` is None, else sharded).
 
-    Both sides get identical construction inputs; the per-entity RNG
-    discipline is what makes draw order independent of event
-    interleaving across shards.
+    Both sides get identical construction inputs; per-entity random
+    streams are what make draw order independent of event interleaving
+    across shards.
     """
     rng = np.random.default_rng(SEED)
     dataset, _ = generate_random_walk(
@@ -56,9 +56,7 @@ def _build(n_shards=None, *, loss=0.0, cache_policy="model-aware", mode="inline"
     topology = uniform_random_topology(
         N_NODES, 0.22, np.random.default_rng(SEED + 1)
     )
-    config = ProtocolConfig(
-        threshold=2.0, rng_discipline="per-entity", heartbeat_period=HEARTBEAT
-    )
+    config = ProtocolConfig(threshold=2.0, heartbeat_period=HEARTBEAT)
     kwargs = dict(
         seed=SEED,
         loss_model=PERFECT_LINKS if loss == 0 else GlobalLoss(loss),
@@ -172,15 +170,3 @@ def test_freeze_restore_at_sync_seam(tmp_path, cache_policy):
     assert original.state_digest() == ref_digest
     assert restored.state_digest() == ref_digest
     assert restored.merged_records() == original.merged_records()
-
-
-def test_sharded_requires_per_entity_rng():
-    """The shared-RNG discipline cannot be sharded; refuse loudly."""
-    rng = np.random.default_rng(SEED)
-    dataset, _ = generate_random_walk(
-        RandomWalkConfig(n_nodes=10, n_classes=2, length=50), rng
-    )
-    topology = uniform_random_topology(10, 0.5, np.random.default_rng(SEED))
-    config = ProtocolConfig(rng_discipline="shared")
-    with pytest.raises(ValueError, match="per-entity"):
-        ShardedRuntime(topology, dataset, config, n_shards=2)

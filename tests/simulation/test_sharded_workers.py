@@ -29,7 +29,7 @@ def _build(mode="process"):
     topology = uniform_random_topology(
         N_NODES, 0.5, np.random.default_rng(SEED + 1)
     )
-    config = ProtocolConfig(threshold=2.0, rng_discipline="per-entity")
+    config = ProtocolConfig(threshold=2.0)
     return ShardedRuntime(
         topology, dataset, config, seed=SEED, n_shards=2, mode=mode
     )
