@@ -30,6 +30,7 @@ reproducing the cascade of the paper's running example (Figures 3→4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.core.config import ProtocolConfig
@@ -167,7 +168,8 @@ class ProtocolNode:
         )
 
         self.device = radio.node(node_id)
-        self.device.attach(self._on_message)
+        self.device.protocol = self
+        radio.burst_dispatch = dispatch_burst
 
     # ------------------------------------------------------------------
     # public read side
@@ -632,9 +634,15 @@ class ProtocolNode:
     # ------------------------------------------------------------------
 
     def _on_message(self, message: Message, overheard: bool) -> None:
-        handler = _HANDLERS.get(type(message))
-        if handler is not None:
-            handler(self, message)
+        """Handle one delivered message: a burst of one receiver.
+
+        The radio hands whole bursts to :func:`dispatch_burst`; this is
+        the same table entry applied to this node alone.  Addressing
+        comes from the message itself, so ``overheard`` is implied.
+        """
+        burst = _BURSTS.get(type(message))
+        if burst is not None:
+            burst(message, (self,))
 
     def _on_invitation(self, message: Invitation) -> None:
         if message.sender == self.node_id:
@@ -726,7 +734,7 @@ class ProtocolNode:
             )
 
     def _on_accept(self, message: Accept) -> None:
-        if message.representative != self.node_id or message.epoch < self.epoch:
+        if message.epoch < self.epoch:
             return
         # Newer epochs are adopted, not rejected (monotone per node):
         # the accepting member may have re-synchronized to the network's
@@ -761,15 +769,11 @@ class ProtocolNode:
             self._reconsider()
 
     def _on_recall(self, message: Recall) -> None:
-        if message.target != self.node_id:
-            return
         self.represented.pop(message.sender, None)
         if self._refining:
             self._reconsider()
 
     def _on_stay_active(self, message: StayActive) -> None:
-        if message.target != self.node_id:
-            return
         if self.mode is NodeMode.PASSIVE:
             # Cannot honor without flipping modes; the requester falls
             # back to Rule-4 when no acknowledgment arrives.
@@ -798,7 +802,7 @@ class ProtocolNode:
         self._cancel_event("_rule4_event")
 
     def _on_heartbeat(self, message: Heartbeat) -> None:
-        if message.target != self.node_id or not self.alive:
+        if not self.alive:
             return
         # Read-after-write fallback: this handler both records an
         # observation and immediately serves an estimate from the store,
@@ -831,7 +835,7 @@ class ProtocolNode:
         self.check_energy()
 
     def _on_heartbeat_reply(self, message: HeartbeatReply) -> None:
-        if message.target != self.node_id or not self._await_reply:
+        if not self._await_reply:
             return
         if message.sender != self.representative_id:
             return
@@ -857,30 +861,6 @@ class ProtocolNode:
             and self.node_id in message.members
         ):
             self.start_reelection()
-
-    def _on_data_report(self, message: DataReport) -> None:
-        if message.sender == self.node_id:
-            return
-        # Only model raw measurements the reporter took itself; estimates
-        # produced on behalf of other nodes would poison the cache.
-        if message.estimated or message.origin != message.sender:
-            return
-        probability = self.snoop_probability
-        if probability <= 0:
-            return
-        if probability >= 1.0 or self._rng.random() < probability:
-            router = self.radio.observation_router
-            if router is not None:
-                # Queue the sample for the burst-end fleet sweep.  The
-                # CPU cost is charged now — it does not depend on the
-                # cache's decision — so the battery and ledger timelines
-                # match an inline application exactly.
-                router.enqueue(self, message.sender, self.value_fn(), message.value)
-                self.radio.charge_cpu(self.node_id)
-            else:
-                # A stand-alone node on a bare radio (no runtime, so no
-                # router) applies the sample inline.
-                self._record_observation(message.sender, self.value_fn(), message.value)
 
     # ------------------------------------------------------------------
     # helpers
@@ -957,18 +937,108 @@ class ProtocolNode:
         )
 
 
-#: Exact message type -> handler for :meth:`ProtocolNode._on_message`.
-#: Keyed on the exact type (protocol messages are never subclassed);
-#: query traffic has no entry and is ignored by the protocol layer.
-_HANDLERS = {
-    DataReport: ProtocolNode._on_data_report,
-    Heartbeat: ProtocolNode._on_heartbeat,
-    HeartbeatReply: ProtocolNode._on_heartbeat_reply,
-    Invitation: ProtocolNode._on_invitation,
-    CandidateList: ProtocolNode._on_candidate_list,
-    Accept: ProtocolNode._on_accept,
-    Recall: ProtocolNode._on_recall,
-    StayActive: ProtocolNode._on_stay_active,
-    AckRepresenting: ProtocolNode._on_ack_representing,
-    Resign: ProtocolNode._on_resign,
+# ----------------------------------------------------------------------
+# burst dispatch
+# ----------------------------------------------------------------------
+#
+# A *burst* is the single delivery event one transmission schedules for
+# all its surviving receivers.  The radio books the burst (liveness,
+# counters, receive energy) and then makes one call into this table with
+# the live receivers' protocol nodes, in receiver order.  Each entry
+# gives exactly the outcome of running the kind's handler on every
+# receiver in that order.  Entries are module-level functions (or
+# partials of them), so a radio holding :func:`dispatch_burst` pickles
+# with checkpoints.
+
+
+def dispatch_burst(message: Message, receivers) -> None:
+    """Run one delivery burst's protocol handlers (the radio's entry).
+
+    Keyed on the exact message type (protocol messages are never
+    subclassed); query traffic has no entry and is ignored here.
+    """
+    burst = _BURSTS.get(type(message))
+    if burst is not None:
+        burst(message, receivers)
+
+
+def _to_target(handler, address: str, message: Message, receivers) -> None:
+    """A unicast on the broadcast medium: only the receiver named by the
+    message's ``address`` field acts; its overheard copies were booked by
+    the radio and need nothing more."""
+    target = getattr(message, address)
+    for node in receivers:
+        if node.node_id == target:
+            handler(node, message)
+            return
+
+
+def _to_each(handler, message: Message, receivers) -> None:
+    """A broadcast: every receiver's handler, in receiver order."""
+    for node in receivers:
+        handler(node, message)
+
+
+def _burst_data_report(message: DataReport, receivers) -> None:
+    """Snoop an overheard measurement report (§3), as columns.
+
+    Per receiver this is: draw the snoop decision from its own
+    ``protocol.<id>`` stream, read its own value, and queue the sample
+    for the observation router with the §6.2 CPU charge — which does
+    not depend on the cache's decision, so charging at queue time keeps
+    the battery and ledger timelines of an inline application.  The
+    steps run as passes over the burst: the draws in receiver order
+    (each from its own stream), one gather of the snoopers' values, one
+    router call, then the CPU charges in receiver order, so every
+    battery, ledger cell and ledger total sums as it would receiver by
+    receiver.
+    """
+    # Only model raw measurements the reporter took itself; estimates
+    # produced on behalf of other nodes would poison the cache.
+    if message.estimated or message.origin != message.sender:
+        return
+    sender = message.sender
+    snoopers = []
+    for node in receivers:
+        probability = node.snoop_probability
+        if probability <= 0 or node.node_id == sender:
+            continue
+        if probability >= 1.0 or node._rng.random() < probability:
+            snoopers.append(node)
+    if not snoopers:
+        return
+    own_values = _own_values(snoopers)
+    radio = snoopers[0].radio
+    router = radio.observation_router
+    if router is None:
+        # Stand-alone nodes on a bare radio (no runtime, so no router)
+        # apply their samples inline.
+        for node, own in zip(snoopers, own_values):
+            node._record_observation(sender, own, message.value)
+        return
+    router.enqueue_burst(snoopers, sender, own_values, message.value)
+    radio.charge_cpu_each([node.node_id for node in snoopers])
+
+
+def _own_values(nodes: list) -> list[float]:
+    """Each node's current value; one gather when the readers allow it."""
+    read_many = getattr(nodes[0].value_fn, "read_many", None)
+    if read_many is not None:
+        values = read_many([node.value_fn for node in nodes])
+        if values is not None:
+            return values
+    return [node.value_fn() for node in nodes]
+
+
+_BURSTS = {
+    DataReport: _burst_data_report,
+    Heartbeat: partial(_to_target, ProtocolNode._on_heartbeat, "target"),
+    HeartbeatReply: partial(_to_target, ProtocolNode._on_heartbeat_reply, "target"),
+    Accept: partial(_to_target, ProtocolNode._on_accept, "representative"),
+    Recall: partial(_to_target, ProtocolNode._on_recall, "target"),
+    StayActive: partial(_to_target, ProtocolNode._on_stay_active, "target"),
+    Invitation: partial(_to_each, ProtocolNode._on_invitation),
+    CandidateList: partial(_to_each, ProtocolNode._on_candidate_list),
+    AckRepresenting: partial(_to_each, ProtocolNode._on_ack_representing),
+    Resign: partial(_to_each, ProtocolNode._on_resign),
 }

@@ -8,10 +8,11 @@ leaves the cross-cache fleet engine (``models.soa``) idle exactly where
 the simulation spends its time.
 
 :class:`BatchedObservationRouter` collects those observations instead:
-delivery handlers :meth:`enqueue` the ``(node, neighbor, own, value)``
-sample, and the simulator's observation barrier (see
-``Simulator.observation_barrier``) :meth:`flush`-es the batch before the
-next event that is not part of the same same-instant delivery burst.
+each delivery burst of a report hands its snoopers' ``(node, neighbor,
+own, value)`` samples to :meth:`enqueue_burst`, and the simulator's
+observation barrier (see ``Simulator.observation_barrier``)
+:meth:`flush`-es the batch before the next event that is not part of
+the same same-instant delivery burst.
 Fleet-backed caches are swept in *waves* through
 :meth:`~repro.models.soa.ModelAwareCacheFleet.observe_lanes` — wave *k*
 carries each lane's *k*-th pending sample, so per-lane order (the only
@@ -38,8 +39,11 @@ scalar run:
   span instants are emitted in global arrival order during the flush —
   the counter through one :meth:`~repro.obs.registry.CounterMetric.inc_by`
   per label key (cells appear in first-touch order, matching scalar
-  insertion order), the spans through the same
-  ``SpanTracer.instant`` call the scalar path uses.  The §6.2 CPU cost
+  insertion order), the instants through one
+  :meth:`~repro.obs.spans.SpanTracer.instants` call that counts them
+  all and builds their trace records only if they are kept or
+  subscribed — the records the scalar path's one
+  ``SpanTracer.instant`` per sample would build.  The §6.2 CPU cost
   is charged at enqueue time by the caller, keeping the battery/ledger
   timeline untouched.  The router registers no metrics of its own.
 
@@ -117,18 +121,26 @@ class BatchedObservationRouter:
     # producer side (delivery handlers)
     # ------------------------------------------------------------------
 
-    def enqueue(
+    def enqueue_burst(
         self,
-        node: "ProtocolNode",
+        nodes: list["ProtocolNode"],
         neighbor_id: int,
-        own_value: float,
+        own_values: list[float],
         neighbor_value: float,
     ) -> None:
-        """Queue one overheard sample for the next flush."""
+        """Queue one delivery burst's overheard samples for the next flush.
+
+        ``nodes[i]`` overheard ``neighbor_id`` report ``neighbor_value``
+        while its own value was ``own_values[i]``; the samples queue in
+        burst (receiver) order.
+        """
         pending = self.pending
         if not pending:
             self._pending_time = self.simulator.now
-        pending.append([node, neighbor_id, own_value, neighbor_value])
+        pending.extend(
+            [node, neighbor_id, own, neighbor_value]
+            for node, own in zip(nodes, own_values)
+        )
 
     def sync(self, node: "ProtocolNode") -> None:
         """Apply (and tombstone) ``node``'s pending samples scalarly.
@@ -282,21 +294,26 @@ class BatchedObservationRouter:
             # the registry; with it disabled there is nothing to emit.
             return
         node_label = self.node_label
-        instant = spans.instant
+        reject = Action.REJECT
         agg: dict = {}
+        admits = 0
         for entry, action in zip(entries, actions):
             node = entry[0]
             if node is None:
                 continue
             key = (node.node_id, action) if node_label else action
             agg[key] = agg.get(key, 0) + 1
-            if action != Action.REJECT:
-                instant(
-                    "cache.admit",
-                    node=node.node_id,
-                    neighbor=entry[1],
-                    action=action,
-                )
+            if action != reject:
+                admits += 1
+        spans.instants(
+            "cache.admit",
+            admits,
+            (
+                {"node": entry[0].node_id, "neighbor": entry[1], "action": action}
+                for entry, action in zip(entries, actions)
+                if entry[0] is not None and action != reject
+            ),
+        )
         inc_by = self._counter.inc_by
         for key, count in agg.items():
             inc_by(key, count)

@@ -73,6 +73,20 @@ class _NodeValueReader:
     def __call__(self) -> float:
         return self.runtime.dataset.value(self.node_id, self.runtime.simulator.now)
 
+    def read_many(self, readers: list) -> Optional[list[float]]:
+        """The values of ``readers`` now, as one gather from the dataset.
+
+        ``None`` unless every reader is a reader of this runtime; the
+        caller then calls them one by one.
+        """
+        runtime = self.runtime
+        ids = []
+        for reader in readers:
+            if type(reader) is not _NodeValueReader or reader.runtime is not runtime:
+                return None
+            ids.append(reader.node_id)
+        return runtime.dataset.values_at(ids, runtime.simulator.now)
+
 
 class SnapshotRuntime:
     """A fully assembled snapshot-query sensor network.

@@ -59,10 +59,16 @@ class Dataset:
         first sample raises, querying past the end returns the last
         sample (the sensor keeps reporting its latest reading).
         """
+        return float(self._values[node_id, self._index(time)])
+
+    def values_at(self, node_ids: Sequence[int], time: float) -> list[float]:
+        """:meth:`value` of each of ``node_ids`` at ``time``, in one gather."""
+        return self._values[node_ids, self._index(time)].tolist()
+
+    def _index(self, time: float) -> int:
         if time < 0:
             raise ValueError(f"cannot read a measurement at negative time {time}")
-        index = min(int(time), self.length - 1)
-        return float(self._values[node_id, index])
+        return min(int(time), self.length - 1)
 
     def slice_time(self, start: int, stop: int) -> "Dataset":
         """A dataset restricted to sample indexes ``[start, stop)``."""

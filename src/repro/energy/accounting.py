@@ -36,14 +36,28 @@ class EnergyLedger:
 
     def record(self, node_id: int, category: str, amount: float) -> None:
         """Charge ``amount`` against ``node_id`` under ``category``."""
+        self.record_each((node_id,), category, amount)
+
+    def record_each(self, node_ids, category: str, amount: float) -> None:
+        """:meth:`record` ``amount`` for each of ``node_ids``, in order.
+
+        The category total adds the draws one by one, so it sums to the
+        same float as one :meth:`record` call per node.
+        """
         if category not in self.CATEGORIES:
             raise ValueError(
                 f"unknown category {category!r}; expected one of {self.CATEGORIES}"
             )
         if amount < 0:
             raise ValueError(f"cannot record negative energy {amount}")
-        self._cells[(node_id, category)] += amount
-        self._totals[category] += amount
+        if not node_ids:
+            return
+        cells = self._cells
+        total = self._totals[category]
+        for node_id in node_ids:
+            cells[(node_id, category)] += amount
+            total += amount
+        self._totals[category] = total
 
     def node_total(self, node_id: int) -> float:
         """Total energy drawn by ``node_id`` across all categories."""

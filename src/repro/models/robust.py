@@ -21,6 +21,7 @@ the natural fit for a metric by name.
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import Sequence
 
@@ -39,7 +40,10 @@ def theil_sen(pairs: Sequence[tuple[float, float]]) -> LinearModel:
     """The Theil–Sen line: median pairwise slope, median-residual intercept.
 
     Degenerate inputs (fewer than two distinct x values) fall back to
-    the constant model, matching Lemma 1's special case.
+    the constant model, matching Lemma 1's special case.  Two x values
+    so close that their slope overflows count as one, and a line whose
+    intercept overflows falls back the same way, so the fit is always
+    finite.
 
     Raises
     ------
@@ -55,11 +59,16 @@ def theil_sen(pairs: Sequence[tuple[float, float]]) -> LinearModel:
         for j in range(i + 1, n):
             xj, yj = pairs[j]
             if xi != xj:
-                slopes.append((yj - yi) / (xj - xi))
+                slope = (yj - yi) / (xj - xi)
+                if math.isfinite(slope):
+                    slopes.append(slope)
+    constant = LinearModel(slope=0.0, intercept=statistics.median(y for _, y in pairs))
     if not slopes:
-        return LinearModel(slope=0.0, intercept=statistics.median(y for _, y in pairs))
+        return constant
     slope = statistics.median(slopes)
     intercept = statistics.median(y - slope * x for x, y in pairs)
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        return constant
     return LinearModel(slope=slope, intercept=intercept)
 
 

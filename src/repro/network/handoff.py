@@ -5,8 +5,8 @@ When the topology is partitioned across shard workers (see
 a shard boundary cannot schedule the remote receivers' delivery on the
 sender's local event queue.  Instead the sending shard emits a
 :class:`RadioHandoff` — the absolute arrival time, the sender-minted
-lineage stamp, the message and the remote ``(receiver, overheard)``
-pairs — and the controller routes it to each owning shard, which
+lineage stamp, the message, the remote receiver ids and the target —
+and the controller routes it to each owning shard, which
 re-inserts it verbatim via :meth:`~repro.network.radio.Radio.receive_handoff`.
 
 Because loss is sampled entirely on the sender side (from the sender's
@@ -41,14 +41,17 @@ class RadioHandoff:
     message:
         The transmitted message (loss already applied by the sender).
     receivers:
-        ``(receiver_id, overheard)`` pairs for receivers the sending
-        shard does not own, in ascending receiver order.
+        Ids of the receivers the sending shard does not own, in
+        ascending order.
+    target:
+        The unicast target, or ``None`` for a broadcast.
     """
 
     time: float
     stamp: Optional[tuple]
     message: Message
-    receivers: tuple[tuple[int, bool], ...]
+    receivers: tuple[int, ...]
+    target: Optional[int]
 
 
 def split_by_owner(
@@ -58,19 +61,18 @@ def split_by_owner(
 
     Receiver order within each fragment preserves the original
     (ascending-id) order, so concatenating fragments by receiver rank
-    reconstructs the reference delivery's pending list exactly.
+    reconstructs the reference delivery's receiver list exactly.
     """
-    by_shard: dict[int, list[tuple[int, bool]]] = {}
-    for receiver_id, overheard in handoff.receivers:
-        by_shard.setdefault(owner_of[receiver_id], []).append(
-            (receiver_id, overheard)
-        )
+    by_shard: dict[int, list[int]] = {}
+    for receiver_id in handoff.receivers:
+        by_shard.setdefault(owner_of[receiver_id], []).append(receiver_id)
     return {
         shard: RadioHandoff(
             time=handoff.time,
             stamp=handoff.stamp,
             message=handoff.message,
-            receivers=tuple(pairs),
+            receivers=tuple(ids),
+            target=handoff.target,
         )
-        for shard, pairs in by_shard.items()
+        for shard, ids in by_shard.items()
     }

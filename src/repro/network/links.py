@@ -153,6 +153,9 @@ class PerLinkLoss(LossModel):
             raise ValueError(f"base loss probability must be in [0,1], got {base}")
         self.base = float(base)
         self.overrides: dict[tuple[int, int], float] = {}
+        #: Overridden links that can drop a message, kept by
+        #: :meth:`set_link` so :attr:`lossless` answers in O(1).
+        self._lossy_links = 0
         for link, p in (overrides or {}).items():
             self.set_link(link[0], link[1], p)
 
@@ -160,7 +163,9 @@ class PerLinkLoss(LossModel):
         """Override the loss probability of the directed link."""
         if not 0.0 <= probability <= 1.0:
             raise ValueError(f"loss probability must be in [0,1], got {probability}")
-        self.overrides[(sender, receiver)] = float(probability)
+        link = (sender, receiver)
+        self._lossy_links += (probability > 0.0) - (self.overrides.get(link, 0.0) > 0.0)
+        self.overrides[link] = float(probability)
 
     def block_link(self, sender: int, receiver: int) -> None:
         """Model an obstacle: the directed link never delivers."""
@@ -171,7 +176,7 @@ class PerLinkLoss(LossModel):
 
     @property
     def lossless(self) -> bool:
-        return self.base <= 0.0 and all(p <= 0.0 for p in self.overrides.values())
+        return self.base <= 0.0 and not self._lossy_links
 
     def loss_vector(
         self,

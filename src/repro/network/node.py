@@ -1,12 +1,12 @@
 """The physical sensor node.
 
-:class:`NetworkNode` is the *device*: an id, a battery, and a set of
-attached message handlers.  All protocol intelligence (model management,
-election, query processing) lives in higher layers that attach handlers;
-the device merely hands every delivered message to them, flagging
-whether the node was the intended target or merely *overheard* a
-transmission on the shared medium — the paper's model-building snoops
-on exactly such overheard traffic (§3).
+:class:`NetworkNode` is the *device*: an id, a battery, the protocol
+instance resident on it and a set of attached message handlers.  All
+protocol intelligence (model management, election, query processing)
+lives in higher layers; the device merely hands every delivered message
+to them, flagging whether the node was the intended target or merely
+*overheard* a transmission on the shared medium — the paper's
+model-building snoops on exactly such overheard traffic (§3).
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ class NetworkNode:
         self.node_id = node_id
         self.battery = battery if battery is not None else Battery(None)
         self._handlers: tuple[MessageHandler, ...] = ()
+        #: The protocol instance running on this device (a
+        #: :class:`~repro.core.protocol.ProtocolNode` registers itself),
+        #: or ``None``.  The radio hands it whole delivery bursts
+        #: through the protocol layer's burst table rather than one
+        #: message at a time; :meth:`deliver` is the one-message form.
+        self.protocol = None
         self._failed = False
 
     @property
@@ -78,14 +84,19 @@ class NetworkNode:
         self._handlers = tuple(handlers)
 
     def deliver(self, message: Message, overheard: bool = False) -> None:
-        """Dispatch a delivered message to all attached handlers.
+        """Dispatch one delivered message: the protocol, then each handler.
 
-        The caller filters liveness: the radio checks :attr:`alive`
-        once per receiver and never delivers to a dead node, so this
-        hot path does not check again.  Handlers are stored as an
+        The caller filters liveness and never delivers to a dead node,
+        so this does not check again.  Handlers are stored as an
         immutable tuple so dispatch iterates a stable snapshot;
         attach/detach during dispatch affect only later deliveries.
+        The radio itself dispatches whole bursts (see
+        :meth:`~repro.network.radio.Radio._deliver_batch`) with the
+        same per-receiver outcome.
         """
+        protocol = self.protocol
+        if protocol is not None:
+            protocol._on_message(message, overheard)
         for handler in self._handlers:
             handler(message, overheard)
 

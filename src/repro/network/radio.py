@@ -11,6 +11,12 @@ designated target — non-target receivers get the message flagged as
 §3 ("snooping ... values broadcast by its neighbor node in response to
 a query").
 
+One transmission schedules one delivery *burst*: a single event
+carrying the message, the surviving receivers' ids and the target.  It
+books every receiver, then hands the live receivers' protocols the
+whole burst in one call into the protocol layer, which dispatches by
+message type (see ``core.protocol``).
+
 Energy: the sender pays the transmit cost once per transmission (not per
 receiver), receivers pay the receive cost (zero in the paper's
 accounting), and both are booked in the :class:`~repro.energy.EnergyLedger`.
@@ -108,6 +114,12 @@ class Radio:
         #: into its per-burst batch; on a bare radio (no runtime) it
         #: stays ``None`` and they apply them inline.
         self.observation_router = None
+        #: The protocol layer's burst entry point,
+        #: ``burst_dispatch(message, protocols)``: runs one delivery
+        #: burst's handlers for the receivers' resident protocols.  Set
+        #: by the first protocol instance on this radio (a module-level
+        #: function, so checkpoints pickle it by name).
+        self.burst_dispatch = None
 
     # -- registration ------------------------------------------------------
 
@@ -214,9 +226,12 @@ class Radio:
         the sender's own ``radio.<sender>`` stream, in ``out_neighbors``
         order, and covers every in-range receiver regardless of
         liveness, so neither interleaving with other senders nor remote
-        node state changes the stream position.  The loss survivors ride
-        a single delivery event; dead ones among them are filtered — and
-        booked as ``dropped_dead`` — when the batch is delivered, in the
+        node state changes the stream position.  A lossless model draws
+        nothing, so its call is skipped; the stream is still created,
+        as every sender's stream is part of the digested state.  The
+        loss survivors' ids ride a single delivery event (the *burst*);
+        dead ones among them are filtered — and booked as
+        ``dropped_dead`` — when the burst is delivered, in the
         receiver's own shard.
         """
         sender = message.sender
@@ -224,46 +239,41 @@ class Radio:
         self._fanout.observe(len(receivers))
         if not receivers:
             return
-        outcomes = self.loss_model.loss_vector(
-            sender, receivers, self._sender_rng(sender)
-        )
-        if outcomes.all():
-            survivors = receivers
-        else:
-            self.stats.record_dropped(message, len(receivers) - int(outcomes.sum()))
-            survivors = [rid for rid, ok in zip(receivers, outcomes) if ok]
-            if not survivors:
-                return
+        rng = self._sender_rng(sender)
+        if not self.loss_model.lossless:
+            outcomes = self.loss_model.loss_vector(sender, receivers, rng)
+            if not outcomes.all():
+                self.stats.record_dropped(
+                    message, len(receivers) - int(outcomes.sum())
+                )
+                receivers = [rid for rid, ok in zip(receivers, outcomes) if ok]
+                if not receivers:
+                    return
+        label = f"deliver:{message.kind}"
         local_ids = self.shard_local_ids
         if local_ids is None:
-            nodes = self._nodes
-            pending = [
-                (nodes[rid], target is not None and rid != target)
-                for rid in survivors
-            ]
-            self._schedule_batch(message, pending)
+            # Deliveries are never cancelled, so they ride the
+            # allocation-free transient slab instead of an Event handle.
+            self.simulator.schedule_transient(
+                self.latency,
+                partial(self._deliver_batch, message, receivers, target),
+                label=label,
+                priority=DELIVERY_PRIORITY,
+            )
             return
-        nodes = self._nodes
-        pending = []
-        remote = []
-        for rid in survivors:
-            overheard = target is not None and rid != target
-            if rid in local_ids:
-                pending.append((nodes[rid], overheard))
-            else:
-                remote.append((rid, overheard))
-        # One stamp per transmission, shared by the local batch and all
+        local = [rid for rid in receivers if rid in local_ids]
+        remote = [rid for rid in receivers if rid not in local_ids]
+        # One stamp per transmission, shared by the local burst and all
         # handoff copies: the receiving shards' entries then merge back
         # into the single delivery the reference run schedules.
         simulator = self.simulator
         lineage = simulator.lineage
         stamp = None if lineage is None else lineage.next_stamp(simulator.now)
         arrival = simulator.now + self.latency
-        label = f"deliver:{message.kind}"
-        if pending:
+        if local:
             simulator.inject_transient_at(
                 arrival,
-                partial(self._deliver_batch, message, pending),
+                partial(self._deliver_batch, message, local, target),
                 label=label,
                 priority=DELIVERY_PRIORITY,
                 sortkey=stamp,
@@ -277,87 +287,104 @@ class Radio:
                     stamp=stamp,
                     message=message,
                     receivers=tuple(remote),
+                    target=target,
                 )
             )
 
     def receive_handoff(self, handoff) -> None:
         """Insert a boundary-crossing delivery minted by another shard."""
-        nodes = self._nodes
-        pending = [(nodes[rid], overheard) for rid, overheard in handoff.receivers]
         self.simulator.inject_transient_at(
             handoff.time,
-            partial(self._deliver_batch, handoff.message, pending),
+            partial(
+                self._deliver_batch, handoff.message, handoff.receivers, handoff.target
+            ),
             label=f"deliver:{handoff.message.kind}",
             priority=DELIVERY_PRIORITY,
             sortkey=handoff.stamp,
         )
 
-    def _schedule_batch(
-        self, message: Message, pending: list[tuple[NetworkNode, bool]]
-    ) -> None:
-        # Deliveries are never cancelled, so they ride the allocation-free
-        # transient slab instead of carrying an Event handle.
-        self.simulator.schedule_transient(
-            self.latency,
-            partial(self._deliver_batch, message, pending),
-            label=f"deliver:{message.kind}",
-            priority=DELIVERY_PRIORITY,
-        )
-
     def _deliver_batch(
-        self, message: Message, pending: list[tuple[NetworkNode, bool]]
+        self, message: Message, receivers, target: Optional[int]
     ) -> None:
-        # NetworkNode.deliver does not check liveness; this loop does,
-        # once per receiver, and again after a paid receive, which can
-        # drain the battery.  A free receive skips the no-op zero draw.
-        cost_receive = self.cost_model.receive
-        delivered = self.stats.delivered
+        """Deliver one burst: ``message`` to the ``receivers`` ids.
+
+        One pass books the burst: receivers dead on arrival are counted
+        as ``dropped_dead``, the rest as delivered, and a nonzero
+        receive cost is drawn — dropping the receivers it drains — all
+        before any handler runs.  The live devices' resident protocols
+        then get the burst in one :attr:`burst_dispatch` call, and
+        devices with attached handlers get those, flagged ``overheard``
+        unless addressed.  Neither a node's own handlers nor anything
+        it sends can change another receiver's liveness, so this is
+        the per-receiver outcome of :meth:`NetworkNode.deliver`.
+        """
+        nodes = self._nodes
+        live = [device for device in map(nodes.__getitem__, receivers) if device.alive]
+        if len(live) < len(receivers):
+            self.stats.record_dropped_dead(message, len(receivers) - len(live))
+            if not live:
+                return
         kind = message.kind
+        self.stats.delivered.update([(device.node_id, kind) for device in live])
+        cost_receive = self.cost_model.receive
+        if cost_receive > 0:
+            for device in live:
+                device.battery.draw(cost_receive)
+            self.ledger.record_each(
+                [device.node_id for device in live], "receive", cost_receive
+            )
+            live = [device for device in live if device.alive]
         lineage = self.simulator.lineage
         if lineage is None:
-            for receiver, overheard in pending:
-                if not receiver.alive:
-                    self.stats.record_dropped_dead(message, 1)
-                    continue
-                delivered[(receiver.node_id, kind)] += 1
-                if cost_receive > 0:
-                    receiver.battery.draw(cost_receive)
-                    self.ledger.record(receiver.node_id, "receive", cost_receive)
-                    if not receiver.alive:
-                        continue
-                receiver.deliver(message, overheard)
+            self._dispatch(message, live, target)
             return
-        # Lineage mode: each receiver's handler runs in a branch scope so
-        # the events it schedules align on the receiver id across shards.
+        # Lineage mode: each receiver's handlers run in a branch scope so
+        # the events they schedule align on the receiver id across shards.
         fan_token = lineage.fan_begin()
         try:
-            for receiver, overheard in pending:
-                if not receiver.alive:
-                    self.stats.record_dropped_dead(message, 1)
-                    continue
-                branch_token = lineage.branch_begin(receiver.node_id)
+            for device in live:
+                branch_token = lineage.branch_begin(device.node_id)
                 try:
-                    delivered[(receiver.node_id, kind)] += 1
-                    if cost_receive > 0:
-                        receiver.battery.draw(cost_receive)
-                        self.ledger.record(receiver.node_id, "receive", cost_receive)
-                        if not receiver.alive:
-                            continue
-                    receiver.deliver(message, overheard)
+                    self._dispatch(message, (device,), target)
                 finally:
                     lineage.branch_end(branch_token)
         finally:
             lineage.fan_end(fan_token)
 
+    def _dispatch(self, message: Message, devices, target: Optional[int]) -> None:
+        """One call for the devices' protocols, then their own handlers."""
+        protocols = [
+            device.protocol for device in devices if device.protocol is not None
+        ]
+        if protocols:
+            self.burst_dispatch(message, protocols)
+        for device in devices:
+            handlers = device._handlers
+            if handlers:
+                overheard = target is not None and device.node_id != target
+                for handler in handlers:
+                    handler(message, overheard)
+
     # -- misc --------------------------------------------------------------
 
     def charge_cpu(self, node_id: int, multiplier: float = 1.0) -> None:
         """Charge one cache-maintenance run's CPU cost to ``node_id``."""
+        self.charge_cpu_each((node_id,), multiplier)
+
+    def charge_cpu_each(self, node_ids, multiplier: float = 1.0) -> None:
+        """:meth:`charge_cpu` for each of ``node_ids``, in order.
+
+        Dead nodes are skipped; each draw and ledger entry lands in id
+        order, so battery and ledger sums match one call per node.
+        """
         cost = self.cost_model.cpu_cache_update * multiplier
         if cost <= 0:
             return
-        node = self._nodes[node_id]
-        if not node.alive:
-            return
-        node.battery.draw(cost)
-        self.ledger.record(node_id, "cpu", cost)
+        nodes = self._nodes
+        charged = []
+        for node_id in node_ids:
+            node = nodes[node_id]
+            if node.alive:
+                node.battery.draw(cost)
+                charged.append(node_id)
+        self.ledger.record_each(charged, "cpu", cost)

@@ -179,9 +179,23 @@ class SpanTracer:
 
     def instant(self, name: str, **labels: Any) -> None:
         """Emit a single zero-duration ``span.instant`` record."""
-        if not self.enabled:
+        self.instants(name, 1, (labels,))
+
+    def instants(self, name: str, count: int, labels) -> None:
+        """Emit ``count`` ``span.instant`` records of ``name`` at once.
+
+        ``labels`` yields each record's label dict, in order; it is
+        consumed only if the trace log keeps or forwards the records,
+        so a bulk emission that nobody reads costs one counter update.
+        """
+        if not self.enabled or not count:
             return
-        self.trace.emit(self._clock.now, "span.instant", name=name, **labels)
+        self.trace.emit_many(
+            self._clock.now,
+            "span.instant",
+            count,
+            ({"name": name, **row} for row in labels),
+        )
 
     def _finish(self, span: Span) -> None:
         duration = span.ended_at - span.started_at

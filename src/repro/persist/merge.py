@@ -155,22 +155,13 @@ def _sum_cells(maps: Iterable[dict]) -> dict:
     return merged
 
 
-def _receiver_rank(pending_entry: tuple) -> int:
-    # A described pending pair is ((type_name, (("node_id", id), ...)), overheard).
-    hint = pending_entry[0]
-    for attr, value in hint[1]:
-        if attr == "node_id":
-            return value
-    raise ValueError(f"pending receiver without a node_id hint: {pending_entry!r}")
-
-
 def _merge_queue_group(label: str, members: list[tuple]) -> tuple:
     """Collapse same-stamp entries from different shards into one.
 
     ``members`` holds each shard's ``(time, priority, label, descriptor)``
     for one lineage stamp.  Identical members are a replicated event;
     ``deliver:*`` members are fragments of one split transmission whose
-    receiver lists concatenate in ascending id order; snoop toggles
+    receiver id lists concatenate in ascending order; snoop toggles
     carry per-shard slices of the saved-probability dict that union.
     """
     first = members[0]
@@ -178,12 +169,14 @@ def _merge_queue_group(label: str, members: list[tuple]) -> tuple:
         return first
     time, priority, _, descriptor = first
     if label.startswith("deliver:"):
-        # ("partial", fn, (message_desc, pending_desc)) fragments.
+        # ("partial", fn, (message_desc, receiver_ids, target)) fragments.
         fn = _take_equal([m[3][1] for m in members], f"{label} callback")
         message = _take_equal([m[3][2][0] for m in members], f"{label} message")
-        pairs = [pair for m in members for pair in m[3][2][1]]
-        pairs.sort(key=_receiver_rank)
-        return (time, priority, label, ("partial", fn, (message, tuple(pairs))))
+        target = _take_equal([m[3][2][2] for m in members], f"{label} target")
+        receivers = tuple(sorted(rid for m in members for rid in m[3][2][1]))
+        return (
+            time, priority, label, ("partial", fn, (message, receivers, target))
+        )
     if label == "train:snoop-restore":
         fn = _take_equal([m[3][1] for m in members], f"{label} callback")
         saved = _union([m[3][2][0] for m in members], "saved snoop probabilities")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = ["TraceRecord", "TraceLog", "TraceSubscription"]
 
@@ -109,15 +109,31 @@ class TraceLog:
         subscription of ``kind`` receives it; otherwise only the
         counter moves.
         """
-        self.counts[kind] += 1
+        self.emit_many(time, kind, 1, (payload,))
+
+    def emit_many(
+        self, time: float, kind: str, count: int, payloads: Iterable[dict[str, Any]]
+    ) -> None:
+        """Record ``count`` occurrences of ``kind`` at ``time`` in one call.
+
+        ``payloads`` yields the ``count`` payload dicts in order.
+        Records are built — and ``payloads`` consumed — only when they
+        are stored or some subscription of ``kind`` receives them;
+        otherwise only the counter moves, by ``count``.  Subscribers
+        registered by a callback take effect from the next call.
+        """
+        if count <= 0:
+            return
+        self.counts[kind] += count
         subscribers = self._subscribers.get(kind)
         if not (self.keep_records or subscribers):
             return
-        record = TraceRecord(time=time, kind=kind, payload=payload)
-        if self.keep_records:
-            self.records.append(record)
-        for subscription in subscribers or ():
-            subscription._deliver(record)
+        for payload in payloads:
+            record = TraceRecord(time=time, kind=kind, payload=payload)
+            if self.keep_records:
+                self.records.append(record)
+            for subscription in subscribers or ():
+                subscription._deliver(record)
 
     def subscribe(
         self, kind: str, callback: Callable[[TraceRecord], None]

@@ -35,6 +35,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[1.0]]).value(0, -0.5)
 
+    def test_values_at_gathers_value(self):
+        data = Dataset(np.arange(12.0).reshape(3, 4))
+        for time in (0.0, 2.5, 99.0):
+            got = data.values_at([2, 0, 2], time)
+            assert got == [data.value(i, time) for i in (2, 0, 2)]
+            assert all(type(v) is float for v in got)
+        with pytest.raises(ValueError):
+            data.values_at([0], -0.5)
+
     def test_series_row(self):
         data = Dataset([[1.0, 2.0], [3.0, 4.0]])
         assert list(data.series(1)) == [3.0, 4.0]

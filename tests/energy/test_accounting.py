@@ -63,3 +63,16 @@ class TestLedger:
         ledger.clear()
         assert ledger.total() == 0.0
         assert ledger.node_total(0) == 0.0
+
+    def test_record_each_equals_repeated_record(self):
+        one, bulk = EnergyLedger(), EnergyLedger()
+        ids = [3, 1, 3, 2]
+        for node_id in ids:
+            one.record(node_id, "cpu", 0.1)
+        bulk.record_each(ids, "cpu", 0.1)
+        assert bulk.total("cpu") == one.total("cpu")  # same float, not approx
+        assert [bulk.node_total(i) for i in (1, 2, 3)] == [
+            one.node_total(i) for i in (1, 2, 3)
+        ]
+        with pytest.raises(ValueError):
+            bulk.record_each(ids, "flux", 0.1)

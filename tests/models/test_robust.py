@@ -41,6 +41,13 @@ class TestTheilSen:
         with pytest.raises(ValueError):
             theil_sen([])
 
+    def test_subnormal_x_gap_stays_finite(self):
+        """An x gap so small that the pairwise slope overflows counts
+        as one x value, not as an infinite slope."""
+        model = theil_sen([(0.0, 0.0), (0.0, 0.0), (2.225073858507e-311, 1.0)])
+        assert model.slope == 0.0
+        assert model.intercept == 0.0
+
     @given(pair_lists)
     @settings(max_examples=40, deadline=None)
     def test_finite_on_arbitrary_input(self, pairs):

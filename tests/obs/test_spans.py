@@ -32,6 +32,16 @@ def assert_spans_balanced(trace: TraceLog) -> None:
 
 
 class TestSpanBasics:
+    def test_instants_record_each_label_set_in_order(self):
+        tracer = make_tracer()
+        tracer._clock.now = 4.0
+        rows = [{"node": 1, "action": "shift"}, {"node": 2, "action": "augment"}]
+        tracer.instants("cache.admit", len(rows), iter(rows))
+        assert [(r.time, r.kind, r.payload) for r in tracer.trace.records] == [
+            (4.0, "span.instant", {"name": "cache.admit", **row}) for row in rows
+        ]
+        assert tracer.trace.count("span.instant") == 2
+
     def test_context_manager_emits_balanced_pair(self):
         tracer = make_tracer()
         with tracer.span("election", epoch=1) as span:
@@ -87,6 +97,11 @@ class TestSpanBasics:
 
 
 class TestDisabledTracer:
+    def test_disabled_instants_emit_nothing(self):
+        tracer = make_tracer(MetricsRegistry(enabled=False))
+        tracer.instants("cache.admit", 2, iter([{}, {}]))
+        assert tracer.trace.counts == Counter()
+
     def test_disabled_registry_yields_null_span(self):
         registry = MetricsRegistry(enabled=False)
         tracer = make_tracer(registry)

@@ -46,25 +46,26 @@ def pytest_collection_modifyitems(items):
 
 
 class _EagerRouter(BatchedObservationRouter):
-    """The production router, flushed after every enqueue.
+    """The production router, flushed after every sample of a burst.
 
     Each overheard sample is then applied inside the delivery that
-    carried it, before the CPU charge that follows the enqueue — the
+    carried it, in receiver order, before the burst's CPU charges — the
     order a stand-alone node applies it inline.
     """
 
-    def enqueue(self, node, neighbor_id, own_value, neighbor_value) -> None:
-        super().enqueue(node, neighbor_id, own_value, neighbor_value)
-        self.flush()
+    def enqueue_burst(self, nodes, neighbor_id, own_values, neighbor_value) -> None:
+        for node, own in zip(nodes, own_values):
+            super().enqueue_burst([node], neighbor_id, [own], neighbor_value)
+            self.flush()
 
 
 class OracleRuntime(SnapshotRuntime):
     """Test-side reference for the batched observation path.
 
     It builds no fleet, so its model-aware caches run the scalar §4
-    ``CacheLine`` engine, and its router flushes after every delivery's
-    sample.  Comparing a whole run against :class:`SnapshotRuntime` thus
-    proves both the fleet engine against the scalar one and the burst
+    ``CacheLine`` engine, and its router flushes after every sample.
+    Comparing a whole run against :class:`SnapshotRuntime` thus proves
+    both the fleet engine against the scalar one and the burst
     barrier against per-delivery application.
     """
 

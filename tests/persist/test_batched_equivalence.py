@@ -28,6 +28,7 @@ from repro.persist import load_checkpoint, save_checkpoint
 from repro.core.runtime import SnapshotRuntime
 
 from tests.persist.conftest import (
+    HORIZON,
     SCRIPT,
     OracleRuntime,
     assert_outcomes_equal,
@@ -160,6 +161,39 @@ def test_batched_checkpoint_mid_burst_resumes(tmp_path):
     for step in SCRIPT[1:]:
         step(resumed)
     assert_outcomes_equal(outcome(resumed), reference)
+
+
+def _read_soon_after_burst(batched):
+    """Evaluate an election 0.049 time units after an un-synced burst.
+
+    Training ticks at 0 and 1 give every node its second sample of each
+    neighbor in the burst delivered at 1.001; the election's evaluate
+    phase at 1.05 then reads those caches through ``can_represent``,
+    which nothing syncs first.  Only the barrier stands between the two:
+    applied any later, the burst's samples miss the read (one sample
+    is not yet a model), and the candidate lists come out different.
+    """
+    runtime = build_runtime(9, "model-aware", 0.0, oracle=not batched)
+    end = runtime._schedule_train(start=0.0, duration=2.0)
+    runtime.coordinator.start_round(at=0.95)
+    runtime.simulator.run_until(end)
+    lists = {
+        node_id: dict(node._heard_list_lengths)
+        for node_id, node in runtime.nodes.items()
+    }
+    runtime.advance_to(0.95 + runtime.coordinator.settle_delay)
+    runtime.start_maintenance()
+    runtime.advance_to(HORIZON)
+    return lists, outcome(runtime)
+
+
+def test_batched_barrier_flushes_before_a_read_soon_after_the_burst():
+    lists, batched = _read_soon_after_burst(True)
+    oracle_lists, scalar = _read_soon_after_burst(False)
+    assert lists == oracle_lists
+    assert_outcomes_equal(batched, scalar)
+    # Non-vacuity: the read right after the burst found usable models.
+    assert any(length for heard in lists.values() for length in heard.values())
 
 
 def test_batched_respects_observe_node_label_knob():

@@ -148,6 +148,17 @@ def test_lossless_is_derived_from_the_model():
     assert links.lossless
     links.block_link(0, 1)
     assert not links.lossless
+    # Kept by ``set_link`` in O(1): overriding a lossy link back to zero
+    # restores losslessness, a lossless override never breaks it.
+    links.set_link(0, 1, 0.0)
+    links.set_link(2, 3, 0.0)
+    assert links.lossless
+    links.set_link(2, 3, 0.5)
+    links.set_link(2, 3, 0.7)
+    assert not links.lossless
+    links.set_link(2, 3, 0.0)
+    assert links.lossless
+    assert not PerLinkLoss(0.0, overrides={(4, 5): 0.2}).lossless
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,29 @@ from repro.simulation.tracing import TraceLog
 
 
 class TestTraceLog:
+    def test_emit_many_records_each_payload_in_order(self):
+        log = TraceLog()
+        seen = []
+        log.subscribe("x", lambda record: seen.append(record.payload["i"]))
+        log.emit_many(2.0, "x", 3, ({"i": i} for i in range(3)))
+        assert log.records == [
+            tracing.TraceRecord(time=2.0, kind="x", payload={"i": i}) for i in range(3)
+        ]
+        assert log.count("x") == 3
+        assert seen == [0, 1, 2]
+
+    def test_emit_many_builds_nothing_unread(self):
+        log = TraceLog(keep_records=False)
+
+        def payloads():
+            raise AssertionError("payloads consumed with nobody reading them")
+            yield  # pragma: no cover
+
+        log.emit_many(0.0, "x", 4, payloads())
+        log.emit_many(0.0, "x", 0, payloads())
+        assert log.count("x") == 4
+        assert "y" not in log.counts
+
     def test_counts_by_kind(self):
         log = TraceLog()
         log.emit(0.0, "a")
