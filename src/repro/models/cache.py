@@ -17,6 +17,9 @@ no pass over the pairs, no list copies.  Because ``evict_oldest``
 line re-derives its statistics exactly from the stored pairs every
 :data:`STATS_SYNC_INTERVAL` evictions to keep the drift bounded.
 
+Closed forms carry rounding noise, so §4's comparisons are made under
+one stated tie rule (:data:`TIE_RTOL`) rather than on raw float bits.
+
 Budget accounting follows the paper exactly: values are 4-byte floats,
 so a pair occupies 8 bytes; a cache of 2,048 bytes holds 256 pairs.
 """
@@ -31,7 +34,6 @@ from typing import Iterator, Optional
 from repro.models.regression import (
     LinearModel,
     RegressionStats,
-    batch_fit_coefficients,
     fit_coefficients,
     model_sse,
 )
@@ -42,17 +44,29 @@ __all__ = [
     "BYTES_PER_VALUE",
     "BYTES_PER_PAIR",
     "STATS_SYNC_INTERVAL",
+    "TIE_RTOL",
     "pairs_for_budget",
 ]
 
-#: Relative margin under which a closed-form quantity is re-computed
-#: batch-style before it feeds a decision comparison.  The incremental
-#: forms reproduce the batch values only to ~1e-11 relative, so exact
-#: floating-point ties — which §4's strict comparisons resolve
-#: deterministically — must be re-scored the original way.  Scaled by
-#: the relevant no-answer baseline; genuine margins are many orders of
-#: magnitude wider, so the O(line length) fallback is rare.
-_NEAR_TIE_RTOL = 1e-9
+#: The §4 tie rule's relative tolerance, shared by both cache engines.
+#:
+#: Closed-form scores carry ~1e-11 relative rounding noise, so the
+#: cache never lets a decision hinge on which side of an exact tie that
+#: noise falls.  Instead:
+#:
+#: * **Equal scores.**  Two benefits within
+#:   ``tol = TIE_RTOL · max(baseline, 1)`` of each other are equal
+#:   (``baseline`` is the no-answer score over ``c_aug``), and equal
+#:   scores resolve REJECT before SHIFT before AUGMENT — §4's test
+#:   order.  Test 1 rejects when ``b_c >= b_s - tol and b_c >= b_a -
+#:   tol``, test 2 shifts when ``b_s >= b_a - tol``, and with no
+#:   affordable victim the cache shifts only if ``b_s > b_c + tol``.
+#: * **Penalties.**  An eviction penalty below
+#:   ``TIE_RTOL · max(Σy²/n, 1)`` is exactly ``0.0``, and equal
+#:   penalties evict the lowest neighbor id.
+#:
+#: Genuine margins are many orders of magnitude wider than ``tol``.
+TIE_RTOL = 1e-9
 
 #: The paper represents measurements as 4-byte floats (§6.1).
 BYTES_PER_VALUE = 4
@@ -137,7 +151,6 @@ class CacheLine:
         "_benefit",
         "_penalty",
         "_evictions_since_sync",
-        "_exact_sums",
     )
 
     def __init__(self, neighbor_id: int) -> None:
@@ -149,7 +162,6 @@ class CacheLine:
         self._benefit: Optional[float] = None
         self._penalty: Optional[float] = None
         self._evictions_since_sync = 0
-        self._exact_sums: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -274,22 +286,24 @@ class CacheLine:
         are *evaluated over the full line* ``c'`` — the penalty measures
         how much worse all known observations would be served.  A line
         with a single pair has penalty equal to its full benefit (the
-        model disappears entirely).  O(1) via the sufficient statistics.
+        model disappears entirely).  A penalty under the tie tolerance
+        (:data:`TIE_RTOL`) is exactly ``0.0``.  O(1) via the sufficient
+        statistics.
         """
         if not self._pairs:
             return 0.0
         if self._penalty is None:
             full_benefit = self.benefit()
-            if len(self._pairs) == 1:
-                self._penalty = full_benefit
+            st = self._stats
+            n = st.n
+            syy = st.sum_yy
+            if n == 1:
+                penalty = full_benefit
             else:
-                st = self._stats
-                n = st.n
                 sx = st.sum_x
                 sy = st.sum_y
                 sxx = st.sum_xx
                 sxy = st.sum_xy
-                syy = st.sum_yy
                 ox, oy = self._pairs[0]
                 # Reduced line c'' = c' minus its oldest pair, as raw sums.
                 if ox * ox > 0.5 * sxx or oy * oy > 0.5 * syy:
@@ -313,73 +327,13 @@ class CacheLine:
                 reduced_sse = model_sse(n, sx, sy, sxx, sxy, syy, slope, intercept)
                 reduced_benefit = ((syy if syy > 0.0 else 0.0) - reduced_sse) / n
                 penalty = full_benefit - reduced_benefit
-                # Exact floating-point zeros are the common penalty tie
-                # (collinear lines: the reduced fit equals the full one
-                # bit-for-bit) and victim selection breaks those ties by
-                # neighbor id.  The closed form leaves ~1e-11·scale of
-                # noise around zero, which would order the tied lines
-                # arbitrarily — re-score batch-style when that close.
-                scale = syy / n
-                if penalty < _NEAR_TIE_RTOL * (scale if scale > 1.0 else 1.0):
-                    penalty = self._exact_penalty()
-                self._penalty = penalty
+            # The tie rule (TIE_RTOL): a penalty within rounding noise of
+            # zero is exactly zero, so tied lines order by neighbor id.
+            scale = syy / n
+            if penalty < TIE_RTOL * (scale if scale > 1.0 else 1.0):
+                penalty = 0.0
+            self._penalty = penalty
         return self._penalty
-
-    def _exact_penalty(self) -> float:
-        """Batch re-computation of :meth:`eviction_penalty`, bit-for-bit.
-
-        Operation-for-operation the pre-incremental implementation:
-        fits from in-order sums, residuals summed term by term over the
-        full line, the same two-benefit subtraction.  O(line length);
-        reached only when the closed-form penalty is within
-        :data:`_NEAR_TIE_RTOL` of zero.
-        """
-        pairs = self._pairs
-        n, sx, sy, sxx, sxy, sx_r, sy_r, sxx_r, sxy_r = self._exact_first_pass()
-        a_f, b_f = batch_fit_coefficients(n, sx, sy, sxx, sxy)
-        a_r, b_r = batch_fit_coefficients(n - 1, sx_r, sy_r, sxx_r, sxy_r)
-        base = 0.0
-        sse_f = 0.0
-        sse_r = 0.0
-        for px, py in pairs:
-            base += py * py
-            r = py - (a_f * px + b_f)
-            sse_f += r * r
-            r = py - (a_r * px + b_r)
-            sse_r += r * r
-        base /= n
-        return (base - sse_f / n) - (base - sse_r / n)
-
-    def _exact_first_pass(self) -> tuple:
-        """Memoized in-order batch sums over the stored pairs.
-
-        ``(n, Σx, Σy, Σx², Σxy, Σx_r, Σy_r, Σx²_r, Σxy_r)`` where the
-        ``_r`` sums exclude the oldest pair — the shared first pass of
-        every exact near-tie fallback (:meth:`_exact_penalty` here and
-        the manager's exact benefit re-scoring).  A full cache can hit
-        several fallbacks between mutations of the same line; the memo
-        collapses them to one O(n) pass, invalidated on mutation.
-        """
-        if self._exact_sums is None:
-            sx = sy = sxx = sxy = 0.0
-            sx_r = sy_r = sxx_r = sxy_r = 0.0
-            first = True
-            for px, py in self._pairs:
-                sx += px
-                sy += py
-                sxx += px * px
-                sxy += px * py
-                if first:
-                    first = False
-                else:
-                    sx_r += px
-                    sy_r += py
-                    sxx_r += px * px
-                    sxy_r += px * py
-            self._exact_sums = (
-                len(self._pairs), sx, sy, sxx, sxy, sx_r, sy_r, sxx_r, sxy_r
-            )
-        return self._exact_sums
 
     def resync_stats(self) -> None:
         """Re-derive the running sums exactly from the stored pairs.
@@ -400,7 +354,6 @@ class CacheLine:
         self._model_ab = None
         self._benefit = None
         self._penalty = None
-        self._exact_sums = None
 
     def __repr__(self) -> str:
         return f"CacheLine(neighbor={self.neighbor_id}, pairs={len(self._pairs)})"

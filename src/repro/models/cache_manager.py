@@ -39,17 +39,14 @@ pair, and each fit/sse is a closed form over six sums — the whole
 decision is O(1) with zero list copies.  Victim selection keeps a lazy
 min-heap of ``(penalty, neighbor_id)`` over memoized eviction
 penalties: mutated lines are marked dirty, re-scored in O(1) at the
-next decision, and stale heap entries are discarded on pop.  Ties break
-toward the smaller neighbor id, exactly as the old full scan did.
+next decision, and stale heap entries are discarded on pop.
 
-The batch procedure hit *exact* floating-point ties (identical
-shift/augment residual sums, zero penalties on collinear lines) that
-its strict comparisons resolved deterministically; whenever the
-closed-form scores land within :data:`~repro.models.cache._NEAR_TIE_RTOL`
-of such a tie, the candidates are re-scored batch-style
-(:meth:`ModelAwareCache._exact_benefits`) so every decision — and hence
-every simulation trajectory — is bit-identical to the batch
-implementation's.
+Correlated data ties constantly (collinear lines score shift and
+augment alike and have zero eviction penalties), so the comparisons
+follow the tie rule of :data:`~repro.models.cache.TIE_RTOL`: benefits
+within its tolerance are equal and resolve REJECT before SHIFT before
+AUGMENT, a penalty within it of zero is ``0.0``, and equal penalties
+evict the smaller neighbor id.
 """
 
 from __future__ import annotations
@@ -57,12 +54,11 @@ from __future__ import annotations
 import heapq
 from typing import Iterator, Optional
 
-from repro.models.cache import CacheLine, PairsView, _NEAR_TIE_RTOL
+from repro.models.cache import TIE_RTOL, CacheLine, PairsView
 from repro.models.policy import Action, CachePolicy
 from repro.models.regression import (
     LinearModel,
     RegressionStats,
-    batch_fit_coefficients,
     fit_coefficients,
     model_sse,
 )
@@ -322,29 +318,20 @@ class ModelAwareCache(CachePolicy):
             / n_aug
         )
 
-        # Near-tie guard: if any two candidates are within the closed
-        # form's rounding noise, re-score them exactly so the strict
-        # comparisons below resolve the tie the same way batch did.
-        near = _NEAR_TIE_RTOL * (baseline if baseline > 1.0 else 1.0)
-        d_cs = benefit_current - benefit_shift
-        d_ca = benefit_current - benefit_augment
-        d_sa = benefit_shift - benefit_augment
-        if (
-            (-near < d_cs < near)
-            or (-near < d_ca < near)
-            or (-near < d_sa < near)
-        ):
-            benefit_current, benefit_shift, benefit_augment = self._exact_benefits(
-                line, x, y
-            )
+        # The tie rule (TIE_RTOL): scores within tol are equal, and
+        # equal scores resolve REJECT before SHIFT before AUGMENT.
+        tol = TIE_RTOL * (baseline if baseline > 1.0 else 1.0)
 
         # Test 1: the existing model serves all known observations best.
-        if benefit_current >= benefit_shift and benefit_current >= benefit_augment:
+        if (
+            benefit_current >= benefit_shift - tol
+            and benefit_current >= benefit_augment - tol
+        ):
             return Action.REJECT
 
         # Test 2: replacing our own oldest observation is at least as good
         # as growing the line.
-        if benefit_shift >= benefit_augment:
+        if benefit_shift >= benefit_augment - tol:
             self._apply_shift(line, new_pair)
             return Action.SHIFT
 
@@ -360,55 +347,10 @@ class ModelAwareCache(CachePolicy):
 
         # No affordable victim: time-shifting is still better than
         # rejecting if its model beats the current one.
-        if benefit_shift > benefit_current:
+        if benefit_shift > benefit_current + tol:
             self._apply_shift(line, new_pair)
             return Action.SHIFT
         return Action.REJECT
-
-    def _exact_benefits(
-        self, line: CacheLine, x: float, y: float
-    ) -> tuple[float, float, float]:
-        """Batch re-scoring of the three candidates, bit-for-bit.
-
-        Reproduces the pre-incremental implementation exactly — sums
-        accumulated in storage order, residuals summed term by term over
-        ``c_aug`` — so an exact floating-point tie lands on the same side
-        of the strict comparisons it always did.  O(line length); reached
-        only when the closed-form benefits are within :data:`_NEAR_TIE_RTOL`.
-        """
-        # Fits from single-pass sums (same accumulation order as batch),
-        # shared — via the line's memo — with _exact_penalty's first pass.
-        n, sx, sy, sxx, sxy, sx_sh, sy_sh, sxx_sh, sxy_sh = line._exact_first_pass()
-        a_cur, b_cur = batch_fit_coefficients(n, sx, sy, sxx, sxy)
-        a_sh, b_sh = batch_fit_coefficients(n, sx_sh + x, sy_sh + y, sxx_sh + x * x, sxy_sh + x * y)
-        n_aug = n + 1
-        a_aug, b_aug = batch_fit_coefficients(n_aug, sx + x, sy + y, sxx + x * x, sxy + x * y)
-
-        # Residual sums over c_aug, term by term as sse_of_model does.
-        syy = 0.0
-        sse_cur = sse_sh = sse_aug = 0.0
-        for px, py in line:
-            syy += py * py
-            r = py - (a_cur * px + b_cur)
-            sse_cur += r * r
-            r = py - (a_sh * px + b_sh)
-            sse_sh += r * r
-            r = py - (a_aug * px + b_aug)
-            sse_aug += r * r
-        syy += y * y
-        r = y - (a_cur * x + b_cur)
-        sse_cur += r * r
-        r = y - (a_sh * x + b_sh)
-        sse_sh += r * r
-        r = y - (a_aug * x + b_aug)
-        sse_aug += r * r
-
-        baseline = syy / n_aug
-        return (
-            baseline - sse_cur / n_aug,
-            baseline - sse_sh / n_aug,
-            baseline - sse_aug / n_aug,
-        )
 
     def _apply_shift(self, line: CacheLine, new_pair: tuple[float, float]) -> None:
         # Evict + append on the same line: the total pair count is

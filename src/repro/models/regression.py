@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "LinearModel",
     "RegressionStats",
-    "batch_fit_coefficients",
     "fit_coefficients",
     "fit_line",
     "model_sse",
@@ -84,24 +83,6 @@ def fit_coefficients(
     if scale < 1.0:
         scale = 1.0
     if denominator <= _DEGENERATE_RTOL * scale:
-        return 0.0, sum_y / n
-    slope = (n * sum_xy - sum_x * sum_y) / denominator
-    return slope, (sum_y - slope * sum_x) / n
-
-
-def batch_fit_coefficients(
-    n: int, sum_x: float, sum_y: float, sum_xx: float, sum_xy: float
-) -> tuple[float, float]:
-    """The Lemma 1 fit with the *original batch* degeneracy rule.
-
-    Kept operation-for-operation identical to the pre-incremental
-    ``fit_line`` (``abs``/``max`` spelled as before, large negative
-    denominators fitted rather than flagged degenerate) so the exact
-    tie-resolution fallbacks in the cache layer reproduce the batch
-    coefficients bit-for-bit.
-    """
-    denominator = n * sum_xx - sum_x * sum_x
-    if abs(denominator) <= _DEGENERATE_RTOL * max(1.0, n * sum_xx, sum_x * sum_x):
         return 0.0, sum_y / n
     slope = (n * sum_xy - sum_x * sum_y) / denominator
     return slope, (sum_y - slope * sum_x) / n

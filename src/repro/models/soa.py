@@ -29,9 +29,11 @@ Bit-identity with the scalar path rests on a few load-bearing rules:
 * drift resyncs accumulate left-to-right (``cumsum`` row prefixes),
   matching the scalar loop — ``np.sum``'s pairwise order would differ
   in the last bits;
-* the near-tie fallbacks (:data:`~repro.models.cache._NEAR_TIE_RTOL`)
-  re-score candidates with the original batch arithmetic, so exact
-  floating-point ties resolve the same way they always did.
+* every comparison applies the tie rule of
+  :data:`~repro.models.cache.TIE_RTOL` to the same closed-form scores:
+  benefits within its tolerance are equal (REJECT before SHIFT before
+  AUGMENT), a penalty within it of zero is exactly ``0.0``, and equal
+  penalties evict the lowest neighbor id.
 """
 
 from __future__ import annotations
@@ -40,12 +42,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.models.cache import _NEAR_TIE_RTOL, STATS_SYNC_INTERVAL, pairs_for_budget
-from repro.models.regression import batch_fit_coefficients, fit_coefficients
+from repro.models.cache import STATS_SYNC_INTERVAL, TIE_RTOL, pairs_for_budget
+from repro.models.regression import fit_coefficients
 
 __all__ = ["ModelAwareCacheFleet", "ACTION_CODES", "ACTION_NAMES"]
 
-_RTOL = _NEAR_TIE_RTOL
 _DEG = 1e-12  # regression._DEGENERATE_RTOL, inlined on the hot path
 _SYNC = STATS_SYNC_INTERVAL
 
@@ -86,6 +87,18 @@ def _vsse(n, cxx, cxy, cyy, mean_x, mean_y, a, b):
     mr = mean_y - a * mean_x - b
     tot = cyy - 2.0 * a * cxy + a * a * cxx + n * mr * mr
     return np.where(tot > 0.0, tot, 0.0)
+
+
+def _snap_penalty(p, scale):
+    """The tie rule's penalty clause: ``p`` under tolerance becomes ``0.0``."""
+    return np.where(p < TIE_RTOL * np.where(scale > 1.0, scale, 1.0), 0.0, p)
+
+
+def _check_ids(js) -> None:
+    # A negative id would index the dense idmap from its far end and
+    # alias another neighbor's slot.
+    if js.size and js.min() < 0:
+        raise ValueError(f"neighbor ids must be non-negative, got {int(js.min())}")
 
 
 class ModelAwareCacheFleet:
@@ -340,9 +353,17 @@ class ModelAwareCacheFleet:
             return float(self.pen[r])
         n_ = int(self.n[r])
         full = self._benefit_scalar(r)
-        if n_ == 1:
-            self.pen[r] = full; self.pok[r] = True
-            return full
+        syy_ = float(self.syy[r])
+        p = full if n_ == 1 else full - self._reduced_benefit(r)
+        scale = syy_ / n_
+        if p < TIE_RTOL * (scale if scale > 1.0 else 1.0):
+            p = 0.0
+        self.pen[r] = p; self.pok[r] = True
+        return p
+
+    def _reduced_benefit(self, r: int) -> float:
+        """Benefit over row ``r``'s full line of the fit without its oldest pair."""
+        n_ = int(self.n[r])
         sx_ = float(self.sx[r]); sy_ = float(self.sy[r])
         sxx_ = float(self.sxx[r]); sxy_ = float(self.sxy[r]); syy_ = float(self.syy[r])
         h = int(self.head[r])
@@ -361,144 +382,12 @@ class ModelAwareCacheFleet:
         mr = mean_y - a * mean_x - b
         tot = cyy - 2.0 * a * cxy + a * a * cxx + n_ * mr * mr
         rsse = tot if tot > 0.0 else 0.0
-        rben = ((syy_ if syy_ > 0.0 else 0.0) - rsse) / n_
-        p = full - rben
-        scale = syy_ / n_
-        if p < _RTOL * (scale if scale > 1.0 else 1.0):
-            p = self._exact_penalty(r)
-        self.pen[r] = p; self.pok[r] = True
-        return p
-
-    def _exact_penalty(self, r: int) -> float:
-        pairs = self._pairs(r)
-        n = len(pairs)
-        sx = sy = sxx = sxy = 0.0
-        sx_r = sy_r = sxx_r = sxy_r = 0.0
-        first = True
-        for px, py in pairs:
-            sx += px; sy += py; sxx += px * px; sxy += px * py
-            if first:
-                first = False
-            else:
-                sx_r += px; sy_r += py; sxx_r += px * px; sxy_r += px * py
-        a_f, b_f = batch_fit_coefficients(n, sx, sy, sxx, sxy)
-        a_r, b_r = batch_fit_coefficients(n - 1, sx_r, sy_r, sxx_r, sxy_r)
-        base = sse_f = sse_r = 0.0
-        for px, py in pairs:
-            base += py * py
-            t = py - (a_f * px + b_f); sse_f += t * t
-            t = py - (a_r * px + b_r); sse_r += t * t
-        base /= n
-        return (base - sse_f / n) - (base - sse_r / n)
-
-    def _exact_benefits(self, r: int, x: float, y: float) -> tuple[float, float, float]:
-        pairs = self._pairs(r)
-        sx = sy = sxx = sxy = 0.0
-        first = True
-        sx_sh = sy_sh = sxx_sh = sxy_sh = 0.0
-        n = 0
-        for px, py in pairs:
-            n += 1
-            sx += px; sy += py; sxx += px * px; sxy += px * py
-            if first:
-                first = False
-            else:
-                sx_sh += px; sy_sh += py; sxx_sh += px * px; sxy_sh += px * py
-        a_cur, b_cur = batch_fit_coefficients(n, sx, sy, sxx, sxy)
-        a_sh, b_sh = batch_fit_coefficients(n, sx_sh + x, sy_sh + y, sxx_sh + x * x, sxy_sh + x * y)
-        n_aug = n + 1
-        a_aug, b_aug = batch_fit_coefficients(n_aug, sx + x, sy + y, sxx + x * x, sxy + x * y)
-        syy = 0.0
-        sse_cur = sse_sh = sse_aug = 0.0
-        for px, py in pairs:
-            syy += py * py
-            t = py - (a_cur * px + b_cur); sse_cur += t * t
-            t = py - (a_sh * px + b_sh); sse_sh += t * t
-            t = py - (a_aug * px + b_aug); sse_aug += t * t
-        syy += y * y
-        t = y - (a_cur * x + b_cur); sse_cur += t * t
-        t = y - (a_sh * x + b_sh); sse_sh += t * t
-        t = y - (a_aug * x + b_aug); sse_aug += t * t
-        baseline = syy / n_aug
-        return (baseline - sse_cur / n_aug, baseline - sse_sh / n_aug,
-                baseline - sse_aug / n_aug)
-
-    def _exact_benefits_rows(self, rows, xs, ys):
-        """Vectorized :meth:`_exact_benefits` over many rows at once.
-
-        On strongly correlated workloads (the paper's §6.1 classes are
-        exactly affine, so all three benefits tie *by construction*)
-        virtually every observation lands in the near-tie re-score; a
-        per-row Python fallback would erase the whole batch win.  This
-        sweep walks the rings one position at a time — a ``ring_cap``-
-        bounded loop of whole-batch vector ops — accumulating in the
-        *same element order per row* as the scalar loop, with masked
-        ``where`` updates (not additions of 0.0) past each row's fill,
-        so every intermediate rounding matches bit-for-bit.
-        """
-        C = self.C
-        n = self.n[rows]
-        pos = (self.head[rows][:, None] + np.arange(C)[None, :]) % C
-        px = self.rx[rows[:, None], pos]
-        py = self.ry[rows[:, None], pos]
-        T = rows.size
-        sx = np.zeros(T); sy = np.zeros(T); sxx = np.zeros(T); sxy = np.zeros(T)
-        sx_sh = np.zeros(T); sy_sh = np.zeros(T)
-        sxx_sh = np.zeros(T); sxy_sh = np.zeros(T)
-        pmax = int(n.max())
-        for p in range(pmax):
-            live = p < n
-            cx = px[:, p]; cy = py[:, p]
-            sx = np.where(live, sx + cx, sx)
-            sy = np.where(live, sy + cy, sy)
-            sxx = np.where(live, sxx + cx * cx, sxx)
-            sxy = np.where(live, sxy + cx * cy, sxy)
-            if p > 0:  # the shift sums skip each row's oldest pair
-                sx_sh = np.where(live, sx_sh + cx, sx_sh)
-                sy_sh = np.where(live, sy_sh + cy, sy_sh)
-                sxx_sh = np.where(live, sxx_sh + cx * cx, sxx_sh)
-                sxy_sh = np.where(live, sxy_sh + cx * cy, sxy_sh)
-        nf = n.astype(np.float64)
-        a_cur, b_cur = self._vbatch_fit(nf, sx, sy, sxx, sxy)
-        a_sh, b_sh = self._vbatch_fit(
-            nf, sx_sh + xs, sy_sh + ys, sxx_sh + xs * xs, sxy_sh + xs * ys
-        )
-        n_aug = nf + 1.0
-        a_aug, b_aug = self._vbatch_fit(
-            n_aug, sx + xs, sy + ys, sxx + xs * xs, sxy + xs * ys
-        )
-        syy = np.zeros(T)
-        sse_cur = np.zeros(T); sse_sh = np.zeros(T); sse_aug = np.zeros(T)
-        for p in range(pmax):
-            live = p < n
-            cx = px[:, p]; cy = py[:, p]
-            syy = np.where(live, syy + cy * cy, syy)
-            t = cy - (a_cur * cx + b_cur)
-            sse_cur = np.where(live, sse_cur + t * t, sse_cur)
-            t = cy - (a_sh * cx + b_sh)
-            sse_sh = np.where(live, sse_sh + t * t, sse_sh)
-            t = cy - (a_aug * cx + b_aug)
-            sse_aug = np.where(live, sse_aug + t * t, sse_aug)
-        syy = syy + ys * ys
-        t = ys - (a_cur * xs + b_cur); sse_cur = sse_cur + t * t
-        t = ys - (a_sh * xs + b_sh); sse_sh = sse_sh + t * t
-        t = ys - (a_aug * xs + b_aug); sse_aug = sse_aug + t * t
-        baseline = syy / n_aug
-        return (baseline - sse_cur / n_aug, baseline - sse_sh / n_aug,
-                baseline - sse_aug / n_aug)
-
-    @staticmethod
-    def _vbatch_fit(n_, sx_, sy_, sxx_, sxy_):
-        """Vectorized ``batch_fit_coefficients`` (same degeneracy rule per row)."""
-        nsxx = n_ * sxx_
-        sxsx = sx_ * sx_
-        den = nsxx - sxsx
-        deg = np.abs(den) <= _DEG * np.maximum(1.0, np.maximum(nsxx, sxsx))
-        a = np.where(deg, 0.0, (n_ * sxy_ - sx_ * sy_) / np.where(deg, 1.0, den))
-        return a, (sy_ - a * sx_) / n_
+        return ((syy_ if syy_ > 0.0 else 0.0) - rsse) / n_
 
     def observe(self, c: int, j: int, x: float, y: float) -> str:
         """Scalar single-cache observe (first-sample and fallback path)."""
+        if j < 0:
+            raise ValueError(f"neighbor ids must be non-negative, got {j}")
         x = float(x); y = float(y)
         r = self._row(c, j)
         if self.total[c] < self.capacity_pairs:
@@ -561,13 +450,10 @@ class ModelAwareCacheFleet:
         b_c = baseline - sse_cur / n1
         b_s = baseline - sse_sh / n1
         b_a = baseline - sse_aug / n1
-        near = _RTOL * (baseline if baseline > 1.0 else 1.0)
-        d_cs = b_c - b_s; d_ca = b_c - b_a; d_sa = b_s - b_a
-        if (-near < d_cs < near) or (-near < d_ca < near) or (-near < d_sa < near):
-            b_c, b_s, b_a = self._exact_benefits(r, x, y)
-        if b_c >= b_s and b_c >= b_a:
+        tol = TIE_RTOL * (baseline if baseline > 1.0 else 1.0)
+        if b_c >= b_s - tol and b_c >= b_a - tol:
             return "reject"
-        if b_s >= b_a:
+        if b_s >= b_a - tol:
             self._evict(c, r)
             r = self._row(c, j, make=True)  # re-create if eviction emptied it
             self._append(c, r, x, y)
@@ -581,7 +467,7 @@ class ModelAwareCacheFleet:
             self.ben[r] = ((syy1 if syy1 > 0.0 else 0.0) - sse_aug) / n1
             self.bok[r] = True
             return "augment"
-        if b_s > b_c:
+        if b_s > b_c + tol:
             self._evict(c, r)
             r = self._row(c, j, make=True)
             self._append(c, r, x, y)
@@ -642,6 +528,7 @@ class ModelAwareCacheFleet:
                 f"observe_batch wants one observation per cache "
                 f"(shape ({F},)), got {js.shape}/{xs.shape}/{ys.shape}"
             )
+        _check_ids(js)
         self._ensure_idmap()
         slot = self.idmap[self._arF, np.minimum(js, self.idcap - 1)]
         slot = np.where(js < self.idcap, slot, -1).astype(np.int64)
@@ -667,6 +554,7 @@ class ModelAwareCacheFleet:
                 f"observe_lanes wants four equal-length 1-D arrays, got "
                 f"{cs.shape}/{js.shape}/{xs.shape}/{ys.shape}"
             )
+        _check_ids(js)
         if self.idmap is not None:
             # Dense gather (one vector op) when the id table has been
             # materialized — see _ensure_idmap / runtime._build_fleet.
@@ -748,20 +636,10 @@ class ModelAwareCacheFleet:
         b_s = baseline - sse_sh / n1f
         b_a = baseline - sse_aug / n1f
 
-        # Near-tie lanes re-score with the exact batch arithmetic, the
-        # same condition pair-for-pair as the scalar decision.
-        near = _RTOL * np.where(baseline > 1.0, baseline, 1.0)
-        d_cs = b_c - b_s; d_ca = b_c - b_a; d_sa = b_s - b_a
-        tie = (((d_cs > -near) & (d_cs < near))
-               | ((d_ca > -near) & (d_ca < near))
-               | ((d_sa > -near) & (d_sa < near)))
-        ti = np.flatnonzero(tie)
-        if ti.size:
-            bc, bs, ba = self._exact_benefits_rows(fr[ti], x[ti], y[ti])
-            b_c[ti] = bc; b_s[ti] = bs; b_a[ti] = ba
-
-        reject = (b_c >= b_s) & (b_c >= b_a)
-        shift = ~reject & (b_s >= b_a)
+        # The tie rule, lane for lane as in the scalar decision.
+        tol = TIE_RTOL * np.where(baseline > 1.0, baseline, 1.0)
+        reject = (b_c >= b_s - tol) & (b_c >= b_a - tol)
+        shift = ~reject & (b_s >= b_a - tol)
         augment = ~reject & ~shift
 
         flane = np.flatnonzero(fast)   # input position per fast lane
@@ -795,7 +673,7 @@ class ModelAwareCacheFleet:
             nov = aug_lanes[~hasv]
             if nov.size:
                 # No affordable victim: shift if it still beats current.
-                sh_extra = nov[b_s[nov] > b_c[nov]]
+                sh_extra = nov[b_s[nov] > b_c[nov] + tol[nov]]
                 shift[sh_extra] = True
 
         shift_lanes = np.flatnonzero(shift)
@@ -855,15 +733,11 @@ class ModelAwareCacheFleet:
             # Eager penalty: the augmented line's reduced fit equals the
             # decision's shift fit bit-for-bit (same sums, same ops) and
             # its reduced SSE equals sse_sh — so the penalty is free
-            # unless the oldest pair is dominant or the value is near
-            # zero (those rows stay stale and take the exact scalar
-            # path at the next victim scan).
+            # unless the oldest pair is dominant (those rows stay stale
+            # and take the rebuild path at the next victim scan).
             oxa = ox[aug_apply]; oya = oy[aug_apply]
-            dom_a = (oxa * oxa > 0.5 * sxx1[aug_apply]) | (oya * oya > 0.5 * s1)
-            p = ben_a - (s1c - sse_sh[aug_apply]) / n1a
-            scale = s1 / n1a
-            nz = p < _RTOL * np.where(scale > 1.0, scale, 1.0)
-            okp = ~(dom_a | nz)
+            okp = ~((oxa * oxa > 0.5 * sxx1[aug_apply]) | (oya * oya > 0.5 * s1))
+            p = _snap_penalty(ben_a - (s1c - sse_sh[aug_apply]) / n1a, s1 / n1a)
             pr_ = ar[okp]
             self.pen[pr_] = p[okp]; self.pok[pr_] = True
 
@@ -916,14 +790,8 @@ class ModelAwareCacheFleet:
         a_r, b_r = _vfit(n_ - 1.0, sx_ - ox, sy_ - oy, sxx_ - ox * ox, sxy_ - ox * oy)
         rsse = _vsse(n_, cxx, cxy, cyy, mean_x, mean_y, a_r, b_r)
         rben = (syyc - rsse) / n_
-        p = full - rben
-        scale = syy_ / n_
-        near_zero = p < _RTOL * np.where(scale > 1.0, scale, 1.0)
-        single = self.n[rows] == 1
-        self.pen[rows] = np.where(single, full, p)
-        self.pok[rows] = True
-        exact = (~single) & (~dominant) & near_zero
-        dmask = (~single) & dominant
+        p = np.where(self.n[rows] == 1, full, full - rben)
+        dmask = (self.n[rows] > 1) & dominant
         if dmask.any():
             # Dominant oldest pair: the reduced fit is rebuilt from the
             # actual pairs excluding the oldest, prefix-summed in ring
@@ -944,20 +812,9 @@ class ModelAwareCacheFleet:
             a_r2, b_r2 = _vfit((nr - 1).astype(np.float64), rsx, rsy, rsxx, rsxy)
             rsse2 = _vsse(n_[dmask], cxx[dmask], cxy[dmask], cyy[dmask],
                           mean_x[dmask], mean_y[dmask], a_r2, b_r2)
-            rben2 = (syyc[dmask] - rsse2) / n_[dmask]
-            p2 = full[dmask] - rben2
-            sc2 = scale[dmask]
-            nz2 = p2 < _RTOL * np.where(sc2 > 1.0, sc2, 1.0)
-            ok2 = ~nz2
-            self.pen[sub[ok2]] = p2[ok2]
-            exact_rows = np.concatenate(
-                [np.flatnonzero(exact), np.flatnonzero(dmask)[nz2]]
-            )
-        else:
-            exact_rows = np.flatnonzero(exact)
-        for i in exact_rows:
-            r = int(rows[i])
-            self.pen[r] = self._exact_penalty(r)
+            p[dmask] = full[dmask] - (syyc[dmask] - rsse2) / n_[dmask]
+        self.pen[rows] = _snap_penalty(p, syy_ / n_)
+        self.pok[rows] = True
 
     # -- read surface ---------------------------------------------------------
 

@@ -88,6 +88,7 @@ def build_runtime(
     policy: str = "model-aware",
     loss: float = 0.0,
     oracle: bool = False,
+    cache_bytes: int = 1024,
 ) -> SnapshotRuntime:
     """A small maintenance-ready network, fully determined by its knobs.
 
@@ -107,7 +108,7 @@ def build_runtime(
         ProtocolConfig(threshold=1.0, heartbeat_period=PERIOD, rule4_retry=0.1),
         seed=seed,
         loss_model=GlobalLoss(loss),
-        cache_factory=make_cache_factory(policy, 1024),
+        cache_factory=make_cache_factory(policy, cache_bytes),
         keep_trace_records=True,
     )
     # Rides inside the pickled graph, so per-round digests survive the
