@@ -13,6 +13,8 @@ Gives the reproduction a front door without writing any code:
 * ``serve`` — stand up the query serving front-end against a freshly
   trained network, fire a concurrent client workload at it, and print
   throughput, latency percentiles and epoch-cache statistics;
+* ``run`` — train and elect a large deployment (2,000 nodes at the
+  degree-12 radius by default) and print its traffic and wall time;
 * ``fleet start/status/reconfigure/stop`` — operate a continuously
   running deployment out of a fleet directory: background slicing with
   rotating checkpoints and a JSONL stream, SLO monitoring, optional
@@ -25,6 +27,7 @@ Examples::
     python -m repro.cli query "SELECT AVG(value) FROM sensors USE SNAPSHOT"
     python -m repro.cli report --nodes 100 --rounds 5 --jsonl run.jsonl
     python -m repro.cli serve --queries 500 --clients 8
+    python -m repro.cli run -n 20000 --duration 4
     python -m repro.cli fleet start --dir /tmp/fleet --slices 40 --chaos
     python -m repro.cli fleet reconfigure --dir /tmp/fleet --set loss=0.1
 """
@@ -64,12 +67,42 @@ from repro.query.formatting import format_query
 from repro.query.parser import parse_query
 from repro.query.planner import QueryPlanner
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "UsageError"]
+
+
+class UsageError(Exception):
+    """A command-line value the command cannot run with.
+
+    :func:`main` prints it as one ``repro: error: ...`` line and exits
+    with status 2, as ``argparse`` does for values it rejects itself.
+    """
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise UsageError(message)
+
+
+def _check_network(
+    n_nodes: int, n_classes: int, transmission_range: Optional[float] = None
+) -> None:
+    """Reject a deployment the dataset or topology builders cannot make."""
+    _require(n_nodes >= 1, f"--nodes must be at least 1, got {n_nodes}")
+    _require(
+        1 <= n_classes <= n_nodes,
+        f"--classes must be between 1 and --nodes ({n_nodes}), got {n_classes}",
+    )
+    if transmission_range is not None:
+        _require(
+            transmission_range > 0,
+            f"--range must be positive, got {transmission_range:g}",
+        )
 
 
 def _build_network(
     n_nodes: int, n_classes: int, threshold: float, transmission_range: float, seed: int
 ) -> SnapshotRuntime:
+    _check_network(n_nodes, n_classes, transmission_range)
     rng = np.random.default_rng(seed)
     dataset, __ = generate_random_walk(
         RandomWalkConfig(n_nodes=n_nodes, n_classes=n_classes), rng
@@ -222,6 +255,9 @@ def _format_maintenance(runs, metric: str) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.harness import NetworkSetup, run_report_experiment
 
+    _check_network(args.nodes, args.classes, args.range)
+    _require(args.rounds >= 1, f"--rounds must be at least 1, got {args.rounds}")
+    _require(args.period > 0, f"--period must be positive, got {args.period:g}")
     setup = NetworkSetup(
         n_nodes=args.nodes,
         threshold=args.threshold,
@@ -257,6 +293,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.query.spatial import random_square
     from repro.serving import QueryFrontEnd
 
+    _require(args.queries >= 1, f"--queries must be at least 1, got {args.queries}")
+    _require(args.clients >= 1, f"--clients must be at least 1, got {args.clients}")
+    _require(
+        args.max_queue >= 1, f"--max-queue must be at least 1, got {args.max_queue}"
+    )
     runtime = _build_network(
         args.nodes, args.classes, args.threshold, args.range, args.seed
     )
@@ -303,8 +344,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     import math
     import time
 
-    from repro.simulation.sharded import ShardedRuntime
-
+    _check_network(args.nodes, args.classes, args.range)
+    _require(args.duration > 0, f"--duration must be positive, got {args.duration:g}")
     rng = np.random.default_rng(args.seed)
     dataset, __ = generate_random_walk(
         RandomWalkConfig(n_nodes=args.nodes, n_classes=args.classes), rng
@@ -319,36 +360,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     topology = uniform_random_topology(
         args.nodes, radius, np.random.default_rng(args.seed + 1)
     )
-    config = ProtocolConfig(threshold=args.threshold)
-    with ShardedRuntime(
+    runtime = SnapshotRuntime(
         topology,
         dataset,
-        config,
+        ProtocolConfig(threshold=args.threshold),
         seed=args.seed,
-        n_shards=args.shards,
-        mode=args.mode,
         metrics_enabled=False,
-    ) as runtime:
-        partition = runtime.partition
-        sizes = [len(members) for members in partition.shards]
-        print(f"network: {args.nodes} nodes, {args.classes} hidden classes, "
-              f"T={args.threshold}, range={radius:.3f}")
-        print(f"shards : {args.shards} x {args.mode} "
-              f"(sizes {sizes}, {len(partition.boundary_links)} boundary "
-              f"links, lookahead {partition.lookahead:g})")
-        start = time.perf_counter()
-        runtime.train(duration=args.duration)
-        runtime.run_election()
-        elapsed = time.perf_counter() - start
-        print(f"ran    : {args.duration:g} measurement ticks + election "
-              f"to t={runtime.now:g} in {elapsed:.2f}s wall")
-        print(f"traffic: {runtime.message_total()} messages sent")
-        if args.digest:
-            print(f"digest : {runtime.state_digest().whole}")
+    )
+    print(f"network: {args.nodes} nodes, {args.classes} hidden classes, "
+          f"T={args.threshold}, range={radius:.3f}")
+    start = time.perf_counter()
+    runtime.train(duration=args.duration)
+    runtime.run_election()
+    elapsed = time.perf_counter() - start
+    print(f"ran    : {args.duration:g} measurement ticks + election "
+          f"to t={runtime.now:g} in {elapsed:.2f}s wall")
+    print(f"traffic: {sum(runtime.stats.sent.values())} messages sent")
+    if args.digest:
+        print(f"digest : {runtime.state_digest().whole}")
     return 0
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
+    _require(args.rounds >= 0, f"--rounds must not be negative, got {args.rounds}")
     runtime = _build_network(
         args.nodes, args.classes, args.threshold, args.range, args.seed
     )
@@ -372,6 +406,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 def cmd_resume(args: argparse.Namespace) -> int:
     from repro.persist import CheckpointError, read_header
 
+    _require(args.rounds >= 0, f"--rounds must not be negative, got {args.rounds}")
     try:
         header = read_header(args.path)
         runtime = SnapshotRuntime.restore(args.path, verify=not args.no_verify)
@@ -649,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run",
-        help="drive a deployment on the sharded multi-process engine",
+        help="train and elect a large deployment; print its traffic and time",
     )
     run.add_argument(
         "-n", "--nodes", type=int, default=2000, help="network size"
@@ -664,19 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=2005, help="random seed")
     run.add_argument(
-        "--shards", type=int, default=4, help="shard worker count"
-    )
-    run.add_argument(
-        "--mode", default="process", choices=("process", "inline"),
-        help="fork one worker per shard, or run all shards in-process",
-    )
-    run.add_argument(
         "--duration", type=float, default=10.0,
         help="measurement ticks to run before the election",
     )
     run.add_argument(
         "--digest", action="store_true",
-        help="also print the merged state digest (slow at large -n)",
+        help="also print the state digest (slow at large -n)",
     )
     run.set_defaults(handler=cmd_run)
 
@@ -795,7 +823,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except UsageError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -50,31 +50,19 @@ class _ElectionRound:
         self._span = None
 
     def run_phase(self, method_name: str) -> None:
-        # Branch the lineage per node id: a shard iterating only its
-        # local subset then mints the same stamps the single-process
-        # reference minted for those nodes' follow-up events.
-        simulator = self.coordinator.simulator
-        with simulator.fanout():
-            for node in self.coordinator.nodes.values():
-                if node.alive:
-                    with simulator.branch(node.node_id):
-                        getattr(node, method_name)()
+        for node in self.coordinator.nodes.values():
+            if node.alive:
+                getattr(node, method_name)()
 
     def begin(self) -> None:
         simulator = self.coordinator.simulator
-        if simulator.shared_emitter:
-            self.coordinator._rounds.inc()
-            self._span = simulator.spans.begin("election", epoch=self.epoch)
-        with simulator.fanout():
-            for node in self.coordinator.nodes.values():
-                if node.alive:
-                    with simulator.branch(node.node_id):
-                        node.reset_round(self.epoch)
+        self.coordinator._rounds.inc()
+        self._span = simulator.spans.begin("election", epoch=self.epoch)
+        for node in self.coordinator.nodes.values():
+            if node.alive:
+                node.reset_round(self.epoch)
         self.run_phase("phase_invite")
-        if simulator.shared_emitter:
-            simulator.trace.emit(
-                simulator.now, "election.started", epoch=self.epoch
-            )
+        simulator.trace.emit(simulator.now, "election.started", epoch=self.epoch)
 
     def settle(self) -> None:
         self.run_phase("end_refinement")

@@ -63,16 +63,6 @@ class MaintenanceManager:
         self._tasks: list[PeriodicTask] = []
         #: ``maintenance.<id>`` streams, created on a node's first draw.
         self._entity_rngs: dict[int, object] = {}
-        #: Sharded engine wiring: the full topology's node ids (this
-        #: manager's ``nodes`` holds only the local shard's subset).
-        #: Iterating the *global* list in :meth:`start` keeps every
-        #: shard's root-event numbering aligned — remote nodes consume a
-        #: lineage root slot without scheduling anything locally.
-        self.global_node_ids = None
-        #: When true, :meth:`_close_round` records raw per-shard
-        #: ``(window_total, n_alive)`` pairs instead of finished Fig-15
-        #: costs; the digest merge reconstructs the global costs.
-        self.shard_accounting = False
         self._round_costs: list[float] = []
         self._rounds = 0
         self._rounds_counter = simulator.metrics.counter("maintenance.rounds")
@@ -84,9 +74,10 @@ class MaintenanceManager:
     def _node_rng(self, node_id: int):
         """The ``maintenance.<id>`` stream ``node_id`` draws from.
 
-        Each node owns its stream, so a shard holding only a subset of
-        the fleet still draws exactly what the reference drew for each
-        node.
+        Each node owns its stream, so what one node draws never depends
+        on how many draws other nodes made before it: a crash, a
+        revival or a skipped action elsewhere leaves its offsets and
+        rotation coin flips unchanged.
         """
         rng = self._entity_rngs.get(node_id)
         if rng is None:
@@ -115,10 +106,7 @@ class MaintenanceManager:
         if self.running:
             raise RuntimeError("maintenance already started")
         period = self.config.heartbeat_period
-        if self.global_node_ids is not None:
-            node_ids = list(self.global_node_ids)
-        else:
-            node_ids = sorted(self.nodes)
+        node_ids = sorted(self.nodes)
         n = max(1, len(node_ids))
         # Cluster each round's actions into a tight burst: heartbeats,
         # timeouts and the resulting re-election invitations then all
@@ -127,12 +115,6 @@ class MaintenanceManager:
         # precondition for Figure 15's 2–4.5 messages/node per update.
         window = min(1.0, period / 4)
         for index, node_id in enumerate(node_ids):
-            if node_id not in self.nodes:
-                # Remote shard owns this node; burn the lineage root slot
-                # its per-node task would have taken so root numbering
-                # stays aligned with the single-process reference.
-                self.simulator.lineage.skip_root()
-                continue
             if self.staggered:
                 offset = float(self._node_rng(node_id).uniform(0.0, window))
             else:
@@ -152,12 +134,11 @@ class MaintenanceManager:
                 period, self._close_round, label="maintenance:round", first_delay=period
             )
         )
-        if self.simulator.shared_emitter:
-            self._round_span = self.simulator.spans.begin(
-                "maintenance.round", index=self._rounds + 1
-            )
+        self._round_span = self.simulator.spans.begin(
+            "maintenance.round", index=self._rounds + 1
+        )
 
-    def stop(self, close_partial=None) -> None:
+    def stop(self) -> None:
         """Disarm all maintenance tasks, closing the open accounting window.
 
         Idempotent: stopping an already-stopped (or never-started)
@@ -167,20 +148,13 @@ class MaintenanceManager:
         subsequent :meth:`start` re-checkpoints mid-window, folding the
         orphaned messages into the next round's cost (skewing Figure 15
         upward).
-
-        ``close_partial`` overrides the traffic check: the sharded
-        controller passes the *global* verdict so every shard closes (or
-        skips) the partial round together even when its local window is
-        empty, keeping per-shard cost indices aligned for the merge.
         """
         if not self._tasks:
             return
         for task in self._tasks:
             task.stop()
         self._tasks.clear()
-        if close_partial is None:
-            close_partial = bool(self.stats.window_protocol_total())
-        if close_partial:
+        if self.stats.window_protocol_total():
             self._close_round()
         if self._round_span is not None:
             self._round_span.end()
@@ -221,34 +195,26 @@ class MaintenanceManager:
         if self.router is not None and self.router.pending:
             self.router.flush()
         n_alive = sum(1 for node in self.nodes.values() if node.alive)
-        if self.shard_accounting:
-            # Record the raw local ingredients every round (even empty
-            # ones) so the merge can align rounds by index and rebuild
-            # the global cost as sum(totals) / sum(alive).
-            self._round_costs.append(
-                (self.stats.window_protocol_total(), n_alive)
-            )
-        elif n_alive > 0:
+        if n_alive > 0:
             cost = self.stats.window_protocol_per_node(n_alive)
             self._round_costs.append(cost)
             self._cost_histogram.observe(cost)
         self.stats.checkpoint()
         self._rounds += 1
-        if self.simulator.shared_emitter:
-            self._rounds_counter.inc()
-            if self._round_span is not None:
-                self._round_span.end()
-                self._round_span = None
-            self.simulator.trace.emit(
-                self.simulator.now, "maintenance.round", index=self._rounds
+        self._rounds_counter.inc()
+        if self._round_span is not None:
+            self._round_span.end()
+            self._round_span = None
+        self.simulator.trace.emit(
+            self.simulator.now, "maintenance.round", index=self._rounds
+        )
+        # Re-open for the next round while the periodic tasks are still
+        # armed; the stop() path clears the task list first, so no span
+        # is left dangling at shutdown.
+        if self._tasks:
+            self._round_span = self.simulator.spans.begin(
+                "maintenance.round", index=self._rounds + 1
             )
-            # Re-open for the next round while the periodic tasks are
-            # still armed; the stop() path clears the task list first,
-            # so no span is left dangling at shutdown.
-            if self._tasks:
-                self._round_span = self.simulator.spans.begin(
-                    "maintenance.round", index=self._rounds + 1
-                )
 
     def round_message_costs(self) -> list[float]:
         """Protocol messages per node for each completed round."""

@@ -179,9 +179,9 @@ class ProtocolNode:
     def _rng(self):
         """This node's own ``protocol.<id>`` stream.
 
-        One stream per node lets a sharded run draw identically to the
-        single-process reference however node events interleave across
-        shards.  It is created on the first draw: a stream's state
+        One stream per node makes each node's draws depend only on its
+        own history, not on how other nodes' events interleave with
+        it.  It is created on the first draw: a stream's state
         derives only from the seed and its name, so creation time does
         not matter, and a node that never draws never pays for one.
         """

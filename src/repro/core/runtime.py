@@ -132,7 +132,6 @@ class SnapshotRuntime:
         cost_model: EnergyCostModel = PAPER_COST_MODEL,
         keep_trace_records: bool = False,
         metrics_enabled: bool = True,
-        local_ids=None,
     ) -> None:
         if dataset.n_nodes < len(topology):
             raise ValueError(
@@ -143,11 +142,6 @@ class SnapshotRuntime:
         self.dataset = dataset
         self.config = config if config is not None else ProtocolConfig()
         self.seed = seed
-        #: Sharded-engine internal: when set, this runtime instantiates
-        #: only the listed nodes (protocol state, devices, batteries,
-        #: caches) while keeping the *full* topology for range/loss
-        #: computations.
-        self.local_ids = None if local_ids is None else frozenset(local_ids)
         self.simulator = Simulator(
             seed=seed,
             keep_trace_records=keep_trace_records,
@@ -159,10 +153,7 @@ class SnapshotRuntime:
             loss_model=loss_model,
             cost_model=cost_model,
         )
-        self.radio.populate(
-            battery_capacity=battery_capacity,
-            ids=None if self.local_ids is None else sorted(self.local_ids),
-        )
+        self.radio.populate(battery_capacity=battery_capacity)
         if cache_factory is None:
             cache_factory = _default_cache_factory
 
@@ -170,8 +161,6 @@ class SnapshotRuntime:
         self.tally = StructureTally()
         self.nodes: dict[int, ProtocolNode] = {}
         for node_id in topology.node_ids:
-            if self.local_ids is not None and node_id not in self.local_ids:
-                continue
             store = NeighborModelStore(cache_factory())
             self.nodes[node_id] = ProtocolNode(
                 node_id=node_id,
@@ -338,12 +327,7 @@ class SnapshotRuntime:
         duration: float = 10.0,
         interval: float = 1.0,
     ) -> float:
-        """Schedule the training window's events; returns its end time.
-
-        Split from :meth:`train` so the sharded engine can plant the
-        identical event schedule in every shard and then advance them
-        under its window protocol instead of ``run_until``.
-        """
+        """Schedule the training window's events; returns its end time."""
         if duration <= 0 or interval <= 0:
             raise ValueError("training duration and interval must be positive")
         t0 = self.simulator.now if start is None else start
@@ -373,20 +357,17 @@ class SnapshotRuntime:
 
     def _train_broadcast(self) -> None:
         """One training tick: every alive node broadcasts a data report."""
-        simulator = self.simulator
-        with simulator.fanout():
-            for node_id in sorted(self.nodes):
-                node = self.nodes[node_id]
-                if node.alive:
-                    with simulator.branch(node_id):
-                        self.radio.broadcast(
-                            DataReport(
-                                sender=node_id,
-                                query_id=0,
-                                origin=node_id,
-                                value=node.value_fn(),
-                            )
-                        )
+        for node_id in sorted(self.nodes):
+            node = self.nodes[node_id]
+            if node.alive:
+                self.radio.broadcast(
+                    DataReport(
+                        sender=node_id,
+                        query_id=0,
+                        origin=node_id,
+                        value=node.value_fn(),
+                    )
+                )
 
     def run_election(self, at: Optional[float] = None) -> SnapshotView:
         """Run one global election and return the settled snapshot."""
@@ -406,10 +387,6 @@ class SnapshotRuntime:
     def advance_to(self, time: float) -> None:
         """Run the simulation up to absolute ``time``."""
         self.simulator.run_until(time)
-
-    def idle_until(self, time: float) -> None:
-        """Alias of :meth:`advance_to` for readability in experiments."""
-        self.advance_to(time)
 
     def run_slice(self, duration: float) -> float:
         """Advance one bounded slice of ``duration``; returns its end time.

@@ -127,23 +127,13 @@ class FaultInjector:
     behaviour with the faults that provoked it.
     """
 
-    def __init__(
-        self,
-        runtime: "SnapshotRuntime",
-        local_ids: Optional[frozenset[int]] = None,
-    ) -> None:
+    def __init__(self, runtime: "SnapshotRuntime") -> None:
         self.runtime = runtime
         self.simulator = runtime.simulator
         self.overlay = _FaultOverlayLoss(runtime.radio.loss_model)
         runtime.radio.loss_model = self.overlay
         self.crashes_applied = 0
         self.revivals_applied = 0
-        #: Sharded-engine hook: when set, per-node fault events (crash,
-        #: revive, drain) are only scheduled for owned nodes — remote
-        #: ones consume a root lineage index via ``skip_root`` so every
-        #: shard's stamps stay aligned.  Link faults (bursts,
-        #: partitions) are global radio conditions and replicate.
-        self.local_ids = local_ids
 
     # -- immediate fault actions -------------------------------------------
 
@@ -189,34 +179,26 @@ class FaultInjector:
     def begin_burst(self, loss: float) -> None:
         """Start an open-ended global link-loss burst."""
         self.overlay.push_burst(loss)
-        if self.simulator.shared_emitter:
-            self.simulator.trace.emit(
-                self.simulator.now, "fault.burst.begin", loss=loss
-            )
+        self.simulator.trace.emit(self.simulator.now, "fault.burst.begin", loss=loss)
 
     def end_burst(self, loss: float) -> None:
         """End one burst previously begun with the same ``loss``."""
         self.overlay.pop_burst(loss)
-        if self.simulator.shared_emitter:
-            self.simulator.trace.emit(
-                self.simulator.now, "fault.burst.end", loss=loss
-            )
+        self.simulator.trace.emit(self.simulator.now, "fault.burst.end", loss=loss)
 
     def begin_partition(self, group: frozenset[int]) -> None:
         """Sever all links crossing between ``group`` and the rest."""
         self.overlay.push_partition(group)
-        if self.simulator.shared_emitter:
-            self.simulator.trace.emit(
-                self.simulator.now, "fault.partition.begin", size=len(group)
-            )
+        self.simulator.trace.emit(
+            self.simulator.now, "fault.partition.begin", size=len(group)
+        )
 
     def end_partition(self, group: frozenset[int]) -> None:
         """Heal a partition previously begun with the same ``group``."""
         self.overlay.pop_partition(group)
-        if self.simulator.shared_emitter:
-            self.simulator.trace.emit(
-                self.simulator.now, "fault.partition.end", size=len(group)
-            )
+        self.simulator.trace.emit(
+            self.simulator.now, "fault.partition.end", size=len(group)
+        )
 
     # -- plan scheduling ---------------------------------------------------
 
@@ -235,25 +217,10 @@ class FaultInjector:
             self._schedule_event(base, event)
         return base + plan.end_time
 
-    def _skip_remote(self, node_id: int, roots: int) -> bool:
-        """Whether ``node_id``'s fault events belong to another shard.
-
-        Consumes ``roots`` lineage root indices so the shards that *do*
-        schedule them mint the same stamps everywhere.
-        """
-        if self.local_ids is None or node_id in self.local_ids:
-            return False
-        for _ in range(roots):
-            self.simulator.lineage.skip_root()
-        return True
-
     def _schedule_event(self, base: float, event) -> None:
         schedule = self.simulator.schedule_at
         if isinstance(event, NodeCrash):
             node_id = event.node_id
-            roots = 1 if event.down_for is None else 2
-            if self._skip_remote(node_id, roots):
-                return
             schedule(
                 base + event.time, partial(self.crash, node_id), label="fault:crash"
             )
@@ -264,8 +231,6 @@ class FaultInjector:
                     label="fault:revive",
                 )
         elif isinstance(event, BatteryDrain):
-            if self._skip_remote(event.node_id, 1):
-                return
             schedule(
                 base + event.time,
                 partial(self.drain, event.node_id, event.fraction),

@@ -9,7 +9,7 @@ stream, an optional background chaos schedule and **rolling
 reconfiguration** (checkpoint → mutate → restore at slice boundaries),
 and :class:`SLOMonitor` holds the run to the paper's sustained claims
 (coverage floor per Fig. 10, messages/node/round ceiling per Fig. 15,
-serving p99 when a front end is attached).  See DESIGN.md §18 and the
+serving p99 when a front end is attached).  See DESIGN.md §17 and the
 differential proof layer in ``tests/fleet/``.
 """
 

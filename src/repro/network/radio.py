@@ -46,8 +46,9 @@ __all__ = ["Radio"]
 DELIVERY_PRIORITY = -1
 
 #: Buckets of the ``net.fanout`` histogram: in-range receivers per
-#: transmission, dead ones included — what a sharded sender knows
-#: (unit-disk neighborhoods rarely exceed a few dozen).
+#: transmission, dead ones included, since liveness is only checked when
+#: the burst is delivered (unit-disk neighborhoods rarely exceed a few
+#: dozen).
 FANOUT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
@@ -100,14 +101,6 @@ class Radio:
         self._nodes: dict[int, NetworkNode] = {}
         #: ``radio.<sender>`` streams, created on a sender's first draw.
         self._entity_rngs: dict[int, object] = {}
-        #: Sharded-engine hooks (see ``simulation.sharded``): when
-        #: ``shard_local_ids`` is set, this radio owns only that subset
-        #: of the topology's nodes; deliveries to remote receivers are
-        #: emitted through ``handoff_sink`` as
-        #: :class:`~repro.network.handoff.RadioHandoff` records instead
-        #: of being scheduled locally.
-        self.shard_local_ids = None
-        self.handoff_sink = None
         #: The runtime's
         #: :class:`~repro.core.round_batch.BatchedObservationRouter`.
         #: Protocol handlers divert overheard measurement observations
@@ -132,26 +125,16 @@ class Radio:
         self._nodes[node.node_id] = node
         return node
 
-    def populate(
-        self,
-        battery_capacity: Optional[float] = None,
-        ids=None,
-    ) -> list[NetworkNode]:
+    def populate(self, battery_capacity: Optional[float] = None) -> list[NetworkNode]:
         """Create and register one device per topology node.
 
-        Parameters
-        ----------
-        battery_capacity:
-            Initial charge per node in transmission units, or ``None``
-            for infinite batteries.
-        ids:
-            Subset of topology ids to register (sharded engines own only
-            their partition's nodes); all of them by default.
+        ``battery_capacity`` is the initial charge per node in
+        transmission units, or ``None`` for infinite batteries.
         """
         from repro.energy.battery import Battery
 
         nodes = []
-        for node_id in self.topology.node_ids if ids is None else ids:
+        for node_id in self.topology.node_ids:
             nodes.append(self.register(NetworkNode(node_id, Battery(battery_capacity))))
         return nodes
 
@@ -225,14 +208,14 @@ class Radio:
         The draw is one blocked :meth:`LossModel.loss_vector` call on
         the sender's own ``radio.<sender>`` stream, in ``out_neighbors``
         order, and covers every in-range receiver regardless of
-        liveness, so neither interleaving with other senders nor remote
-        node state changes the stream position.  A lossless model draws
-        nothing, so its call is skipped; the stream is still created,
-        as every sender's stream is part of the digested state.  The
+        liveness, so neither interleaving with other senders nor any
+        receiver's state changes the stream position.  A lossless
+        model draws nothing, so its call is skipped; the stream is
+        still created, as every sender's stream is part of the digested
+        state.  The
         loss survivors' ids ride a single delivery event (the *burst*);
         dead ones among them are filtered — and booked as
-        ``dropped_dead`` — when the burst is delivered, in the
-        receiver's own shard.
+        ``dropped_dead`` — when the burst is delivered.
         """
         sender = message.sender
         receivers = self.topology.out_neighbors(sender)
@@ -249,58 +232,13 @@ class Radio:
                 receivers = [rid for rid, ok in zip(receivers, outcomes) if ok]
                 if not receivers:
                     return
-        label = f"deliver:{message.kind}"
-        local_ids = self.shard_local_ids
-        if local_ids is None:
-            # Deliveries are never cancelled, so they ride the
-            # allocation-free transient slab instead of an Event handle.
-            self.simulator.schedule_transient(
-                self.latency,
-                partial(self._deliver_batch, message, receivers, target),
-                label=label,
-                priority=DELIVERY_PRIORITY,
-            )
-            return
-        local = [rid for rid in receivers if rid in local_ids]
-        remote = [rid for rid in receivers if rid not in local_ids]
-        # One stamp per transmission, shared by the local burst and all
-        # handoff copies: the receiving shards' entries then merge back
-        # into the single delivery the reference run schedules.
-        simulator = self.simulator
-        lineage = simulator.lineage
-        stamp = None if lineage is None else lineage.next_stamp(simulator.now)
-        arrival = simulator.now + self.latency
-        if local:
-            simulator.inject_transient_at(
-                arrival,
-                partial(self._deliver_batch, message, local, target),
-                label=label,
-                priority=DELIVERY_PRIORITY,
-                sortkey=stamp,
-            )
-        if remote:
-            from repro.network.handoff import RadioHandoff
-
-            self.handoff_sink(
-                RadioHandoff(
-                    time=arrival,
-                    stamp=stamp,
-                    message=message,
-                    receivers=tuple(remote),
-                    target=target,
-                )
-            )
-
-    def receive_handoff(self, handoff) -> None:
-        """Insert a boundary-crossing delivery minted by another shard."""
-        self.simulator.inject_transient_at(
-            handoff.time,
-            partial(
-                self._deliver_batch, handoff.message, handoff.receivers, handoff.target
-            ),
-            label=f"deliver:{handoff.message.kind}",
+        # Deliveries are never cancelled, so they ride the
+        # allocation-free transient slab instead of an Event handle.
+        self.simulator.schedule_transient(
+            self.latency,
+            partial(self._deliver_batch, message, receivers, target),
+            label=f"deliver:{message.kind}",
             priority=DELIVERY_PRIORITY,
-            sortkey=handoff.stamp,
         )
 
     def _deliver_batch(
@@ -334,22 +272,7 @@ class Radio:
                 [device.node_id for device in live], "receive", cost_receive
             )
             live = [device for device in live if device.alive]
-        lineage = self.simulator.lineage
-        if lineage is None:
-            self._dispatch(message, live, target)
-            return
-        # Lineage mode: each receiver's handlers run in a branch scope so
-        # the events they schedule align on the receiver id across shards.
-        fan_token = lineage.fan_begin()
-        try:
-            for device in live:
-                branch_token = lineage.branch_begin(device.node_id)
-                try:
-                    self._dispatch(message, (device,), target)
-                finally:
-                    lineage.branch_end(branch_token)
-        finally:
-            lineage.fan_end(fan_token)
+        self._dispatch(message, live, target)
 
     def _dispatch(self, message: Message, devices, target: Optional[int]) -> None:
         """One call for the devices' protocols, then their own handlers."""

@@ -149,9 +149,7 @@ class Topology:
     def directed_links(self) -> Iterator[tuple[int, int]]:
         """All ``(sender, receiver)`` pairs the radio can traverse.
 
-        Yielded in ascending ``(sender, receiver)`` order — the same
-        enumeration the partitioner classifies into intra-shard and
-        boundary links, so the two views tile the link set exactly.
+        Yielded in ascending ``(sender, receiver)`` order.
         """
         for sender, hearers in enumerate(self._out_neighbors):
             for receiver in hearers:

@@ -27,11 +27,6 @@ from repro.persist.digest import (
     digest_components,
     state_digest,
 )
-from repro.persist.merge import (
-    export_shard_state,
-    merge_shard_states,
-    merged_state_digest,
-)
 from repro.persist.ring import CheckpointRing
 
 __all__ = [
@@ -49,8 +44,5 @@ __all__ = [
     "callback_descriptor",
     "canonical_bytes",
     "digest_components",
-    "export_shard_state",
-    "merge_shard_states",
-    "merged_state_digest",
     "state_digest",
 ]

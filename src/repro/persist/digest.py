@@ -184,12 +184,12 @@ def _queue_structure(queue: Any) -> tuple:
     """Content-canonical view of the pending event set.
 
     Entries are ``(time, priority, label, descriptor)`` sorted by
-    content: the insertion counter (or lineage stamp) and the heap's
-    physical layout are representation details, and cancelled handles
-    are excluded outright — the lazy ``_drop_cancelled`` sweep pops
-    them at representation-dependent moments and they can never affect
-    future behavior.  This is what makes a merged sharded queue digest
-    equal to the single-process one.
+    content: the insertion counter and the heap's physical layout are
+    representation details, and cancelled handles are excluded
+    outright — the lazy ``_drop_cancelled`` sweep pops them at
+    representation-dependent moments and they can never affect future
+    behavior.  Two queues that will fire the same work therefore digest
+    equal however they were built.
     """
     entries = []
     for entry in queue._heap:
@@ -230,15 +230,13 @@ def _trace_structure(trace: Any) -> tuple:
     )
 
 
-def _simulator_structures(sim: Any) -> dict[str, Any]:
-    """Canonical per-component structures of a bare simulator.
+def _digest_simulator(sim: Any) -> dict[str, str]:
+    """Per-component digests of a bare simulator.
 
-    The structures (not their hashes) are what ``persist.merge``
-    combines across shards; digesting hashes each one.  The clock keeps
-    only ``now`` — the events-processed tally is an execution statistic
-    that shard merging cannot meaningfully reconcile entry-for-entry.
+    The clock keeps only ``now``: the events-processed tally is an
+    execution statistic, not state that shapes what happens next.
     """
-    return {
+    structures = {
         "clock": ("now", sim.now),
         "queue": _queue_structure(sim.queue),
         "rng": _rng_structure(sim.random),
@@ -246,13 +244,7 @@ def _simulator_structures(sim: Any) -> dict[str, Any]:
         "metrics": (sim.metrics.enabled, tuple(sim.metrics.rows())),
         "spans": sim.spans._next_id,
     }
-
-
-def _digest_simulator(sim: Any) -> dict[str, str]:
-    return {
-        name: _hexdigest(value)
-        for name, value in _simulator_structures(sim).items()
-    }
+    return {name: _hexdigest(value) for name, value in structures.items()}
 
 
 def _digest_event_handle(event: Optional[Any]) -> Optional[tuple]:
@@ -319,13 +311,13 @@ def _describe_loss(model: Any) -> tuple:
     return (name, repr(model))
 
 
-def _runtime_structures(runtime: Any) -> dict[str, Any]:
-    """Canonical per-component structures of a full runtime.
+def _digest_runtime(runtime: Any) -> dict[str, str]:
+    """Per-component digests of a full runtime's own state.
 
     The energy component keeps the per-node batteries and the ledger's
     registry cells but not the ledger's running float totals: those are
-    order-of-addition sensitive sums a shard merge cannot reproduce
-    bit-for-bit, and they are derivable from the cells.
+    sums whose last bits depend on the order of addition, and they are
+    derivable from the cells.
     """
     radio = runtime.radio
     topology = radio.topology
@@ -374,14 +366,7 @@ def _runtime_structures(runtime: Any) -> dict[str, Any]:
             for entry in router.pending
             if entry[0] is not None
         )
-    return comps
-
-
-def _digest_runtime(runtime: Any) -> dict[str, str]:
-    return {
-        name: _hexdigest(value)
-        for name, value in _runtime_structures(runtime).items()
-    }
+    return {name: _hexdigest(value) for name, value in comps.items()}
 
 
 @dataclass(frozen=True)

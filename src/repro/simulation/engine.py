@@ -17,7 +17,6 @@ deterministic tie-breaking and bounded execution.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -29,105 +28,7 @@ from repro.simulation.events import Event, EventQueue
 from repro.simulation.rng import RandomSource
 from repro.simulation.tracing import TraceLog
 
-__all__ = ["Simulator", "PeriodicTask", "LineageContext"]
-
-
-class LineageContext:
-    """Mints the per-event *lineage stamps* the sharded engine sorts by.
-
-    A single-process run breaks ``(time, priority)`` ties by insertion
-    sequence.  Shards cannot share a sequence counter, so instead every
-    scheduled event carries a stamp that *reconstructs* the insertion
-    order: events created while event ``E`` fired are tagged with ``E``'s
-    firing coordinates ``(time, priority, stamp)`` — which totally order
-    parent firings — followed by a per-firing segment/branch/index
-    triple that orders siblings.  Driver-context roots are tagged with
-    their insertion time, a sentinel priority larger than any event
-    priority (a batch of roots is inserted *after* every event that
-    fired up to that instant), the RPC-batch index and a root counter.
-
-    Two shards replaying the same driver-RPC sequence therefore mint
-    *identical* stamps for replicated events (deduplicated at digest
-    merge) and *correctly interleaved* stamps for owner-local events —
-    the invariant the shard-conformance suite pins.
-
-    Per-entity loops inside replicated events (a phase iterating local
-    nodes) must wrap each iteration in ``fanout``/``branch`` so sibling
-    stamps align on the entity id rather than a shard-local counter.
-    """
-
-    #: Sentinel priority for driver-context roots; must exceed every
-    #: real event priority so same-instant in-run creations sort first.
-    ROOT_PRIORITY = 1 << 30
-
-    __slots__ = (
-        "_batch", "_root_index", "_origin", "_seg", "_fan_seg", "_hint", "_fan_i",
-    )
-
-    def __init__(self) -> None:
-        self._batch = 0
-        self._root_index = 0
-        self._origin: Optional[tuple] = None
-        self._seg = 0
-        self._fan_seg: Optional[int] = None
-        self._hint = -1
-        self._fan_i = 0
-
-    def begin_batch(self) -> None:
-        """Mark a driver-RPC boundary; every shard calls this in lockstep."""
-        self._batch += 1
-        self._root_index = 0
-
-    def next_stamp(self, now: float) -> tuple:
-        """Mint the stamp for one schedule call at simulated time ``now``."""
-        origin = self._origin
-        if origin is None:  # driver context → root stamp
-            index = self._root_index
-            self._root_index = index + 1
-            return ((now, self.ROOT_PRIORITY, (self._batch,)), 0, -1, index)
-        if self._fan_seg is not None:
-            index = self._fan_i
-            self._fan_i = index + 1
-            return (origin, self._fan_seg, self._hint, index)
-        seg = self._seg
-        self._seg = seg + 1
-        return (origin, seg, -1, 0)
-
-    def skip_root(self) -> None:
-        """Consume one root index for a schedule another shard owns."""
-        if self._origin is not None:
-            raise RuntimeError("skip_root is only valid in driver context")
-        self._root_index += 1
-
-    def enter_event(self, time: float, priority: int, stamp: tuple) -> None:
-        self._origin = (time, priority, stamp)
-        self._seg = 0
-        self._fan_seg = None
-        self._hint = -1
-        self._fan_i = 0
-
-    def exit_event(self) -> None:
-        self._origin = None
-
-    # -- fan-out scopes (hot-loop friendly begin/end pairs) ----------------
-
-    def fan_begin(self) -> tuple:
-        token = (self._fan_seg, self._hint, self._fan_i)
-        self._fan_seg = self._seg
-        self._seg += 1
-        return token
-
-    def fan_end(self, token: tuple) -> None:
-        self._fan_seg, self._hint, self._fan_i = token
-
-    def branch_begin(self, hint: int) -> tuple:
-        token = (self._hint, self._fan_i)
-        self._hint = hint
-        self._fan_i = 0
-        return token
-
-    def branch_end(self, token: tuple) -> None:
-        self._hint, self._fan_i = token
+__all__ = ["Simulator", "PeriodicTask"]
 
 
 class PeriodicTask:
@@ -238,53 +139,6 @@ class Simulator:
         #: unbatched run.
         self.observation_barrier = None
         self._events_processed = 0
-        #: Lineage stamping (sharded engine); ``None`` keeps the classic
-        #: insertion-sequence tie-breaking and the hot loop untouched.
-        self.lineage: Optional[LineageContext] = None
-        #: Whether this engine owns shared (network-global) emissions —
-        #: election/maintenance round counters, spans and trace spine
-        #: records.  Shard workers other than shard 0 set this to False
-        #: so merged observability matches a single-process run.
-        self.shared_emitter = True
-
-    def enable_lineage(self) -> LineageContext:
-        """Switch scheduling to lineage stamps (idempotent).
-
-        Must be called before anything is scheduled — stamp tuples and
-        plain sequence numbers cannot share one heap.
-        """
-        if self.lineage is None:
-            if self.queue._heap:
-                raise RuntimeError("cannot enable lineage on a non-empty queue")
-            self.lineage = LineageContext()
-            self.queue._track_meta = True
-        return self.lineage
-
-    @contextmanager
-    def fanout(self):
-        """Scope one per-entity loop inside a replicated event."""
-        lineage = self.lineage
-        if lineage is None:
-            yield
-            return
-        token = lineage.fan_begin()
-        try:
-            yield
-        finally:
-            lineage.fan_end(token)
-
-    @contextmanager
-    def branch(self, hint: int):
-        """Scope one entity's iteration within a :meth:`fanout` loop."""
-        lineage = self.lineage
-        if lineage is None:
-            yield
-            return
-        token = lineage.branch_begin(hint)
-        try:
-            yield
-        finally:
-            lineage.branch_end(token)
 
     def enable_profiling(self) -> EventProfiler:
         """Attach (or return) the wall-clock event profiler."""
@@ -325,10 +179,7 @@ class Simulator:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         event = Event(time=time, callback=callback, label=label, priority=priority)
-        lineage = self.lineage
-        if lineage is None:
-            return self.queue.push(event)
-        return self.queue.push(event, sortkey=lineage.next_stamp(self.now))
+        return self.queue.push(event)
 
     def schedule_transient(
         self,
@@ -348,32 +199,8 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        lineage = self.lineage
-        sortkey = None if lineage is None else lineage.next_stamp(self.now)
         self.queue.push_transient(
-            self.now + delay, callback, priority=priority, label=label,
-            sortkey=sortkey,
-        )
-
-    def inject_transient_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        label: str = "",
-        priority: int = 0,
-        sortkey: Optional[tuple] = None,
-    ) -> None:
-        """Insert a transient with an externally minted lineage stamp.
-
-        The shard controller uses this to deliver boundary-crossing
-        radio handoffs: the *sending* shard minted the stamp, so the
-        receiving shard must insert it verbatim rather than stamping a
-        fresh local one.
-        """
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        self.queue.push_transient(
-            time, callback, priority=priority, label=label, sortkey=sortkey
+            self.now + delay, callback, priority=priority, label=label
         )
 
     def cancel(self, event: Event) -> None:
@@ -412,16 +239,8 @@ class Simulator:
             # callback and label are already in hand, and releasing
             # first keeps the slot from leaking if the callback raises.
             self.queue.release(slot)
-        lineage = self.lineage
         profiler = self.profiler
-        if lineage is not None:
-            priority, stamp = self.queue.last_meta
-            lineage.enter_event(time, priority, stamp)
-            try:
-                callback()
-            finally:
-                lineage.exit_event()
-        elif profiler is None:
+        if profiler is None:
             callback()
         else:
             started = perf_counter()
@@ -471,26 +290,6 @@ class Simulator:
             barrier.flush()
         if self.now < time:
             self.clock.advance_to(time)
-        return fired
-
-    def run_window(self, bound: float, limit: float) -> int:
-        """Process events with ``time < bound`` (and ``<= limit``) only.
-
-        The conservative-sync inner loop of the sharded engine: unlike
-        :meth:`run_until` it neither advances the clock to the bound nor
-        flushes a pending observation barrier — the window may close
-        mid-burst, and both the clock position and the queued
-        observations must look exactly as they would mid-run in a
-        single-process execution.  Returns the number of events fired.
-        """
-        fired = 0
-        queue = self.queue
-        while True:
-            next_time = queue.peek_time()
-            if next_time is None or next_time >= bound or next_time > limit:
-                break
-            self.step()
-            fired += 1
         return fired
 
     # ------------------------------------------------------------------

@@ -110,14 +110,6 @@ class EventQueue:
         self._heap: list[tuple[float, int, int, "Event | int"]] = []
         self._counter = itertools.count()
         self._live = 0
-        # Lineage support (sharded engine): when callers pass explicit
-        # ``sortkey`` tuples, the queue records the popped entry's key
-        # and priority here so the engine can stamp child events.  A
-        # queue must be driven either entirely with sortkeys or
-        # entirely without — int sequence numbers and stamp tuples do
-        # not compare.
-        self._track_meta = False
-        self.last_meta: Optional[tuple] = None
         # The transient slab: parallel columns indexed by slot.
         self._slab_time = array("d")
         self._slab_priority = array("q")
@@ -132,18 +124,13 @@ class EventQueue:
     def __bool__(self) -> bool:
         return self._live > 0
 
-    def push(self, event: Event, sortkey: Optional[tuple] = None) -> Event:
-        """Schedule ``event`` and return it (for later cancellation).
-
-        ``sortkey`` replaces the insertion sequence number as the
-        tie-breaker; the sharded engine passes lineage stamps here so
-        tied events fire in the same global order a single-process run
-        would have inserted them in.
-        """
+    def push(self, event: Event) -> Event:
+        """Schedule ``event`` and return it (for later cancellation)."""
         if event.time < 0:
             raise ValueError(f"cannot schedule event at negative time {event.time}")
-        key = next(self._counter) if sortkey is None else sortkey
-        heapq.heappush(self._heap, (event.time, event.priority, key, event))
+        heapq.heappush(
+            self._heap, (event.time, event.priority, next(self._counter), event)
+        )
         event._queued = True
         self._live += 1
         return event
@@ -154,7 +141,6 @@ class EventQueue:
         callback: Callable[[], None],
         priority: int = 0,
         label: str = "",
-        sortkey: Optional[tuple] = None,
     ) -> None:
         """Schedule a fire-and-forget occurrence; no handle, no cancellation.
 
@@ -176,8 +162,7 @@ class EventQueue:
             self._slab_priority.append(priority)
             self._slab_callback.append(callback)
             self._slab_label.append(label)
-        key = next(self._counter) if sortkey is None else sortkey
-        heapq.heappush(self._heap, (time, priority, key, slot))
+        heapq.heappush(self._heap, (time, priority, next(self._counter), slot))
         self._live += 1
 
     def release(self, slot: int) -> None:
@@ -233,10 +218,8 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             raise IndexError("pop from empty event queue")
-        time, priority, key, tail = heapq.heappop(self._heap)
+        time, priority, __, tail = heapq.heappop(self._heap)
         self._live -= 1
-        if self._track_meta:
-            self.last_meta = (priority, key)
         if type(tail) is int:
             event = Event(
                 time=time,
@@ -265,10 +248,8 @@ class EventQueue:
         self._drop_cancelled()
         if not self._heap:
             raise IndexError("pop from empty event queue")
-        time, priority, key, tail = heapq.heappop(self._heap)
+        time, __, __, tail = heapq.heappop(self._heap)
         self._live -= 1
-        if self._track_meta:
-            self.last_meta = (priority, key)
         if type(tail) is int:
             return time, self._slab_callback[tail], self._slab_label[tail], tail
         tail._queued = False

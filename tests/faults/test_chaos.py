@@ -75,128 +75,3 @@ def test_single_chaos_schedule_smoke():
     # one (same seed) plus the burst.
     assert len(lossy.plan) == len(clean.plan) + 1
 
-
-# ---------------------------------------------------------------------------
-# Sharded-engine chaos slice
-# ---------------------------------------------------------------------------
-#
-# The differential counterpart of the matrix above: a seeded fault
-# schedule — including a network partition whose group straddles the
-# shard cut — rides on the 2-shard engine with the invariant checker
-# attached, and the resulting state digest must still be byte-equal to
-# the single-process run of the identical schedule.
-
-import numpy as np
-
-from repro.core.config import ProtocolConfig
-from repro.core.runtime import SnapshotRuntime
-from repro.data.series import Dataset
-from repro.experiments.harness import make_cache_factory
-from repro.faults.chaos import random_fault_plan
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import InvariantChecker
-from repro.faults.plan import FaultPlan, NetworkPartition
-from repro.network.topology import Topology
-from repro.simulation.sharded import ShardedRuntime
-
-SHARD_CHAOS_SEEDS = int(os.environ.get("REPRO_SHARD_CHAOS_SEEDS", "3"))
-
-
-def _chaos_inputs(config):
-    """The ``build_chaos_runtime`` deployment's inputs."""
-    n = config.n_nodes
-    base = np.linspace(0.0, 30.0, 400)
-    dataset = Dataset(np.stack([base + 0.3 * i for i in range(n)]))
-    topology = Topology([(0.08 * i, 0.0) for i in range(n)], ranges=2.0)
-    protocol = ProtocolConfig(
-        threshold=config.threshold,
-        heartbeat_period=config.heartbeat_period,
-        rotation_probability=config.rotation_probability,
-        member_expiry_periods=config.member_expiry_periods,
-    )
-    kwargs = dict(
-        seed=config.seed,
-        cache_factory=make_cache_factory(config.cache_policy, 2048),
-        battery_capacity=config.battery_capacity,
-    )
-    return topology, dataset, protocol, kwargs
-
-
-def _straddling_plan(config, partition):
-    """A seeded schedule plus a partition crossing the shard cut."""
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xFA11]))
-    events = list(random_fault_plan(config, rng))
-    cut_group = frozenset(
-        list(partition.shard_members(0))[-2:] + list(partition.shard_members(1))[:2]
-    )
-    owners = {partition.owner(i) for i in cut_group}
-    assert owners == {0, 1}, "test premise: the group must straddle the cut"
-    events.append(
-        NetworkPartition(
-            time=0.5 * config.heartbeat_period,
-            duration=1.5 * config.heartbeat_period,
-            group=cut_group,
-        )
-    )
-    return FaultPlan(tuple(events))
-
-
-def _ride_schedule(runtime, injector_apply, stop, config, plan):
-    """Train → elect → check → maintain → faults → drain → check."""
-    period = config.heartbeat_period
-    checker = InvariantChecker(
-        runtime,
-        message_bound=config.message_bound,
-        strict_claims=config.lossless,
-    )
-    try:
-        runtime.train(duration=6.0)
-        runtime.run_election()
-        checker.check()
-        runtime.start_maintenance()
-        quiet_at = injector_apply(plan, runtime.now + period)
-        runtime.advance_to(quiet_at + config.recovery_periods * period)
-        stop()
-        runtime.advance_to(runtime.now + 1.5 * period)
-        checker.check()
-        assert checker.checks_run == 2
-        assert checker.bound_checks_run == 1
-        assert not checker.violations
-    finally:
-        checker.close()
-
-
-@pytest.mark.shard
-def test_two_shard_chaos_slice_matches_reference():
-    """Faults on the 2-shard engine: invariants hold on both engines and
-    the final digests agree, partition-across-the-cut included."""
-    for seed in range(SHARD_CHAOS_SEEDS):
-        config = ChaosConfig(seed=seed)
-        topology, dataset, protocol, kwargs = _chaos_inputs(config)
-
-        sharded = ShardedRuntime(
-            topology, dataset, protocol, n_shards=2, **kwargs
-        )
-        plan = _straddling_plan(config, sharded.partition)
-        _ride_schedule(
-            sharded,
-            lambda p, at: sharded.apply_fault_plan(p, at=at),
-            sharded.stop_maintenance,
-            config,
-            plan,
-        )
-
-        reference = SnapshotRuntime(topology, dataset, protocol, **kwargs)
-        injector = FaultInjector(reference)
-        _ride_schedule(
-            reference,
-            lambda p, at: injector.apply(p, at=at),
-            reference.maintenance.stop,
-            config,
-            plan,
-        )
-
-        assert sharded.state_digest() == reference.state_digest(), (
-            f"seed {seed}: sharded chaos trajectory diverged"
-        )
-        assert injector.crashes_applied > 0 or len(plan.crashes()) == 0

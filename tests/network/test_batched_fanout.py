@@ -152,7 +152,7 @@ class TestDeadReceiverAccounting:
 
 
 def test_fanout_counts_in_range_receivers_dead_included():
-    """``net.fanout`` observes what a sharded sender knows: range, not liveness."""
+    """``net.fanout`` observes what the sender knows: range, not liveness."""
     radio = _lossy_radio(3, 10.0)
     assert tuple(radio.topology.out_neighbors(0)) == (1, 3, 4)
     radio.node(1).battery.draw(10.0)

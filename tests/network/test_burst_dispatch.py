@@ -50,7 +50,6 @@ class Radio(radio_module.Radio):
     """
 
     def _deliver_batch(self, message, receivers, target):
-        assert self.simulator.lineage is None, "single-process reference only"
         cost_receive = self.cost_model.receive
         kind = message.kind
         for rid in receivers:

@@ -21,14 +21,13 @@ from tests.persist.conftest import SCRIPT, build_runtime
 #: ``CachePolicy.digest_state()``, which drops the manager's derived
 #: penalty memo / victim heap / dirty set (pure functions of line
 #: state) so scalar and struct-of-arrays backing stores digest equal.
-#: Both pins moved when the sharded engine's merge-friendly
-#: canonicalization landed: the clock digest dropped the
-#: events-processed tally, the queue digest became content-sorted
-#: (dropping insertion counters and cancelled handles), and the energy
-#: digest dropped the ledger's order-sensitive float totals (derivable
-#: from its registry cells).  Each change strips representation detail
-#: only; the trajectories themselves are unchanged, which the
-#: differential resume and shard-conformance suites keep proving
+#: Both pins moved when the digest became content-canonical: the clock
+#: digest dropped the events-processed tally, the queue digest became
+#: content-sorted (dropping insertion counters and cancelled handles),
+#: and the energy digest dropped the ledger's order-sensitive float
+#: totals (derivable from its registry cells).  Each change strips
+#: representation detail only; the trajectories themselves are
+#: unchanged, which the differential resume suite keeps proving
 #: against live reference runs.
 #:
 #: Both pins moved again, deliberately, when per-entity random streams

@@ -44,19 +44,15 @@ class TestParser:
         assert args.max_cost is None
 
     def test_run_options(self):
-        args = build_parser().parse_args(
-            ["run", "--shards", "4", "-n", "20000", "--mode", "inline"]
-        )
-        assert args.shards == 4
+        args = build_parser().parse_args(["run", "-n", "20000", "--duration", "4"])
         assert args.nodes == 20000
-        assert args.mode == "inline"
+        assert args.duration == 4.0
         assert args.range is None  # auto degree-12 radius
 
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
-        assert args.shards == 4
         assert args.nodes == 2000
-        assert args.mode == "process"
+        assert args.duration == 10.0
         assert not args.digest
 
     def test_missing_command_rejected(self):
@@ -65,16 +61,38 @@ class TestParser:
 
 
 class TestCommands:
-    def test_run_sharded(self, capsys):
-        code = main(
-            ["run", "-n", "40", "--classes", "2", "--shards", "2",
-             "--duration", "4", "--digest"]
-        )
+    def test_run_pins_traffic_and_digest(self, capsys):
+        code = main(["run", "-n", "300", "--classes", "2", "--digest"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "shards : 2 x process" in out
-        assert "messages sent" in out
-        assert "digest :" in out
+        assert "traffic: 4267 messages sent" in out
+        assert (
+            "digest : c10a08509af34d6078d407a80e32d7502a9f7b8447e682a0f00ef7183d2bd3b0"
+            in out
+        )
+        assert "shards" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--nodes", "0"],
+            ["report", "--nodes", "3", "--classes", "9"],
+            ["run", "-n", "40", "--duration", "-1"],
+            ["serve", "--queries", "-1"],
+            ["query", "SELECT AVG(value) FROM sensors", "--range", "0"],
+            ["resume", "missing.ckpt", "--rounds", "-1"],
+        ],
+        ids=["demo-nodes", "report-classes", "run-duration", "serve-queries",
+             "query-range", "resume-rounds"],
+    )
+    def test_bad_value_is_one_usage_error(self, argv, capsys):
+        code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: --")
 
     def test_demo_runs(self, capsys):
         code = main(["demo", "--nodes", "20", "--classes", "2", "--seed", "1"])
