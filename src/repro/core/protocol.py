@@ -194,7 +194,7 @@ class ProtocolNode:
 
     @property
     def alive(self) -> bool:
-        """Whether the underlying device still has battery."""
+        """Whether the underlying device is alive (charged, not crashed)."""
         return self.device.alive
 
     @property

@@ -297,7 +297,9 @@ class SnapshotRuntime:
         return self.dataset.value(node_id, self.simulator.now)
 
     def alive_ids(self) -> list[int]:
-        """Ids of nodes still holding charge."""
+        """Ids of alive nodes, ascending: battery not depleted and not
+        crashed by fault injection (read from the radio's liveness
+        column)."""
         return self.radio.alive_ids()
 
     # ------------------------------------------------------------------

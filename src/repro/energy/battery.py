@@ -14,9 +14,14 @@ Figure 10.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
-__all__ = ["Battery"]
+__all__ = ["Battery", "DEPLETED"]
+
+#: The bit a depleted battery sets in its device's liveness byte (see
+#: :class:`~repro.network.state.DeviceState`).
+DEPLETED = 0b010
 
 
 class Battery:
@@ -30,15 +35,27 @@ class Battery:
     on_depleted:
         Optional callback invoked exactly once, at the moment the charge
         reaches zero.
+
+    A capacity or draw that is not a finite number is refused: a NaN
+    charge never reaches zero, and an infinite capacity makes
+    :attr:`fraction_remaining` NaN.  ``None`` is the infinite battery.
     """
+
+    #: The liveness byte this battery's depletion is written to, as
+    #: ``flags[slot]``; bound by the device that holds the battery.
+    _flags: Optional[bytearray] = None
+    _slot = 0
 
     def __init__(
         self,
         capacity: Optional[float] = None,
         on_depleted: Optional[Callable[[], None]] = None,
     ) -> None:
-        if capacity is not None and capacity < 0:
-            raise ValueError(f"battery capacity must be non-negative, got {capacity}")
+        if capacity is not None and not (0 <= capacity < math.inf):
+            raise ValueError(
+                f"battery capacity must be finite and non-negative (None for "
+                f"an infinite battery), got {capacity}"
+            )
         self._capacity = capacity
         self._charge = capacity
         self._on_depleted = on_depleted
@@ -88,8 +105,8 @@ class Battery:
         that exceeds the remaining charge is clamped, and the depletion
         callback fires once.
         """
-        if amount < 0:
-            raise ValueError(f"cannot draw negative energy {amount}")
+        if not amount >= 0:
+            raise ValueError(f"cannot draw negative or NaN energy {amount}")
         if self._charge is None:
             self._spent += amount
             return amount
@@ -100,10 +117,18 @@ class Battery:
         self._spent += drawn
         if self._charge <= 0.0:
             self._charge = 0.0
+            if self._flags is not None:
+                self._flags[self._slot] |= DEPLETED
             if self._on_depleted is not None:
                 callback, self._on_depleted = self._on_depleted, None
                 callback()
         return drawn
+
+    def _bind(self, flags: bytearray, slot: int) -> None:
+        """Write this battery's depletion to ``flags[slot]`` from now on."""
+        self._flags, self._slot = flags, slot
+        if self.depleted:
+            flags[slot] |= DEPLETED
 
     def can_afford(self, amount: float) -> bool:
         """Whether the remaining charge covers ``amount``."""

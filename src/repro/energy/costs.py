@@ -17,6 +17,7 @@ invocation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["EnergyCostModel", "PAPER_COST_MODEL"]
@@ -43,8 +44,10 @@ class EnergyCostModel:
     def __post_init__(self) -> None:
         for name in ("transmit", "receive", "cpu_cache_update"):
             value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} cost must be non-negative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} cost must be finite and non-negative, got {value}"
+                )
 
 
 #: The exact accounting used in Figure 10 of the paper.

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 from repro.energy.battery import Battery
 from repro.network.messages import Message
+from repro.network.state import FAILED
 
 __all__ = ["NetworkNode", "MessageHandler"]
 
@@ -45,18 +46,40 @@ class NetworkNode:
         #: through the protocol layer's burst table rather than one
         #: message at a time; :meth:`deliver` is the one-message form.
         self.protocol = None
-        self._failed = False
+        #: The liveness byte is ``_flags[_slot]``: a column of its own
+        #: until a radio registers the device into its
+        #: :class:`~repro.network.state.DeviceState`.
+        self._flags = bytearray(1)
+        self._slot = 0
+        self.battery._bind(self._flags, 0)
+
+    def _bind(self, flags: bytearray, slot: int) -> None:
+        """Move this device's liveness byte to ``flags[slot]``."""
+        flags[slot] = self._flags[self._slot]
+        self._flags, self._slot = flags, slot
+        self.battery._bind(flags, slot)
+
+    def __setstate__(self, state: dict) -> None:
+        failed = state.pop("_failed", None)
+        self.__dict__.update(state)
+        if failed is not None:
+            # Pickled before liveness became a column: rebuild the byte,
+            # in the radio's column if the radio was unpickled first.
+            if "_flags" not in self.__dict__:
+                self._flags, self._slot = bytearray(1), 0
+            self._flags[self._slot] = FAILED if failed else 0
+            self.battery._bind(self._flags, self._slot)
 
     @property
     def alive(self) -> bool:
         """A node is alive while its battery holds charge and it has not
         been failed by the fault-injection layer."""
-        return not self._failed and not self.battery.depleted
+        return not self._flags[self._slot]
 
     @property
     def failed(self) -> bool:
         """Whether the device is currently crashed by fault injection."""
-        return self._failed
+        return bool(self._flags[self._slot] & FAILED)
 
     def fail(self) -> None:
         """Crash the device: it transmits and receives nothing while down.
@@ -66,12 +89,12 @@ class NetworkNode:
         outage (reboot, firmware hang, enclosure knocked over) and can
         be reversed with :meth:`restore`.
         """
-        self._failed = True
+        self._flags[self._slot] |= FAILED
 
     def restore(self) -> None:
         """Clear an injected failure; the device is alive again unless
         its battery also ran out in the meantime."""
-        self._failed = False
+        self._flags[self._slot] &= ~FAILED
 
     def attach(self, handler: MessageHandler) -> None:
         """Register a handler for every future delivery to this node."""
@@ -101,5 +124,5 @@ class NetworkNode:
             handler(message, overheard)
 
     def __repr__(self) -> str:
-        state = "alive" if self.alive else ("failed" if self._failed else "dead")
+        state = "alive" if self.alive else ("failed" if self.failed else "dead")
         return f"NetworkNode(id={self.node_id}, {state}, {self.battery!r})"

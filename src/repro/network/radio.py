@@ -34,6 +34,7 @@ from repro.energy.costs import PAPER_COST_MODEL, EnergyCostModel
 from repro.network.links import PERFECT_LINKS, LossModel
 from repro.network.messages import Message
 from repro.network.node import NetworkNode
+from repro.network.state import DeviceState
 from repro.network.stats import MessageStats
 from repro.network.topology import Topology
 from repro.simulation.engine import Simulator
@@ -99,6 +100,8 @@ class Radio:
         self._fanout = registry.histogram("net.fanout", FANOUT_BUCKETS)
         self.latency = latency
         self._nodes: dict[int, NetworkNode] = {}
+        #: Every registered device's liveness byte, by node id.
+        self.devices = DeviceState(len(topology))
         #: ``radio.<sender>`` streams, created on a sender's first draw.
         self._entity_rngs: dict[int, object] = {}
         #: The runtime's
@@ -114,6 +117,20 @@ class Radio:
         #: function, so checkpoints pickle it by name).
         self.burst_dispatch = None
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "devices" not in state:
+            # Pickled before liveness became a column.  A device whose
+            # own unpickling is still to come finds the column preset
+            # and writes its byte there (``NetworkNode.__setstate__``).
+            self.devices = DeviceState(len(self.topology))
+            flags = self.devices.flags
+            for node_id, device in self._nodes.items():
+                if "_flags" in device.__dict__:
+                    device._bind(flags, node_id)
+                else:
+                    device.__dict__.update(_flags=flags, _slot=node_id)
+
     # -- registration ------------------------------------------------------
 
     def register(self, node: NetworkNode) -> NetworkNode:
@@ -123,6 +140,7 @@ class Radio:
         if node.node_id not in self.topology.node_ids:
             raise ValueError(f"node {node.node_id} not present in topology")
         self._nodes[node.node_id] = node
+        node._bind(self.devices.flags, node.node_id)
         return node
 
     def populate(self, battery_capacity: Optional[float] = None) -> list[NetworkNode]:
@@ -148,13 +166,13 @@ class Radio:
         return dict(self._nodes)
 
     def alive_ids(self) -> list[int]:
-        """Ids of devices whose batteries still hold charge."""
-        return [node_id for node_id, node in self._nodes.items() if node.alive]
+        """Ids of alive devices, ascending: registered, not crashed by
+        fault injection, battery not depleted."""
+        return self.devices.alive_ids()
 
     def is_alive(self, node_id: int) -> bool:
         """Whether ``node_id`` is in :meth:`alive_ids`, in O(1)."""
-        device = self._nodes.get(node_id)
-        return device is not None and device.alive
+        return self.devices.is_alive(node_id)
 
     # -- transmission ------------------------------------------------------
 
@@ -182,7 +200,7 @@ class Radio:
         sender = self._nodes.get(message.sender)
         if sender is None:
             raise KeyError(f"unregistered sender {message.sender}")
-        if not sender.alive:
+        if self.devices.flags[message.sender]:
             return False
         sender.battery.draw(self.cost_model.transmit)
         self.ledger.record(sender.node_id, "transmit", self.cost_model.transmit)
@@ -256,23 +274,22 @@ class Radio:
         it sends can change another receiver's liveness, so this is
         the per-receiver outcome of :meth:`NetworkNode.deliver`.
         """
-        nodes = self._nodes
-        live = [device for device in map(nodes.__getitem__, receivers) if device.alive]
+        flags = self.devices.flags
+        live = [rid for rid in receivers if not flags[rid]]
         if len(live) < len(receivers):
             self.stats.record_dropped_dead(message, len(receivers) - len(live))
             if not live:
                 return
         kind = message.kind
-        self.stats.delivered.update([(device.node_id, kind) for device in live])
+        self.stats.delivered.update([(rid, kind) for rid in live])
+        nodes = self._nodes
         cost_receive = self.cost_model.receive
         if cost_receive > 0:
-            for device in live:
-                device.battery.draw(cost_receive)
-            self.ledger.record_each(
-                [device.node_id for device in live], "receive", cost_receive
-            )
-            live = [device for device in live if device.alive]
-        self._dispatch(message, live, target)
+            for rid in live:
+                nodes[rid].battery.draw(cost_receive)
+            self.ledger.record_each(live, "receive", cost_receive)
+            live = [rid for rid in live if not flags[rid]]
+        self._dispatch(message, list(map(nodes.__getitem__, live)), target)
 
     def _dispatch(self, message: Message, devices, target: Optional[int]) -> None:
         """One call for the devices' protocols, then their own handlers."""
@@ -304,10 +321,10 @@ class Radio:
         if cost <= 0:
             return
         nodes = self._nodes
+        flags = self.devices.flags
         charged = []
         for node_id in node_ids:
-            node = nodes[node_id]
-            if node.alive:
-                node.battery.draw(cost)
+            if not flags[node_id]:
+                nodes[node_id].battery.draw(cost)
                 charged.append(node_id)
         self.ledger.record_each(charged, "cpu", cost)

@@ -15,6 +15,7 @@ pre-computed once, because the election protocol queries them heavily.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -128,6 +129,16 @@ class Topology:
     def position(self, node_id: int) -> tuple[float, float]:
         """Coordinates of ``node_id``."""
         return self._positions[node_id]
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        """x coordinates by node id (``float64``)."""
+        return np.array([x for x, _ in self._positions], dtype=np.float64)
+
+    @cached_property
+    def ys(self) -> np.ndarray:
+        """y coordinates by node id (``float64``)."""
+        return np.array([y for _, y in self._positions], dtype=np.float64)
 
     def range_of(self, node_id: int) -> float:
         """Transmission range of ``node_id``."""

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.runtime import SnapshotRuntime
 from repro.core.status import NodeMode
 from repro.network.messages import AggregateReport, DataReport
@@ -200,10 +202,10 @@ class QueryExecutor:
         with runtime.simulator.spans.span(
             "query", query_id=query_id, snapshot=query.use_snapshot
         ):
-            matching_all = frozenset(
-                self._matching_nodes(query, runtime.topology.node_ids)
-            )
-            matching_alive = frozenset(node for node in matching_all if is_alive(node))
+            matching = self._matching_nodes(query)
+            flags = runtime.radio.devices.flags
+            matching_all = frozenset(matching)
+            matching_alive = frozenset(node for node in matching if not flags[node])
 
             if tree is None:
                 tree = self.build_tree(sink, use_snapshot=query.use_snapshot)
@@ -270,10 +272,11 @@ class QueryExecutor:
             alive = set(runtime.alive_ids())
         prefer: frozenset[int] = frozenset()
         if use_snapshot and self.prefer_representative_routing:
+            nodes = runtime.nodes
             prefer = frozenset(
                 node_id
-                for node_id, node in runtime.nodes.items()
-                if node.mode is not NodeMode.PASSIVE and node.alive
+                for node_id in runtime.alive_ids()
+                if nodes[node_id].mode is not NodeMode.PASSIVE
             )
         return AggregationTree.build(
             runtime.topology,
@@ -288,20 +291,22 @@ class QueryExecutor:
     # responder selection
     # ------------------------------------------------------------------
 
-    def _matching_nodes(self, query: Query, node_ids) -> list[int]:
-        """Ground truth: nodes whose location and value satisfy the query."""
+    def _matching_nodes(self, query: Query) -> list[int]:
+        """Ground truth: nodes, alive or dead, whose location and value
+        satisfy the query.  Only the candidates inside the region's mask
+        over the coordinate columns are visited."""
         runtime = self.runtime
-        matches = []
-        for node_id in node_ids:
-            x, y = runtime.topology.position(node_id)
-            if not query.region.contains(x, y):
-                continue
-            if query.value_predicate is not None and not query.value_predicate.matches(
-                runtime.value_of(node_id)
-            ):
-                continue
-            matches.append(node_id)
-        return matches
+        topology = runtime.topology
+        inside = query.region.contains_mask(topology.xs, topology.ys)
+        candidates = np.flatnonzero(inside).tolist()
+        predicate = query.value_predicate
+        if predicate is None:
+            return candidates
+        return [
+            node_id
+            for node_id in candidates
+            if predicate.matches(runtime.value_of(node_id))
+        ]
 
     def _regular_bundles(
         self, query: Query, matching_alive: frozenset[int], tree: AggregationTree

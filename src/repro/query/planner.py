@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.multi_resolution import MultiResolutionSnapshot
 from repro.core.protocol import ProtocolNode
 from repro.core.runtime import SnapshotRuntime
@@ -112,6 +114,10 @@ class QueryPlan:
         snapshot; it must trigger an election before snapshot execution.
     reason:
         Human-readable justification.
+    estimate:
+        The full pre-dispatch estimate of the chosen mode, from the same
+        census as the costs (equal to ``estimate_cost(query,
+        use_snapshot=plan.use_snapshot)``).
     """
 
     use_snapshot: bool
@@ -119,6 +125,7 @@ class QueryPlan:
     estimated_snapshot_cost: float
     needs_election: bool
     reason: str
+    estimate: QueryCostEstimate
 
 
 class QueryPlanner:
@@ -179,29 +186,49 @@ class QueryPlanner:
         """``(regular responders, snapshot responders, alive nodes)``.
 
         The sizes of :meth:`regular_responders`,
-        :meth:`snapshot_responders` and ``alive_ids()``, counted in one
-        pass over the nodes.
+        :meth:`snapshot_responders` and ``alive_ids()``.  The regular and
+        alive counts come from the liveness mask and the region's mask
+        over the coordinate columns; locations and member locations are
+        read only for alive non-PASSIVE nodes.
         """
+        runtime = self.runtime
+        topology = runtime.topology
         region = query.region
-        position = self.runtime.topology.position
-        member_covers = self._member_covers
-        regular = snapshot = alive = 0
-        for node_id, node in self.runtime.nodes.items():
-            if not node.alive:
+        alive = runtime.radio.devices.alive_mask()
+        inside = region.contains_mask(topology.xs, topology.ys)
+        regular = int(np.count_nonzero(inside & alive))
+        alive_ids = np.flatnonzero(alive).tolist()
+        inside = inside.tolist()
+        positions = topology._positions
+        contains = region.contains
+        nodes = runtime.nodes
+        snapshot = 0
+        for node_id in alive_ids:
+            node = nodes[node_id]
+            mode = node.mode
+            if mode is NodeMode.PASSIVE:
                 continue
-            alive += 1
-            where = position(node_id)
-            inside = region.contains(*where)
-            regular += inside
-            if node.mode is NodeMode.PASSIVE:
+            # A location that is its node's topology position object is
+            # read from the mask; one that was moved without the
+            # topology answers where it is.
+            location = node.location
+            if inside[node_id] if location is positions[node_id] else contains(*location):
+                snapshot += 1
                 continue
-            # A node's location is its topology position object, unless
-            # one was moved without the other; then the node answers
-            # where it is.
-            if node.location is not where:
-                inside = region.contains(*node.location)
-            snapshot += inside or member_covers(node, region)
-        return regular, snapshot, alive
+            if mode is not NodeMode.ACTIVE:
+                continue
+            for member_id, info in node.represented.items():
+                location = info.location
+                if location is None:
+                    continue
+                if (
+                    inside[member_id]
+                    if location is positions[member_id]
+                    else contains(*location)
+                ):
+                    snapshot += 1
+                    break
+        return regular, snapshot, len(alive_ids)
 
     def regular_responders(self, query: Query) -> frozenset[int]:
         """Alive nodes inside the spatial predicate (regular execution).
@@ -280,7 +307,12 @@ class QueryPlanner:
         """
         if use_snapshot is None:
             use_snapshot = query.use_snapshot
-        regular, snapshot, n_alive = self._census(query)
+        return self._estimate(query, use_snapshot, self._census(query))
+
+    def _estimate(
+        self, query: Query, use_snapshot: bool, census: tuple[int, int, int]
+    ) -> QueryCostEstimate:
+        regular, snapshot, n_alive = census
         responders = snapshot if use_snapshot else regular
         hops = self._mean_hops()
         if query.is_aggregate:
@@ -311,9 +343,11 @@ class QueryPlanner:
         cheaper (e.g. a tiny region containing one unrepresented node),
         and conversely a plain query is upgraded to snapshot execution
         when that saves transmissions and the snapshot's threshold
-        permits it.
+        permits it.  The plan carries the chosen mode's
+        :class:`QueryCostEstimate`, from the same one census.
         """
-        regular, snapshot, _ = self._census(query)
+        census = self._census(query)
+        regular, snapshot, _ = census
         regular_cost = self._transmissions_per_round(query, regular)
         needs_election = False
         snapshot_threshold_ok = True
@@ -339,6 +373,7 @@ class QueryPlanner:
                     f"than every available snapshot; answering regularly "
                     f"(or elect at the tighter threshold first)"
                 ),
+                estimate=self._estimate(query, False, census),
             )
 
         snapshot_cost = self._transmissions_per_round(query, snapshot)
@@ -359,6 +394,7 @@ class QueryPlanner:
             estimated_snapshot_cost=snapshot_cost,
             needs_election=False,
             reason=reason,
+            estimate=self._estimate(query, use_snapshot, census),
         )
 
     def rewrite(self, query: Query, plan: QueryPlan) -> Query:

@@ -43,6 +43,20 @@ class Region(abc.ABC):
         """Convenience overload taking a coordinate pair."""
         return self.contains(point[0], point[1])
 
+    def contains_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`contains` of every point ``(xs[i], ys[i])``, as a mask.
+
+        The default calls :meth:`contains` per point, so it is exact for
+        any region; subclasses override it with a column form only where
+        that makes the same comparisons.
+        """
+        contains = self.contains
+        return np.fromiter(
+            (contains(x, y) for x, y in zip(xs.tolist(), ys.tolist())),
+            dtype=bool,
+            count=len(xs),
+        )
+
 
 @dataclass(frozen=True)
 class Rect(Region):
@@ -62,6 +76,12 @@ class Rect(Region):
 
     def contains(self, x: float, y: float) -> bool:
         return self.x_low <= x <= self.x_high and self.y_low <= y <= self.y_high
+
+    def contains_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return (
+            (self.x_low <= xs) & (xs <= self.x_high)
+            & (self.y_low <= ys) & (ys <= self.y_high)
+        )
 
     @property
     def area(self) -> float:
@@ -91,6 +111,9 @@ class Everywhere(Region):
 
     def contains(self, x: float, y: float) -> bool:
         return True
+
+    def contains_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.ones(len(xs), dtype=bool)
 
 
 #: The quadrant vocabulary of the §3.1 example query (the paper's

@@ -310,7 +310,7 @@ class QueryFrontEnd:
         with self._runtime_lock:
             plan = self.planner.plan(query)
             planned_query = self.planner.rewrite(query, plan)
-            estimate = self.planner.estimate_cost(query, use_snapshot=plan.use_snapshot)
+        estimate = plan.estimate
         if self.max_cost is not None and estimate.total_transmissions > self.max_cost:
             self._admitted.inc("rejected_cost")
             raise AdmissionRejected(

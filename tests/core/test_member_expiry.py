@@ -51,8 +51,9 @@ class TestExpiryMechanics:
         rep = runtime.nodes[view.representatives[0]]
         victim = sorted(rep.represented)[0]
         # silence the member: it dies, so its heartbeats stop
-        runtime.radio.node(victim).battery._capacity = 1.0
-        runtime.radio.node(victim).battery._charge = 0.0
+        battery = runtime.radio.node(victim).battery
+        battery._capacity = battery._charge = 1.0  # a finite battery, ...
+        battery.draw(1.0)  # ... emptied through the draw that marks it dead
         runtime.advance_to(runtime.now + 60)  # > 3 periods of silence
         assert victim not in rep.represented
         assert runtime.simulator.trace.count("maintenance.member_expired") >= 1
@@ -64,8 +65,9 @@ class TestExpiryMechanics:
         runtime.start_maintenance()
         rep = runtime.nodes[view.representatives[0]]
         victim = sorted(rep.represented)[0]
-        runtime.radio.node(victim).battery._capacity = 1.0
-        runtime.radio.node(victim).battery._charge = 0.0
+        battery = runtime.radio.node(victim).battery
+        battery._capacity = battery._charge = 1.0  # a finite battery, ...
+        battery.draw(1.0)  # ... emptied through the draw that marks it dead
         runtime.advance_to(runtime.now + 100)
         # the paper's Figure 10 behavior: the claim (and the model
         # estimate for the dead node) persists

@@ -55,8 +55,9 @@ class TestCapture:
         nodes = make_nodes(3)
         for node in nodes.values():
             node.mode = NodeMode.ACTIVE
-        nodes[1].device.battery._charge = 0.0  # simulate depletion
-        nodes[1].device.battery._capacity = 1.0
+        battery = nodes[1].device.battery
+        battery._capacity = battery._charge = 1.0  # simulate depletion:
+        battery.draw(1.0)  # empty a finite battery through its draw
         view = SnapshotView.capture(nodes)
         assert 1 not in view.assignment
         assert view.n_nodes == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.energy.accounting import EnergyLedger
@@ -18,6 +20,13 @@ class TestCostModel:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             EnergyCostModel(transmit=-1.0)
+
+    @pytest.mark.parametrize("field", ["transmit", "receive", "cpu_cache_update"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, field, value):
+        """A NaN price would draw NaN from every battery it charges."""
+        with pytest.raises(ValueError, match="finite"):
+            EnergyCostModel(**{field: value})
 
 
 class TestLedger:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,28 @@ class TestFiniteBattery:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             Battery(-1.0)
+
+    @pytest.mark.parametrize("capacity", [math.inf, math.nan, -math.inf])
+    def test_non_finite_capacity_rejected(self, capacity):
+        """``inf`` would make ``fraction_remaining`` NaN -> 0.0 (every
+        representative resigns at every §5.1 energy check); ``nan``
+        would leave a charge that never depletes.  ``None`` is the
+        infinite battery."""
+        with pytest.raises(ValueError, match="finite"):
+            Battery(capacity)
+
+    def test_nan_draw_rejected(self):
+        battery = Battery(5.0)
+        with pytest.raises(ValueError):
+            battery.draw(math.nan)
+        assert battery.charge == 5.0 and battery.spent == 0.0
+        with pytest.raises(ValueError):
+            Battery(None).draw(math.nan)
+
+    def test_inf_draw_depletes(self):
+        battery = Battery(5.0)
+        assert battery.draw(math.inf) == 5.0
+        assert battery.depleted and battery.fraction_remaining == 0.0
 
     def test_can_afford(self):
         battery = Battery(2.0)

@@ -10,7 +10,9 @@ against a reference that does the work the long way:
   over lossless links, against a plain BFS;
 * ``plan``/``estimate_cost`` against values composed from
   ``regular_responders``/``snapshot_responders``/``spatial_selectivity``
-  on a runtime holding dead, PASSIVE, ACTIVE and UNDEFINED nodes;
+  on a runtime holding failed, battery-depleted, failed-then-restored,
+  PASSIVE, ACTIVE and UNDEFINED nodes, over rectangles, circles and
+  the whole plane;
 * ``execute(tree=...)`` on hand-built trees (dead members, non-members)
   against a scan over every node of the network.
 """
@@ -36,7 +38,7 @@ from repro.query.planner import (
     QueryCostEstimate,
     QueryPlanner,
 )
-from repro.query.spatial import Rect
+from repro.query.spatial import Circle, Everywhere, Rect
 from tests.conftest import make_runtime
 
 # ----------------------------------------------------------------------
@@ -169,8 +171,16 @@ def test_lossless_is_derived_from_the_model():
 @pytest.fixture(scope="module")
 def mixed_runtime():
     """An elected runtime holding dead, PASSIVE, ACTIVE and UNDEFINED nodes,
-    one of them with a location that is not its topology position object."""
-    runtime = make_runtime(n_nodes=30, n_classes=3, seed=21, transmission_range=0.35)
+    one of them with a location that is not its topology position object.
+    Of the dead, two were failed and one ran its battery empty; one more
+    node was failed and restored."""
+    runtime = make_runtime(
+        n_nodes=30,
+        n_classes=3,
+        seed=21,
+        transmission_range=0.35,
+        battery_capacity=1e9,
+    )
     runtime.train(duration=10)
     runtime.run_election()
     passive = sorted(
@@ -183,15 +193,27 @@ def mixed_runtime():
     )
     runtime.radio.node(passive[0]).fail()
     runtime.radio.node(active[0]).fail()
+    runtime.radio.node(active[1]).battery.draw(math.inf)
+    runtime.radio.node(passive[3]).fail()
+    runtime.radio.node(passive[3]).restore()
     moved = runtime.nodes[passive[1]]
     moved.mode = NodeMode.UNDEFINED
     moved.location = (1.0 - moved.location[0], 1.0 - moved.location[1])
     copied = runtime.nodes[passive[2]]
     x, y = copied.location
     copied.location = (x, y)  # equal to its position, not the same object
+    # A representative that learned a member location away from the
+    # member's topology position (an Accept sent from elsewhere).
+    rep = next(
+        runtime.nodes[node_id] for node_id in active[2:] if runtime.nodes[node_id].represented
+    )
+    info = rep.represented[min(rep.represented)]
+    info.location = (1.0 - info.location[0], 1.0 - info.location[1])
     modes = {node.mode for node in runtime.nodes.values() if node.alive}
     assert modes == {NodeMode.PASSIVE, NodeMode.ACTIVE, NodeMode.UNDEFINED}
-    assert len(runtime.alive_ids()) == len(runtime.nodes) - 2
+    assert len(runtime.alive_ids()) == len(runtime.nodes) - 3
+    assert runtime.radio.is_alive(passive[3])
+    assert not runtime.nodes[active[1]].alive
     return runtime
 
 
@@ -199,12 +221,23 @@ coords = st.floats(min_value=-0.1, max_value=1.1, allow_nan=False)
 
 
 @st.composite
-def queries(draw):
+def regions(draw):
+    kind = draw(st.sampled_from(["rect", "circle", "everywhere"]))
+    if kind == "everywhere":
+        return Everywhere()
+    if kind == "circle":
+        radius = draw(st.floats(min_value=0.0, max_value=0.8, allow_nan=False))
+        return Circle(draw(coords), draw(coords), radius)
     x0, x1 = sorted((draw(coords), draw(coords)))
     y0, y1 = sorted((draw(coords), draw(coords)))
+    return Rect(x0, y0, x1, y1)
+
+
+@st.composite
+def queries(draw):
     use_snapshot = draw(st.booleans())
     return Query(
-        region=Rect(x0, y0, x1, y1),
+        region=draw(regions()),
         aggregate=draw(st.sampled_from([None, Aggregate.AVG, Aggregate.COUNT])),
         use_snapshot=use_snapshot,
         snapshot_threshold=(
@@ -227,6 +260,7 @@ def test_plan_and_estimate_match_composed_values(mixed_runtime, query, use_snaps
     per_round = planner._transmissions_per_round
 
     plan = planner.plan(query)
+    assert plan.estimate == planner.estimate_cost(query, use_snapshot=plan.use_snapshot)
     assert plan.estimated_regular_cost == per_round(query, regular)
     if plan.needs_election:
         assert plan.estimated_snapshot_cost == math.inf
@@ -281,7 +315,20 @@ def test_census_reads_a_moved_node_at_its_own_location(mixed_runtime):
 
 
 class FullScanExecutor(QueryExecutor):
-    """Snapshot responders chosen by a scan over every node."""
+    """Ground truth and snapshot responders chosen by a scan over every
+    node, liveness read from each device."""
+
+    def _matching_nodes(self, query):
+        runtime = self.runtime
+        return [
+            node_id
+            for node_id in runtime.topology.node_ids
+            if query.region.contains(*runtime.topology.position(node_id))
+            and (
+                query.value_predicate is None
+                or query.value_predicate.matches(runtime.value_of(node_id))
+            )
+        ]
 
     def _snapshot_bundles(self, query, tree):
         runtime = self.runtime
@@ -347,7 +394,14 @@ def hand_built_trees(runtime):
 @pytest.mark.parametrize("use_snapshot", [True, False])
 @pytest.mark.parametrize(
     "region",
-    [Rect(0.0, 0.0, 1.0, 1.0), Rect(0.0, 0.0, 0.5, 0.6), Rect(0.4, 0.2, 0.9, 0.9)],
+    [
+        Rect(0.0, 0.0, 1.0, 1.0),
+        Rect(0.0, 0.0, 0.5, 0.6),
+        Rect(0.4, 0.2, 0.9, 0.9),
+        Circle(0.5, 0.5, 0.3),
+        Circle(0.1, 0.9, 0.45),
+        Everywhere(),
+    ],
     ids=repr,
 )
 def test_execute_on_hand_built_trees_matches_full_scan(
@@ -365,6 +419,9 @@ def test_execute_on_hand_built_trees_matches_full_scan(
     assert fast.responders == slow.responders
     assert fast.routers == slow.routers
     assert fast.aggregate_value == slow.aggregate_value
+    assert fast.matching_all == slow.matching_all
     assert fast.matching_alive == slow.matching_alive
-    if region == Rect(0.0, 0.0, 1.0, 1.0):
+    if region in (Rect(0.0, 0.0, 1.0, 1.0), Everywhere()):
         assert fast.reports  # non-vacuous
+        dead = set(mixed_runtime.nodes) - set(mixed_runtime.alive_ids())
+        assert fast.matching_all - fast.matching_alive == dead
