@@ -194,8 +194,10 @@ class ProtocolNode:
 
     @property
     def alive(self) -> bool:
-        """Whether the underlying device is alive (charged, not crashed)."""
-        return self.device.alive
+        """Whether the underlying device is alive (charged, not crashed):
+        its liveness byte, read once."""
+        device = self.device
+        return not device._flags[device._slot]
 
     @property
     def is_representative(self) -> bool:
@@ -642,7 +644,7 @@ class ProtocolNode:
         """
         burst = _BURSTS.get(type(message))
         if burst is not None:
-            burst(message, (self,))
+            burst(message, (self.node_id,), {self.node_id: self.device})
 
     def _on_invitation(self, message: Invitation) -> None:
         if message.sender == self.node_id:
@@ -942,16 +944,18 @@ class ProtocolNode:
 # ----------------------------------------------------------------------
 #
 # A *burst* is the single delivery event one transmission schedules for
-# all its surviving receivers.  The radio books the burst (liveness,
-# counters, receive energy) and then makes one call into this table with
-# the live receivers' protocol nodes, in receiver order.  Each entry
-# gives exactly the outcome of running the kind's handler on every
-# receiver in that order.  Entries are module-level functions (or
-# partials of them), so a radio holding :func:`dispatch_burst` pickles
-# with checkpoints.
+# all its surviving receivers.  The radio books the burst over ids
+# (liveness, counters, receive energy) and then makes one call into this
+# table with the live receivers' ids, in receiver order, and its
+# id -> device map.  Each entry gives exactly the outcome of running the
+# kind's handler on every receiver's protocol in that order, and looks
+# up only the devices it needs: an addressed kind (:func:`_to_target`)
+# only its target's.  Entries are module-level functions (or partials of
+# them), so a radio holding :func:`dispatch_burst` pickles with
+# checkpoints.
 
 
-def dispatch_burst(message: Message, receivers) -> None:
+def dispatch_burst(message: Message, live, devices) -> None:
     """Run one delivery burst's protocol handlers (the radio's entry).
 
     Keyed on the exact message type (protocol messages are never
@@ -959,27 +963,29 @@ def dispatch_burst(message: Message, receivers) -> None:
     """
     burst = _BURSTS.get(type(message))
     if burst is not None:
-        burst(message, receivers)
+        burst(message, live, devices)
 
 
-def _to_target(handler, address: str, message: Message, receivers) -> None:
+def _to_target(handler, address: str, message: Message, live, devices) -> None:
     """A unicast on the broadcast medium: only the receiver named by the
-    message's ``address`` field acts; its overheard copies were booked by
-    the radio and need nothing more."""
+    message's ``address`` field acts, if it is live; its overheard
+    copies were booked by the radio and need nothing more."""
     target = getattr(message, address)
-    for node in receivers:
-        if node.node_id == target:
+    if target in live:
+        node = devices[target].protocol
+        if node is not None:
             handler(node, message)
-            return
 
 
-def _to_each(handler, message: Message, receivers) -> None:
+def _to_each(handler, message: Message, live, devices) -> None:
     """A broadcast: every receiver's handler, in receiver order."""
-    for node in receivers:
-        handler(node, message)
+    for rid in live:
+        node = devices[rid].protocol
+        if node is not None:
+            handler(node, message)
 
 
-def _burst_data_report(message: DataReport, receivers) -> None:
+def _burst_data_report(message: DataReport, live, devices) -> None:
     """Snoop an overheard measurement report (§3), as columns.
 
     Per receiver this is: draw the snoop decision from its own
@@ -989,9 +995,9 @@ def _burst_data_report(message: DataReport, receivers) -> None:
     the battery and ledger timelines of an inline application.  The
     steps run as passes over the burst: the draws in receiver order
     (each from its own stream), one gather of the snoopers' values, one
-    router call, then the CPU charges in receiver order, so every
-    battery, ledger cell and ledger total sums as it would receiver by
-    receiver.
+    router call with the snoopers' ids, then the CPU charges in
+    receiver order, so every battery, ledger cell and ledger total sums
+    as it would receiver by receiver.
     """
     # Only model raw measurements the reporter took itself; estimates
     # produced on behalf of other nodes would poison the cache.
@@ -999,9 +1005,12 @@ def _burst_data_report(message: DataReport, receivers) -> None:
         return
     sender = message.sender
     snoopers = []
-    for node in receivers:
+    for rid in live:
+        node = devices[rid].protocol
+        if node is None:
+            continue
         probability = node.snoop_probability
-        if probability <= 0 or node.node_id == sender:
+        if probability <= 0 or rid == sender:
             continue
         if probability >= 1.0 or node._rng.random() < probability:
             snoopers.append(node)
@@ -1016,8 +1025,9 @@ def _burst_data_report(message: DataReport, receivers) -> None:
         for node, own in zip(snoopers, own_values):
             node._record_observation(sender, own, message.value)
         return
-    router.enqueue_burst(snoopers, sender, own_values, message.value)
-    radio.charge_cpu_each([node.node_id for node in snoopers])
+    ids = [node.node_id for node in snoopers]
+    router.enqueue_burst(ids, sender, own_values, message.value)
+    radio.charge_cpu_each(ids)
 
 
 def _own_values(nodes: list) -> list[float]:

@@ -8,12 +8,17 @@ leaves the cross-cache fleet engine (``models.soa``) idle exactly where
 the simulation spends its time.
 
 :class:`BatchedObservationRouter` collects those observations instead:
-each delivery burst of a report hands its snoopers' ``(node, neighbor,
-own, value)`` samples to :meth:`enqueue_burst`, and the simulator's
-observation barrier (see ``Simulator.observation_barrier``)
-:meth:`flush`-es the batch before the next event that is not part of
-the same same-instant delivery burst.
-Fleet-backed caches are swept in *waves* through
+each delivery burst of a report hands its snoopers' ids, their own
+values, the reporter's id and its value to :meth:`enqueue_burst`, and
+the simulator's observation barrier (see
+``Simulator.observation_barrier``) :meth:`flush`-es the batch before the
+next event that is not part of the same same-instant delivery burst.
+
+The batch is four parallel columns in arrival order: ``pending`` (the
+snooper's node id, ``-1`` once :meth:`sync` consumed the sample — the
+tombstone mask), the neighbor's id, the snooper's own value and the
+neighbor's value.  A flush maps the id column through a node → lane
+column and sweeps fleet-backed caches in *waves* through
 :meth:`~repro.models.soa.ModelAwareCacheFleet.observe_lanes` — wave *k*
 carries each lane's *k*-th pending sample, so per-lane order (the only
 order the cache state depends on; lanes are independent) is preserved
@@ -38,8 +43,9 @@ scalar run:
 * **Effects.** The ``cache.observe`` counter and the ``cache.admit``
   span instants are emitted in global arrival order during the flush —
   the counter through one :meth:`~repro.obs.registry.CounterMetric.inc_by`
-  per label key (cells appear in first-touch order, matching scalar
-  insertion order), the instants through one
+  per label key, counted from the column of action codes (cells appear
+  in first-touch order, matching scalar insertion order), the instants
+  through one
   :meth:`~repro.obs.spans.SpanTracer.instants` call that counts them
   all and builds their trace records only if they are kept or
   subscribed — the records the scalar path's one
@@ -47,8 +53,7 @@ scalar run:
   is charged at enqueue time by the caller, keeping the battery/ledger
   timeline untouched.  The router registers no metrics of its own.
 
-The router is plain picklable state (pending samples reference protocol
-nodes already in the checkpoint graph), so a mid-run checkpoint carries
+The router is plain picklable state, so a mid-run checkpoint carries
 the un-flushed batch and the restored run flushes it exactly where the
 uninterrupted run would have.
 """
@@ -60,7 +65,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.models.policy import Action
-from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
+from repro.models.soa import ACTION_CODES, ACTION_NAMES, ModelAwareCacheFleet
 from repro.network.radio import DELIVERY_PRIORITY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -77,6 +82,8 @@ class BatchedObservationRouter:
     ----------
     simulator:
         The engine whose barrier hook drives :meth:`flush`.
+    nodes:
+        The protocol nodes by id; the samples' ids resolve here.
     fleet:
         The shared :class:`~repro.models.soa.ModelAwareCacheFleet`
         backing the deployment's caches, or ``None`` when the cache
@@ -92,17 +99,22 @@ class BatchedObservationRouter:
     def __init__(
         self,
         simulator: "Simulator",
+        nodes: dict[int, "ProtocolNode"],
         fleet: Optional[ModelAwareCacheFleet] = None,
         node_label: bool = True,
     ) -> None:
         self.simulator = simulator
+        self.nodes = nodes
         self.fleet = fleet
         self.node_label = node_label
-        #: Pending samples, ``[node, neighbor_id, own_value, neighbor_value]``
-        #: in arrival order.  The list itself is the barrier's truthy
-        #: ``pending`` attribute; :meth:`sync` tombstones consumed
-        #: entries by nulling the node slot.
-        self.pending: list[list] = []
+        #: The pending samples' node ids, in arrival order (``-1`` for a
+        #: sample :meth:`sync` consumed); the barrier's truthy
+        #: ``pending`` attribute.  ``_neighbors``, ``_owns`` and
+        #: ``_values`` are the parallel columns.
+        self.pending: list[int] = []
+        self._neighbors: list[int] = []
+        self._owns: list[float] = []
+        self._values: list[float] = []
         self._pending_time = -1.0
         # The same get-or-create the protocol nodes perform — the
         # counter already exists by the time the router is built, so
@@ -110,12 +122,41 @@ class BatchedObservationRouter:
         # a scalar run, which has no router at all).
         labels = ("node", "action") if node_label else ("action",)
         self._counter = simulator.metrics.counter("cache.observe", labels=labels)
-        # Per-node routing memo: ``node -> (lane, n_measurements)`` for
-        # fleet-backed stores, ``()`` for scalar fallback.  Safe to
-        # memoize because lanes are bound once at runtime construction
-        # and never rebound (crashes clear cache *contents*, not the
-        # policy binding).
-        self._route: dict = {}
+        # Node id -> fleet lane (-1: scalar fallback) and measurement
+        # count, for the fleet they were read from; rebuilt when the
+        # fleet changes (a cache-policy swap binds fresh caches).
+        self._routed: Optional[ModelAwareCacheFleet] = None
+
+    #: Whether ``pending`` may still hold the node objects of a batch
+    #: pickled before the columns (see :meth:`__setstate__`).
+    _objects = False
+
+    def __setstate__(self, state: dict) -> None:
+        nodes = self.__dict__.get("nodes")  # preset by a runtime unpickled first
+        self.__dict__.update(state)
+        if "_route" in state:
+            # Pickled before the columns: ``pending`` held
+            # ``[node, neighbor_id, own, value]`` lists, and the runtime
+            # hands over its nodes (``SnapshotRuntime.__setstate__``).
+            # A node may still be mid-unpickling here, so its id is read
+            # when the batch is next used (:meth:`_ids`).
+            del self._route
+            entries = self.pending
+            self.pending = [entry[0] for entry in entries]
+            self._neighbors = [entry[1] for entry in entries]
+            self._owns = [entry[2] for entry in entries]
+            self._values = [entry[3] for entry in entries]
+            self._routed, self.nodes, self._objects = None, nodes, True
+
+    def _ids(self) -> list[int]:
+        """The id column, with a pre-column batch's nodes read as ids."""
+        if self._objects:
+            self.pending = [
+                node if type(node) is int else -1 if node is None else node.node_id
+                for node in self.pending
+            ]
+            self._objects = False
+        return self.pending
 
     # ------------------------------------------------------------------
     # producer side (delivery handlers)
@@ -123,24 +164,24 @@ class BatchedObservationRouter:
 
     def enqueue_burst(
         self,
-        nodes: list["ProtocolNode"],
+        node_ids: list[int],
         neighbor_id: int,
         own_values: list[float],
         neighbor_value: float,
     ) -> None:
         """Queue one delivery burst's overheard samples for the next flush.
 
-        ``nodes[i]`` overheard ``neighbor_id`` report ``neighbor_value``
-        while its own value was ``own_values[i]``; the samples queue in
-        burst (receiver) order.
+        Node ``node_ids[i]`` overheard ``neighbor_id`` report
+        ``neighbor_value`` while its own value was ``own_values[i]``;
+        the samples queue in burst (receiver) order.
         """
-        pending = self.pending
-        if not pending:
+        if not self.pending:
             self._pending_time = self.simulator.now
-        pending.extend(
-            [node, neighbor_id, own, neighbor_value]
-            for node, own in zip(nodes, own_values)
-        )
+        count = len(node_ids)
+        self.pending += node_ids
+        self._neighbors += [neighbor_id] * count
+        self._owns += own_values
+        self._values += [neighbor_value] * count
 
     def sync(self, node: "ProtocolNode") -> None:
         """Apply (and tombstone) ``node``'s pending samples scalarly.
@@ -149,15 +190,30 @@ class BatchedObservationRouter:
         samples land in arrival order with their full effects, exactly
         as the scalar path would have applied them.
         """
-        pending = self.pending
-        if not pending:
+        ids = self._ids()
+        node_id = node.node_id
+        if node_id not in ids:
             return
         record = node.store.record
-        for entry in pending:
-            if entry[0] is node:
-                action = record(entry[1], entry[2], entry[3])
-                self._effect(node, entry[1], action)
-                entry[0] = None
+        i = ids.index(node_id)
+        while True:
+            neighbor_id = self._neighbors[i]
+            action = record(neighbor_id, self._owns[i], self._values[i])
+            self._effect(node_id, neighbor_id, action)
+            ids[i] = -1
+            try:
+                i = ids.index(node_id, i + 1)
+            except ValueError:
+                return
+
+    def samples(self) -> list[tuple[int, int, float, float]]:
+        """The pending ``(node id, neighbor id, own, value)`` samples in
+        arrival order, consumed ones left out."""
+        return [
+            sample
+            for sample in zip(self._ids(), self._neighbors, self._owns, self._values)
+            if sample[0] != -1
+        ]
 
     # ------------------------------------------------------------------
     # barrier side (engine hook)
@@ -171,76 +227,70 @@ class BatchedObservationRouter:
 
     def flush(self) -> None:
         """Apply every pending sample and emit its effects."""
-        entries = self.pending
-        if not entries:
+        if not self.pending:
             return
-        self.pending = []
+        ids = self._ids()
+        neighbors, owns, values = self._neighbors, self._owns, self._values
+        self.pending, self._neighbors, self._owns, self._values = [], [], [], []
         self._pending_time = -1.0
-        actions: list = [None] * len(entries)
+        id_col = np.array(ids, dtype=np.int64)
+        codes = np.full(id_col.size, -1, dtype=np.int8)
         fleet = self.fleet
         if fleet is None:
-            for i, entry in enumerate(entries):
-                node = entry[0]
-                if node is not None:
-                    actions[i] = node.store.record(entry[1], entry[2], entry[3])
+            lanes = np.full(id_col.size, -1, dtype=np.int64)
         else:
-            lanes_l: list[int] = []
-            js_l: list[int] = []
-            xs_l: list[float] = []
-            ys_l: list[float] = []
-            pos_l: list[int] = []
-            route = self._route
-            for i, entry in enumerate(entries):
-                node = entry[0]
-                if node is None:
-                    continue
-                way = route.get(node)
-                if way is None:
-                    store = node.store
-                    policy = store.policy
-                    if getattr(policy, "_fleet", None) is fleet:
-                        way = (policy._lane, store.n_measurements)
-                    else:
-                        way = ()
-                    route[node] = way
-                if way:
-                    lanes_l.append(way[0])
-                    # NeighborModelStore._key(j, 0), inlined columnar.
-                    js_l.append(entry[1] * way[1])
-                    xs_l.append(entry[2])
-                    ys_l.append(entry[3])
-                    pos_l.append(i)
-                else:
-                    actions[i] = node.store.record(entry[1], entry[2], entry[3])
-            if lanes_l:
-                self._flush_fleet(entries, actions, lanes_l, js_l, xs_l, ys_l, pos_l)
-        self._emit(entries, actions)
+            lane_of, scale_of = self._route(fleet)
+            lanes = np.where(id_col >= 0, lane_of[id_col], -1)
+        rows = np.flatnonzero(lanes >= 0)
+        scalar = (id_col >= 0) & (lanes < 0)
+        if rows.size == 1:  # one sample: a scalar call beats a sweep
+            scalar[rows], rows = True, rows[:0]
+        nodes = self.nodes
+        for i in np.flatnonzero(scalar).tolist():
+            action = nodes[ids[i]].store.record(neighbors[i], owns[i], values[i])
+            codes[i] = ACTION_CODES[action]
+        if rows.size:
+            js = np.array(neighbors, dtype=np.int64)[rows] * scale_of[id_col[rows]]
+            xs = np.array(owns, dtype=np.float64)[rows]
+            ys = np.array(values, dtype=np.float64)[rows]
+            self._flush_fleet(codes, rows, lanes[rows], js, xs, ys)
+        self._emit(id_col, neighbors, codes)
+
+    def _route(self, fleet: ModelAwareCacheFleet) -> tuple[np.ndarray, np.ndarray]:
+        """The node id -> lane and measurement-count columns for ``fleet``."""
+        if self._routed is not fleet:
+            size = max(self.nodes, default=-1) + 1
+            lanes = np.full(size, -1, dtype=np.int64)
+            scales = np.ones(size, dtype=np.int64)
+            for node_id, node in self.nodes.items():
+                store = node.store
+                policy = store.policy
+                if getattr(policy, "_fleet", None) is fleet:
+                    lanes[node_id] = policy._lane
+                    scales[node_id] = store.n_measurements
+            self._routed, self._lanes, self._scales = fleet, lanes, scales
+        return self._lanes, self._scales
 
     def _flush_fleet(
         self,
-        entries: list[list],
-        actions: list,
-        lanes_l: list[int],
-        js_l: list[int],
-        xs_l: list[float],
-        ys_l: list[float],
-        pos_l: list[int],
+        codes: np.ndarray,
+        rows: np.ndarray,
+        lanes: np.ndarray,
+        js: np.ndarray,
+        xs: np.ndarray,
+        ys: np.ndarray,
     ) -> None:
         """Sweep fleet-backed samples in per-lane-order-preserving waves.
 
+        ``rows`` are the samples' positions in the batch, ascending.
         Wave *k* carries each lane's *k*-th sample; within a wave, lanes
         are distinct, so the kernel rows are independent and intra-wave
         order is irrelevant.  The rank-within-lane is computed with a
         stable sort (no per-wave Python scan), and the waves are the
-        contiguous equal-rank runs of the rank-sorted columns.
+        contiguous equal-rank runs of the rank-sorted columns.  Each
+        sample's action code lands at its row of ``codes``.
         """
         fleet = self.fleet
-        lanes = np.array(lanes_l, dtype=np.int64)
-        if lanes.size == 1:
-            i = pos_l[0]
-            entry = entries[i]
-            actions[i] = entry[0].store.record(entry[1], entry[2], entry[3])
-            return
         order = np.argsort(lanes, kind="stable")
         sorted_lanes = lanes[order]
         starts = np.flatnonzero(
@@ -250,73 +300,72 @@ class BatchedObservationRouter:
         rank = np.empty(lanes.size, dtype=np.int64)
         rank[order] = np.arange(lanes.size) - np.repeat(starts, counts)
         perm = np.argsort(rank, kind="stable")
-        lanes_p = lanes[perm]
-        js_p = np.array(js_l, dtype=np.int64)[perm]
-        xs_p = np.array(xs_l, dtype=np.float64)[perm]
-        ys_p = np.array(ys_l, dtype=np.float64)[perm]
+        lanes_p, js_p, xs_p, ys_p = lanes[perm], js[perm], xs[perm], ys[perm]
         rank_p = rank[perm]
         wave_starts = np.flatnonzero(
             np.concatenate(([True], rank_p[1:] != rank_p[:-1]))
         ).tolist()
         wave_ends = wave_starts[1:] + [int(rank_p.size)]
-        codes = np.empty(lanes.size, dtype=np.int8)
+        swept = np.empty(lanes.size, dtype=np.int8)
         for s, e in zip(wave_starts, wave_ends):
-            codes[s:e] = fleet.observe_lanes(
+            swept[s:e] = fleet.observe_lanes(
                 lanes_p[s:e], js_p[s:e], xs_p[s:e], ys_p[s:e]
             )
-        if not self.simulator.spans.enabled:
-            # _emit is a no-op with the registry disabled — the action
-            # strings would be built only to be dropped.
-            return
-        names = ACTION_NAMES
-        pos = np.array(pos_l, dtype=np.int64)[perm]
-        for i, code in zip(pos.tolist(), codes.tolist()):
-            actions[i] = names[code]
+        codes[rows[perm]] = swept
 
     # ------------------------------------------------------------------
     # effects (identical to ProtocolNode._record_observation's)
     # ------------------------------------------------------------------
 
-    def _effect(self, node: "ProtocolNode", neighbor_id: int, action: str) -> None:
+    def _effect(self, node_id: int, neighbor_id: int, action: str) -> None:
         """Scalar-path effects for one sample (used by :meth:`sync`)."""
-        key = (node.node_id, action) if self.node_label else action
+        key = (node_id, action) if self.node_label else action
         self._counter.inc(key)
         if action != Action.REJECT:
             self.simulator.spans.instant(
-                "cache.admit", node=node.node_id, neighbor=neighbor_id, action=action
+                "cache.admit", node=node_id, neighbor=neighbor_id, action=action
             )
 
-    def _emit(self, entries: list[list], actions: list) -> None:
-        """Emit counter/span effects for a flushed batch in arrival order."""
+    def _emit(self, id_col: np.ndarray, neighbors: list[int], codes: np.ndarray) -> None:
+        """Emit counter/span effects for a flushed batch in arrival order.
+
+        The counter cells are the distinct ``(node, action code)`` pairs
+        of the applied samples, incremented in first-touch order.
+        """
         spans = self.simulator.spans
         if not spans.enabled:
             # The scalar path's counter and instants are both gated on
             # the registry; with it disabled there is nothing to emit.
             return
-        node_label = self.node_label
-        reject = Action.REJECT
-        agg: dict = {}
-        admits = 0
-        for entry, action in zip(entries, actions):
-            node = entry[0]
-            if node is None:
-                continue
-            key = (node.node_id, action) if node_label else action
-            agg[key] = agg.get(key, 0) + 1
-            if action != reject:
-                admits += 1
+        applied = codes >= 0
+        n_codes = len(ACTION_CODES)
+        if self.node_label:
+            keys = id_col[applied] * n_codes + codes[applied]
+        else:
+            keys = codes[applied].astype(np.int64)
+        cells, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        touch = np.argsort(first, kind="stable")
+        admitted = np.flatnonzero(applied & (codes != ACTION_CODES[Action.REJECT]))
+        names = ACTION_NAMES
         spans.instants(
             "cache.admit",
-            admits,
+            admitted.size,
             (
-                {"node": entry[0].node_id, "neighbor": entry[1], "action": action}
-                for entry, action in zip(entries, actions)
-                if entry[0] is not None and action != reject
+                {"node": node_id, "neighbor": neighbors[i], "action": names[code]}
+                for i, node_id, code in zip(
+                    admitted.tolist(),
+                    id_col[admitted].tolist(),
+                    codes[admitted].tolist(),
+                )
             ),
         )
         inc_by = self._counter.inc_by
-        for key, count in agg.items():
-            inc_by(key, count)
+        for key, count in zip(cells[touch].tolist(), counts[touch].tolist()):
+            if self.node_label:
+                node_id, code = divmod(key, n_codes)
+                inc_by((node_id, names[code]), count)
+            else:
+                inc_by(names[key], count)
 
     def __repr__(self) -> str:
         return (

@@ -6,16 +6,20 @@ activity category (``transmit``, ``receive``, ``cpu``) so experiments
 can report not just *who died when*, but *where the energy went* —
 the background cost of snapshot maintenance vs the per-query drain.
 
-When constructed with a :class:`~repro.obs.registry.MetricsRegistry`,
-the ledger stores its cells in the registry's ``energy.draw`` counter
-(labels ``node``/``category``, essential since battery-capacity runs
-read draws back through radio accounting), so run reports export the
-exact numbers the ledger reads.
+The cells are a node × category
+:class:`~repro.obs.registry.ColumnCounter`: the radio books a burst's
+draws as one loop over ids.  When constructed with a
+:class:`~repro.obs.registry.MetricsRegistry`, the ledger's counter is
+the registry's ``energy.draw`` metric (labels ``node``/``category``,
+essential since battery-capacity runs read draws back through radio
+accounting), so run reports export the exact numbers the ledger reads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+from repro.obs.registry import ColumnCounter
 
 __all__ = ["EnergyLedger"]
 
@@ -26,16 +30,24 @@ class EnergyLedger:
     CATEGORIES = ("transmit", "receive", "cpu")
 
     def __init__(self, registry=None) -> None:
+        labels = ("node", "category")
         if registry is None:
-            self._cells: Counter[tuple[int, str]] = Counter()
+            self._cells = ColumnCounter(None, "energy.draw", labels, True)
         else:
-            self._cells = registry.counter(
-                "energy.draw", labels=("node", "category"), essential=True
-            ).cells
+            self._cells = registry.column_counter("energy.draw", labels, essential=True)
         self._totals: Counter[str] = Counter()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if type(self._cells) is Counter:  # pickled before the columns
+            self._cells = ColumnCounter.adopt(
+                self._cells, "energy.draw", ("node", "category")
+            )
 
     def record(self, node_id: int, category: str, amount: float) -> None:
         """Charge ``amount`` against ``node_id`` under ``category``."""
+        if node_id < 0:
+            raise ValueError(f"node ids are non-negative, got {node_id}")
         self.record_each((node_id,), category, amount)
 
     def record_each(self, node_ids, category: str, amount: float) -> None:
@@ -52,10 +64,9 @@ class EnergyLedger:
             raise ValueError(f"cannot record negative energy {amount}")
         if not node_ids:
             return
-        cells = self._cells
+        self._cells.add_each(node_ids, category, amount)
         total = self._totals[category]
-        for node_id in node_ids:
-            cells[(node_id, category)] += amount
+        for _ in node_ids:
             total += amount
         self._totals[category] = total
 
@@ -86,7 +97,7 @@ class EnergyLedger:
     def top_consumers(self, k: int = 5) -> list[tuple[int, float]]:
         """The ``k`` nodes that drew the most energy, descending."""
         per_node: Counter[int] = Counter()
-        for (node, _), amount in self._cells.items():
+        for (node, _), amount in self._cells.cells.items():
             per_node[node] += amount
         ranked = sorted(per_node.items(), key=lambda pair: (-pair[1], pair[0]))
         return ranked[:k]

@@ -10,6 +10,11 @@ replacing them is not an option", §1).
 An infinite battery (``capacity=None``) is used for the idealized
 "infinite battery" reference runs that define the coverage metric of
 Figure 10.
+
+The charge and the energy spent live in a
+:class:`~repro.network.state.DeviceState` column: a battery is a view
+of its slot, in a one-slot state of its own until its device is
+registered on a radio, which moves it into the radio's columns.
 """
 
 from __future__ import annotations
@@ -17,11 +22,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-__all__ = ["Battery", "DEPLETED"]
+from repro.network.state import DEPLETED, DeviceState
 
-#: The bit a depleted battery sets in its device's liveness byte (see
-#: :class:`~repro.network.state.DeviceState`).
-DEPLETED = 0b010
+__all__ = ["Battery", "DEPLETED"]
 
 
 class Battery:
@@ -41,11 +44,6 @@ class Battery:
     :attr:`fraction_remaining` NaN.  ``None`` is the infinite battery.
     """
 
-    #: The liveness byte this battery's depletion is written to, as
-    #: ``flags[slot]``; bound by the device that holds the battery.
-    _flags: Optional[bytearray] = None
-    _slot = 0
-
     def __init__(
         self,
         capacity: Optional[float] = None,
@@ -57,11 +55,30 @@ class Battery:
                 f"an infinite battery), got {capacity}"
             )
         self._capacity = capacity
-        self._charge = capacity
-        self._on_depleted = on_depleted
-        self._spent = 0.0
-        if capacity == 0 and on_depleted is not None:
-            on_depleted()
+        self._state, self._slot = DeviceState(1), 0
+        self._state.flags[0] = 0
+        self._state.charge[0] = math.inf if capacity is None else capacity
+        if capacity == 0:
+            self._state.flags[0] = DEPLETED
+            if on_depleted is not None:
+                on_depleted()
+        elif on_depleted is not None:
+            self._state.callbacks[0] = on_depleted
+
+    def __setstate__(self, state: dict) -> None:
+        if "_charge" not in state:
+            self.__dict__.update(state)
+            return
+        # Pickled before energy became columns: a view of a one-slot
+        # state of its own, until its device rebinds it.
+        self.__init__(state["_capacity"])
+        charge = state["_charge"]
+        self._state.charge[0] = math.inf if charge is None else charge
+        self._state.spent[0] = state["_spent"]
+        if self.depleted:
+            self._state.flags[0] = DEPLETED
+        elif state.get("_on_depleted") is not None:
+            self._state.callbacks[0] = state["_on_depleted"]
 
     @property
     def infinite(self) -> bool:
@@ -76,17 +93,19 @@ class Battery:
     @property
     def charge(self) -> Optional[float]:
         """Remaining charge, or ``None`` if infinite."""
-        return self._charge
+        if self._capacity is None:
+            return None
+        return self._state.charge[self._slot]
 
     @property
     def spent(self) -> float:
         """Total energy drawn so far (tracked even for infinite batteries)."""
-        return self._spent
+        return self._state.spent[self._slot]
 
     @property
     def depleted(self) -> bool:
         """Whether the battery has run out."""
-        return self._charge is not None and self._charge <= 0.0
+        return self._state.charge[self._slot] <= 0.0
 
     @property
     def fraction_remaining(self) -> float:
@@ -95,8 +114,7 @@ class Battery:
             return 1.0
         if self._capacity == 0:
             return 0.0
-        assert self._charge is not None
-        return max(0.0, self._charge / self._capacity)
+        return max(0.0, self._state.charge[self._slot] / self._capacity)
 
     def draw(self, amount: float) -> float:
         """Consume ``amount`` energy; returns what was actually drawn.
@@ -107,36 +125,28 @@ class Battery:
         """
         if not amount >= 0:
             raise ValueError(f"cannot draw negative or NaN energy {amount}")
-        if self._charge is None:
-            self._spent += amount
-            return amount
-        if self._charge <= 0.0:
-            return 0.0
-        drawn = min(amount, self._charge)
-        self._charge -= drawn
-        self._spent += drawn
-        if self._charge <= 0.0:
-            self._charge = 0.0
-            if self._flags is not None:
-                self._flags[self._slot] |= DEPLETED
-            if self._on_depleted is not None:
-                callback, self._on_depleted = self._on_depleted, None
-                callback()
-        return drawn
+        return self._state.draw(self._slot, amount)
 
-    def _bind(self, flags: bytearray, slot: int) -> None:
-        """Write this battery's depletion to ``flags[slot]`` from now on."""
-        self._flags, self._slot = flags, slot
+    def _bind(self, state, slot: int) -> None:
+        """Move this battery's charge, spending and callback to ``slot``
+        of ``state`` (a :class:`~repro.network.state.DeviceState`)."""
+        own, at = self._state, self._slot
+        if own is state and at == slot:
+            return
+        state.charge[slot] = own.charge[at]
+        state.spent[slot] = own.spent[at]
+        callback = own.callbacks.pop(at, None)
+        if callback is not None:
+            state.callbacks[slot] = callback
         if self.depleted:
-            flags[slot] |= DEPLETED
+            state.flags[slot] |= DEPLETED
+        self._state, self._slot = state, slot
 
     def can_afford(self, amount: float) -> bool:
         """Whether the remaining charge covers ``amount``."""
-        if self._charge is None:
-            return True
-        return self._charge >= amount
+        return self._state.charge[self._slot] >= amount
 
     def __repr__(self) -> str:
         if self._capacity is None:
-            return f"Battery(infinite, spent={self._spent:.1f})"
-        return f"Battery(charge={self._charge:.1f}/{self._capacity:.1f})"
+            return f"Battery(infinite, spent={self.spent:.1f})"
+        return f"Battery(charge={self.charge:.1f}/{self._capacity:.1f})"

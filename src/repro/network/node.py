@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from repro.energy.battery import Battery
 from repro.network.messages import Message
-from repro.network.state import FAILED
+from repro.network.state import DEPLETED, FAILED
 
 __all__ = ["NetworkNode", "MessageHandler"]
 
@@ -46,29 +46,39 @@ class NetworkNode:
         #: through the protocol layer's burst table rather than one
         #: message at a time; :meth:`deliver` is the one-message form.
         self.protocol = None
-        #: The liveness byte is ``_flags[_slot]``: a column of its own
-        #: until a radio registers the device into its
+        #: The liveness byte is ``_flags[_slot]``: the battery's
+        #: one-slot state until a radio registers the device into its
         #: :class:`~repro.network.state.DeviceState`.
-        self._flags = bytearray(1)
-        self._slot = 0
-        self.battery._bind(self._flags, 0)
+        self._flags, self._slot = self.battery._state.flags, self.battery._slot
 
-    def _bind(self, flags: bytearray, slot: int) -> None:
-        """Move this device's liveness byte to ``flags[slot]``."""
-        flags[slot] = self._flags[self._slot]
-        self._flags, self._slot = flags, slot
-        self.battery._bind(flags, slot)
+    def _bind(self, state, slot: int) -> None:
+        """Move this device's liveness byte and battery to ``slot`` of
+        ``state`` (a :class:`~repro.network.state.DeviceState`)."""
+        state.flags[slot] = self._flags[self._slot]
+        self._flags, self._slot = state.flags, slot
+        self.battery._bind(state, slot)
+        if self._handlers:
+            state.hooked.add(slot)
 
     def __setstate__(self, state: dict) -> None:
         failed = state.pop("_failed", None)
         self.__dict__.update(state)
+        battery = self.battery
+        # Pickles from before liveness (``_failed``) or energy became
+        # columns: a radio unpickled first presets ``_devices``.
+        devices = self.__dict__.pop("_devices", None)
+        if "_flags" not in self.__dict__:
+            self._flags, self._slot = battery._state.flags, battery._slot
         if failed is not None:
-            # Pickled before liveness became a column: rebuild the byte,
-            # in the radio's column if the radio was unpickled first.
-            if "_flags" not in self.__dict__:
-                self._flags, self._slot = bytearray(1), 0
-            self._flags[self._slot] = FAILED if failed else 0
-            self.battery._bind(self._flags, self._slot)
+            self._flags[self._slot] = (FAILED if failed else 0) | (
+                DEPLETED if battery.depleted else 0
+            )
+        if devices is not None:
+            self._bind(devices, self._slot)
+        elif self._flags is not battery._state.flags:
+            # The byte follows the battery's own state until the radio
+            # (unpickled later) registers the device again.
+            self._bind(battery._state, battery._slot)
 
     @property
     def alive(self) -> bool:
@@ -99,12 +109,16 @@ class NetworkNode:
     def attach(self, handler: MessageHandler) -> None:
         """Register a handler for every future delivery to this node."""
         self._handlers = self._handlers + (handler,)
+        # The device's columns are its battery's state.
+        self.battery._state.hooked.add(self._slot)
 
     def detach(self, handler: MessageHandler) -> None:
         """Remove a previously attached handler."""
         handlers = list(self._handlers)
         handlers.remove(handler)
         self._handlers = tuple(handlers)
+        if not handlers:
+            self.battery._state.hooked.discard(self._slot)
 
     def deliver(self, message: Message, overheard: bool = False) -> None:
         """Dispatch one delivered message: the protocol, then each handler.

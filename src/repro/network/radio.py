@@ -12,16 +12,21 @@ designated target — non-target receivers get the message flagged as
 a query").
 
 One transmission schedules one delivery *burst*: a single event
-carrying the message, the surviving receivers' ids and the target.  It
-books every receiver, then hands the live receivers' protocols the
-whole burst in one call into the protocol layer, which dispatches by
-message type (see ``core.protocol``).
+carrying the message, the surviving receivers' ids and the target.  A
+burst travels as ids and is booked as loops over id-indexed columns:
+the liveness bytes and the energy of
+:class:`~repro.network.state.DeviceState`, the node × kind delivery
+counts of :class:`~repro.network.stats.MessageStats` and the node ×
+category cells of the :class:`~repro.energy.EnergyLedger`.  The live
+ids then go to the protocol layer in one call, which dispatches by
+message type (see ``core.protocol``) and turns into objects only the
+receivers a handler needs: the target alone for an addressed kind.
 
 Energy: the sender pays the transmit cost once per transmission (not per
 receiver), receivers pay the receive cost (zero in the paper's
-accounting), and both are booked in the :class:`~repro.energy.EnergyLedger`.
-Deliveries are scheduled ``latency`` time units after the send, so
-same-instant protocol steps observe a consistent global order.
+accounting), and both are booked in the ledger.  Deliveries are
+scheduled ``latency`` time units after the send, so same-instant
+protocol steps observe a consistent global order.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ class Radio:
         self._fanout = registry.histogram("net.fanout", FANOUT_BUCKETS)
         self.latency = latency
         self._nodes: dict[int, NetworkNode] = {}
-        #: Every registered device's liveness byte, by node id.
+        #: Every registered device's liveness byte and energy, by id.
         self.devices = DeviceState(len(topology))
         #: ``radio.<sender>`` streams, created on a sender's first draw.
         self._entity_rngs: dict[int, object] = {}
@@ -111,25 +116,30 @@ class Radio:
         #: stays ``None`` and they apply them inline.
         self.observation_router = None
         #: The protocol layer's burst entry point,
-        #: ``burst_dispatch(message, protocols)``: runs one delivery
-        #: burst's handlers for the receivers' resident protocols.  Set
-        #: by the first protocol instance on this radio (a module-level
-        #: function, so checkpoints pickle it by name).
+        #: ``burst_dispatch(message, live_ids, devices)``: runs one
+        #: delivery burst's handlers for the live receivers' resident
+        #: protocols (``devices`` maps ids to this radio's devices).
+        #: Set by the first protocol instance on this radio (a
+        #: module-level function, so checkpoints pickle it by name).
         self.burst_dispatch = None
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if "devices" not in state:
-            # Pickled before liveness became a column.  A device whose
-            # own unpickling is still to come finds the column preset
-            # and writes its byte there (``NetworkNode.__setstate__``).
+        if "devices" not in state:  # pickled before liveness was a column
             self.devices = DeviceState(len(self.topology))
-            flags = self.devices.flags
-            for node_id, device in self._nodes.items():
-                if "_flags" in device.__dict__:
-                    device._bind(flags, node_id)
-                else:
-                    device.__dict__.update(_flags=flags, _slot=node_id)
+        # Pickled before energy was a column too, the batteries hold
+        # their own charge: move each into this radio's columns.  A
+        # device whose own unpickling is still to come finds the column
+        # preset and moves its battery there (``NetworkNode.__setstate__``).
+        devices = self.devices
+        for node_id, device in self._nodes.items():
+            battery = device.__dict__.get("battery")
+            if battery is None:
+                device.__dict__.update(
+                    _flags=devices.flags, _slot=node_id, _devices=devices
+                )
+            elif battery._state is not devices:
+                device._bind(devices, node_id)
 
     # -- registration ------------------------------------------------------
 
@@ -140,7 +150,7 @@ class Radio:
         if node.node_id not in self.topology.node_ids:
             raise ValueError(f"node {node.node_id} not present in topology")
         self._nodes[node.node_id] = node
-        node._bind(self.devices.flags, node.node_id)
+        node._bind(self.devices, node.node_id)
         return node
 
     def populate(self, battery_capacity: Optional[float] = None) -> list[NetworkNode]:
@@ -197,17 +207,19 @@ class Radio:
         return self._transmit(message, target=target)
 
     def _transmit(self, message: Message, target: Optional[int]) -> bool:
-        sender = self._nodes.get(message.sender)
-        if sender is None:
-            raise KeyError(f"unregistered sender {message.sender}")
-        if self.devices.flags[message.sender]:
+        sender = message.sender
+        if sender not in self._nodes:
+            raise KeyError(f"unregistered sender {sender}")
+        devices = self.devices
+        if devices.flags[sender]:
             return False
-        sender.battery.draw(self.cost_model.transmit)
-        self.ledger.record(sender.node_id, "transmit", self.cost_model.transmit)
+        cost = self.cost_model.transmit
+        devices.draw(sender, cost)
+        self.ledger.record(sender, "transmit", cost)
         self.stats.record_sent(message)
         self.simulator.trace.emit(
             self.simulator.now, "message.sent",
-            sender=message.sender, message_kind=message.kind, target=target,
+            sender=sender, message_kind=message.kind, target=target,
         )
         self._fan_out(message, target)
         return True
@@ -264,46 +276,43 @@ class Radio:
     ) -> None:
         """Deliver one burst: ``message`` to the ``receivers`` ids.
 
-        One pass books the burst: receivers dead on arrival are counted
-        as ``dropped_dead``, the rest as delivered, and a nonzero
-        receive cost is drawn — dropping the receivers it drains — all
-        before any handler runs.  The live devices' resident protocols
-        then get the burst in one :attr:`burst_dispatch` call, and
-        devices with attached handlers get those, flagged ``overheard``
-        unless addressed.  Neither a node's own handlers nor anything
-        it sends can change another receiver's liveness, so this is
-        the per-receiver outcome of :meth:`NetworkNode.deliver`.
+        The burst is booked over ids before any handler runs: receivers
+        dead on arrival are counted as ``dropped_dead``, the rest as
+        delivered, and a nonzero receive cost is drawn — dropping the
+        receivers it drains.  The live ids then go to the protocols
+        and the devices' attached handlers (:meth:`_dispatch`).
+        Neither a node's own handlers nor anything it sends can change
+        another receiver's liveness, so this is the per-receiver
+        outcome of :meth:`NetworkNode.deliver`.
         """
-        flags = self.devices.flags
+        devices = self.devices
+        flags = devices.flags
         live = [rid for rid in receivers if not flags[rid]]
         if len(live) < len(receivers):
             self.stats.record_dropped_dead(message, len(receivers) - len(live))
             if not live:
                 return
-        kind = message.kind
-        self.stats.delivered.update([(rid, kind) for rid in live])
-        nodes = self._nodes
+        self.stats.delivered.add_each(live, message.kind, 1)
         cost_receive = self.cost_model.receive
         if cost_receive > 0:
-            for rid in live:
-                nodes[rid].battery.draw(cost_receive)
-            self.ledger.record_each(live, "receive", cost_receive)
+            drawn = devices.draw_each(live, cost_receive)
+            self.ledger.record_each(drawn, "receive", cost_receive)
             live = [rid for rid in live if not flags[rid]]
-        self._dispatch(message, list(map(nodes.__getitem__, live)), target)
+        self._dispatch(message, live, target)
 
-    def _dispatch(self, message: Message, devices, target: Optional[int]) -> None:
-        """One call for the devices' protocols, then their own handlers."""
-        protocols = [
-            device.protocol for device in devices if device.protocol is not None
-        ]
-        if protocols:
-            self.burst_dispatch(message, protocols)
-        for device in devices:
-            handlers = device._handlers
-            if handlers:
-                overheard = target is not None and device.node_id != target
-                for handler in handlers:
-                    handler(message, overheard)
+    def _dispatch(self, message: Message, live: list[int], target: Optional[int]) -> None:
+        """One call for the live ids' protocols, then the attached
+        handlers of the devices that have any, flagged ``overheard``
+        unless addressed."""
+        if self.burst_dispatch is not None:
+            self.burst_dispatch(message, live, self._nodes)
+        hooked = self.devices.hooked
+        if hooked:
+            for rid in live:
+                if rid in hooked:
+                    overheard = target is not None and rid != target
+                    for handler in self._nodes[rid]._handlers:
+                        handler(message, overheard)
 
     # -- misc --------------------------------------------------------------
 
@@ -320,11 +329,4 @@ class Radio:
         cost = self.cost_model.cpu_cache_update * multiplier
         if cost <= 0:
             return
-        nodes = self._nodes
-        flags = self.devices.flags
-        charged = []
-        for node_id in node_ids:
-            if not flags[node_id]:
-                nodes[node_id].battery.draw(cost)
-                charged.append(node_id)
-        self.ledger.record_each(charged, "cpu", cost)
+        self.ledger.record_each(self.devices.draw_each(node_ids, cost), "cpu", cost)

@@ -14,10 +14,11 @@ measured in long maintenance runs.
 When constructed with a :class:`~repro.obs.registry.MetricsRegistry`,
 the stats object becomes a *view* over registry counters: its public
 ``Counter`` attributes ARE the cells of ``net.messages.*`` metrics, so
-the registry exports the exact storage this class reads.  The metrics
-are *essential* — the maintenance manager reads the windowed counts
-back to drive Figure 15 accounting, so disabling observability must not
-stop them.
+the registry exports the exact storage this class reads (``delivered``
+is a node × kind :class:`~repro.obs.registry.ColumnCounter`, booked a
+burst of ids at a time).  The metrics are *essential* — the
+maintenance manager reads the windowed counts back to drive Figure 15
+accounting, so disabling observability must not stop them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from collections import Counter
 from typing import Optional
 
 from repro.network.messages import PROTOCOL_MESSAGE_TYPES, Message
+from repro.obs.registry import ColumnCounter
 
 __all__ = ["MessageStats", "PROTOCOL_KINDS"]
 
@@ -42,16 +44,18 @@ class MessageStats:
     def __init__(self, registry=None) -> None:
         if registry is None:
             self.sent: Counter[tuple[int, str]] = Counter()
-            self.delivered: Counter[tuple[int, str]] = Counter()
+            self.delivered = ColumnCounter(
+                None, "net.messages.delivered", ("node", "kind"), True
+            )
             self.dropped: Counter[str] = Counter()
             self.dropped_dead: Counter[str] = Counter()
         else:
             self.sent = registry.counter(
                 "net.messages.sent", labels=("node", "kind"), essential=True
             ).cells
-            self.delivered = registry.counter(
+            self.delivered = registry.column_counter(
                 "net.messages.delivered", labels=("node", "kind"), essential=True
-            ).cells
+            )
             self.dropped = registry.counter(
                 "net.messages.dropped", labels=("kind",), essential=True
             ).cells
@@ -59,6 +63,13 @@ class MessageStats:
                 "net.messages.dropped_dead", labels=("kind",), essential=True
             ).cells
         self._sent_checkpoint: Counter[tuple[int, str]] = Counter()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if type(self.delivered) is Counter:  # pickled before the columns
+            self.delivered = ColumnCounter.adopt(
+                self.delivered, "net.messages.delivered", ("node", "kind")
+            )
 
     def record_sent(self, message: Message) -> None:
         """Count one transmission of ``message`` by its sender."""
@@ -128,14 +139,7 @@ class MessageStats:
             over one election epoch's window without disturbing the
             maintenance manager's own :meth:`checkpoint`.
         """
-        per_node: Counter[int] = Counter()
-        for (sender, kind), count in self.sent.items():
-            if kind in _PROTOCOL_KINDS:
-                if since is not None:
-                    count -= since.get((sender, kind), 0)
-                if count > 0:
-                    per_node[sender] += count
-        return max(per_node.values(), default=0)
+        return max(self.protocol_sent_per_node(since).values(), default=0)
 
     def protocol_sent_per_node(
         self, since: Optional[Counter] = None
@@ -184,12 +188,7 @@ class MessageStats:
         """Average protocol messages per node since the last checkpoint."""
         if n_nodes <= 0:
             raise ValueError(f"need a positive node count, got {n_nodes}")
-        total = sum(
-            count
-            for (_, kind), count in self.window().items()
-            if kind in _PROTOCOL_KINDS
-        )
-        return total / n_nodes
+        return self.window_protocol_total() / n_nodes
 
     def clear(self) -> None:
         """Reset every counter and checkpoint."""

@@ -51,12 +51,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
 __all__ = [
     "MetricsRegistry",
     "CounterMetric",
+    "ColumnCounter",
     "GaugeMetric",
     "HistogramMetric",
     "HistogramCell",
@@ -161,6 +163,111 @@ class CounterMetric(_Metric):
     def clear(self) -> None:
         """Drop every cell."""
         self.cells.clear()
+
+
+class ColumnCounter(CounterMetric, Mapping):
+    """A counter keyed ``(id, label)``, kept as one list per label, by id.
+
+    Per-node accounting (energy by node and category, deliveries by
+    node and kind) is booked a burst of ids at a time by
+    :meth:`add_each`.  A cell exists once written, even with 0; an
+    unwritten one reads 0, as in a ``Counter``.  The counter is itself
+    the mapping of its cells, so ``counter[key] += 1`` works, and
+    :attr:`cells` is a ``Counter`` built when read.
+
+    >>> delivered = ColumnCounter(None, "demo.delivered", ("node", "kind"), True)
+    >>> delivered.add_each([2, 0, 2], "Heartbeat", 1)
+    >>> delivered[(0, "Invitation")] += 1
+    >>> delivered.cells
+    Counter({(2, 'Heartbeat'): 2, (0, 'Heartbeat'): 1, (0, 'Invitation'): 1})
+    """
+
+    def __init__(self, registry, name, label_names, essential) -> None:
+        _Metric.__init__(self, registry, name, label_names, essential)
+        self._columns: dict[Any, list] = {}  # grown on demand
+        self._zeros: set = set()  # cells written with 0
+
+    @classmethod
+    def adopt(cls, cells: Counter, name: str, label_names) -> "ColumnCounter":
+        """The counter replacing ``cells``, the plain ``Counter`` that a
+        pickle from before the columns shares between a registry metric
+        and the ledger or stats holding it: made once per ``Counter``,
+        so both get it in whichever order they are unpickled."""
+        counter = cells.__dict__.get("_adopted")
+        if counter is None:
+            counter = cells._adopted = cls(None, name, tuple(label_names), True)
+            for key, value in cells.items():
+                counter[key] = value
+        return counter
+
+    def add_each(self, ids, label: Any, amount: int | float) -> None:
+        """Add ``amount`` to the cell of each of ``ids`` under ``label``,
+        in order."""
+        gate = self._gate
+        if gate is not None and not gate.enabled:
+            return
+        column = self._columns.setdefault(label, [])
+        if not amount:
+            self._zeros.update((i, label) for i in ids)
+        try:
+            for i in ids:
+                column[i] += amount
+        except IndexError:  # ids from ``rest`` on are not added yet
+            rest = ids[next(k for k, i in enumerate(ids) if i >= len(column)):]
+            column.extend([0] * (max(rest) + 1 - len(column)))
+            for i in rest:
+                column[i] += amount
+
+    def _items(self) -> Iterator[tuple[tuple[int, Any], int | float]]:
+        for label, column in self._columns.items():
+            for i, value in enumerate(column):
+                if value or (i, label) in self._zeros:
+                    yield (i, label), value
+
+    @property
+    def cells(self) -> Counter:
+        """Every written cell, label by label, ids ascending."""
+        return Counter(dict(self._items()))
+
+    def __getitem__(self, key) -> int | float:
+        i, label = key
+        column = self._columns.get(label)
+        return column[i] if column is not None and 0 <= i < len(column) else 0
+
+    def __setitem__(self, key, value: int | float) -> None:
+        i, label = key
+        if i < 0:
+            raise KeyError(f"{self.name}: negative id in {key!r}")
+        column = self._columns.setdefault(label, [])
+        column.extend([0] * (i + 1 - len(column)))
+        column[i] = value
+        if not value:
+            self._zeros.add(key)
+
+    def __contains__(self, key) -> bool:
+        return bool(self[key]) or key in self._zeros
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self) -> Iterator[tuple[int, Any]]:
+        return (key for key, _ in self._items())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._items())
+
+    def inc(self, key: Any = (), amount: int | float = 1) -> None:
+        """Add ``amount`` to the cell at ``key``."""
+        gate = self._gate
+        if gate is None or gate.enabled:
+            self[key] += amount
+
+    inc_by = inc
+
+    def clear(self) -> None:
+        """Drop every cell."""
+        self._columns.clear()
+        self._zeros.clear()
 
 
 class GaugeMetric(_Metric):
@@ -294,6 +401,11 @@ class HistogramMetric(_Metric):
         self.cells.clear()
 
 
+#: Column counters a pickle from before they were columns holds as
+#: plain ``Counter`` cells (see :meth:`ColumnCounter.adopt`).
+_PRE_COLUMN_COUNTERS = ("energy.draw", "net.messages.delivered")
+
+
 @dataclass
 class MetricsRegistry:
     """Named metrics with get-or-create registration.
@@ -319,6 +431,18 @@ class MetricsRegistry:
     ) -> CounterMetric:
         """Get or create the counter ``name`` (labels must match)."""
         return self._get_or_create(CounterMetric, name, labels, essential)
+
+    def column_counter(
+        self,
+        name: str,
+        labels: Sequence[str],
+        essential: bool = False,
+    ) -> ColumnCounter:
+        """Get or create the :class:`ColumnCounter` ``name``."""
+        counter = self._get_or_create(ColumnCounter, name, labels, essential)
+        if not isinstance(counter, ColumnCounter):
+            raise ValueError(f"counter {name!r} exists without columns")
+        return counter
 
     def gauge(
         self,
@@ -361,6 +485,15 @@ class MetricsRegistry:
         metric = cls(self, name, label_names, essential)
         self._metrics[name] = metric
         return metric
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in _PRE_COLUMN_COUNTERS:
+            metric = self._metrics.get(name)
+            if type(metric) is CounterMetric:
+                self._metrics[name] = ColumnCounter.adopt(
+                    metric.cells, name, metric.label_names
+                )
 
     # -- read side ---------------------------------------------------------
 

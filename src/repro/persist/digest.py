@@ -361,11 +361,7 @@ def _digest_runtime(runtime: Any) -> dict[str, str]:
     # one that applies every sample inside its delivery.
     router = getattr(runtime, "observation_router", None)
     if router is not None and router.pending:
-        comps["observations"] = tuple(
-            (entry[0].node_id, entry[1], entry[2], entry[3])
-            for entry in router.pending
-            if entry[0] is not None
-        )
+        comps["observations"] = tuple(router.samples())
     return {name: _hexdigest(value) for name, value in comps.items()}
 
 

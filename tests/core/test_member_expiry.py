@@ -12,6 +12,11 @@ from repro.network.mobility import RandomWaypoint, apply_mobility
 from repro.network.topology import Topology
 
 
+#: Finite, but far more than any test here spends: only the draw that
+#: empties a battery on purpose kills its node.
+CAPACITY = 1e6
+
+
 def expiring_runtime(expiry_periods: float = 3.0) -> SnapshotRuntime:
     base = np.linspace(0.0, 30.0, 800)
     values = np.stack([base + 0.4 * i for i in range(6)])
@@ -25,6 +30,7 @@ def expiring_runtime(expiry_periods: float = 3.0) -> SnapshotRuntime:
             member_expiry_periods=expiry_periods,
         ),
         seed=12,
+        battery_capacity=CAPACITY,
     )
 
 
@@ -52,8 +58,7 @@ class TestExpiryMechanics:
         victim = sorted(rep.represented)[0]
         # silence the member: it dies, so its heartbeats stop
         battery = runtime.radio.node(victim).battery
-        battery._capacity = battery._charge = 1.0  # a finite battery, ...
-        battery.draw(1.0)  # ... emptied through the draw that marks it dead
+        battery.draw(battery.charge)  # emptied by the draw that marks it dead
         runtime.advance_to(runtime.now + 60)  # > 3 periods of silence
         assert victim not in rep.represented
         assert runtime.simulator.trace.count("maintenance.member_expired") >= 1
@@ -66,8 +71,7 @@ class TestExpiryMechanics:
         rep = runtime.nodes[view.representatives[0]]
         victim = sorted(rep.represented)[0]
         battery = runtime.radio.node(victim).battery
-        battery._capacity = battery._charge = 1.0  # a finite battery, ...
-        battery.draw(1.0)  # ... emptied through the draw that marks it dead
+        battery.draw(battery.charge)  # emptied by the draw that marks it dead
         runtime.advance_to(runtime.now + 100)
         # the paper's Figure 10 behavior: the claim (and the model
         # estimate for the dead node) persists

@@ -28,12 +28,12 @@ from repro.network.topology import Topology
 from repro.simulation.engine import Simulator
 
 
-def make_cluster(n: int = 4, **config_overrides):
+def make_cluster(n: int = 4, battery_capacity=None, **config_overrides):
     """``n`` protocol nodes, all in range, constant distinct values."""
     simulator = Simulator(seed=5)
     topology = Topology([(0.1 * i, 0.0) for i in range(n)], ranges=2.0)
     radio = Radio(simulator, topology)
-    radio.populate()
+    radio.populate(battery_capacity=battery_capacity)
     config = ProtocolConfig(threshold=10.0, **config_overrides)
     nodes = {}
     for node_id in range(n):
@@ -101,16 +101,14 @@ class TestOfferBatching:
 
     def test_energy_exhausted_node_never_volunteers(self):
         simulator, radio, nodes = make_cluster(
-            3, energy_resign_fraction=0.5
+            3, battery_capacity=10.0, energy_resign_fraction=0.5
         )
         responder = nodes[0]
         responder.mode = NodeMode.ACTIVE
         responder.representative_id = 0
         teach(nodes, 0, 2)
-        # drain below the 50% threshold (infinite batteries report 1.0,
-        # so rebuild with a finite one)
-        radio.node(0).battery._capacity = 10.0
-        radio.node(0).battery._charge = 2.0
+        # drain below the 50% threshold (infinite batteries report 1.0)
+        radio.node(0).battery.draw(8.0)
         before = radio.stats.sent_of_kind("CandidateList")
         responder._on_message(Invitation(sender=2, value=2.0, epoch=0), False)
         simulator.run_until(simulator.now + 5.0)

@@ -15,11 +15,11 @@ from repro.simulation.engine import Simulator
 from tests.conftest import make_runtime
 
 
-def make_nodes(n: int = 4):
+def make_nodes(n: int = 4, battery_capacity=None):
     simulator = Simulator(seed=0)
     topology = Topology([(0.1 * i, 0.0) for i in range(n)], ranges=2.0)
     radio = Radio(simulator, topology)
-    radio.populate()
+    radio.populate(battery_capacity=battery_capacity)
     config = ProtocolConfig()
     store = type("S", (), {"estimate": lambda self, *a, **k: None})()
     return {
@@ -52,12 +52,10 @@ class TestCapture:
         assert view.assignment == {0: 0, 1: 1}
 
     def test_dead_nodes_excluded(self):
-        nodes = make_nodes(3)
+        nodes = make_nodes(3, battery_capacity=1.0)
         for node in nodes.values():
             node.mode = NodeMode.ACTIVE
-        battery = nodes[1].device.battery
-        battery._capacity = battery._charge = 1.0  # simulate depletion:
-        battery.draw(1.0)  # empty a finite battery through its draw
+        nodes[1].device.battery.draw(1.0)  # empty a finite battery through its draw
         view = SnapshotView.capture(nodes)
         assert 1 not in view.assignment
         assert view.n_nodes == 2

@@ -58,6 +58,20 @@ class TestLedger:
     def test_negative_amount_rejected(self):
         with pytest.raises(ValueError):
             EnergyLedger().record(0, "cpu", -1.0)
+        with pytest.raises(ValueError):
+            EnergyLedger().record(-1, "cpu", 1.0)  # a negative id, not a cell
+
+    def test_zero_record_makes_a_cell_at_any_id(self):
+        """A free draw still books a ``0.0`` cell, and a stand-alone
+        ledger's columns grow to whatever id it is handed."""
+        ledger = EnergyLedger()
+        ledger.record(50, "transmit", 0.0)
+        ledger.record_each([7, 90], "cpu", 0.5)
+        assert dict(ledger._cells) == {
+            (50, "transmit"): 0.0, (7, "cpu"): 0.5, (90, "cpu"): 0.5
+        }
+        assert ledger.node_breakdown(8) == {"transmit": 0.0, "receive": 0.0, "cpu": 0.0}
+        assert (8, "cpu") not in ledger._cells
 
     def test_top_consumers_sorted(self):
         ledger = EnergyLedger()

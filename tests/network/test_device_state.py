@@ -10,10 +10,7 @@ restore, and pickles written before liveness was a column.
 
 from __future__ import annotations
 
-import copyreg
-import io
 import math
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,6 +28,7 @@ from repro.query.executor import QueryExecutor
 from repro.query.planner import QueryPlanner
 from repro.query.spatial import Everywhere
 from tests.conftest import make_runtime
+from tests.persist.legacy import legacy_roundtrip
 
 N_NODES = 10
 CAPACITY = 12.0
@@ -179,35 +177,6 @@ def test_infinite_capacity_is_refused():
 # ----------------------------------------------------------------------
 
 
-class LegacyPickler(pickle.Pickler):
-    """Writes devices, radios and batteries in their pre-column form:
-    a ``_failed`` flag on the device, no column anywhere."""
-
-    def reducer_override(self, obj):
-        if isinstance(obj, NetworkNode):
-            state = {
-                key: value
-                for key, value in obj.__dict__.items()
-                if key not in ("_flags", "_slot")
-            }
-            state["_failed"] = obj.failed
-        elif isinstance(obj, Radio):
-            state = {k: v for k, v in obj.__dict__.items() if k != "devices"}
-        elif isinstance(obj, Battery):
-            state = {
-                k: v for k, v in obj.__dict__.items() if k not in ("_flags", "_slot")
-            }
-        else:
-            return NotImplemented
-        return copyreg.__newobj__, (type(obj),), state
-
-
-def legacy_roundtrip(obj):
-    buffer = io.BytesIO()
-    LegacyPickler(buffer).dump(obj)
-    return pickle.loads(buffer.getvalue())
-
-
 @pytest.mark.parametrize("order", ["runtime", "device-first", "radio-first"])
 def test_pre_column_pickles_restore_onto_one_column(order):
     """Whichever of a device and its radio is unpickled first, the
@@ -217,15 +186,15 @@ def test_pre_column_pickles_restore_onto_one_column(order):
     FaultInjector(runtime).drain(5, 1.0)
     before = runtime.state_digest()
     if order == "runtime":
-        restored = legacy_roundtrip(runtime)
+        restored = legacy_roundtrip(runtime, "liveness")
     elif order == "device-first":
-        _, restored = legacy_roundtrip((runtime.radio.node(0), runtime))
+        _, restored = legacy_roundtrip((runtime.radio.node(0), runtime), "liveness")
     else:
-        _, restored = legacy_roundtrip((runtime.radio, runtime))
+        _, restored = legacy_roundtrip((runtime.radio, runtime), "liveness")
     radio = restored.radio
     for node_id, device in radio.nodes.items():
         assert device._flags is radio.devices.flags and device._slot == node_id
-        assert device.battery._flags is radio.devices.flags
+        assert device.battery._state is radio.devices
     assert_column_matches(restored, {1})
     assert restored.state_digest() == before
     radio.node(7).fail()

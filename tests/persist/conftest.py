@@ -53,9 +53,9 @@ class _EagerRouter(BatchedObservationRouter):
     order a stand-alone node applies it inline.
     """
 
-    def enqueue_burst(self, nodes, neighbor_id, own_values, neighbor_value) -> None:
-        for node, own in zip(nodes, own_values):
-            super().enqueue_burst([node], neighbor_id, [own], neighbor_value)
+    def enqueue_burst(self, node_ids, neighbor_id, own_values, neighbor_value) -> None:
+        for node_id, own in zip(node_ids, own_values):
+            super().enqueue_burst([node_id], neighbor_id, [own], neighbor_value)
             self.flush()
 
 
@@ -72,7 +72,10 @@ class OracleRuntime(SnapshotRuntime):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         router = _EagerRouter(
-            self.simulator, fleet=None, node_label=self.config.observe_node_label
+            self.simulator,
+            self.nodes,
+            fleet=None,
+            node_label=self.config.observe_node_label,
         )
         self.observation_router = router
         self.simulator.observation_barrier = router
