@@ -138,6 +138,25 @@ class TestAccounting:
         assert radio.stats.delivered[(1, "Invitation")] == 1
         assert log == []
 
+    def test_depletion_callback_moves_with_the_battery(self):
+        """A callback given before registration moves into the radio's
+        columns and fires once, at the burst draw that empties it."""
+        simulator = Simulator(seed=3)
+        radio = Radio(
+            simulator,
+            Topology([(0.0, 0.0), (0.1, 0.0)], 2.0),
+            cost_model=EnergyCostModel(receive=0.5),
+        )
+        fired = []
+        radio.register(NetworkNode(0, Battery(None)))
+        radio.register(NetworkNode(1, Battery(1.0, on_depleted=lambda: fired.append(1))))
+        for _ in range(3):
+            radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))
+            simulator.run()
+        assert fired == [1] and not radio.node(1).alive
+        assert radio.node(1).battery.spent == 1.0
+        assert radio.stats.dropped_dead["Invitation"] == 1
+
     def test_stats_counters(self):
         simulator, radio = make_radio([(0.0, 0.0), (0.1, 0.0)])
         radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))
