@@ -64,7 +64,6 @@ from repro.network import (
     PerLinkLoss,
     Radio,
     Topology,
-    grid_topology,
     uniform_random_topology,
 )
 from repro.serving import (
@@ -119,7 +118,6 @@ __all__ = [
     "fit_line",
     "generate_random_walk",
     "generate_weather",
-    "grid_topology",
     "metric_by_name",
     "uniform_random_topology",
 ]

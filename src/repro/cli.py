@@ -15,10 +15,6 @@ Gives the reproduction a front door without writing any code:
   throughput, latency percentiles and epoch-cache statistics;
 * ``run`` — train and elect a large deployment (2,000 nodes at the
   degree-12 radius by default) and print its traffic and wall time;
-* ``fleet start/status/reconfigure/stop`` — operate a continuously
-  running deployment out of a fleet directory: background slicing with
-  rotating checkpoints and a JSONL stream, SLO monitoring, optional
-  background chaos, and rolling reconfiguration at slice boundaries.
 
 Examples::
 
@@ -28,8 +24,6 @@ Examples::
     python -m repro.cli report --nodes 100 --rounds 5 --jsonl run.jsonl
     python -m repro.cli serve --queries 500 --clients 8
     python -m repro.cli run -n 20000 --duration 4
-    python -m repro.cli fleet start --dir /tmp/fleet --slices 40 --chaos
-    python -m repro.cli fleet reconfigure --dir /tmp/fleet --set loss=0.1
 """
 
 from __future__ import annotations
@@ -375,7 +369,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     print(f"ran    : {args.duration:g} measurement ticks + election "
           f"to t={runtime.now:g} in {elapsed:.2f}s wall")
-    print(f"traffic: {sum(runtime.stats.sent.values())} messages sent")
+    print(f"traffic: {runtime.stats.total_sent()} messages sent")
     if args.digest:
         print(f"digest : {runtime.state_digest().whole}")
     return 0
@@ -397,7 +391,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     print(f"froze t={runtime.now:g} after {args.rounds} maintenance round(s)")
     print(f"snapshot: {view.size} representatives, "
           f"{runtime.simulator.events_processed} events processed, "
-          f"{sum(runtime.stats.sent.values())} messages sent")
+          f"{runtime.stats.total_sent()} messages sent")
     print(f"digest: {digest.whole}")
     print(f"wrote {args.path}")
     return 0
@@ -422,152 +416,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
     view = runtime.snapshot()
     print(f"ran {args.rounds} more round(s) to t={runtime.now:g}: "
           f"{runtime.simulator.events_processed - before} events fired, "
-          f"{sum(runtime.stats.sent.values())} messages sent in total")
+          f"{runtime.stats.total_sent()} messages sent in total")
     print(f"snapshot: {view.size} representatives "
           f"({len(runtime.alive_ids())} nodes alive)")
     print(f"digest: {runtime.state_digest().whole}")
-    return 0
-
-
-def _parse_change(assignments: Sequence[str]) -> dict:
-    """``key=value`` pairs into a reconfiguration change dict.
-
-    Values parse as JSON (so ``0.25``, ``"round-robin"`` and bare
-    strings all work); unknown keys are rejected by ``apply_change``
-    in the running fleet.
-    """
-    import json
-
-    change = {}
-    for assignment in assignments:
-        key, sep, raw = assignment.partition("=")
-        if not sep or not key:
-            raise ValueError(f"expected key=value, got {assignment!r}")
-        try:
-            change[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            change[key] = raw
-    return change
-
-
-def cmd_fleet_start(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.faults import ChaosConfig
-    from repro.fleet import (
-        FleetRunner,
-        FleetState,
-        SLOConfig,
-        poll_commands,
-        write_status,
-    )
-
-    runtime = _build_network(
-        args.nodes, args.classes, args.threshold, args.range, args.seed
-    )
-    view = runtime.run_election()
-    runtime.start_maintenance()
-    state = FleetState(
-        runtime,
-        slo=SLOConfig(
-            coverage_floor=args.coverage_floor,
-            max_messages_per_node_per_round=args.msg_ceiling,
-        ),
-        probe_area=None if args.no_probes else args.probe_area,
-    )
-    if args.chaos:
-        state.attach_chaos(
-            ChaosConfig(
-                seed=args.seed,
-                n_nodes=args.nodes,
-                n_faults=args.chaos_faults,
-                heartbeat_period=runtime.config.heartbeat_period,
-            )
-        )
-    runner = FleetRunner(
-        state,
-        args.slice,
-        args.dir,
-        checkpoint_every=args.checkpoint_every,
-        pace=args.pace,
-        max_slices=args.slices,
-    )
-    print(f"fleet: {view.n_nodes} nodes, {view.size} representatives, "
-          f"slice {args.slice:g}, dir {args.dir}")
-    runner.start()
-    stopped_by_command = False
-    try:
-        while runner.running:
-            time.sleep(args.poll)
-            for command in poll_commands(args.dir):
-                kind = command.get("command")
-                if kind == "stop":
-                    stopped_by_command = True
-                elif kind == "reconfigure":
-                    change = command.get("change") or {}
-                    try:
-                        runner.request_reconfigure(change)
-                    except ValueError as error:
-                        print(f"rejected reconfiguration {change}: {error}")
-                    else:
-                        print(f"queued reconfiguration: {change}")
-            write_status(args.dir, runner.status())
-            if stopped_by_command:
-                break
-    finally:
-        runner.stop()
-        status = runner.status()
-        write_status(args.dir, status)
-    print(f"stopped after {status['slices_done']} slice(s) at "
-          f"t={status['sim_time']:g}: {status['maintenance_rounds']} rounds, "
-          f"{status['violations']} SLO violation(s), "
-          f"{status['reconfigurations']} reconfiguration(s)")
-    return 0
-
-
-def cmd_fleet_status(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.fleet import read_status
-
-    status = read_status(args.dir)
-    if status is None:
-        print(f"no fleet status under {args.dir}", file=sys.stderr)
-        return 2
-    print(json.dumps(status, sort_keys=True, indent=2))
-    return 0
-
-
-def cmd_fleet_reconfigure(args: argparse.Namespace) -> int:
-    from repro.fleet import submit_command
-
-    try:
-        change = _parse_change(args.set)
-    except ValueError as error:
-        print(f"bad --set: {error}", file=sys.stderr)
-        return 2
-    if not change:
-        print("nothing to change; pass --set key=value", file=sys.stderr)
-        return 2
-    path = submit_command(args.dir, {"command": "reconfigure", "change": change})
-    print(f"submitted {change} -> {path}")
-    return 0
-
-
-def cmd_fleet_stop(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.fleet import read_status, submit_command
-
-    submit_command(args.dir, {"command": "stop"})
-    deadline = time.monotonic() + args.wait
-    while args.wait > 0 and time.monotonic() < deadline:
-        status = read_status(args.dir)
-        if status is not None and not status.get("running", True):
-            print(f"fleet stopped after {status['slices_done']} slice(s)")
-            return 0
-        time.sleep(0.1)
-    print("stop requested")
     return 0
 
 
@@ -734,89 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.set_defaults(handler=cmd_resume)
 
-    fleet = commands.add_parser(
-        "fleet",
-        help="operate a continuously running deployment out of a fleet dir",
-    )
-    fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    fleet_start = fleet_commands.add_parser(
-        "start", help="start slicing a deployment; poll its control dir"
-    )
-    fleet_start.add_argument("--dir", required=True, help="fleet home directory")
-    _add_network_options(fleet_start)
-    fleet_start.add_argument(
-        "--slice", type=float, default=25.0, help="sim-time per slice"
-    )
-    fleet_start.add_argument(
-        "--slices", type=int, default=None,
-        help="stop after this many slices (default: run until 'fleet stop')",
-    )
-    fleet_start.add_argument(
-        "--pace", type=float, default=0.05,
-        help="wall-clock seconds between slices",
-    )
-    fleet_start.add_argument(
-        "--poll", type=float, default=0.1,
-        help="wall-clock seconds between control-dir polls",
-    )
-    fleet_start.add_argument(
-        "--checkpoint-every", type=int, default=8,
-        help="checkpoint to the rotating ring every N slices (0 disables)",
-    )
-    fleet_start.add_argument(
-        "--probe-area", type=float, default=0.4,
-        help="side of the random coverage-probe square",
-    )
-    fleet_start.add_argument(
-        "--no-probes", action="store_true",
-        help="disable per-slice coverage probe queries",
-    )
-    fleet_start.add_argument(
-        "--coverage-floor", type=float, default=None,
-        help="SLO: windowed mean probe coverage must stay at or above this",
-    )
-    fleet_start.add_argument(
-        "--msg-ceiling", type=float, default=None,
-        help="SLO: mean protocol messages/node/round must stay at or below this",
-    )
-    fleet_start.add_argument(
-        "--chaos", action="store_true",
-        help="arm a deterministic rolling background fault schedule",
-    )
-    fleet_start.add_argument(
-        "--chaos-faults", type=int, default=4,
-        help="faults drawn per background chaos plan",
-    )
-    fleet_start.set_defaults(handler=cmd_fleet_start)
-
-    fleet_status = fleet_commands.add_parser(
-        "status", help="print the running fleet's latest status.json"
-    )
-    fleet_status.add_argument("--dir", required=True, help="fleet home directory")
-    fleet_status.set_defaults(handler=cmd_fleet_status)
-
-    fleet_reconfigure = fleet_commands.add_parser(
-        "reconfigure",
-        help="submit a rolling reconfiguration (applied at a slice boundary)",
-    )
-    fleet_reconfigure.add_argument("--dir", required=True, help="fleet home directory")
-    fleet_reconfigure.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        help="change to apply, e.g. --set loss=0.1 "
-             "--set cache_policy=round-robin (repeatable)",
-    )
-    fleet_reconfigure.set_defaults(handler=cmd_fleet_reconfigure)
-
-    fleet_stop = fleet_commands.add_parser(
-        "stop", help="ask the running fleet to stop"
-    )
-    fleet_stop.add_argument("--dir", required=True, help="fleet home directory")
-    fleet_stop.add_argument(
-        "--wait", type=float, default=10.0,
-        help="seconds to wait for the fleet to confirm (0 = fire and forget)",
-    )
-    fleet_stop.set_defaults(handler=cmd_fleet_stop)
     return parser
 
 

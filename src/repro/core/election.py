@@ -142,9 +142,3 @@ class ElectionCoordinator:
             label="election:end",
         )
         return epoch
-
-    def all_settled(self) -> bool:
-        """Whether every alive node has resolved ACTIVE or PASSIVE."""
-        return all(
-            node.mode.settled for node in self.nodes.values() if node.alive
-        )

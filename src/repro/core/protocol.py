@@ -199,11 +199,6 @@ class ProtocolNode:
         device = self.device
         return not device._flags[device._slot]
 
-    @property
-    def is_representative(self) -> bool:
-        """ACTIVE nodes are the snapshot's representatives."""
-        return self.mode is NodeMode.ACTIVE
-
     def covered_nodes(self) -> set[int]:
         """Node ids this node answers snapshot queries for.
 
@@ -213,11 +208,6 @@ class ProtocolNode:
         if self.mode is not NodeMode.ACTIVE:
             return set()
         return {self.node_id} | set(self.represented)
-
-    def member_location(self, member_id: int) -> Optional[tuple[float, float]]:
-        """Known location of a represented node (``None`` if never learned)."""
-        info = self.represented.get(member_id)
-        return None if info is None else info.location
 
     def estimate_for(self, member_id: int) -> Optional[float]:
         """Model estimate of a represented node's current value."""

@@ -181,9 +181,6 @@ class SnapshotRuntime:
         self.simulator.observation_barrier = router
         self.radio.observation_router = router
 
-        #: Callables fired as ``hook(runtime, end_time)`` after every
-        #: :meth:`run_slice` boundary (fleet-mode observation point).
-        self.slice_hooks: list[Callable[["SnapshotRuntime", float], None]] = []
         self.coordinator = ElectionCoordinator(
             self.simulator, self.nodes, self.config, tally=self.tally
         )
@@ -396,25 +393,6 @@ class SnapshotRuntime:
     def advance_to(self, time: float) -> None:
         """Run the simulation up to absolute ``time``."""
         self.simulator.run_until(time)
-
-    def run_slice(self, duration: float) -> float:
-        """Advance one bounded slice of ``duration``; returns its end time.
-
-        The fleet layer's unit of progress: equivalent to
-        ``advance_to(now + duration)`` — slicing a run this way fires
-        the identical event sequence the uninterrupted run fires
-        (proven by ``tests/fleet/``) — and then fires any registered
-        ``slice_hooks`` with ``(runtime, end_time)``.  Hooks must be
-        picklable read-only observers if the runtime is checkpointed
-        while they are registered.
-        """
-        if duration <= 0:
-            raise ValueError(f"slice duration must be positive, got {duration}")
-        end = self.simulator.now + duration
-        self.simulator.run_until(end)
-        for hook in self.slice_hooks:
-            hook(self, end)
-        return end
 
     # ------------------------------------------------------------------
     # checkpoint / restore

@@ -123,10 +123,6 @@ class SnapshotView:
             return 0.0
         return self.size / self.n_nodes
 
-    def representative_of(self, node_id: int) -> int:
-        """The representative answering for ``node_id``."""
-        return self.assignment[node_id]
-
     def members_of(self, representative: int) -> tuple[int, ...]:
         """Nodes whose own pointer selects ``representative`` (incl. itself)."""
         return tuple(

@@ -70,21 +70,5 @@ class Dataset:
             raise ValueError(f"cannot read a measurement at negative time {time}")
         return min(int(time), self.length - 1)
 
-    def slice_time(self, start: int, stop: int) -> "Dataset":
-        """A dataset restricted to sample indexes ``[start, stop)``."""
-        if not 0 <= start < stop <= self.length:
-            raise ValueError(
-                f"invalid time slice [{start}, {stop}) for length {self.length}"
-            )
-        return Dataset(self._values[:, start:stop])
-
-    def mean_of_means(self) -> float:
-        """Average of per-series means (the paper reports 5.8 for weather)."""
-        return float(self._values.mean(axis=1).mean())
-
-    def mean_of_variances(self) -> float:
-        """Average of per-series variances (the paper reports 2.8)."""
-        return float(self._values.var(axis=1).mean())
-
     def __repr__(self) -> str:
         return f"Dataset(n_nodes={self.n_nodes}, length={self.length})"

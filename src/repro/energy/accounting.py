@@ -70,20 +70,6 @@ class EnergyLedger:
             total += amount
         self._totals[category] = total
 
-    def node_total(self, node_id: int) -> float:
-        """Total energy drawn by ``node_id`` across all categories."""
-        return sum(
-            self._cells.get((node_id, category), 0.0)
-            for category in self.CATEGORIES
-        )
-
-    def node_breakdown(self, node_id: int) -> dict[str, float]:
-        """Energy drawn by ``node_id``, by category."""
-        return {
-            category: self._cells.get((node_id, category), 0.0)
-            for category in self.CATEGORIES
-        }
-
     def total(self, category: str | None = None) -> float:
         """Network-wide energy drawn, optionally for one category."""
         if category is None:
@@ -93,14 +79,6 @@ class EnergyLedger:
                 f"unknown category {category!r}; expected one of {self.CATEGORIES}"
             )
         return self._totals.get(category, 0.0)
-
-    def top_consumers(self, k: int = 5) -> list[tuple[int, float]]:
-        """The ``k`` nodes that drew the most energy, descending."""
-        per_node: Counter[int] = Counter()
-        for (node, _), amount in self._cells.cells.items():
-            per_node[node] += amount
-        ranked = sorted(per_node.items(), key=lambda pair: (-pair[1], pair[0]))
-        return ranked[:k]
 
     def clear(self) -> None:
         """Reset the ledger."""

@@ -142,10 +142,6 @@ class Battery:
             state.flags[slot] |= DEPLETED
         self._state, self._slot = state, slot
 
-    def can_afford(self, amount: float) -> bool:
-        """Whether the remaining charge covers ``amount``."""
-        return self._state.charge[self._slot] >= amount
-
     def __repr__(self) -> str:
         if self._capacity is None:
             return f"Battery(infinite, spent={self.spent:.1f})"

@@ -9,13 +9,12 @@ the protocol's safety properties at quiescence, and
 :mod:`repro.faults.chaos` ties them into randomized stress schedules.
 """
 
-from repro.faults.background import BackgroundChaos
 from repro.faults.chaos import (
     ChaosConfig,
     ChaosResult,
+    ChaosRun,
     build_chaos_runtime,
     random_fault_plan,
-    run_chaos_schedule,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantChecker, InvariantError, InvariantViolation
@@ -29,10 +28,10 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "BackgroundChaos",
     "BatteryDrain",
     "ChaosConfig",
     "ChaosResult",
+    "ChaosRun",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
@@ -44,5 +43,4 @@ __all__ = [
     "NodeCrash",
     "build_chaos_runtime",
     "random_fault_plan",
-    "run_chaos_schedule",
 ]

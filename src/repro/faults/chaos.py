@@ -54,7 +54,6 @@ __all__ = [
     "ChaosRun",
     "build_chaos_runtime",
     "random_fault_plan",
-    "run_chaos_schedule",
 ]
 
 
@@ -337,20 +336,3 @@ class ChaosRun:
                 tuple(str(v) for v in self.checker.violations),
             )
         }
-
-
-def run_chaos_schedule(config: ChaosConfig) -> ChaosResult:
-    """Run one full train → elect → faults → quiesce → check schedule.
-
-    Raises :class:`~repro.faults.invariants.InvariantError` on the
-    first violated invariant (the checker's default); the returned
-    result carries counters for aggregation when none is violated.
-    """
-    run = ChaosRun(config)
-    try:
-        run.start()
-        return run.finish()
-    finally:
-        # finish() closes the checker on its own paths; this covers a
-        # start() that raised (e.g. the post-election quiescence check).
-        run.checker.close()

@@ -313,11 +313,6 @@ class InvariantChecker:
         """Whether no violation has been recorded so far."""
         return not self.violations
 
-    def raise_if_violated(self) -> None:
-        """Raise :class:`InvariantError` if any violation accumulated."""
-        if self.violations:
-            raise InvariantError(self.violations)
-
     def close(self) -> None:
         """Detach from the trace log (idempotent)."""
         for subscription in self._subscriptions:

@@ -31,7 +31,6 @@ from repro.models.regression import (
     no_answer_sse,
     sse_of_model,
 )
-from repro.models.robust import fit_for_metric, fit_line_lad, theil_sen
 from repro.models.round_robin import RoundRobinCache
 
 __all__ = [
@@ -50,12 +49,9 @@ __all__ = [
     "RoundRobinCache",
     "STATS_SYNC_INTERVAL",
     "SumSquaredError",
-    "fit_for_metric",
     "fit_line",
-    "fit_line_lad",
     "mean_sse_of_model",
     "metric_by_name",
-    "theil_sen",
     "no_answer_sse",
     "pairs_for_budget",
     "sse_of_model",

@@ -335,16 +335,6 @@ class CacheLine:
             self._penalty = penalty
         return self._penalty
 
-    def resync_stats(self) -> None:
-        """Re-derive the running sums exactly from the stored pairs.
-
-        Normally triggered automatically every
-        :data:`STATS_SYNC_INTERVAL` evictions; exposed for tests and
-        long-lived diagnostics.
-        """
-        self._resync_stats()
-        self._invalidate()
-
     def _resync_stats(self) -> None:
         self._stats = RegressionStats.from_pairs(self._pairs)
         self._evictions_since_sync = 0

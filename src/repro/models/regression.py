@@ -246,18 +246,6 @@ class RegressionStats:
             model.intercept,
         )
 
-    def mean_sse(self, model: LinearModel) -> float:
-        """Average squared error of ``model`` (§4's ``sse(c, a, b)``).
-
-        Raises
-        ------
-        ValueError
-            If the statistics are empty.
-        """
-        if self.n == 0:
-            raise ValueError("average sse over an empty cache line is undefined")
-        return self.sse(model) / self.n
-
     def no_answer_sse(self) -> float:
         """Average squared error of refusing to answer: ``Σy² / n``.
 

@@ -825,29 +825,6 @@ class ModelAwareCacheFleet:
             j for j, s in self.slot[c].items() if self.n[base + s] > 0
         )
 
-    def cache_state(self, c: int) -> dict:
-        """Canonical per-cache state for tests and digests.
-
-        ``{"lines": {id: (pairs, sums, evictions_since_sync)},
-        "total": pairs, "rr_cursor": id}`` — the same shape the tests
-        canonicalize a scalar cache to, so cross-engine equality is a
-        dict comparison.
-        """
-        lines = {}
-        for j in self.known_neighbors(c):
-            r = c * self.S + self.slot[c][j]
-            lines[j] = (
-                tuple(self._pairs(r)),
-                (int(self.n[r]), float(self.sx[r]), float(self.sy[r]),
-                 float(self.sxx[r]), float(self.sxy[r]), float(self.syy[r])),
-                int(self.esync[r]),
-            )
-        return {
-            "lines": lines,
-            "total": int(self.total[c]),
-            "rr_cursor": int(self.rr[c]),
-        }
-
     # -- line-slot growth -----------------------------------------------------
 
     #: 1-D per-row columns re-laid together when line slots grow.

@@ -38,7 +38,7 @@ from repro.network.mobility import (
 from repro.network.node import NetworkNode
 from repro.network.radio import Radio
 from repro.network.stats import MessageStats
-from repro.network.topology import Topology, grid_topology, uniform_random_topology
+from repro.network.topology import Topology, uniform_random_topology
 
 __all__ = [
     "Accept",
@@ -68,6 +68,5 @@ __all__ = [
     "StayActive",
     "Topology",
     "apply_mobility",
-    "grid_topology",
     "uniform_random_topology",
 ]

@@ -167,10 +167,6 @@ class PerLinkLoss(LossModel):
         self._lossy_links += (probability > 0.0) - (self.overrides.get(link, 0.0) > 0.0)
         self.overrides[link] = float(probability)
 
-    def block_link(self, sender: int, receiver: int) -> None:
-        """Model an obstacle: the directed link never delivers."""
-        self.set_link(sender, receiver, 1.0)
-
     def loss_probability(self, sender: int, receiver: int) -> float:
         return self.overrides.get((sender, receiver), self.base)
 

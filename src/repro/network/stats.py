@@ -75,10 +75,6 @@ class MessageStats:
         """Count one transmission of ``message`` by its sender."""
         self.sent[(message.sender, message.kind)] += 1
 
-    def record_delivered(self, receiver: int, message: Message) -> None:
-        """Count one successful delivery of ``message`` to ``receiver``."""
-        self.delivered[(receiver, message.kind)] += 1
-
     def record_dropped(self, message: Message, count: int = 1) -> None:
         """Count ``count`` Bernoulli losses of ``message`` on some links."""
         self.dropped[message.kind] += count
@@ -98,32 +94,9 @@ class MessageStats:
         """Total transmissions across all nodes and kinds."""
         return sum(self.sent.values())
 
-    def sent_by_node(self, node_id: int) -> int:
-        """Transmissions performed by ``node_id`` (all kinds)."""
-        return sum(
-            count for (sender, _), count in self.sent.items() if sender == node_id
-        )
-
     def sent_of_kind(self, kind: str) -> int:
         """Transmissions of message class name ``kind`` across all nodes."""
         return sum(count for (_, k), count in self.sent.items() if k == kind)
-
-    def protocol_sent_by_node(self, node_id: int) -> int:
-        """Election/maintenance-protocol transmissions by ``node_id``."""
-        return sum(
-            count
-            for (sender, kind), count in self.sent.items()
-            if sender == node_id and kind in _PROTOCOL_KINDS
-        )
-
-    def protocol_messages_per_node(self, n_nodes: int) -> float:
-        """Average protocol transmissions per node (Figure 15's metric)."""
-        if n_nodes <= 0:
-            raise ValueError(f"need a positive node count, got {n_nodes}")
-        total = sum(
-            count for (_, kind), count in self.sent.items() if kind in _PROTOCOL_KINDS
-        )
-        return total / n_nodes
 
     def max_protocol_messages_any_node(
         self, since: Optional[Counter] = None

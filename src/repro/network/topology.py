@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["Topology", "uniform_random_topology", "grid_topology"]
+__all__ = ["Topology", "uniform_random_topology"]
 
 
 class Topology:
@@ -157,15 +157,6 @@ class Topology:
         """Nodes whose transmissions reach ``receiver`` (precomputed)."""
         return self._in_neighbors[receiver]
 
-    def directed_links(self) -> Iterator[tuple[int, int]]:
-        """All ``(sender, receiver)`` pairs the radio can traverse.
-
-        Yielded in ascending ``(sender, receiver)`` order.
-        """
-        for sender, hearers in enumerate(self._out_neighbors):
-            for receiver in hearers:
-                yield (sender, receiver)
-
     def can_transmit(self, sender: int, receiver: int) -> bool:
         """Whether ``sender``'s radio reaches ``receiver``.
 
@@ -175,44 +166,6 @@ class Topology:
         differently at the range boundary).
         """
         return receiver in self._out_sets[sender]
-
-    def is_connected(self, alive: Optional[Iterable[int]] = None) -> bool:
-        """Whether the (bidirectional-link) graph over ``alive`` is connected.
-
-        A link exists when *either* endpoint can reach the other; this is
-        the weakest useful notion and matches the paper's remark that
-        ranges below 0.2 "often result in parts of the network being
-        disconnected".  BFS over the precomputed forward and reverse
-        adjacency restricted to ``alive`` — O(V + E), where the previous
-        implementation rescanned the unseen set on every visit.
-        """
-        nodes = list(self.node_ids) if alive is None else sorted(set(alive))
-        if not nodes:
-            return True
-        node_set = set(nodes)
-        seen = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            current = frontier.pop()
-            for other in self._out_neighbors[current]:
-                if other in node_set and other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-            for other in self._in_neighbors[current]:
-                if other in node_set and other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(node_set)
-
-    def nodes_in_rect(
-        self, x_low: float, y_low: float, x_high: float, y_high: float
-    ) -> list[int]:
-        """Ids of nodes inside the axis-aligned rectangle (inclusive)."""
-        return [
-            i
-            for i, (x, y) in enumerate(self._positions)
-            if x_low <= x <= x_high and y_low <= y <= y_high
-        ]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.node_ids)
@@ -227,20 +180,4 @@ def uniform_random_topology(
     if n <= 0:
         raise ValueError(f"need a positive node count, got {n}")
     positions = [(float(x), float(y)) for x, y in rng.random((n, 2))]
-    return Topology(positions, transmission_range)
-
-
-def grid_topology(side: int, transmission_range: float) -> Topology:
-    """A ``side x side`` regular grid on the unit square (deterministic).
-
-    Useful in tests where exact neighbor sets must be known a priori.
-    """
-    if side <= 0:
-        raise ValueError(f"need a positive grid side, got {side}")
-    step = 1.0 / side
-    positions = [
-        (step / 2 + step * col, step / 2 + step * row)
-        for row in range(side)
-        for col in range(side)
-    ]
     return Topology(positions, transmission_range)

@@ -24,10 +24,8 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport
 from repro.obs.spans import NULL_SPAN, Span, SpanTracer
-from repro.obs.stream import JsonlRing
 
 __all__ = [
-    "JsonlRing",
     "MetricsRegistry",
     "CounterMetric",
     "GaugeMetric",

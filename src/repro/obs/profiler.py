@@ -41,11 +41,6 @@ class ProfileEntry:
     seconds: float = 0.0
     events: int = 0
 
-    @property
-    def mean_seconds(self) -> float:
-        """Average wall time per event."""
-        return self.seconds / self.events if self.events else 0.0
-
 
 def kind_of(label: str) -> str:
     """An event label's kind: the prefix before the first ``:``."""
@@ -81,10 +76,6 @@ class EventProfiler:
     def total_seconds(self) -> float:
         """Wall time spent inside event handlers so far."""
         return sum(entry.seconds for entry in self._by_kind.values())
-
-    def total_events(self) -> int:
-        """Events profiled so far."""
-        return sum(entry.events for entry in self._by_kind.values())
 
     def by_kind(self) -> list[tuple[str, ProfileEntry]]:
         """Per-kind entries, hottest first (ties by name)."""

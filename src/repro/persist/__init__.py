@@ -27,10 +27,8 @@ from repro.persist.digest import (
     digest_components,
     state_digest,
 )
-from repro.persist.ring import CheckpointRing
 
 __all__ = [
-    "CheckpointRing",
     "FORMAT_VERSION",
     "MAGIC",
     "CheckpointError",

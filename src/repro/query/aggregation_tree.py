@@ -53,12 +53,11 @@ class AggregationTree:
     depths: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Memo tables, not part of the value: the serving front-end
-        # calls ``routers_for``/``subtree_size`` once per admitted
-        # query against the same shared tree, so paths are resolved at
-        # most once per node instead of re-walked per member per call.
+        # Memo table, not part of the value: the serving front-end
+        # calls ``routers_for`` once per admitted query against the
+        # same shared tree, so paths are resolved at most once per node
+        # instead of re-walked per member per call.
         object.__setattr__(self, "_path_cache", {})
-        object.__setattr__(self, "_subtree_sizes", None)
 
     @classmethod
     def build(
@@ -193,28 +192,3 @@ class AggregationTree:
             routers.update(self.path_to_sink(responder)[1:-1])
         routers.discard(self.sink)
         return frozenset(routers - responder_set)
-
-    def subtree_size(self, node: int) -> int:
-        """Number of members whose path to the sink passes through ``node``.
-
-        Sizes for the whole tree are computed once, bottom-up from the
-        deepest members (O(members) total), and memoized.
-        """
-        sizes = self._subtree_sizes
-        if sizes is None:
-            depths = self.depths
-            if len(depths) < len(self.parents):
-                # Trees built by hand may omit depths; derive them.
-                depths = {
-                    member: len(self.path_to_sink(member)) - 1
-                    for member in self.parents
-                }
-            sizes = {member: 1 for member in self.parents}
-            by_depth = sorted(
-                self.parents, key=lambda member: depths[member], reverse=True
-            )
-            for member in by_depth:
-                if member != self.sink:
-                    sizes[self.parents[member]] += sizes[member]
-            object.__setattr__(self, "_subtree_sizes", sizes)
-        return sizes.get(node, 0)

@@ -160,7 +160,3 @@ class ContinuousQuery:
         return sum(
             record.result.n_participants for record in self.records
         ) / len(self.records)
-
-    def aggregate_series(self) -> list[Optional[float]]:
-        """The aggregate answer per epoch (``None`` for drill-through)."""
-        return [record.result.aggregate_value for record in self.records]

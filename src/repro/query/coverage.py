@@ -50,21 +50,3 @@ class CoverageSeries:
         if not self.samples:
             return 0.0
         return self.area / len(self.samples)
-
-    def first_below(self, level: float) -> int | None:
-        """Index of the first query whose coverage fell below ``level``."""
-        for index, value in enumerate(self.samples):
-            if value < level:
-                return index
-        return None
-
-    def smoothed(self, window: int = 10) -> list[float]:
-        """Trailing moving average, for plotting the Figure 10 curves."""
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        output = []
-        for index in range(len(self.samples)):
-            start = max(0, index - window + 1)
-            chunk = self.samples[start : index + 1]
-            output.append(sum(chunk) / len(chunk))
-        return output

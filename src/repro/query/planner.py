@@ -268,33 +268,6 @@ class QueryPlanner:
             return responders + self._mean_hops()
         return responders * (1.0 + self._mean_hops())
 
-    def estimate_regular_cost(self, query: Query) -> float:
-        """Transmissions per round: every matching alive node reports."""
-        return self._transmissions_per_round(query, len(self.regular_responders(query)))
-
-    def estimate_snapshot_cost(self, query: Query) -> float:
-        """Transmissions per round: covering representatives report."""
-        return self._transmissions_per_round(
-            query, len(self.snapshot_responders(query))
-        )
-
-    def spatial_selectivity(self, query: Query) -> float:
-        """Fraction of alive nodes the spatial predicate selects.
-
-        The planner evaluates the predicate against the known node
-        locations rather than integrating region areas, so irregular
-        deployments are estimated exactly.  An empty network has
-        selectivity 0 by convention.
-        """
-        alive = self.runtime.alive_ids()
-        if not alive:
-            return 0.0
-        topology = self.runtime.topology
-        matching = sum(
-            1 for node_id in alive if query.region.contains(*topology.position(node_id))
-        )
-        return matching / len(alive)
-
     def estimate_cost(
         self, query: Query, use_snapshot: Optional[bool] = None
     ) -> QueryCostEstimate:

@@ -39,10 +39,6 @@ class Region(abc.ABC):
     def contains(self, x: float, y: float) -> bool:
         """Whether the point ``(x, y)`` satisfies the predicate."""
 
-    def contains_point(self, point: tuple[float, float]) -> bool:
-        """Convenience overload taking a coordinate pair."""
-        return self.contains(point[0], point[1])
-
     def contains_mask(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """:meth:`contains` of every point ``(xs[i], ys[i])``, as a mask.
 

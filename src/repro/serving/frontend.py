@@ -185,8 +185,7 @@ class QueryFrontEnd:
             EpochResultCache(cache_capacity) if cache else None
         )
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=max_queue)
-        # Reentrant so a holder (the fleet runner, mid-slice) can rebind
-        # the front end without releasing serving exclusion first.
+        # Reentrant so a driver holding it may still call ``submit``.
         self._runtime_lock = threading.RLock()
         self._dispatcher: Optional[threading.Thread] = None
         self._stopping = threading.Event()
@@ -207,33 +206,13 @@ class QueryFrontEnd:
 
     @property
     def runtime_lock(self) -> threading.RLock:
-        """The lock serializing every runtime touch (queries, slices).
+        """The lock serializing every runtime touch.
 
-        External drivers that advance the simulation while the front
-        end serves — the fleet runner — must hold this around any
-        ``advance_to``/``run_slice`` so dispatch never interleaves with
-        event processing.
+        A driver that advances the simulation while the front end
+        serves must hold this around ``advance_to`` so dispatch never
+        interleaves with event processing.
         """
         return self._runtime_lock
-
-    def rebind(self, runtime: SnapshotRuntime) -> None:
-        """Point the front end at a replacement runtime.
-
-        The rolling-reconfiguration hand-off: after a fleet
-        checkpoint → mutate → restore swap, the restored runtime is a
-        distinct object graph, so the planner, executor and metric
-        handles are rebuilt against it.  Serving counters live in the
-        runtime's own registry and were checkpointed with it, so their
-        totals carry over.  The epoch result cache survives — it is
-        keyed by ``structure_version()``, which the restored runtime
-        continues, and entries are invalidated exactly when the version
-        moves, same as before the swap.
-        """
-        with self._runtime_lock:
-            self.runtime = runtime
-            self.planner = QueryPlanner(runtime)
-            self.executor = self.planner.executor
-            self._bind_metrics()
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -149,18 +149,6 @@ class TraceLog:
         self._subscribers[kind] = self._subscribers.get(kind, ()) + (subscription,)
         return subscription
 
-    def unsubscribe(self, kind: str, callback: Callable[[TraceRecord], None]) -> None:
-        """Cancel one registration of ``callback`` for ``kind`` (no-op if absent).
-
-        Prefer :meth:`TraceSubscription.cancel`, which is unambiguous
-        when the same callback was registered more than once; this
-        legacy entry point cancels the oldest matching registration.
-        """
-        for subscription in self._subscribers.get(kind, ()):
-            if subscription.callback == callback:
-                subscription.cancel()
-                return
-
     def _remove(self, subscription: TraceSubscription) -> None:
         current = self._subscribers.get(subscription.kind)
         if not current:
@@ -170,10 +158,6 @@ class TraceLog:
             self._subscribers[subscription.kind] = remaining
         else:
             del self._subscribers[subscription.kind]
-
-    def n_subscribers(self, kind: str) -> int:
-        """Number of callbacks currently subscribed to ``kind``."""
-        return len(self._subscribers.get(kind, ()))
 
     def count(self, kind: str) -> int:
         """Number of records of ``kind`` emitted so far."""

@@ -9,7 +9,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.runtime import SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.data.series import Dataset
-from repro.network.topology import Topology, grid_topology, uniform_random_topology
+from repro.network.topology import Topology, uniform_random_topology
 from repro.simulation.engine import Simulator
 
 
@@ -23,6 +23,18 @@ def simulator() -> Simulator:
 def rng() -> np.random.Generator:
     """A seeded generator for test-local randomness."""
     return np.random.default_rng(98765)
+
+
+def grid_topology(side: int, transmission_range: float) -> Topology:
+    """A ``side x side`` regular grid on the unit square, for tests that
+    must know exact neighbor sets a priori."""
+    step = 1.0 / side
+    positions = [
+        (step / 2 + step * col, step / 2 + step * row)
+        for row in range(side)
+        for col in range(side)
+    ]
+    return Topology(positions, transmission_range)
 
 
 @pytest.fixture

@@ -37,8 +37,8 @@ class TestObstacles:
         """An obstacle between two specific nodes (the §3 example) must
         not leave either uncovered — they elect around it."""
         loss = PerLinkLoss(base=0.0)
-        loss.block_link(0, 1)
-        loss.block_link(1, 0)
+        loss.set_link(0, 1, 1.0)
+        loss.set_link(1, 0, 1.0)
         runtime = correlated_runtime(loss_model=loss)
         runtime.train(duration=10)
         view = runtime.run_election()
@@ -52,7 +52,7 @@ class TestObstacles:
         learn it represents node 1 reliably — the protocol still
         terminates with everyone settled."""
         loss = PerLinkLoss(base=0.0)
-        loss.block_link(1, 0)  # 1's transmissions never reach 0
+        loss.set_link(1, 0, 1.0)  # 1's transmissions never reach 0
         runtime = correlated_runtime(loss_model=loss)
         runtime.train(duration=10)
         runtime.run_election()

@@ -159,7 +159,7 @@ class TestHeartbeatSemantics:
         rep._on_message(Heartbeat(sender=1, target=0, value=7.5), False)
         assert rep.store.model(1) is not None
         # the cache-maintenance CPU charge was applied
-        assert radio.ledger.node_breakdown(0)["cpu"] == pytest.approx(0.1)
+        assert radio.ledger._cells[(0, "cpu")] == pytest.approx(0.1)
 
 
 class TestResign:

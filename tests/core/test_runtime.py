@@ -10,9 +10,8 @@ from repro.core.runtime import SnapshotRuntime
 from repro.data.series import Dataset
 from repro.models.metrics import AbsoluteError
 from repro.network.links import GlobalLoss
-from repro.network.topology import grid_topology
 from repro.simulation.rng import RandomSource
-from tests.conftest import make_runtime
+from tests.conftest import grid_topology, make_runtime
 
 
 class TestConfigValidation:

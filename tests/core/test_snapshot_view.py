@@ -39,8 +39,8 @@ class TestCapture:
         view = SnapshotView.capture(nodes)
         assert view.representatives == (0, 2)
         assert view.size == 2
-        assert view.representative_of(1) == 0
-        assert view.representative_of(2) == 2
+        assert view.assignment[1] == 0
+        assert view.assignment[2] == 2
         assert view.members_of(0) == (0, 1)
         assert view.fraction() == pytest.approx(2 / 3)
 

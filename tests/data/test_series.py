@@ -47,17 +47,3 @@ class TestDataset:
     def test_series_row(self):
         data = Dataset([[1.0, 2.0], [3.0, 4.0]])
         assert list(data.series(1)) == [3.0, 4.0]
-
-    def test_slice_time(self):
-        data = Dataset([[1.0, 2.0, 3.0, 4.0]])
-        sliced = data.slice_time(1, 3)
-        assert list(sliced.series(0)) == [2.0, 3.0]
-
-    def test_slice_time_invalid(self):
-        with pytest.raises(ValueError):
-            Dataset([[1.0, 2.0]]).slice_time(1, 5)
-
-    def test_statistics(self):
-        data = Dataset([[1.0, 3.0], [5.0, 5.0]])
-        assert data.mean_of_means() == pytest.approx(3.5)
-        assert data.mean_of_variances() == pytest.approx(0.5)

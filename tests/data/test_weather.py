@@ -41,8 +41,8 @@ class TestCalibration:
         """The paper reports average value 5.8 and average variance 2.8."""
         config = WeatherConfig(n_series=100, length=500)
         data, __ = generate_weather(config, np.random.default_rng(11))
-        assert data.mean_of_means() == pytest.approx(5.8, abs=0.6)
-        assert data.mean_of_variances() == pytest.approx(2.8, rel=0.5)
+        assert data.values.mean(axis=1).mean() == pytest.approx(5.8, abs=0.6)
+        assert data.values.var(axis=1).mean() == pytest.approx(2.8, rel=0.5)
 
     def test_non_negative(self):
         config = WeatherConfig(n_series=50, length=300)

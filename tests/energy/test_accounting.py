@@ -35,18 +35,11 @@ class TestLedger:
         ledger.record(0, "transmit", 2.0)
         ledger.record(0, "cpu", 0.5)
         ledger.record(1, "transmit", 1.0)
-        assert ledger.node_total(0) == pytest.approx(2.5)
+        assert dict(ledger._cells) == {
+            (0, "transmit"): 2.0, (0, "cpu"): 0.5, (1, "transmit"): 1.0
+        }
         assert ledger.total("transmit") == pytest.approx(3.0)
         assert ledger.total() == pytest.approx(3.5)
-
-    def test_breakdown(self):
-        ledger = EnergyLedger()
-        ledger.record(3, "receive", 0.25)
-        assert ledger.node_breakdown(3) == {
-            "transmit": 0.0,
-            "receive": 0.25,
-            "cpu": 0.0,
-        }
 
     def test_unknown_category_rejected(self):
         ledger = EnergyLedger()
@@ -70,22 +63,14 @@ class TestLedger:
         assert dict(ledger._cells) == {
             (50, "transmit"): 0.0, (7, "cpu"): 0.5, (90, "cpu"): 0.5
         }
-        assert ledger.node_breakdown(8) == {"transmit": 0.0, "receive": 0.0, "cpu": 0.0}
         assert (8, "cpu") not in ledger._cells
-
-    def test_top_consumers_sorted(self):
-        ledger = EnergyLedger()
-        ledger.record(0, "transmit", 1.0)
-        ledger.record(1, "transmit", 5.0)
-        ledger.record(2, "transmit", 3.0)
-        assert ledger.top_consumers(2) == [(1, 5.0), (2, 3.0)]
 
     def test_clear(self):
         ledger = EnergyLedger()
         ledger.record(0, "transmit", 1.0)
         ledger.clear()
         assert ledger.total() == 0.0
-        assert ledger.node_total(0) == 0.0
+        assert not ledger._cells
 
     def test_record_each_equals_repeated_record(self):
         one, bulk = EnergyLedger(), EnergyLedger()
@@ -94,8 +79,6 @@ class TestLedger:
             one.record(node_id, "cpu", 0.1)
         bulk.record_each(ids, "cpu", 0.1)
         assert bulk.total("cpu") == one.total("cpu")  # same float, not approx
-        assert [bulk.node_total(i) for i in (1, 2, 3)] == [
-            one.node_total(i) for i in (1, 2, 3)
-        ]
+        assert dict(bulk._cells) == dict(one._cells)
         with pytest.raises(ValueError):
             bulk.record_each(ids, "flux", 0.1)

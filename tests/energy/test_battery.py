@@ -79,11 +79,6 @@ class TestFiniteBattery:
         assert battery.draw(math.inf) == 5.0
         assert battery.depleted and battery.fraction_remaining == 0.0
 
-    def test_can_afford(self):
-        battery = Battery(2.0)
-        assert battery.can_afford(2.0)
-        assert not battery.can_afford(2.1)
-
     @given(st.lists(st.floats(min_value=0, max_value=10, allow_nan=False), max_size=30))
     @settings(max_examples=50)
     def test_charge_never_negative_and_spent_bounded(self, draws):
@@ -108,6 +103,3 @@ class TestInfiniteBattery:
         battery.draw(2.5)
         battery.draw(2.5)
         assert battery.spent == pytest.approx(5.0)
-
-    def test_can_afford_anything(self):
-        assert Battery(None).can_afford(1e18)

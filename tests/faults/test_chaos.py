@@ -8,7 +8,7 @@ bound for the election epoch.
 
 The matrix size scales with ``REPRO_CHAOS_SEEDS`` (seeds per
 configuration; default 50, so the default matrix is 50 × 4 = 200
-schedules).  CI runs a reduced matrix; set it higher for soak runs.
+schedules).  CI runs a reduced matrix; set it higher for longer runs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from repro.faults import ChaosConfig, run_chaos_schedule
+from repro.faults import ChaosConfig, ChaosRun
 
 N_SEEDS = int(os.environ.get("REPRO_CHAOS_SEEDS", "50"))
 
@@ -38,9 +38,11 @@ def test_chaos_matrix_upholds_all_invariants(loss_burst, cache_policy):
         config = ChaosConfig(
             seed=seed, loss_burst=loss_burst, cache_policy=cache_policy
         )
-        # run_chaos_schedule raises InvariantError (with the offending
-        # schedule's seed in ``config``) on any violation.
-        result = run_chaos_schedule(config)
+        # A schedule raises InvariantError (with the offending seed in
+        # ``config``) on any violation.
+        run = ChaosRun(config)
+        run.start()
+        result = run.finish()
         assert result.ok, f"seed {seed}: {result.violations}"
         # Every schedule must actually exercise the checks, including
         # the Table 2 message bound for its election epoch.
@@ -55,7 +57,9 @@ def test_chaos_schedules_actually_inject_faults():
     would pass the invariants trivially."""
     crashes = revivals = reelections = 0
     for seed in range(min(N_SEEDS, 10)):
-        result = run_chaos_schedule(ChaosConfig(seed=seed))
+        run = ChaosRun(ChaosConfig(seed=seed))
+        run.start()
+        result = run.finish()
         crashes += result.crashes
         revivals += result.revivals
         reelections += result.reelections
@@ -67,9 +71,13 @@ def test_chaos_schedules_actually_inject_faults():
 def test_single_chaos_schedule_smoke():
     """One lossless and one lossy schedule run in the default suite even
     when the chaos marker is deselected."""
-    clean = run_chaos_schedule(ChaosConfig(seed=0))
+    clean_run = ChaosRun(ChaosConfig(seed=0))
+    clean_run.start()
+    clean = clean_run.finish()
     assert clean.ok and clean.final_coverage > 0.0
-    lossy = run_chaos_schedule(ChaosConfig(seed=0, loss_burst=0.4))
+    lossy_run = ChaosRun(ChaosConfig(seed=0, loss_burst=0.4))
+    lossy_run.start()
+    lossy = lossy_run.finish()
     assert lossy.ok
     # The lossy schedule shares the plan's crash events with the clean
     # one (same seed) plus the burst.

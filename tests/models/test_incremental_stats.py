@@ -138,7 +138,7 @@ class TestRegressionStats:
         pairs = [(0.0, 1.0), (1.0, 3.1), (2.0, 4.9), (3.0, 7.2)]
         stats = RegressionStats.from_pairs(pairs)
         model = stats.fit()
-        assert_close(stats.mean_sse(model), mean_sse_of_model(pairs, model))
+        assert_close(stats.sse(model) / stats.n, mean_sse_of_model(pairs, model))
 
     def test_empty_fit_raises(self):
         with pytest.raises(ValueError):
@@ -176,7 +176,7 @@ class TestIncrementalMatchesBatch:
             assert_close(model.slope, batch_model.slope)
             assert_close(model.intercept, batch_model.intercept)
             assert_close(
-                line.stats.mean_sse(model),
+                line.stats.sse(model) / line.stats.n,
                 mean_sse_of_model(pairs, batch_model),
                 tol=tol,
             )

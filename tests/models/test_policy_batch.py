@@ -21,6 +21,7 @@ from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
 from repro.models.round_robin import RoundRobinCache
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
+from tests.models.conftest import bound_lanes
 
 BUDGET = BYTES_PER_PAIR * 24
 #: Neighbor-id universe; kept within the fleet's ``max_lines`` so a
@@ -127,8 +128,9 @@ def _lockstep(fleet, twin, cs, js, xs, ys):
         for c, j, x, y in zip(cs, js, xs, ys)
     ]
     assert got == want
-    for lane in range(fleet.F):
-        assert fleet.cache_state(lane) == twin.cache_state(lane)
+    for got_lane, want_lane in zip(bound_lanes(fleet), bound_lanes(twin)):
+        assert got_lane.digest_state() == want_lane.digest_state()
+        assert got_lane.total_pairs == want_lane.total_pairs
     return got
 
 

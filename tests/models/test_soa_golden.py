@@ -23,6 +23,7 @@ from repro.models.cache import BYTES_PER_PAIR, STATS_SYNC_INTERVAL
 from repro.models.cache_manager import ModelAwareCache
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
 from repro.persist.digest import canonical_bytes
+from tests.models.conftest import bound_lanes
 
 
 def correlated_stream(length: int, neighbors: int = 8, seed: int = 42):
@@ -167,6 +168,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
     fleet = ModelAwareCacheFleet(
         n_caches, cache_bytes, max_lines=8, ring_cap=32
     )
+    lanes = bound_lanes(fleet)
     streams = [
         correlated_stream(steps, neighbors=6, seed=1000 + c)
         for c in range(n_caches)
@@ -182,7 +184,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
             assert got == expected, f"lane {c} step {t}: {got} != {expected}"
     for c in range(n_caches):
         want = block_state(refs[c])
-        assert canonical_bytes(fleet.cache_state(c)) == canonical_bytes(want), (
+        assert canonical_bytes(block_state(lanes[c])) == canonical_bytes(want), (
             f"lane {c} final state diverged"
         )
 
@@ -192,6 +194,7 @@ def test_fleet_ring_growth_preserves_state():
     n_caches = 8
     refs = [ModelAwareCache(512) for _ in range(n_caches)]
     fleet = ModelAwareCacheFleet(n_caches, 512, max_lines=4, ring_cap=4)
+    lanes = bound_lanes(fleet)
     streams = [
         correlated_stream(400, neighbors=3, seed=50 + c) for c in range(n_caches)
     ]
@@ -209,6 +212,6 @@ def test_fleet_ring_growth_preserves_state():
             )
     assert grew, "test never exercised _grow_rings"
     for c in range(n_caches):
-        assert canonical_bytes(fleet.cache_state(c)) == canonical_bytes(
+        assert canonical_bytes(block_state(lanes[c])) == canonical_bytes(
             block_state(refs[c])
         )

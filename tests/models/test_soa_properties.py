@@ -115,28 +115,12 @@ def test_fleet_lane_matches_scalar(observations, capacity):
     fleet = ModelAwareCacheFleet(
         1, BYTES_PER_PAIR * capacity, max_lines=8, ring_cap=8
     )
+    lane = ModelAwareCache(BYTES_PER_PAIR * capacity)
+    lane.bind_fleet(fleet, 0)  # reads the lane's columns
     for j, x, y in observations:
         code = fleet.observe_batch(
             np.array([j]), np.array([x]), np.array([y])
         )[0]
         assert ACTION_NAMES[int(code)] == scalar.observe(j, x, y)
-    want = {
-        "lines": {
-            j: (
-                tuple(scalar.line(j).pairs),
-                (
-                    scalar.line(j).stats.n,
-                    scalar.line(j).stats.sum_x,
-                    scalar.line(j).stats.sum_y,
-                    scalar.line(j).stats.sum_xx,
-                    scalar.line(j).stats.sum_xy,
-                    scalar.line(j).stats.sum_yy,
-                ),
-                scalar.line(j).evictions_since_sync,
-            )
-            for j in scalar.known_neighbors()
-        },
-        "total": scalar.total_pairs,
-        "rr_cursor": scalar._rr_cursor,
-    }
-    assert canonical_bytes(fleet.cache_state(0)) == canonical_bytes(want)
+    assert _state(lane) == _state(scalar)
+    assert lane.total_pairs == scalar.total_pairs

@@ -180,6 +180,8 @@ def test_negative_neighbor_ids_are_refused():
     """A negative id would alias another neighbor's slot in the fleet's
     dense id table (``idmap[c, -1]`` is its last column)."""
     fleet = ModelAwareCacheFleet(2, 64, max_lines=4)
+    lane = ModelAwareCache(64)
+    lane.bind_fleet(fleet, 0)  # reads lane 0's columns
     fleet.observe_batch([63, 1], [1.0, 1.0], [2.0, 2.0])
     for call in (
         lambda: fleet.observe_batch([-1, 1], [1.0, 1.0], [2.0, 2.0]),
@@ -189,5 +191,5 @@ def test_negative_neighbor_ids_are_refused():
         with pytest.raises(ValueError, match="non-negative"):
             call()
     assert fleet.known_neighbors(0) == [63]
-    assert fleet.cache_state(0)["lines"][63][0] == ((1.0, 2.0),)
+    assert tuple(lane.line(63).pairs) == ((1.0, 2.0),)
     assert int(fleet.total.sum()) == 2

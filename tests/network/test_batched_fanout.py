@@ -27,8 +27,8 @@ from repro.network.links import (
 )
 from repro.network.messages import Invitation
 from repro.network.radio import FANOUT_BUCKETS, Radio
-from repro.network.topology import grid_topology
 from repro.simulation.engine import Simulator
+from tests.conftest import grid_topology
 
 
 class _ScalarOnlyLoss(LossModel):

@@ -225,21 +225,28 @@ def test_burst_matches_per_receiver(loss):
 
 
 @pytest.mark.parametrize(
-    "battery",
+    "battery,addressed",
     [
-        pytest.param(35.0, id="die-snooping"),  # drained mid training burst
-        pytest.param(45.0, id="die-electing"),  # drained by election traffic
+        # drained mid training burst: no addressed message is ever sent
+        pytest.param(35.0, (), id="die-snooping"),
+        # drained by election traffic
+        pytest.param(45.0, ("Accept",), id="die-electing"),
+        # drained through heartbeats: addressed bursts while nodes die
+        pytest.param(80.0, ("Accept", "HeartbeatReply"), id="die-maintaining"),
     ],
 )
-def test_burst_matches_per_receiver_with_receive_cost(battery):
+def test_burst_matches_per_receiver_with_receive_cost(battery, addressed):
     """Receivers drained by their receive draw drop out of the burst."""
     kwargs = dict(seed=8, loss=0.3, battery=battery, receive=0.5)
     burst = run(SCRIPT, **kwargs)
     reference = run(SCRIPT, **kwargs, reference=True)
     assert_same_run(burst, reference)
-    # Non-vacuity: receptions were paid for, and nodes died under traffic.
+    # Non-vacuity: receptions were paid for, nodes died under traffic,
+    # and the addressed kinds the case is named for were really sent.
     assert burst.ledger.total("receive") > 0
     assert sum(burst.stats.dropped_dead.values()) > 0
+    for kind in addressed:
+        assert burst.stats.sent_of_kind(kind) > 0, kind
 
 
 def test_burst_matches_per_receiver_with_messaged_queries():

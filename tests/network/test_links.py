@@ -34,7 +34,7 @@ class TestGlobalLoss:
 class TestPerLinkLoss:
     def test_override_applies_to_direction(self):
         model = PerLinkLoss(base=0.0)
-        model.block_link(2, 3)
+        model.set_link(2, 3, 1.0)
         rng = np.random.default_rng(0)
         assert not model.delivered(2, 3, rng)
         assert model.delivered(3, 2, rng)  # reverse direction unaffected

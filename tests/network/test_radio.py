@@ -108,7 +108,8 @@ class TestAccounting:
         radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))
         simulator.run()
         assert radio.node(0).battery.charge == pytest.approx(9.0)
-        assert radio.ledger.node_total(0) == pytest.approx(1.0)
+        drawn = {key: value for key, value in radio.ledger._cells.items() if key[0] == 0}
+        assert drawn == {(0, "transmit"): pytest.approx(1.0)}
 
     def test_receive_energy_charged(self):
         simulator, radio = make_radio(
@@ -134,7 +135,7 @@ class TestAccounting:
         simulator.run()
         # The receive is paid and counted, but a node it kills handles nothing.
         assert not radio.node(1).alive
-        assert radio.ledger.node_breakdown(1)["receive"] == pytest.approx(0.25)
+        assert radio.ledger._cells[(1, "receive")] == pytest.approx(0.25)
         assert radio.stats.delivered[(1, "Invitation")] == 1
         assert log == []
 
@@ -161,7 +162,7 @@ class TestAccounting:
         simulator, radio = make_radio([(0.0, 0.0), (0.1, 0.0)])
         radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))
         simulator.run()
-        assert radio.stats.sent_by_node(0) == 1
+        assert radio.stats.sent == {(0, "Invitation"): 1}
         assert radio.stats.sent_of_kind("Invitation") == 1
         assert radio.stats.delivered[(1, "Invitation")] == 1
 
@@ -169,7 +170,7 @@ class TestAccounting:
         __, radio = make_radio([(0.0, 0.0), (0.1, 0.0)], battery=10.0)
         radio.charge_cpu(0)
         assert radio.node(0).battery.charge == pytest.approx(9.9)
-        assert radio.ledger.node_breakdown(0)["cpu"] == pytest.approx(0.1)
+        assert radio.ledger._cells[(0, "cpu")] == pytest.approx(0.1)
 
     def test_node_death_via_transmissions(self):
         simulator, radio = make_radio([(0.0, 0.0), (0.1, 0.0)], battery=2.0)
@@ -177,7 +178,7 @@ class TestAccounting:
             radio.broadcast(Invitation(sender=0, value=1.0, epoch=1))
         simulator.run()
         assert not radio.node(0).alive
-        assert radio.stats.sent_by_node(0) == 2  # third send was refused
+        assert radio.stats.sent[(0, "Invitation")] == 2  # third send was refused
 
 
 class TestRegistration:

@@ -18,26 +18,15 @@ class TestCounters:
         stats.record_sent(invitation(1))
         stats.record_sent(invitation(1))
         stats.record_sent(invitation(2))
-        assert stats.sent_by_node(1) == 2
-        assert stats.sent_by_node(2) == 1
+        assert stats.sent == {(1, "Invitation"): 2, (2, "Invitation"): 1}
         assert stats.total_sent() == 3
 
     def test_protocol_filter_excludes_data(self):
         stats = MessageStats()
         stats.record_sent(invitation(1))
         stats.record_sent(DataReport(sender=1, query_id=1, origin=1, value=1.0))
-        assert stats.protocol_sent_by_node(1) == 1
-        assert stats.sent_by_node(1) == 2
-
-    def test_protocol_messages_per_node(self):
-        stats = MessageStats()
-        for sender in (0, 0, 1):
-            stats.record_sent(invitation(sender))
-        assert stats.protocol_messages_per_node(3) == pytest.approx(1.0)
-
-    def test_per_node_requires_positive_count(self):
-        with pytest.raises(ValueError):
-            MessageStats().protocol_messages_per_node(0)
+        assert stats.max_protocol_messages_any_node() == 1
+        assert stats.total_sent() == 2
 
     def test_max_protocol_messages(self):
         stats = MessageStats()
@@ -72,7 +61,7 @@ class TestWindows:
     def test_clear(self):
         stats = MessageStats()
         stats.record_sent(invitation(1))
-        stats.record_delivered(2, invitation(1))
+        stats.delivered.add_each((2,), "Invitation", 1)
         stats.record_dropped(invitation(1))
         stats.clear()
         assert stats.total_sent() == 0

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.network.topology import Topology, grid_topology, uniform_random_topology
+from repro.network.topology import Topology, uniform_random_topology
+from tests.conftest import grid_topology
 
 
 class TestTopology:
@@ -54,28 +55,6 @@ class TestTopology:
         for node in topo.node_ids:
             assert len(topo.out_neighbors(node)) == 29
 
-    def test_nodes_in_rect(self):
-        topo = Topology([(0.1, 0.1), (0.9, 0.9), (0.4, 0.6)], ranges=1.0)
-        assert topo.nodes_in_rect(0.0, 0.0, 0.5, 0.7) == [0, 2]
-
-    def test_connectivity_of_grid(self):
-        connected = grid_topology(3, transmission_range=0.5)
-        assert connected.is_connected()
-        sparse = grid_topology(3, transmission_range=0.1)
-        assert not sparse.is_connected()
-
-    def test_connectivity_with_subset(self):
-        topo = Topology(
-            [(0.0, 0.0), (0.3, 0.0), (1.0, 1.0)], ranges=0.5
-        )
-        assert not topo.is_connected()
-        assert topo.is_connected(alive=[0, 1])
-
-    def test_connectivity_uses_either_direction(self):
-        """A one-way link still connects the graph for coverage purposes."""
-        topo = Topology([(0.0, 0.0), (1.0, 0.0)], ranges=[2.0, 0.1])
-        assert topo.is_connected()
-
 
 class TestGenerators:
     def test_uniform_positions_in_unit_square(self):
@@ -89,16 +68,6 @@ class TestGenerators:
     def test_uniform_rejects_bad_count(self):
         with pytest.raises(ValueError):
             uniform_random_topology(0, 0.3, np.random.default_rng(0))
-
-    def test_grid_shape(self):
-        topo = grid_topology(4, transmission_range=0.3)
-        assert len(topo) == 16
-        assert topo.position(0) == (0.125, 0.125)
-        assert topo.position(15) == (0.875, 0.875)
-
-    def test_grid_rejects_bad_side(self):
-        with pytest.raises(ValueError):
-            grid_topology(0, transmission_range=0.3)
 
     def test_determinism(self):
         a = uniform_random_topology(10, 0.5, np.random.default_rng(3))
@@ -168,4 +137,3 @@ class TestGridBucketing:
         topo = Topology([(0.5, 0.5)], ranges=1.0)
         assert topo.out_neighbors(0) == ()
         assert topo.in_neighbors(0) == ()
-        assert topo.is_connected()

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments.harness import NetworkSetup, run_report_experiment
-from repro.faults import ChaosConfig, run_chaos_schedule
+from repro.faults import ChaosConfig, ChaosRun
 from repro.obs.report import RunReport
 
 #: A handful of chaos-matrix schedules (seeds × loss) kept cheap enough
@@ -114,9 +114,11 @@ class TestChaosSpans:
 
     @pytest.mark.parametrize("seed,loss", CHAOS_CASES)
     def test_spans_balance_on_chaos_schedules(self, seed, loss):
-        result = run_chaos_schedule(
+        run = ChaosRun(
             ChaosConfig(seed=seed, loss_burst=loss, keep_trace_records=True)
         )
+        run.start()
+        result = run.finish()
         assert result.ok
         trace = result.runtime.simulator.trace
         begins = list(trace.of_kind("span.begin"))
@@ -133,7 +135,9 @@ class TestChaosSpans:
         assert Counter(key(r) for r in begins) == Counter(key(r) for r in ends)
 
     def test_chaos_result_report_round_trips(self):
-        result = run_chaos_schedule(ChaosConfig(seed=0))
+        run = ChaosRun(ChaosConfig(seed=0))
+        run.start()
+        result = run.finish()
         report = result.report(meta={"loss_burst": 0.0})
         assert report.meta["loss_burst"] == 0.0
         assert report.summary()["messages_total"] > 0

@@ -11,6 +11,9 @@ pickled them, so the restore paths for old checkpoints stay tested:
   router's batch is a list of ``[node, neighbor, own, value]`` lists;
 * ``"liveness"`` — also before liveness was a column: a ``_failed``
   flag on each device and no device state on the radio.
+
+Both layouts predate the retirement of fleet mode, so each runtime
+also carries the state in :data:`RETIRED_RUNTIME_STATE`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pickle
 from collections import Counter
 
 from repro.core.round_batch import BatchedObservationRouter
+from repro.core.runtime import SnapshotRuntime
 from repro.energy.accounting import EnergyLedger
 from repro.energy.battery import Battery
 from repro.network.node import NetworkNode
@@ -30,6 +34,10 @@ from repro.network.stats import MessageStats
 from repro.obs.registry import ColumnCounter, CounterMetric, MetricsRegistry
 
 LAYOUTS = ("energy", "liveness")
+
+#: Runtime attributes that older code pickled and today's code no
+#: longer defines: fleet mode's (always empty) list of slice hooks.
+RETIRED_RUNTIME_STATE = {"slice_hooks": []}
 
 
 class LegacyPickler(pickle.Pickler):
@@ -94,6 +102,8 @@ class LegacyPickler(pickle.Pickler):
                 for name, metric in obj._metrics.items()
             }
             state = dict(obj.__dict__, _metrics=metrics)
+        elif isinstance(obj, SnapshotRuntime):
+            state = dict(obj.__dict__, **RETIRED_RUNTIME_STATE)
         elif isinstance(obj, BatchedObservationRouter):
             pending = [
                 [None if node_id == -1 else obj.nodes[node_id], neighbor, own, value]

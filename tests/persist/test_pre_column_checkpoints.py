@@ -3,7 +3,8 @@
 Such a pickle holds each battery's ``_charge`` and ``_spent``, the
 ledger cells and delivery counts as plain ``Counter`` objects shared
 with their registry metrics, and the observation router's batch as
-``[node, neighbor, own, value]`` lists (see ``tests/persist/legacy.py``).
+``[node, neighbor, own, value]`` lists, and the runtime still carries
+state of the since-retired fleet mode (see ``tests/persist/legacy.py``).
 Whichever of the objects that share state is unpickled first, the
 restored run digests as the saved one did, holds one set of columns
 again, and resumes on the saved run's trajectory — here from the
@@ -19,7 +20,7 @@ from repro.energy.costs import EnergyCostModel
 from repro.persist import checkpoint as checkpoint_module
 from repro.persist import save_checkpoint
 from tests.conftest import make_runtime
-from tests.persist.legacy import legacy_dumps, legacy_roundtrip
+from tests.persist.legacy import RETIRED_RUNTIME_STATE, legacy_dumps, legacy_roundtrip
 
 #: Roots that make a different object of the shared state unpickle first.
 ORDERS = {
@@ -86,6 +87,8 @@ def test_pre_column_checkpoint_file_restores_verified(tmp_path, monkeypatch):
     """Through the checkpoint file format, with its digest check."""
     runtime = mid_burst_runtime()
     path = tmp_path / "pre-column.ckpt"
+    pickled = legacy_dumps(runtime, "energy")
+    assert all(name.encode() in pickled for name in RETIRED_RUNTIME_STATE)
 
     with monkeypatch.context() as patch:
         patch.setattr(

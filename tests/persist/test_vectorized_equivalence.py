@@ -23,6 +23,7 @@ from repro.models.soa import ModelAwareCacheFleet
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.persist.digest import canonical_bytes
 
+from tests.models.conftest import bound_lanes
 from tests.persist.conftest import (
     SCRIPT,
     assert_outcomes_equal,
@@ -103,9 +104,10 @@ def test_fleet_pickle_roundtrip_is_byte_identical():
             np.array([streams[c][t][2] for c in range(16)]),
         )
     restored = pickle.loads(pickle.dumps(fleet))
+    lanes, restored_lanes = bound_lanes(fleet), bound_lanes(restored)
     for c in range(16):
-        assert canonical_bytes(restored.cache_state(c)) == canonical_bytes(
-            fleet.cache_state(c)
+        assert canonical_bytes(restored_lanes[c].digest_state()) == canonical_bytes(
+            lanes[c].digest_state()
         )
     for t in range(200, 300):
         js = np.array([streams[c][t][0] for c in range(16)])
@@ -113,6 +115,6 @@ def test_fleet_pickle_roundtrip_is_byte_identical():
         ys = np.array([streams[c][t][2] for c in range(16)])
         assert (restored.observe_batch(js, xs, ys) == fleet.observe_batch(js, xs, ys)).all()
     for c in range(16):
-        assert canonical_bytes(restored.cache_state(c)) == canonical_bytes(
-            fleet.cache_state(c)
+        assert canonical_bytes(restored_lanes[c].digest_state()) == canonical_bytes(
+            lanes[c].digest_state()
         )

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.network.links import GlobalLoss
-from repro.network.topology import Topology, grid_topology
+from repro.network.topology import Topology
 from repro.query.aggregation_tree import AggregationTree
+from tests.conftest import grid_topology
 
 
 def line_topology(n: int, spacing: float = 0.1, reach: float = 0.15) -> Topology:
@@ -108,14 +109,6 @@ class TestRouters:
         with pytest.raises(KeyError):
             tree.path_to_sink(2)
 
-    def test_subtree_size(self):
-        topo = line_topology(4)
-        tree = AggregationTree.build(
-            topo, sink=0, alive=set(topo.node_ids), rng=np.random.default_rng(0)
-        )
-        assert tree.subtree_size(1) == 3  # nodes 1, 2, 3 route through 1
-        assert tree.subtree_size(0) == 4
-
 
 def naive_path(tree: AggregationTree, member: int) -> list[int]:
     """The pre-memoization walk: follow parents until the sink."""
@@ -126,7 +119,7 @@ def naive_path(tree: AggregationTree, member: int) -> list[int]:
 
 
 class TestMemoization:
-    """Memoized paths/sizes must match the naive walk on a pinned tree."""
+    """Memoized paths must match the naive walk on a pinned tree."""
 
     def pinned_tree(self) -> AggregationTree:
         topo = grid_topology(5, transmission_range=1.1)  # multi-hop
@@ -154,18 +147,6 @@ class TestMemoization:
             expected -= set(responders)
             assert tree.routers_for(responders) == frozenset(expected)
 
-    def test_subtree_sizes_match_naive_counts(self):
-        tree = self.pinned_tree()
-        for node in sorted(tree.members):
-            expected = sum(
-                1 for member in tree.members if node in naive_path(tree, member)
-            )
-            assert tree.subtree_size(node) == expected
-        assert tree.subtree_size(10_000) == 0  # non-member
-
     def test_handmade_tree_without_depths(self):
-        # subtree_size must derive depths when the dict is omitted
         tree = AggregationTree(sink=0, parents={0: 0, 1: 0, 2: 1, 3: 1})
-        assert tree.subtree_size(1) == 3
-        assert tree.subtree_size(0) == 4
         assert tree.path_to_sink(3) == [3, 1, 0]

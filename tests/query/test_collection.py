@@ -69,7 +69,7 @@ class TestLossyDegradation:
         """Losing the partial near the root drops the whole branch —
         TAG's characteristic failure mode."""
         loss = PerLinkLoss(base=0.0)
-        loss.block_link(1, 0)  # node 1 can never reach the sink
+        loss.set_link(1, 0, 1.0)  # node 1 can never reach the sink
         runtime = line_runtime(loss_model=None)
         # swap in the lossy model *after* training and tree formation
         # would also drop the flood; block only now

@@ -79,7 +79,7 @@ class TestSemantics:
         )
         handle = ContinuousQuery(executor, query, sink=0).start()
         runtime.advance_to(runtime.now + 50)
-        series = handle.aggregate_series()
+        series = [result.aggregate_value for result in handle.results]
         assert len(series) == 4
         # the underlying ramps increase, so should the epoch averages
         assert all(a < b for a, b in zip(series, series[1:]))
@@ -166,7 +166,6 @@ class TestDegradedNetworks:
         assert not handle.finished
         assert handle.total_epochs == 2
         assert handle.results == []
-        assert handle.aggregate_series() == []
         assert handle.mean_coverage() == 0.0
         assert handle.mean_participants() == 0.0
         assert handle.runtime is runtime

@@ -233,5 +233,3 @@ class TestCoverage:
         assert len(series) == 3
         assert series.mean == pytest.approx(1.0)
         assert series.area == pytest.approx(3.0)
-        assert series.first_below(0.5) is None
-        assert series.smoothed(window=2) == [1.0, 1.0, 1.0]

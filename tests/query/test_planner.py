@@ -37,13 +37,17 @@ class TestCostEstimates:
         planner = QueryPlanner(runtime)
         everywhere = Query(region=Everywhere())
         west = Query(region=Rect(0.0, 0.0, 0.5, 1.0))
-        assert planner.estimate_regular_cost(everywhere) > planner.estimate_regular_cost(west)
+        assert (
+            planner.plan(everywhere).estimated_regular_cost
+            > planner.plan(west).estimated_regular_cost
+        )
 
     def test_snapshot_estimate_below_regular_for_broad_queries(self):
         runtime = planned_runtime()
         planner = QueryPlanner(runtime)
         query = Query(region=Everywhere())
-        assert planner.estimate_snapshot_cost(query) < planner.estimate_regular_cost(query)
+        plan = planner.plan(query)
+        assert plan.estimated_snapshot_cost < plan.estimated_regular_cost
 
     def test_aggregates_cost_less_than_drill_through(self):
         runtime = planned_runtime()
@@ -52,7 +56,10 @@ class TestCostEstimates:
 
         drill = Query(region=Everywhere())
         agg = Query(region=Everywhere(), aggregate=Aggregate.SUM)
-        assert planner.estimate_regular_cost(agg) <= planner.estimate_regular_cost(drill)
+        assert (
+            planner.plan(agg).estimated_regular_cost
+            <= planner.plan(drill).estimated_regular_cost
+        )
 
     def test_mean_hops_empty_topology_fails_cleanly(self):
         """No nodes means no ranges: a ValueError, not min() blowing up."""

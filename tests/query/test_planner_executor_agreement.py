@@ -76,6 +76,6 @@ def test_planned_regular_responders_cover_actual(planner, region):
 def test_selectivity_consistent_with_responders(planner, region):
     query = Query(region=region)
     alive = len(planner.runtime.alive_ids())
-    assert planner.spatial_selectivity(query) == pytest.approx(
+    assert planner.estimate_cost(query).selectivity == pytest.approx(
         len(planner.regular_responders(query)) / alive
     )

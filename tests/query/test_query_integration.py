@@ -48,7 +48,11 @@ class TestParsedQueriesEndToEnd:
             ),
             sink=8,
         )
-        expected = set(runtime.topology.nodes_in_rect(0.0, 0.0, 0.5, 0.5))
+        expected = {
+            node
+            for node in runtime.topology.node_ids
+            if all(0.0 <= c <= 0.5 for c in runtime.topology.position(node))
+        }
         assert set(result.reports) == expected
 
     def test_aggregate_over_snapshot_approximates_truth(self):

@@ -33,9 +33,6 @@ class TestRect:
     def test_area(self):
         assert Rect(0.0, 0.0, 0.5, 0.2).area == pytest.approx(0.1)
 
-    def test_point_overload(self):
-        assert Rect(0.0, 0.0, 1.0, 1.0).contains_point((0.5, 0.5))
-
 
 class TestCircle:
     def test_contains(self):

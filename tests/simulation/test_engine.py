@@ -86,8 +86,8 @@ class TestScheduling:
             simulator.run_until(4.0)
 
     def test_run_until_same_time_twice_is_a_noop(self, simulator):
-        """The fleet layer slices with back-to-back run_until calls; a
-        repeated bound must fire nothing, move nothing, reorder nothing."""
+        """Back-to-back run_until calls with a repeated bound must fire
+        nothing, move nothing, reorder nothing."""
         hits = []
         simulator.schedule(1.0, lambda: hits.append("in"))
         simulator.schedule(5.0, lambda: hits.append("boundary"))
