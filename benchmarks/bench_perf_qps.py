@@ -1,24 +1,24 @@
-"""Serving throughput: epoch-keyed result cache on vs off.
+"""Serving throughput: result cache on vs off.
 
 Unlike the paper-facing benches this measures the *serving layer*: a
 :class:`~repro.serving.QueryFrontEnd` fed a concurrent workload of
 snapshot aggregates drawn from a fixed template pool, over a stable
-interval (no re-election, so the structure version never moves and the
+interval (no event fires, so the state key never moves and the
 cache stays warm after the first pass over the templates).
 
 Two identically-seeded deployments serve the identical workload:
 
-* **cache off** — every request plans, floods/shares a tree per batch
-  and executes;
+* **cache off** — every request plans, takes the batch's tree (flooded
+  once, then reused while the network state holds) and executes;
 * **cache on** — repeats of a template are replayed from the
-  :class:`~repro.serving.EpochResultCache` under the pinned structure
-  version.
+  :class:`~repro.serving.EpochResultCache` under the pinned state key.
 
 Answers must agree template-by-template (the differential discipline of
 ``tests/serving/test_differential.py``, re-asserted on the timed run),
 so the QPS ratio is pure serving-path speedup.  The acceptance floor is
->= 3x sustained QPS with the cache on.  Results land in
-``results/BENCH_qps.{txt,json}``.
+>= 3x sustained QPS with the cache on, as the median ratio over seven
+alternating off/on pairs; the quartiles of the ratios are reported with
+it.  Results land in ``results/BENCH_qps.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -39,8 +39,12 @@ from repro.serving import QueryFrontEnd
 
 #: Acceptance floor: sustained QPS with the cache on must be a clear
 #: multiple of cache-off QPS on a stable (no re-election) interval.
-#: Measured ~5-8x at quick scale; 3x leaves CI headroom.
+#: Checked on the median ratio of :data:`PAIRS` alternating pairs: one
+#: best-of-3 ratio spread from 4.4x to 8.2x between runs of one tree.
 REQUIRED_SPEEDUP = 3.0
+
+#: Alternating cache-off/cache-on runs the median ratio is taken over.
+PAIRS = 7
 
 #: Distinct query templates in the pool; repeats beyond the pool size
 #: are what the cache converts into replays.
@@ -115,40 +119,61 @@ def serve_workload(
     }
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """``[q1, median, q3]`` of ``values``."""
+    return [float(q) for q in np.percentile(values, [25, 50, 75])]
+
+
+def summarize(cells: list[dict]) -> dict:
+    """Medians over one mode's runs, with the quartiles of its QPS."""
+    q1, qps, q3 = quartiles([cell["qps"] for cell in cells])
+    summary = {
+        "qps": round(qps, 1),
+        "qps_quartiles": [round(q1, 1), round(q3, 1)],
+    }
+    for name in ("p50_ms", "p99_ms"):
+        summary[name] = round(float(np.median([cell[name] for cell in cells])), 3)
+    for name in ("cache_hits", "trees_built"):
+        summary[name] = int(np.median([cell[name] for cell in cells]))
+    return summary
+
+
 def test_bench_serving_qps(benchmark, report):
     n_nodes = 100 if is_paper_scale() else 40
     n_queries = 2000 if is_paper_scale() else 400
-    trials = 3
 
     def run() -> dict:
-        best = {"cache_on": None, "cache_off": None}
-        for _ in range(trials):
-            # interleaved best-of-N so machine-load drift hits both alike
+        cells = {"cache_off": [], "cache_on": []}
+        for _ in range(PAIRS):
+            # alternating pairs, so machine-load drift hits both alike
             for mode, flag in (("cache_off", False), ("cache_on", True)):
-                cell = serve_workload(n_nodes, n_queries, cache=flag)
-                if best[mode] is None or cell["qps"] > best[mode]["qps"]:
-                    best[mode] = cell
-        # differential: cached answers equal cache-off answers per template
-        assert best["cache_on"]["answers"] == best["cache_off"]["answers"]
+                cells[mode].append(serve_workload(n_nodes, n_queries, cache=flag))
+        ratios = []
+        for on, off in zip(cells["cache_on"], cells["cache_off"]):
+            # differential: cached answers equal cache-off answers per template
+            assert on["answers"] == off["answers"]
+            ratios.append(on["qps"] / off["qps"])
         return {
-            "cache_on": best["cache_on"],
-            "cache_off": best["cache_off"],
-            "speedup": best["cache_on"]["qps"] / best["cache_off"]["qps"],
+            "cache_on": summarize(cells["cache_on"]),
+            "cache_off": summarize(cells["cache_off"]),
+            "ratios": ratios,
         }
 
     results = run_once(benchmark, run)
 
     on, off = results["cache_on"], results["cache_off"]
+    q1, speedup, q3 = quartiles(results["ratios"])
     lines = [
-        "BENCH qps — serving front-end, epoch cache on vs off",
+        "BENCH qps — serving front-end, result cache on vs off",
         f"  {n_queries} queries, {TEMPLATES} templates, {CLIENTS} clients, "
-        f"N={n_nodes}, stable interval, best of {trials}",
+        f"N={n_nodes}, stable interval, medians of {PAIRS} alternating pairs",
         f"    cache off  {off['qps']:8.0f} qps   p50 {off['p50_ms']:6.2f} ms  "
         f"p99 {off['p99_ms']:6.2f} ms   trees={off['trees_built']}",
         f"    cache on   {on['qps']:8.0f} qps   p50 {on['p50_ms']:6.2f} ms  "
         f"p99 {on['p99_ms']:6.2f} ms   trees={on['trees_built']}  "
         f"hits={on['cache_hits']}",
-        f"    speedup {results['speedup']:.2f}x (floor {REQUIRED_SPEEDUP:.1f}x)",
+        f"    speedup median {speedup:.2f}x, quartiles {q1:.2f}x-{q3:.2f}x "
+        f"(floor {REQUIRED_SPEEDUP:.1f}x on the median)",
     ]
     report(
         "BENCH_qps",
@@ -158,23 +183,14 @@ def test_bench_serving_qps(benchmark, report):
             "n_queries": n_queries,
             "templates": TEMPLATES,
             "clients": CLIENTS,
-            "best_of": trials,
+            "pairs": PAIRS,
             "required_speedup": REQUIRED_SPEEDUP,
-            "speedup": round(results["speedup"], 2),
-            "cache_on": {
-                "qps": round(on["qps"], 1),
-                "p50_ms": round(on["p50_ms"], 3),
-                "p99_ms": round(on["p99_ms"], 3),
-                "cache_hits": on["cache_hits"],
-                "trees_built": on["trees_built"],
-            },
-            "cache_off": {
-                "qps": round(off["qps"], 1),
-                "p50_ms": round(off["p50_ms"], 3),
-                "p99_ms": round(off["p99_ms"], 3),
-                "trees_built": off["trees_built"],
-            },
+            "speedup": round(speedup, 2),
+            "speedup_quartiles": [round(q1, 2), round(q3, 2)],
+            "speedups": [round(ratio, 2) for ratio in results["ratios"]],
+            "cache_on": on,
+            "cache_off": off,
         },
     )
 
-    assert results["speedup"] >= REQUIRED_SPEEDUP
+    assert speedup >= REQUIRED_SPEEDUP

@@ -12,7 +12,7 @@ Gives the reproduction a front door without writing any code:
   summary (optionally exporting JSONL/CSV and a wall-clock profile);
 * ``serve`` — stand up the query serving front-end against a freshly
   trained network, fire a concurrent client workload at it, and print
-  throughput, latency percentiles and epoch-cache statistics;
+  throughput, latency percentiles and result-cache statistics;
 * ``run`` — train and elect a large deployment (2,000 nodes at the
   degree-12 radius by default) and print its traffic and wall time;
 
@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-cache", action="store_true",
-        help="disable the epoch-keyed result cache",
+        help="disable the state-keyed result cache",
     )
     serve.set_defaults(handler=cmd_serve)
 

@@ -283,15 +283,18 @@ class SnapshotRuntime:
         return self.tally.epoch
 
     def structure_version(self) -> tuple[int, int]:
-        """Invalidation key for epoch-scoped result caches.
+        """``(current_epoch, total local re-elections)``.
 
-        ``(current_epoch, total local re-elections)``: the epoch covers
-        global rounds, the re-election counter covers the §5.1
-        maintenance repairs that can reshape individual representative
-        sets *within* an epoch.  Any change to the representation
-        structure changes this tuple, so a cache keyed on it can never
-        serve an answer across a structural change.  O(1): both parts
-        are running totals the protocol keeps in :attr:`tally`.
+        The epoch covers global rounds, the re-election counter the
+        §5.1 maintenance repairs that reshape individual representative
+        sets *within* an epoch: the tuple moves at an epoch bump and at
+        the start of a re-election.  The structure also changes where
+        it does not move (a re-election's choice, an Accept, a Recall,
+        a member's expiry, a resignation), so a result cache keys on
+        it together with the simulator's event count and clock
+        (:meth:`~repro.serving.frontend.QueryFrontEnd.state_key`).
+        O(1): both parts are running totals the protocol keeps in
+        :attr:`tally`.
         """
         tally = self.tally
         return (tally.epoch, tally.reelections)

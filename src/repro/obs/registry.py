@@ -539,8 +539,3 @@ class MetricsRegistry:
                         "labels": metric.label_values(key),
                         "value": value,
                     }
-
-    def reset(self) -> None:
-        """Clear every metric's cells (definitions survive)."""
-        for metric in self._metrics.values():
-            metric.clear()

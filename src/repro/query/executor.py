@@ -25,7 +25,7 @@ fine-tune their models (the 5% snooping of §6.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -42,6 +42,10 @@ COVERAGE_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 #: Buckets of the ``query.participants`` histogram (Table 3 counts).
 PARTICIPANT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
+
+#: Lossless trees kept per network state: a sink per tree, so a run
+#: that draws a random sink for each query cannot hold one per node.
+TREE_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,17 @@ class QueryExecutor:
         self.prefer_representative_routing = prefer_representative_routing
         self._rng = runtime.simulator.random.stream("query")
         self._query_counter = 0
+        #: Aggregation trees flooded: every lossy build, and each
+        #: lossless one the memo did not already hold.
+        self.floods = 0
+        #: Executions whose own transmissions changed the snapshot
+        #: outside any event: a participant's battery emptied or a
+        #: responder resigned (the §5.1 energy hand-off).  A result
+        #: cache keys on it next to the simulator's event count.
+        self.side_effects = 0
+        #: ``(topology, liveness, {(sink, prefer): tree})``: the lossless
+        #: trees of one network state (see :meth:`build_tree`).
+        self._trees: Optional[tuple] = None
         metrics = runtime.simulator.metrics
         self._executed = metrics.counter("query.executed", labels=("snapshot",))
         self._estimates = metrics.counter("cache.estimate", labels=("outcome",))
@@ -220,6 +235,8 @@ class QueryExecutor:
                 reports.update(bundles[responder])
             routers = tree.routers_for(responders)
 
+            charged = messaged or charge_energy
+            liveness = bytes(flags) if charged else None
             if messaged:
                 reports, aggregate_value = self._collect_messaged(
                     query, query_id, bundles, tree, n_rounds
@@ -233,6 +250,10 @@ class QueryExecutor:
                 aggregate_value = None
                 if query.is_aggregate:
                     aggregate_value = self._aggregate(query.aggregate, reports)
+            if charged:
+                resigned = self._hand_off(bundles if messaged else responders)
+                if resigned or flags != liveness:
+                    self.side_effects += 1
 
             result = QueryResult(
                 query=query,
@@ -261,15 +282,20 @@ class QueryExecutor:
         alive: Optional[set[int]] = None,
         use_snapshot: bool = False,
     ) -> AggregationTree:
-        """Flood one aggregation tree rooted at ``sink``.
+        """The aggregation tree a flood from ``sink`` builds.
 
         Factored out of :meth:`execute` so the serving front-end can
         build the tree once per batch of same-sink queries and pass it
         back through ``execute(tree=...)``.
+
+        Over a lossless radio the flood is a BFS that draws nothing, so
+        its tree is a function of what it reads: the topology object,
+        the sink, the alive set (the liveness bytes when ``alive`` is
+        not given) and the ``prefer`` set.  Those trees are memoized for
+        one (topology, liveness) state at a time.  A lossy flood samples
+        the ``query`` stream, so it is flooded anew on every call.
         """
         runtime = self.runtime
-        if alive is None:
-            alive = set(runtime.alive_ids())
         prefer: frozenset[int] = frozenset()
         if use_snapshot and self.prefer_representative_routing:
             nodes = runtime.nodes
@@ -278,14 +304,31 @@ class QueryExecutor:
                 for node_id in runtime.alive_ids()
                 if nodes[node_id].mode is not NodeMode.PASSIVE
             )
-        return AggregationTree.build(
-            runtime.topology,
-            sink,
-            alive,
-            self._rng,
-            loss_model=runtime.radio.loss_model,
-            prefer=prefer,
+        topology = runtime.topology
+        loss_model = runtime.radio.loss_model
+        memo = None
+        if loss_model.lossless:
+            liveness = (
+                bytes(runtime.radio.devices.flags) if alive is None else frozenset(alive)
+            )
+            state = self._trees
+            if state is None or state[0] is not topology or state[1] != liveness:
+                state = self._trees = (topology, liveness, {})
+            memo = state[2]
+            tree = memo.get((sink, prefer))
+            if tree is not None:
+                return tree
+        if alive is None:
+            alive = set(runtime.alive_ids())
+        tree = AggregationTree.build(
+            topology, sink, alive, self._rng, loss_model=loss_model, prefer=prefer
         )
+        self.floods += 1
+        if memo is not None:
+            if len(memo) >= TREE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[sink, prefer] = tree
+        return tree
 
     # ------------------------------------------------------------------
     # responder selection
@@ -328,42 +371,66 @@ class QueryExecutor:
         model estimates for its matching members.  Only tree members can
         respond, so the walk covers the tree, not the network; a
         hand-built tree may still name dead or unknown nodes.
+
+        The region is tested once per query, as a mask over the
+        coordinate columns: a location that is its node's topology
+        position object is read from the mask, any other (a member
+        that moved since its Accept) is tested directly.
         """
-        nodes = self.runtime.nodes
+        runtime = self.runtime
+        nodes = runtime.nodes
+        topology = runtime.topology
+        region = query.region
+        inside = region.contains_mask(topology.xs, topology.ys).tolist()
+        positions = topology._positions
+        contains = region.contains
+        predicate = query.value_predicate
+        passive, active = NodeMode.PASSIVE, NodeMode.ACTIVE
+        hits = misses = 0
         bundles: dict[int, dict[int, tuple[float, bool]]] = {}
-        for node_id in sorted(tree.parents):
+        for node_id in tree.ordered_members:
             node = nodes.get(node_id)
             # PASSIVE nodes do not respond to snapshot queries (§5);
             # UNDEFINED nodes (mid-re-election) conservatively answer
             # for themselves.
-            if node is None or node.mode is NodeMode.PASSIVE or not node.alive:
+            if node is None:
+                continue
+            mode = node.mode
+            if mode is passive or not node.alive:
                 continue
             bundle: dict[int, tuple[float, bool]] = {}
-            x, y = node.location
-            if query.region.contains(x, y):
+            location = node.location
+            if inside[node_id] if location is positions[node_id] else contains(*location):
                 own_value = node.value_fn()
-                if query.value_predicate is None or query.value_predicate.matches(
-                    own_value
-                ):
+                if predicate is None or predicate.matches(own_value):
                     bundle[node_id] = (own_value, False)
-            if node.mode is NodeMode.ACTIVE:
-                for member_id, info in sorted(node.represented.items()):
-                    location = info.location
-                    if location is None or not query.region.contains(*location):
-                        continue
+            if mode is active and node.represented:
+                covered = [
+                    member_id
+                    for member_id, info in node.represented.items()
+                    if (learned := info.location) is not None
+                    and (
+                        inside[member_id]
+                        if learned is positions[member_id]
+                        else contains(*learned)
+                    )
+                ]
+                covered.sort()
+                for member_id in covered:
                     estimate = node.estimate_for(member_id)
                     if estimate is None:
-                        self._estimates.inc("miss")
+                        misses += 1
                         continue
-                    self._estimates.inc("hit")
-                    if (
-                        query.value_predicate is not None
-                        and not query.value_predicate.matches(estimate)
-                    ):
+                    hits += 1
+                    if predicate is not None and not predicate.matches(estimate):
                         continue
                     bundle[member_id] = (estimate, True)
             if bundle:
                 bundles[node_id] = bundle
+        if hits:
+            self._estimates.inc_by("hit", hits)
+        if misses:
+            self._estimates.inc_by("miss", misses)
         return bundles
 
     def _collect_messaged(
@@ -389,10 +456,6 @@ class QueryExecutor:
             ).run()
             delivered = outcome.delivered_reports
             aggregate_value = outcome.aggregate_value
-        for responder in bundles:
-            node = self.runtime.nodes.get(responder)
-            if node is not None and node.alive:
-                node.check_energy()
         return delivered, aggregate_value
 
     # ------------------------------------------------------------------
@@ -490,13 +553,22 @@ class QueryExecutor:
                             ),
                             path[index + 1],
                         )
-        # A node knows its own battery after transmitting: give the
-        # responding representatives the chance to run the §5.1
-        # energy hand-off *before* they silently die mid-round.
+
+    def _hand_off(self, responders: Iterable[int]) -> bool:
+        """Run the responders' §5.1 energy hand-off; whether one resigned.
+
+        A node knows its own battery after transmitting: the responding
+        representatives get the chance to hand their members off
+        *before* they silently die mid-round.
+        """
+        nodes = self.runtime.nodes
+        resigned = False
         for responder in responders:
-            node = self.runtime.nodes.get(responder)
-            if node is not None and node.alive:
+            node = nodes.get(responder)
+            if node is not None and node.alive and node.represented:
                 node.check_energy()
+                resigned = resigned or not node.represented
+        return resigned
 
     @staticmethod
     def _aggregate(

@@ -10,13 +10,14 @@ usable by many concurrent clients at once:
   extended :class:`~repro.query.planner.QueryPlanner` estimates, and
   batched execution that shares one aggregation tree across in-flight
   queries with the same sink;
-* :class:`~repro.serving.cache.EpochResultCache` — an epoch-keyed
-  snapshot-result cache: representatives change only when the protocol
-  epoch bumps on re-election, so a cached
+* :class:`~repro.serving.cache.EpochResultCache` — a state-keyed
+  snapshot-result cache: a cached
   :class:`~repro.query.executor.QueryResult` stays field-identical to
-  fresh execution until the runtime's
-  :meth:`~repro.core.runtime.SnapshotRuntime.structure_version` moves
-  (proven by the differential suite in ``tests/serving/``).
+  fresh execution until the front end's
+  :meth:`~repro.serving.frontend.QueryFrontEnd.state_key` moves — the
+  structure version, the simulator's event count and clock, and the
+  executor's out-of-event side effects (proven by the differential
+  suite in ``tests/serving/``).
 """
 
 from repro.serving.cache import EpochResultCache

@@ -1,20 +1,22 @@
-"""Epoch-keyed snapshot-result cache.
+"""State-keyed snapshot-result cache.
 
-A snapshot answer is a function of three things only: the query, the
-collection sink, and the representation structure.  The structure
-changes exactly when an election reshapes the representative set —
-globally when the protocol epoch bumps, locally when a §5.1 maintenance
-re-election repairs one neighborhood.  Both movements are captured by
-:meth:`~repro.core.runtime.SnapshotRuntime.structure_version`, so a
-result cached under one version can be replayed verbatim until the
-version moves (Islam's correlation-aware caching argument, applied to
-whole query results instead of model lines).
+A snapshot answer is a function of the query, the collection sink and
+the network state it was computed at: the representation structure,
+the representatives' models and the readings at the current simulated
+time.  The serving front end keys that state as
+:meth:`~repro.serving.frontend.QueryFrontEnd.state_key` — the
+:meth:`~repro.core.runtime.SnapshotRuntime.structure_version`, the
+simulator's event count and clock, and the executor's count of
+out-of-event side effects — so a result cached under one key can be
+replayed verbatim until the key moves (Islam's correlation-aware
+caching argument, applied to whole query results instead of model
+lines).
 
-The cache holds entries for a *single* version at a time: the first
-access under a newer version flushes everything from the older one.
-Versions are monotone, so a straggler carrying an older version (a
-request planned just before an election landed) can neither read nor
-write — it simply misses and re-executes against the new structure.
+The cache holds entries for a *single* version (key) at a time: the
+first access under a newer version flushes everything from the older
+one.  Versions are monotone, so a straggler carrying an older version
+(a request planned just before an event landed) can neither read nor
+write — it simply misses and re-executes against the new state.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class EpochResultCache:
     Notes
     -----
     Keys must be hashable — the serving layer uses
-    ``(query, sink, rounds)``, all frozen value objects.  Values are
+    ``(query, sink)``, both frozen value objects.  Values are
     opaque to the cache.  ``hits``/``misses``/``invalidations``/
     ``evictions`` are cumulative counters for the serving metrics.
     """
@@ -60,14 +62,14 @@ class EpochResultCache:
 
     @property
     def version(self) -> Optional[tuple]:
-        """The structure version the current entries were computed at."""
+        """The version (state key) the current entries were computed at."""
         return self._version
 
     def _sync_version(self, version: tuple) -> bool:
         """Advance to ``version``; returns whether the caller is current.
 
-        A newer version flushes every entry (the epoch bumped / a
-        re-election landed); an older one marks the caller stale.
+        A newer version flushes every entry (the state moved); an older
+        one marks the caller stale.
         """
         if self._version is None or version == self._version:
             self._version = version
@@ -98,8 +100,7 @@ class EpochResultCache:
         """Store ``value`` under ``key`` for ``version``.
 
         A write carrying a version older than the cache's is dropped:
-        its result was computed against a structure that no longer
-        exists.
+        its result was computed against a state that no longer exists.
         """
         with self._lock:
             if not self._sync_version(version):

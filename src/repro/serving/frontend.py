@@ -11,24 +11,30 @@
   admission over the :class:`~repro.query.planner.QueryCostEstimate`
   numbers: transmissions, bytes on the network, nodes touched).
 * **Batched dispatch.**  A single dispatcher thread drains the queue in
-  batches and groups requests by sink, flooding *one* aggregation tree
+  batches and groups requests by sink, taking *one* aggregation tree
   per group and passing it through ``execute(tree=...)`` — in-flight
   queries with the same sink (their regions all overlap the flood,
   which spans the network) share the tree instead of re-flooding per
-  query.  Execution is serialized on the runtime, which is what makes
-  a single-threaded simulator safe to serve from many clients.
-* **Epoch-keyed result reuse.**  Snapshot-mode results are cached in an
-  :class:`~repro.serving.cache.EpochResultCache` keyed by the
-  runtime's :meth:`~repro.core.runtime.SnapshotRuntime.structure_version`
-  — representatives change only when the protocol epoch bumps on
-  re-election, so a cached result is replayed verbatim until then and
-  invalidated the moment the version moves.  Regular-mode results read
-  live values and are never cached.
+  query.  Over a lossless radio the executor also reuses the tree
+  across batches while the network state holds
+  (:meth:`~repro.query.executor.QueryExecutor.build_tree`).  Execution
+  is serialized on the runtime, which is what makes a single-threaded
+  simulator safe to serve from many clients.
+* **State-keyed result reuse.**  Snapshot-mode results are cached in an
+  :class:`~repro.serving.cache.EpochResultCache` keyed by the state
+  the answer was computed at (:meth:`QueryFrontEnd.state_key`): the
+  runtime's
+  :meth:`~repro.core.runtime.SnapshotRuntime.structure_version`, the
+  simulator's event count and clock, and the executor's count of
+  executions that changed the snapshot outside any event.  A cached
+  result is replayed verbatim until any of them moves.  Regular-mode
+  results read live values and are never cached.
 
 Serving metrics land in the runtime's registry: ``serving.admitted``
 (outcome-labeled), ``serving.cache`` (hit/miss per served request),
-``serving.queue_depth``, ``serving.batch_size``, ``serving.trees`` and
-the ``serving.latency`` histogram :meth:`stats` reports p50/p99 from.
+``serving.queue_depth``, ``serving.batch_size``, ``serving.trees``
+(floods performed) and the ``serving.latency`` histogram :meth:`stats`
+reports p50/p99 from.
 """
 
 from __future__ import annotations
@@ -91,9 +97,9 @@ class ServedResult:
     estimate:
         The pre-dispatch cost estimate admission was judged on.
     cached:
-        Whether the result was replayed from the epoch cache.
+        Whether the result was replayed from the result cache.
     version:
-        The runtime structure version the result is valid for.
+        The runtime structure version the result was computed at.
     latency:
         Wall-clock seconds from ``submit`` to completion.
     """
@@ -111,6 +117,7 @@ class _CacheEntry:
     result: QueryResult
     plan: QueryPlan
     estimate: QueryCostEstimate
+    version: tuple
 
 
 @dataclass
@@ -143,7 +150,7 @@ class QueryFrontEnd:
         Reject queries whose estimated *total* transmissions exceed
         this; ``None`` admits everything the queue can hold.
     cache:
-        Enable the epoch-keyed result cache.
+        Enable the state-keyed result cache.
     cache_capacity:
         LRU bound of the cache.
     default_sink:
@@ -278,12 +285,11 @@ class QueryFrontEnd:
         future: "Future[ServedResult]" = Future()
 
         if self.cache is not None:
-            version = self.runtime.structure_version()
-            entry = self.cache.get(version, (query, sink))
+            entry = self.cache.get(self.state_key(), (query, sink))
             if entry is not None:
                 self._admitted.inc("admitted")
                 self._cache_served.inc("hit")
-                self._finish(future, t0, entry, cached=True, version=version)
+                self._finish(future, t0, entry, cached=True)
                 return future
 
         with self._runtime_lock:
@@ -367,32 +373,32 @@ class QueryFrontEnd:
 
     def _execute_group(self, sink: int, requests: list[_Request]) -> None:
         """Serve one same-sink group, sharing a single aggregation tree."""
+        executor = self.executor
         with self._runtime_lock:
             tree = None
             for request in requests:
                 if not request.future.set_running_or_notify_cancel():
                     continue
-                version = self.runtime.structure_version()
+                state = self.state_key()
                 key = (request.query, request.sink)
                 if self.cache is not None:
-                    entry = self.cache.get(version, key)
+                    entry = self.cache.get(state, key)
                     if entry is not None:
                         # A duplicate earlier in this batch (or a
                         # concurrent client) already executed it.
                         self._cache_served.inc("hit")
-                        self._finish(
-                            request.future, request.t0, entry,
-                            cached=True, version=version,
-                        )
+                        self._finish(request.future, request.t0, entry, cached=True)
                         continue
                 self._cache_served.inc("miss")
                 try:
                     if tree is None:
-                        tree = self.executor.build_tree(
+                        floods = executor.floods
+                        tree = executor.build_tree(
                             sink, use_snapshot=request.planned_query.use_snapshot
                         )
-                        self._trees.inc()
-                    result = self.executor.execute(
+                        if executor.floods != floods:
+                            self._trees.inc()
+                    result = executor.execute(
                         request.planned_query,
                         sink=sink,
                         tree=tree,
@@ -401,13 +407,32 @@ class QueryFrontEnd:
                 except Exception as error:  # surface to the client
                     request.future.set_exception(error)
                     continue
-                entry = _CacheEntry(result, request.plan, request.estimate)
+                entry = _CacheEntry(result, request.plan, request.estimate, state[0])
                 if self.cache is not None and result.query.use_snapshot:
-                    self.cache.put(version, key, entry)
-                self._finish(
-                    request.future, request.t0, entry,
-                    cached=False, version=version,
-                )
+                    self.cache.put(state, key, entry)
+                self._finish(request.future, request.t0, entry, cached=False)
+
+    def state_key(self) -> tuple:
+        """The state a snapshot answer is a function of, as a cache key.
+
+        ``(structure_version, events processed, simulated time,
+        executor side effects)``.  The structure version moves at an
+        epoch bump and at the start of a re-election; the rest of the
+        structure (an Accept, a Recall, a re-election's choice, a stale
+        member's expiry, a resignation) changes inside events, and the
+        readings change with the clock.  A charged execution can empty a
+        battery or make a responder resign outside any event, which the
+        executor counts.  Every part is monotone, so a newer state
+        compares greater.
+        """
+        runtime = self.runtime
+        simulator = runtime.simulator
+        return (
+            runtime.structure_version(),
+            simulator.events_processed,
+            simulator.now,
+            self.executor.side_effects,
+        )
 
     # ------------------------------------------------------------------
     # helpers
@@ -435,7 +460,6 @@ class QueryFrontEnd:
         t0: float,
         entry: _CacheEntry,
         cached: bool,
-        version: tuple,
     ) -> None:
         latency = time.perf_counter() - t0
         self._latency.observe(latency)
@@ -444,7 +468,7 @@ class QueryFrontEnd:
             plan=entry.plan,
             estimate=entry.estimate,
             cached=cached,
-            version=version,
+            version=entry.version,
             latency=latency,
         )
         if not future.cancelled():

@@ -1,13 +1,14 @@
-"""Differential proof of epoch-cache correctness.
+"""Differential proof of result-cache correctness.
 
-Two guarantees back the serving layer's result reuse:
+Two guarantees back the serving layer's result reuse (the cache under
+churn is ``test_state_key.py``'s):
 
-* **Within an epoch** a cached snapshot answer is *field-identical* to
-  what a fresh execution would have produced: on a lossless radio the
-  flood consumes no RNG draws and execution does not advance simulated
-  time, so twin runtimes (same seed, same training, same election)
-  answer the same query with the same bits whether or not a cache sits
-  in between.
+* **While no event fires** a cached snapshot answer is
+  *field-identical* to what a fresh execution would have produced: on
+  a lossless radio the flood consumes no RNG draws and execution does
+  not advance simulated time, so twin runtimes (same seed, same
+  training, same election) answer the same query with the same bits
+  whether or not a cache sits in between.
 * **Across an epoch bump** (a re-election) the cache invalidates: the
   first request after the bump misses, re-executes against the new
   representative structure, and re-primes the cache under the new
