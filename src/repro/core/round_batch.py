@@ -127,37 +127,6 @@ class BatchedObservationRouter:
         # fleet changes (a cache-policy swap binds fresh caches).
         self._routed: Optional[ModelAwareCacheFleet] = None
 
-    #: Whether ``pending`` may still hold the node objects of a batch
-    #: pickled before the columns (see :meth:`__setstate__`).
-    _objects = False
-
-    def __setstate__(self, state: dict) -> None:
-        nodes = self.__dict__.get("nodes")  # preset by a runtime unpickled first
-        self.__dict__.update(state)
-        if "_route" in state:
-            # Pickled before the columns: ``pending`` held
-            # ``[node, neighbor_id, own, value]`` lists, and the runtime
-            # hands over its nodes (``SnapshotRuntime.__setstate__``).
-            # A node may still be mid-unpickling here, so its id is read
-            # when the batch is next used (:meth:`_ids`).
-            del self._route
-            entries = self.pending
-            self.pending = [entry[0] for entry in entries]
-            self._neighbors = [entry[1] for entry in entries]
-            self._owns = [entry[2] for entry in entries]
-            self._values = [entry[3] for entry in entries]
-            self._routed, self.nodes, self._objects = None, nodes, True
-
-    def _ids(self) -> list[int]:
-        """The id column, with a pre-column batch's nodes read as ids."""
-        if self._objects:
-            self.pending = [
-                node if type(node) is int else -1 if node is None else node.node_id
-                for node in self.pending
-            ]
-            self._objects = False
-        return self.pending
-
     # ------------------------------------------------------------------
     # producer side (delivery handlers)
     # ------------------------------------------------------------------
@@ -190,7 +159,7 @@ class BatchedObservationRouter:
         samples land in arrival order with their full effects, exactly
         as the scalar path would have applied them.
         """
-        ids = self._ids()
+        ids = self.pending
         node_id = node.node_id
         if node_id not in ids:
             return
@@ -211,7 +180,7 @@ class BatchedObservationRouter:
         arrival order, consumed ones left out."""
         return [
             sample
-            for sample in zip(self._ids(), self._neighbors, self._owns, self._values)
+            for sample in zip(self.pending, self._neighbors, self._owns, self._values)
             if sample[0] != -1
         ]
 
@@ -229,7 +198,7 @@ class BatchedObservationRouter:
         """Apply every pending sample and emit its effects."""
         if not self.pending:
             return
-        ids = self._ids()
+        ids = self.pending
         neighbors, owns, values = self._neighbors, self._owns, self._values
         self.pending, self._neighbors, self._owns, self._values = [], [], [], []
         self._pending_time = -1.0

@@ -192,12 +192,6 @@ class SnapshotRuntime:
             router=self.observation_router,
         )
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        router = self.observation_router
-        if router.__dict__.get("nodes") is None:  # pickled before its columns
-            router.__dict__["nodes"] = self.nodes
-
     def _build_fleet(self) -> Optional[ModelAwareCacheFleet]:
         """A shared cache fleet with one lane per node, if the policy allows.
 

@@ -15,9 +15,9 @@ implements the paper's spurious-representative audit:
 
 A representative's claim on node ``j`` is *stale* when ``j`` itself
 points to a different (or no) representative; ``audit`` counts such
-claims and the representatives carrying them (Figure 13's metric), and
-``corrected_assignment`` resolves conflicts by the freshest election
-timestamp, which coincides with each node's own pointer.
+claims and the representatives carrying them (Figure 13's metric).
+Resolving a conflict by the freshest election timestamp keeps exactly
+each node's own pointer, which is :attr:`SnapshotView.assignment`.
 """
 
 from __future__ import annotations
@@ -150,12 +150,3 @@ class SnapshotView:
             stale_claims=tuple(stale),
             spurious_representatives=tuple(spurious),
         )
-
-    def corrected_assignment(self) -> dict[int, int]:
-        """The assignment after timestamp arbitration of conflicting claims.
-
-        Each node's own pointer reflects its most recent election, so
-        the timestamp-latest claim is exactly the pointer; stale claims
-        are simply dropped.
-        """
-        return dict(self.assignment)

@@ -37,13 +37,6 @@ class EnergyLedger:
             self._cells = registry.column_counter("energy.draw", labels, essential=True)
         self._totals: Counter[str] = Counter()
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if type(self._cells) is Counter:  # pickled before the columns
-            self._cells = ColumnCounter.adopt(
-                self._cells, "energy.draw", ("node", "category")
-            )
-
     def record(self, node_id: int, category: str, amount: float) -> None:
         """Charge ``amount`` against ``node_id`` under ``category``."""
         if node_id < 0:

@@ -65,21 +65,6 @@ class Battery:
         elif on_depleted is not None:
             self._state.callbacks[0] = on_depleted
 
-    def __setstate__(self, state: dict) -> None:
-        if "_charge" not in state:
-            self.__dict__.update(state)
-            return
-        # Pickled before energy became columns: a view of a one-slot
-        # state of its own, until its device rebinds it.
-        self.__init__(state["_capacity"])
-        charge = state["_charge"]
-        self._state.charge[0] = math.inf if charge is None else charge
-        self._state.spent[0] = state["_spent"]
-        if self.depleted:
-            self._state.flags[0] = DEPLETED
-        elif state.get("_on_depleted") is not None:
-            self._state.callbacks[0] = state["_on_depleted"]
-
     @property
     def infinite(self) -> bool:
         """Whether this battery never depletes."""

@@ -168,7 +168,3 @@ class FaultPlan:
     def crashes(self) -> tuple[NodeCrash, ...]:
         """The node-crash events, in time order."""
         return tuple(e for e in self.events if isinstance(e, NodeCrash))
-
-    def extended(self, *events: FaultEvent) -> "FaultPlan":
-        """A new plan with ``events`` merged in (plans are immutable)."""
-        return FaultPlan(self.events + tuple(events))

@@ -199,9 +199,7 @@ class CacheLine:
     def stats(self) -> RegressionStats:
         """The line's live sufficient statistics.
 
-        Treat as read-only; use :meth:`RegressionStats.with_pair` /
-        :meth:`RegressionStats.without_pair` to score hypothetical
-        mutations without touching the line.
+        Treat as read-only.
         """
         return self._stats
 

@@ -198,24 +198,6 @@ class RegressionStats:
         self.sum_xy -= x * y
         self.sum_yy -= y * y
 
-    def copy(self) -> "RegressionStats":
-        """An independent copy (six floats; O(1))."""
-        return RegressionStats(
-            self.n, self.sum_x, self.sum_y, self.sum_xx, self.sum_xy, self.sum_yy
-        )
-
-    def with_pair(self, x: float, y: float) -> "RegressionStats":
-        """A copy with ``(x, y)`` added — the hypothetical augmented line."""
-        stats = self.copy()
-        stats.add(x, y)
-        return stats
-
-    def without_pair(self, x: float, y: float) -> "RegressionStats":
-        """A copy with ``(x, y)`` subtracted — a hypothetical eviction."""
-        stats = self.copy()
-        stats.remove(x, y)
-        return stats
-
     def fit(self) -> LinearModel:
         """The sse-optimal line for these statistics (Lemma 1).
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from repro.energy.battery import Battery
 from repro.network.messages import Message
-from repro.network.state import DEPLETED, FAILED
+from repro.network.state import FAILED
 
 __all__ = ["NetworkNode", "MessageHandler"]
 
@@ -59,26 +59,6 @@ class NetworkNode:
         self.battery._bind(state, slot)
         if self._handlers:
             state.hooked.add(slot)
-
-    def __setstate__(self, state: dict) -> None:
-        failed = state.pop("_failed", None)
-        self.__dict__.update(state)
-        battery = self.battery
-        # Pickles from before liveness (``_failed``) or energy became
-        # columns: a radio unpickled first presets ``_devices``.
-        devices = self.__dict__.pop("_devices", None)
-        if "_flags" not in self.__dict__:
-            self._flags, self._slot = battery._state.flags, battery._slot
-        if failed is not None:
-            self._flags[self._slot] = (FAILED if failed else 0) | (
-                DEPLETED if battery.depleted else 0
-            )
-        if devices is not None:
-            self._bind(devices, self._slot)
-        elif self._flags is not battery._state.flags:
-            # The byte follows the battery's own state until the radio
-            # (unpickled later) registers the device again.
-            self._bind(battery._state, battery._slot)
 
     @property
     def alive(self) -> bool:

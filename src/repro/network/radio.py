@@ -123,24 +123,6 @@ class Radio:
         #: module-level function, so checkpoints pickle it by name).
         self.burst_dispatch = None
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if "devices" not in state:  # pickled before liveness was a column
-            self.devices = DeviceState(len(self.topology))
-        # Pickled before energy was a column too, the batteries hold
-        # their own charge: move each into this radio's columns.  A
-        # device whose own unpickling is still to come finds the column
-        # preset and moves its battery there (``NetworkNode.__setstate__``).
-        devices = self.devices
-        for node_id, device in self._nodes.items():
-            battery = device.__dict__.get("battery")
-            if battery is None:
-                device.__dict__.update(
-                    _flags=devices.flags, _slot=node_id, _devices=devices
-                )
-            elif battery._state is not devices:
-                device._bind(devices, node_id)
-
     # -- registration ------------------------------------------------------
 
     def register(self, node: NetworkNode) -> NetworkNode:

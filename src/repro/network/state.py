@@ -40,13 +40,6 @@ class DeviceState:
         self.callbacks: dict = {}
         self.hooked: set[int] = set()
 
-    def __setstate__(self, state: dict) -> None:
-        if "charge" not in state:
-            # Pickled before energy became columns: the radio refills
-            # them from its devices' batteries (``Radio.__setstate__``).
-            self.__init__(len(state["flags"]))
-        self.__dict__.update(state)
-
     def alive_mask(self) -> np.ndarray:
         """Boolean mask over node ids: alive devices."""
         # uint8, not bool: the bytes are bit sets, not valid booleans.

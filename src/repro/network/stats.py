@@ -64,13 +64,6 @@ class MessageStats:
             ).cells
         self._sent_checkpoint: Counter[tuple[int, str]] = Counter()
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if type(self.delivered) is Counter:  # pickled before the columns
-            self.delivered = ColumnCounter.adopt(
-                self.delivered, "net.messages.delivered", ("node", "kind")
-            )
-
     def record_sent(self, message: Message) -> None:
         """Count one transmission of ``message`` by its sender."""
         self.sent[(message.sender, message.kind)] += 1

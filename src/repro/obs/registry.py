@@ -187,19 +187,6 @@ class ColumnCounter(CounterMetric, Mapping):
         self._columns: dict[Any, list] = {}  # grown on demand
         self._zeros: set = set()  # cells written with 0
 
-    @classmethod
-    def adopt(cls, cells: Counter, name: str, label_names) -> "ColumnCounter":
-        """The counter replacing ``cells``, the plain ``Counter`` that a
-        pickle from before the columns shares between a registry metric
-        and the ledger or stats holding it: made once per ``Counter``,
-        so both get it in whichever order they are unpickled."""
-        counter = cells.__dict__.get("_adopted")
-        if counter is None:
-            counter = cells._adopted = cls(None, name, tuple(label_names), True)
-            for key, value in cells.items():
-                counter[key] = value
-        return counter
-
     def add_each(self, ids, label: Any, amount: int | float) -> None:
         """Add ``amount`` to the cell of each of ``ids`` under ``label``,
         in order."""
@@ -401,11 +388,6 @@ class HistogramMetric(_Metric):
         self.cells.clear()
 
 
-#: Column counters a pickle from before they were columns holds as
-#: plain ``Counter`` cells (see :meth:`ColumnCounter.adopt`).
-_PRE_COLUMN_COUNTERS = ("energy.draw", "net.messages.delivered")
-
-
 @dataclass
 class MetricsRegistry:
     """Named metrics with get-or-create registration.
@@ -485,15 +467,6 @@ class MetricsRegistry:
         metric = cls(self, name, label_names, essential)
         self._metrics[name] = metric
         return metric
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        for name in _PRE_COLUMN_COUNTERS:
-            metric = self._metrics.get(name)
-            if type(metric) is CounterMetric:
-                self._metrics[name] = ColumnCounter.adopt(
-                    metric.cells, name, metric.label_names
-                )
 
     # -- read side ---------------------------------------------------------
 

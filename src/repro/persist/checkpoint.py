@@ -23,7 +23,11 @@ changes; unknown (newer) formats are rejected with
 payloads additionally depend on the repository's class definitions —
 checkpoints are *resume* artifacts for the writing code version, not a
 long-term archival format (the digests, being canonical, ARE stable
-across refactors that preserve behavior).
+across refactors that preserve behavior).  A checkpoint restores in
+code whose digests of it verify; any other file is refused with a
+named :class:`CheckpointError`, and nothing migrates an older payload.
+A payload that does not match this code's classes fails to digest,
+which is raised as :class:`CheckpointIntegrityError` naming the file.
 
 Writes are atomic: the file is assembled under a temporary name in the
 target directory and ``os.replace``d into place, so an interrupted save
@@ -182,7 +186,12 @@ def load_checkpoint(path: str | os.PathLike, verify: bool = True) -> Any:
     except Exception as exc:
         raise CheckpointError(f"{path}: cannot decode payload: {exc}") from exc
     if verify and header.get("digest"):
-        restored = state_digest(obj)
+        try:
+            restored = state_digest(obj)
+        except Exception as exc:  # a field this code reads is missing
+            raise CheckpointIntegrityError(
+                f"{path}: payload does not match this code's classes ({exc})"
+            ) from exc
         recorded = header["digest"]["components"]
         divergent = sorted(
             name

@@ -9,13 +9,12 @@ clock, named seeded random streams and a trace log.
 
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import PeriodicTask, Simulator
-from repro.simulation.events import Event, EventCancelled, EventQueue
+from repro.simulation.events import Event, EventQueue
 from repro.simulation.rng import RandomSource
 from repro.simulation.tracing import TraceLog, TraceRecord
 
 __all__ = [
     "Event",
-    "EventCancelled",
     "EventQueue",
     "PeriodicTask",
     "RandomSource",

@@ -35,11 +35,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-__all__ = ["Event", "EventQueue", "EventCancelled"]
-
-
-class EventCancelled(Exception):
-    """Raised when interacting with an event that has been cancelled."""
+__all__ = ["Event", "EventQueue"]
 
 
 @dataclass(order=False, slots=True)
@@ -76,19 +72,6 @@ class Event:
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` has been called."""
         return self._cancelled
-
-    def fire(self) -> None:
-        """Invoke the callback.
-
-        Raises
-        ------
-        EventCancelled
-            If the event was cancelled before firing.
-        """
-        if self._cancelled:
-            raise EventCancelled(f"event {self.label!r} at t={self.time} was cancelled")
-        self.callback()
-
 
 class EventQueue:
     """A deterministic priority queue of scheduled occurrences.

@@ -12,15 +12,14 @@ call creates an independent registration with its own delivery counter,
 and cancelling one never detaches another registration that happens to
 wrap an equal callback.  Harness code that re-subscribes the same
 observer across repetitions therefore gets independent counts per
-repetition — use :meth:`TraceLog.mark` / :meth:`TraceLog.counts_since`
-to window the global per-kind counters the same way.
+repetition.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 __all__ = ["TraceRecord", "TraceLog", "TraceSubscription"]
 
@@ -162,23 +161,6 @@ class TraceLog:
     def count(self, kind: str) -> int:
         """Number of records of ``kind`` emitted so far."""
         return self.counts[kind]
-
-    def mark(self) -> dict[str, int]:
-        """Snapshot the per-kind counters, for :meth:`counts_since`."""
-        return dict(self.counts)
-
-    def counts_since(self, marker: Mapping[str, int]) -> Counter[str]:
-        """Per-kind counts accumulated since ``marker`` was taken.
-
-        Gives repeated harness runs sharing one log independent windows
-        without clearing history another observer may still need.
-        """
-        window: Counter[str] = Counter()
-        for kind, count in self.counts.items():
-            delta = count - marker.get(kind, 0)
-            if delta:
-                window[kind] = delta
-        return window
 
     def of_kind(self, kind: str) -> list[TraceRecord]:
         """All stored records of ``kind`` (empty if ``keep_records=False``)."""

@@ -80,20 +80,11 @@ class TestAudit:
         nodes[1].represented = {2: MemberInfo(None, 2.0)}
         nodes[2].mode = NodeMode.PASSIVE
         nodes[2].representative_id = 1
-        audit = SnapshotView.capture(nodes).audit()
+        view = SnapshotView.capture(nodes)
+        audit = view.audit()
         assert audit.spurious_representatives == (0,)
         assert audit.stale_claims == ((0, 2),)
-
-    def test_corrected_assignment_matches_pointers(self):
-        nodes = make_nodes(3)
-        nodes[0].mode = NodeMode.ACTIVE
-        nodes[0].represented = {2: MemberInfo(None, 1.0)}
-        nodes[1].mode = NodeMode.ACTIVE
-        nodes[1].represented = {2: MemberInfo(None, 2.0)}
-        nodes[2].mode = NodeMode.PASSIVE
-        nodes[2].representative_id = 1
-        view = SnapshotView.capture(nodes)
-        assert view.corrected_assignment()[2] == 1
+        assert view.assignment[2] == 1  # the freshest claim: 2's own pointer
 
 
 class TestSpuriousUnderLoss:

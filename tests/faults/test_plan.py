@@ -83,9 +83,3 @@ class TestFaultPlan:
         crash = NodeCrash(time=2.0, node_id=3)
         plan = FaultPlan((BatteryDrain(time=1.0, node_id=0), crash))
         assert plan.crashes() == (crash,)
-
-    def test_extended_returns_new_sorted_plan(self):
-        plan = FaultPlan((NodeCrash(time=5.0, node_id=0),))
-        grown = plan.extended(BatteryDrain(time=1.0, node_id=1))
-        assert len(plan) == 1  # original untouched
-        assert [event.time for event in grown] == [1.0, 5.0]

@@ -120,13 +120,6 @@ class TestRegressionStats:
         with pytest.raises(ValueError):
             RegressionStats().remove(1.0, 1.0)
 
-    def test_with_without_do_not_mutate(self):
-        stats = RegressionStats.from_pairs([(1.0, 1.0), (2.0, 2.0)])
-        stats.with_pair(9.0, 9.0)
-        stats.without_pair(1.0, 1.0)
-        assert stats.n == 2
-        assert stats.sum_x == 3.0
-
     def test_fit_matches_fit_line(self):
         pairs = [(0.0, 1.0), (1.0, 3.1), (2.0, 4.9), (3.0, 7.2)]
         incremental = RegressionStats.from_pairs(pairs).fit()

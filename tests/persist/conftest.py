@@ -18,6 +18,10 @@ the ``bench`` marker — the ``benchmarks/`` convention — so tier-1's
 
 from __future__ import annotations
 
+import copyreg
+import io
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,11 +29,13 @@ from repro.core.config import ProtocolConfig
 from repro.core.round_batch import BatchedObservationRouter
 from repro.core.runtime import SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
+from repro.energy.battery import Battery
 from repro.experiments.harness import make_cache_factory
 from repro.network.links import GlobalLoss
 from repro.network.topology import uniform_random_topology
 from repro.obs.report import RunReport
-from repro.persist import RoundDigestRecorder
+from repro.persist import RoundDigestRecorder, save_checkpoint
+from repro.persist import checkpoint as checkpoint_module
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor
 from repro.query.spatial import random_square
@@ -207,3 +213,29 @@ def run_reference(seed: int, policy: str, loss: float) -> dict:
     for step in SCRIPT:
         step(runtime)
     return outcome(runtime)
+
+
+class _ColumnlessBatteryPickler(pickle.Pickler):
+    """Pickles each battery with its own ``_charge`` and ``_spent``, as
+    code before the energy columns did, and no ``_state`` it is a view of."""
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, Battery):
+            return NotImplemented
+        state = {"_capacity": obj.capacity, "_charge": obj.charge, "_spent": obj.spent}
+        return copyreg.__newobj__, (Battery,), state
+
+
+def save_mismatched_checkpoint(runtime, path, monkeypatch) -> None:
+    """Save ``runtime`` to ``path`` as a checkpoint file with a valid
+    header and payload hash whose batteries lack the ``_state`` field
+    this code's ``Battery`` reads."""
+
+    def dumps(obj, protocol):
+        buffer = io.BytesIO()
+        _ColumnlessBatteryPickler(buffer, protocol=protocol).dump(obj)
+        return buffer.getvalue()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checkpoint_module.pickle, "dumps", dumps)
+        save_checkpoint(runtime, path)

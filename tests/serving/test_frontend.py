@@ -194,23 +194,34 @@ class TestLifecycle:
 
     def test_stop_racing_submitters_strands_no_future(self):
         """Clients submitting while ``stop`` runs: every submit is either
-        refused as stopped or served; none is left pending."""
+        refused as stopped or served; none is left pending.  Each client
+        also submits once before ``stop`` starts and once after it
+        returns, so both outcomes occur whatever the scheduling."""
         runtime = served_runtime()
         frontend = QueryFrontEnd(runtime, charge_energy=False, max_queue=1000).start()
         queries = [snapshot_avg(Rect(0.0, 0.0, 0.1 * k, 1.0)) for k in range(1, 11)]
         admitted, refused, errors = [], [], []
         lock = threading.Lock()
+        clients_ready = threading.Barrier(9, timeout=60)
+        stopped = threading.Event()
+
+        def submit(k: int) -> None:
+            try:
+                future = frontend.submit(queries[k % 10], sink=0)
+            except AdmissionRejected as error:
+                with lock:
+                    (refused if error.reason == "stopped" else errors).append(error)
+                return
+            with lock:
+                admitted.append(future)
 
         def client(offset: int) -> None:
+            submit(offset)
+            clients_ready.wait()
             for i in range(40):
-                try:
-                    future = frontend.submit(queries[(offset + i) % 10], sink=0)
-                except AdmissionRejected as error:
-                    with lock:
-                        (refused if error.reason == "stopped" else errors).append(error)
-                    continue
-                with lock:
-                    admitted.append(future)
+                submit(offset + i)
+            stopped.wait(timeout=60)
+            submit(offset)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -218,7 +229,9 @@ class TestLifecycle:
             clients = [threading.Thread(target=client, args=(k,)) for k in range(8)]
             for thread in clients:
                 thread.start()
+            clients_ready.wait()
             frontend.stop()
+            stopped.set()
             for thread in clients:
                 thread.join(timeout=60)
                 assert not thread.is_alive()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation.events import Event, EventCancelled, EventQueue
+from repro.simulation.events import Event, EventQueue
 
 
 def _noop() -> None:
@@ -12,18 +12,6 @@ def _noop() -> None:
 
 
 class TestEvent:
-    def test_fire_invokes_callback(self):
-        hits = []
-        event = Event(time=1.0, callback=lambda: hits.append(1))
-        event.fire()
-        assert hits == [1]
-
-    def test_cancelled_event_refuses_to_fire(self):
-        event = Event(time=1.0, callback=_noop)
-        event.cancel()
-        with pytest.raises(EventCancelled):
-            event.fire()
-
     def test_cancel_is_idempotent(self):
         event = Event(time=1.0, callback=_noop)
         event.cancel()

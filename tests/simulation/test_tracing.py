@@ -167,22 +167,6 @@ class TestResubscriptionCounters:
         log.emit(1.0, "k")
         assert handle.deliveries == 1
 
-    def test_mark_and_counts_since_window(self):
-        log = TraceLog()
-        log.emit(0.0, "a")
-        log.emit(1.0, "b")
-        marker = log.mark()
-        log.emit(2.0, "a")
-        log.emit(3.0, "c")
-        assert log.counts_since(marker) == {"a": 1, "c": 1}
-
-    def test_counts_since_never_goes_negative(self):
-        log = TraceLog()
-        log.emit(0.0, "a")
-        marker = log.mark()
-        log.clear()
-        assert log.counts_since(marker) == {}
-
 
 class TestUnobservedFastPath:
     """With ``keep_records=False``, a kind nobody subscribes to only

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.persist import MAGIC
+from tests.conftest import make_runtime
+from tests.persist.conftest import save_mismatched_checkpoint
 
 
 class TestParser:
@@ -158,3 +161,48 @@ class TestCommands:
         code = main(["experiment", "fig99"])
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+
+def _write_checkpoint(path) -> None:
+    assert main(["checkpoint", str(path), "--nodes", "20", "--rounds", "1"]) == 0
+
+
+def _cut_in_payload(path, monkeypatch) -> None:
+    _write_checkpoint(path)
+    data = path.read_bytes()
+    payload_start = data.index(b"\n", len(MAGIC)) + 1
+    path.write_bytes(data[: (payload_start + len(data)) // 2])
+
+
+def _cut_in_header(path, monkeypatch) -> None:
+    _write_checkpoint(path)
+    data = path.read_bytes()
+    header_end = data.index(b"\n", len(MAGIC))
+    path.write_bytes(data[: (len(MAGIC) + header_end) // 2])
+
+
+def _mismatched_classes(path, monkeypatch) -> None:
+    save_mismatched_checkpoint(make_runtime(n_nodes=10), path, monkeypatch)
+
+
+DAMAGED = {
+    "cut-in-payload": _cut_in_payload,
+    "cut-in-header": _cut_in_header,
+    "mismatched-classes": _mismatched_classes,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED)
+def test_unrestorable_checkpoint_is_one_resume_error(
+    damage, tmp_path, monkeypatch, capsys
+):
+    """``repro resume`` on a file it cannot restore exits 2 with one
+    ``cannot resume:`` line, never a traceback."""
+    path = tmp_path / "run.ckpt"
+    DAMAGED[damage](path, monkeypatch)
+    capsys.readouterr()
+    assert main(["resume", str(path), "--rounds", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot resume: ")
