@@ -285,13 +285,21 @@ class SnapshotRuntime:
         the start of a re-election.  The structure also changes where
         it does not move (a re-election's choice, an Accept, a Recall,
         a member's expiry, a resignation), so a result cache keys on
-        it together with the simulator's event count and clock
-        (:meth:`~repro.serving.frontend.QueryFrontEnd.state_key`).
-        O(1): both parts are running totals the protocol keeps in
-        :attr:`tally`.
+        :meth:`state_key`.  O(1): both parts are running totals the
+        protocol keeps in :attr:`tally`.
         """
         tally = self.tally
         return (tally.epoch, tally.reelections)
+
+    def state_key(self) -> tuple:
+        """``(structure_version, events processed, time, changes)``: the
+        state a snapshot answer is a function of.  Accepts, Recalls and
+        expiries run in events; ``changes`` counts liveness writes and
+        resignations, which may also happen outside one.  Every part is
+        monotone.  Protocol state edited by hand moves no part.
+        """
+        sim, changes = self.simulator, self.radio.devices.changes
+        return (self.structure_version(), sim.events_processed, sim.now, changes)
 
     def value_of(self, node_id: int) -> float:
         """Ground-truth measurement of ``node_id`` right now."""

@@ -142,12 +142,6 @@ class AggregationTree:
         """
         return frozenset(self.parents)
 
-    @cached_property
-    def ordered_members(self) -> tuple[int, ...]:
-        """The members in ascending id order, sorted once per tree: the
-        snapshot walk visits them in this order on every execution."""
-        return tuple(sorted(self.parents))
-
     def parent(self, node: int) -> Optional[int]:
         """The node's parent, or ``None`` if it never joined."""
         return self.parents.get(node)

@@ -186,10 +186,11 @@ class QueryPlanner:
         """``(regular responders, snapshot responders, alive nodes)``.
 
         The sizes of :meth:`regular_responders`,
-        :meth:`snapshot_responders` and ``alive_ids()``.  The regular and
-        alive counts come from the liveness mask and the region's mask
-        over the coordinate columns; locations and member locations are
-        read only for alive non-PASSIVE nodes.
+        :meth:`snapshot_responders` and ``alive_ids()``, from columns:
+        the regular and alive counts from the liveness mask and the
+        region's mask over the topology coordinates, the snapshot count
+        as the distinct owners of the executor's cover rows inside the
+        region.
         """
         runtime = self.runtime
         topology = runtime.topology
@@ -197,38 +198,9 @@ class QueryPlanner:
         alive = runtime.radio.devices.alive_mask()
         inside = region.contains_mask(topology.xs, topology.ys)
         regular = int(np.count_nonzero(inside & alive))
-        alive_ids = np.flatnonzero(alive).tolist()
-        inside = inside.tolist()
-        positions = topology._positions
-        contains = region.contains
-        nodes = runtime.nodes
-        snapshot = 0
-        for node_id in alive_ids:
-            node = nodes[node_id]
-            mode = node.mode
-            if mode is NodeMode.PASSIVE:
-                continue
-            # A location that is its node's topology position object is
-            # read from the mask; one that was moved without the
-            # topology answers where it is.
-            location = node.location
-            if inside[node_id] if location is positions[node_id] else contains(*location):
-                snapshot += 1
-                continue
-            if mode is not NodeMode.ACTIVE:
-                continue
-            for member_id, info in node.represented.items():
-                location = info.location
-                if location is None:
-                    continue
-                if (
-                    inside[member_id]
-                    if location is positions[member_id]
-                    else contains(*location)
-                ):
-                    snapshot += 1
-                    break
-        return regular, snapshot, len(alive_ids)
+        owner, _, x, y = self.executor.cover()
+        snapshot = len(set(owner[region.contains_mask(x, y)].tolist()))
+        return regular, snapshot, int(np.count_nonzero(alive))
 
     def regular_responders(self, query: Query) -> frozenset[int]:
         """Alive nodes inside the spatial predicate (regular execution).

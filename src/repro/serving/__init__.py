@@ -13,11 +13,11 @@ usable by many concurrent clients at once:
 * :class:`~repro.serving.cache.EpochResultCache` — a state-keyed
   snapshot-result cache: a cached
   :class:`~repro.query.executor.QueryResult` stays field-identical to
-  fresh execution until the front end's
-  :meth:`~repro.serving.frontend.QueryFrontEnd.state_key` moves — the
+  fresh execution until the runtime's
+  :meth:`~repro.core.runtime.SnapshotRuntime.state_key` moves — the
   structure version, the simulator's event count and clock, and the
-  executor's out-of-event side effects (proven by the differential
-  suite in ``tests/serving/``).
+  count of liveness writes and resignations (proven by the
+  differential suite in ``tests/serving/``).
 """
 
 from repro.serving.cache import EpochResultCache

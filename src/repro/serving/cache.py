@@ -4,10 +4,10 @@ A snapshot answer is a function of the query, the collection sink and
 the network state it was computed at: the representation structure,
 the representatives' models and the readings at the current simulated
 time.  The serving front end keys that state as
-:meth:`~repro.serving.frontend.QueryFrontEnd.state_key` — the
-:meth:`~repro.core.runtime.SnapshotRuntime.structure_version`, the
-simulator's event count and clock, and the executor's count of
-out-of-event side effects — so a result cached under one key can be
+:meth:`~repro.core.runtime.SnapshotRuntime.state_key` — the
+structure version, the simulator's event count and clock, and the
+runtime's count of liveness writes and resignations — so a result
+cached under one key can be
 replayed verbatim until the key moves (Islam's correlation-aware
 caching argument, applied to whole query results instead of model
 lines).

@@ -22,12 +22,12 @@
   simulator safe to serve from many clients.
 * **State-keyed result reuse.**  Snapshot-mode results are cached in an
   :class:`~repro.serving.cache.EpochResultCache` keyed by the state
-  the answer was computed at (:meth:`QueryFrontEnd.state_key`): the
-  runtime's
-  :meth:`~repro.core.runtime.SnapshotRuntime.structure_version`, the
-  simulator's event count and clock, and the executor's count of
-  executions that changed the snapshot outside any event.  A cached
-  result is replayed verbatim until any of them moves.  Regular-mode
+  the answer was computed at
+  (:meth:`~repro.core.runtime.SnapshotRuntime.state_key`): the
+  structure version, the simulator's event count and clock, and the
+  runtime's count of liveness writes and resignations, which may
+  happen outside any event.  A cached result is replayed verbatim
+  until any of them moves.  Regular-mode
   results read live values and are never cached.
 
 Serving metrics land in the runtime's registry: ``serving.admitted``
@@ -413,26 +413,9 @@ class QueryFrontEnd:
                 self._finish(request.future, request.t0, entry, cached=False)
 
     def state_key(self) -> tuple:
-        """The state a snapshot answer is a function of, as a cache key.
-
-        ``(structure_version, events processed, simulated time,
-        executor side effects)``.  The structure version moves at an
-        epoch bump and at the start of a re-election; the rest of the
-        structure (an Accept, a Recall, a re-election's choice, a stale
-        member's expiry, a resignation) changes inside events, and the
-        readings change with the clock.  A charged execution can empty a
-        battery or make a responder resign outside any event, which the
-        executor counts.  Every part is monotone, so a newer state
-        compares greater.
-        """
-        runtime = self.runtime
-        simulator = runtime.simulator
-        return (
-            runtime.structure_version(),
-            simulator.events_processed,
-            simulator.now,
-            self.executor.side_effects,
-        )
+        """The runtime's :meth:`~repro.core.runtime.SnapshotRuntime.state_key`:
+        a cached answer is replayed until it moves."""
+        return self.runtime.state_key()
 
     # ------------------------------------------------------------------
     # helpers

@@ -67,6 +67,7 @@ def test_batched_matches_scalar_model_aware(seed, loss):
     assert batched["round_digests"], "script must complete maintenance rounds"
 
 
+@pytest.mark.bench
 @pytest.mark.parametrize("loss", [0.0, 0.3], ids=["lossless", "lossy"])
 def test_extended_batched_matches_scalar_round_robin(loss):
     # No fleet for round-robin: the router applies samples scalarly at
@@ -109,6 +110,7 @@ def _chaos_outcome(monkeypatch, batched):
     }
 
 
+@pytest.mark.bench
 def test_extended_batched_chaos_schedule_matches_scalar(monkeypatch):
     """Crashes, revivals, partitions and a loss burst: still bit-identical."""
     batched = _chaos_outcome(monkeypatch, True)

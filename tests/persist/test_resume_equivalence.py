@@ -122,6 +122,7 @@ def test_checkpoint_file_is_inert(tmp_path):
     assert first_outcome["now"] == HORIZON
 
 
+@pytest.mark.bench
 @pytest.mark.parametrize("seed", [3, 11])
 @pytest.mark.parametrize("policy", ["model-aware", "round-robin"])
 @pytest.mark.parametrize("loss", [0.0, 0.25], ids=["lossless", "lossy"])

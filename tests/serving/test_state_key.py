@@ -4,14 +4,17 @@ A snapshot answer depends on more than the structure version: an
 Accept, a Recall, a re-election's choice, a stale member's expiry or a
 resignation all change the structure inside events without moving it,
 and readings change as simulated time passes.  The front end keys its
-cache on the structure version, the simulator's event count and clock,
-and the executor's out-of-event side effects, so:
+cache on the runtime's state key: the structure version, the
+simulator's event count and clock, and the runtime's count of liveness
+writes and resignations, which may happen outside any event.  So:
 
 * under churn (link loss, crashes, maintenance, the clock advancing
-  between submits) every cache hit equals a fresh execution at the
-  same point;
+  between submits) every served answer, hit or miss, equals a fresh
+  execution at the same point;
 * a charged execution that empties a battery or makes a responder
   resign outside any event invalidates what it served;
+* so do a device failed by hand between two submits and a
+  resignation caused by an execution outside the front end;
 * ``serving.trees`` counts the floods performed, not the trees asked
   for.
 """
@@ -108,9 +111,11 @@ def test_every_hit_under_churn_equals_a_fresh_execution():
                 with frontend.runtime_lock:
                     fresh = fresh_answer(runtime, served.result)
                     assert served.version == runtime.structure_version()
+                # A miss may be answered from a cover memoized earlier
+                # in the same state, so it is checked too.
+                assert same_answer(served, fresh), (step, query, served.cached)
                 if served.cached:
                     hits += 1
-                    assert same_answer(served, fresh), (step, query)
                 else:
                     misses += 1
                 if query is template:
@@ -133,6 +138,7 @@ def test_a_charged_depletion_invalidates_what_it_served():
     battery = runtime.radio.node(victim).battery
     # one more transmission empties it
     battery.draw(battery.charge - runtime.radio.cost_model.transmit)
+    changes = runtime.state_key()[3]
     with QueryFrontEnd(runtime, charge_energy=True) as frontend:
         first = frontend.submit(query, sink=sink).result(timeout=10)
         assert not first.cached and victim in first.result.responders
@@ -140,7 +146,7 @@ def test_a_charged_depletion_invalidates_what_it_served():
         second = frontend.submit(query, sink=sink).result(timeout=10)
     assert not second.cached
     assert victim not in second.result.responders
-    assert frontend.executor.side_effects == 1
+    assert runtime.state_key()[3] == changes + 1
 
 
 def test_a_charged_resignation_invalidates_what_it_served():
@@ -156,6 +162,7 @@ def test_a_charged_resignation_invalidates_what_it_served():
     battery = runtime.radio.node(victim).battery
     # one more transmission takes it below half its capacity
     battery.draw(battery.charge - 50.5)
+    changes = runtime.state_key()[3]
     with QueryFrontEnd(runtime, charge_energy=True) as frontend:
         first = frontend.submit(query, sink=sink).result(timeout=10)
         assert not first.cached
@@ -163,8 +170,53 @@ def test_a_charged_resignation_invalidates_what_it_served():
         second = frontend.submit(query, sink=sink).result(timeout=10)
         third = frontend.submit(query, sink=sink).result(timeout=10)
     assert not second.cached and third.cached
-    assert frontend.executor.side_effects == 1
+    assert runtime.state_key()[3] == changes + 1
     assert second.result.reports != first.result.reports
+
+
+def test_a_device_failed_by_hand_invalidates_what_was_served():
+    runtime = make_runtime(n_nodes=24, n_classes=3, seed=17)
+    runtime.train(duration=10)
+    runtime.run_election()
+    query = Query(region=Everywhere(), aggregate=Aggregate.AVG, use_snapshot=True)
+    sink = min(runtime.alive_ids())
+    with QueryFrontEnd(runtime, charge_energy=False) as frontend:
+        first = frontend.submit(query, sink=sink).result(timeout=10)
+        victim = max(first.result.responders - {sink})
+        with frontend.runtime_lock:
+            runtime.radio.node(victim).fail()  # outside any event
+        second = frontend.submit(query, sink=sink).result(timeout=10)
+        with frontend.runtime_lock:
+            fresh = fresh_answer(runtime, second.result)
+    assert not second.cached
+    assert victim not in second.result.responders
+    assert same_answer(second, fresh)
+
+
+def test_a_resignation_by_another_executor_invalidates_what_was_served():
+    config = ProtocolConfig(threshold=1.0, energy_resign_fraction=0.5)
+    runtime, _ = elected_runtime(24, 2.0, 17, config, battery_capacity=100.0)
+    query = Query(region=Everywhere(), aggregate=Aggregate.AVG, use_snapshot=True)
+    sink = min(runtime.alive_ids())
+    dry = QueryExecutor(runtime).execute(query, sink=sink, charge_energy=False)
+    victim = max(
+        node_id for node_id in dry.responders - {sink}
+        if runtime.nodes[node_id].represented
+    )
+    battery = runtime.radio.node(victim).battery
+    # one more transmission takes it below half its capacity
+    battery.draw(battery.charge - 50.5)
+    with QueryFrontEnd(runtime, charge_energy=False) as frontend:
+        first = frontend.submit(query, sink=sink).result(timeout=10)
+        with frontend.runtime_lock:
+            QueryExecutor(runtime).execute(query, sink=sink, charge_energy=True)
+        assert not runtime.nodes[victim].represented  # resigned
+        second = frontend.submit(query, sink=sink).result(timeout=10)
+        with frontend.runtime_lock:
+            fresh = fresh_answer(runtime, second.result)
+    assert not second.cached
+    assert second.result.reports != first.result.reports
+    assert same_answer(second, fresh)
 
 
 def test_trees_count_floods_performed():
