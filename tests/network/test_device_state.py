@@ -193,7 +193,7 @@ def test_any_unpickling_order_restores_onto_one_column(order):
         _, restored = pickle.loads(pickle.dumps((runtime.radio, runtime)))
     radio = restored.radio
     for node_id, device in radio.nodes.items():
-        assert device._flags is radio.devices.flags and device._slot == node_id
+        assert device._state is radio.devices and device._slot == node_id
         assert device.battery._state is radio.devices
     assert_column_matches(restored, {1})
     assert restored.state_digest() == before

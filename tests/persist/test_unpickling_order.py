@@ -10,6 +10,8 @@ with samples still queued.
 
 A checkpoint restores only in code whose digests of it verify: a
 payload that does not match this code's classes is refused by name.
+A device state pickled before its ``changes`` count, a field the
+digests do not read, restores and runs on.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core.runtime import SnapshotRuntime
 from repro.energy.costs import EnergyCostModel
 from repro.persist import CheckpointIntegrityError, load_checkpoint
 from tests.conftest import make_runtime
-from tests.persist.conftest import save_mismatched_checkpoint
+from tests.persist.conftest import save_countless_checkpoint, save_mismatched_checkpoint
 
 #: Roots that make a different object of the shared state unpickle first.
 ORDERS = {
@@ -98,3 +100,21 @@ def test_mismatched_payload_is_refused_by_name(tmp_path, monkeypatch):
         assert str(path) in message
         assert "does not match this code's classes" in message
         assert isinstance(refused.value.__cause__, AttributeError)
+
+
+def test_a_device_state_without_the_change_count_restores_and_runs_on(tmp_path, monkeypatch):
+    runtime = mid_burst_runtime()
+    path = tmp_path / "countless.ckpt"
+    save_countless_checkpoint(runtime, path, monkeypatch)
+    end = runtime.now + 40.0
+    runtime.advance_to(end)
+    for restore in (load_checkpoint, SnapshotRuntime.restore):
+        restored = restore(path)
+        assert "changes" not in vars(restored.radio.devices)
+        key = restored.state_key()
+        assert key[-1] == 0
+        restored.radio.node(2).restore()
+        restored.radio.node(2).fail()
+        assert restored.state_key() > key
+        restored.advance_to(end)
+        assert restored.state_digest() == runtime.state_digest()
