@@ -51,7 +51,6 @@ from repro.models import (
     ErrorMetric,
     LinearModel,
     ModelAwareCache,
-    NeighborModelStore,
     RelativeError,
     RoundRobinCache,
     SumSquaredError,
@@ -95,7 +94,6 @@ __all__ = [
     "MessageStats",
     "ModelAwareCache",
     "MultiResolutionSnapshot",
-    "NeighborModelStore",
     "NodeMode",
     "PAPER_COST_MODEL",
     "PerLinkLoss",

@@ -89,10 +89,10 @@ class ProtocolConfig:
         A representative drops its claim on a member it has not heard a
         heartbeat from for this many heartbeat periods (§3's
         timestamp-based filtering of spurious representation; matters
-        under mobility and loss).  0 — the default — disables expiry:
+        under loss and failures).  0 — the default — disables expiry:
         the paper's lifetime experiment relies on representatives
         answering for *dead* members indefinitely, so expiry is opt-in
-        for mobile deployments.
+        (``ChaosConfig`` turns it on).
     observe_node_label:
         Whether the ``cache.observe`` counter keys each increment by
         ``(node, action)`` (the default, handy for per-node debugging)

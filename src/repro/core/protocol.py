@@ -35,8 +35,7 @@ from typing import Callable, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.core.status import NodeMode
-from repro.models.estimator import NeighborModelStore
-from repro.models.policy import Action
+from repro.models.policy import Action, CachePolicy
 from repro.network.messages import (
     Accept,
     AckRepresenting,
@@ -106,7 +105,7 @@ class ProtocolNode:
         self,
         node_id: int,
         radio: Radio,
-        store: NeighborModelStore,
+        cache: CachePolicy,
         config: ProtocolConfig,
         value_fn: Callable[[], float],
         location: tuple[float, float],
@@ -114,7 +113,8 @@ class ProtocolNode:
     ) -> None:
         self.node_id = node_id
         self.radio = radio
-        self.store = store
+        #: The neighbor models (§4): one byte-budgeted cache policy.
+        self.cache = cache
         self.config = config
         self.value_fn = value_fn
         self.location = location
@@ -213,7 +213,16 @@ class ProtocolNode:
         """Model estimate of a represented node's current value."""
         if member_id == self.node_id:
             return self.value_fn()
-        return self.store.estimate(member_id, self.value_fn())
+        return self.cache.estimate(member_id, self.value_fn())
+
+    def can_represent(
+        self, neighbor_id: int, neighbor_value: float, own_value: float
+    ) -> bool:
+        """The §3 test ``d(x_j, x̂_j) <= T``; never without a model."""
+        estimate = self.cache.estimate(neighbor_id, own_value)
+        return estimate is not None and self.config.metric.within(
+            neighbor_value, estimate, self.config.threshold
+        )
 
     # ------------------------------------------------------------------
     # global election phases (called by the coordinator)
@@ -260,13 +269,7 @@ class ProtocolNode:
         candidates = tuple(
             j
             for j in sorted(self._heard_invitations)
-            if self.store.can_represent(
-                j,
-                self._heard_invitations[j],
-                own_value,
-                self.config.metric,
-                self.config.threshold,
-            )
+            if self.can_represent(j, self._heard_invitations[j], own_value)
         )
         self._my_list_length = len(candidates)
         self.radio.broadcast(
@@ -685,13 +688,7 @@ class ProtocolNode:
         candidates = tuple(
             inviter
             for inviter in sorted(pending)
-            if self.store.can_represent(
-                inviter,
-                pending[inviter][0],
-                own_value,
-                self.config.metric,
-                self.config.threshold,
-            )
+            if self.can_represent(inviter, pending[inviter][0], own_value)
         )
         if not candidates:
             return
@@ -799,7 +796,7 @@ class ProtocolNode:
         if not self.alive:
             return
         # Read-after-write fallback: this handler both records an
-        # observation and immediately serves an estimate from the store,
+        # observation and immediately serves an estimate from the cache,
         # so any samples this node has sitting in the batch must land
         # first — scalarly, in arrival order.
         router = self.radio.observation_router
@@ -810,7 +807,7 @@ class ProtocolNode:
         self._record_observation(message.sender, own_value, message.value)
         if self.mode is NodeMode.ACTIVE and message.sender in self.represented:
             self.represented[message.sender].last_heard = self.simulator.now
-            estimate = self.store.estimate(message.sender, own_value)
+            estimate = self.cache.estimate(message.sender, own_value)
         else:
             # We are not actually this node's representative (a stale
             # pointer after churn): answer with no estimate so the
@@ -905,7 +902,7 @@ class ProtocolNode:
         self, neighbor_id: int, own_value: float, neighbor_value: float
     ) -> str:
         """Feed the cache and charge the §6.2 CPU cost for the update."""
-        action = self.store.record(neighbor_id, own_value, neighbor_value)
+        action = self.cache.observe(neighbor_id, own_value, neighbor_value)
         self._observe_counter.inc(
             (self.node_id, action) if self.config.observe_node_label else action
         )

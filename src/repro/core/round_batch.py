@@ -35,7 +35,7 @@ scalar run:
   applies even earlier); deferring past the burst would not, because a
   later event could read a cache that scalar execution had already
   updated.
-* **Ordering fallback.** A handler that *reads* its own store inside
+* **Ordering fallback.** A handler that *reads* its own cache inside
   the burst (``_on_heartbeat`` records a sample and immediately serves
   an estimate from it) first calls :meth:`sync`, which applies that
   node's pending samples scalarly, in arrival order, with their
@@ -122,9 +122,9 @@ class BatchedObservationRouter:
         # a scalar run, which has no router at all).
         labels = ("node", "action") if node_label else ("action",)
         self._counter = simulator.metrics.counter("cache.observe", labels=labels)
-        # Node id -> fleet lane (-1: scalar fallback) and measurement
-        # count, for the fleet they were read from; rebuilt when the
-        # fleet changes (a cache-policy swap binds fresh caches).
+        # Node id -> fleet lane (-1: scalar fallback), for the fleet it
+        # was read from; rebuilt when the fleet changes (a cache-policy
+        # swap binds fresh caches).
         self._routed: Optional[ModelAwareCacheFleet] = None
 
     # ------------------------------------------------------------------
@@ -155,7 +155,7 @@ class BatchedObservationRouter:
     def sync(self, node: "ProtocolNode") -> None:
         """Apply (and tombstone) ``node``'s pending samples scalarly.
 
-        Called by handlers that read their own store mid-burst; the
+        Called by handlers that read their own cache mid-burst; the
         samples land in arrival order with their full effects, exactly
         as the scalar path would have applied them.
         """
@@ -163,11 +163,11 @@ class BatchedObservationRouter:
         node_id = node.node_id
         if node_id not in ids:
             return
-        record = node.store.record
+        observe = node.cache.observe
         i = ids.index(node_id)
         while True:
             neighbor_id = self._neighbors[i]
-            action = record(neighbor_id, self._owns[i], self._values[i])
+            action = observe(neighbor_id, self._owns[i], self._values[i])
             self._effect(node_id, neighbor_id, action)
             ids[i] = -1
             try:
@@ -208,7 +208,7 @@ class BatchedObservationRouter:
         if fleet is None:
             lanes = np.full(id_col.size, -1, dtype=np.int64)
         else:
-            lane_of, scale_of = self._route(fleet)
+            lane_of = self._route(fleet)
             lanes = np.where(id_col >= 0, lane_of[id_col], -1)
         rows = np.flatnonzero(lanes >= 0)
         scalar = (id_col >= 0) & (lanes < 0)
@@ -216,29 +216,25 @@ class BatchedObservationRouter:
             scalar[rows], rows = True, rows[:0]
         nodes = self.nodes
         for i in np.flatnonzero(scalar).tolist():
-            action = nodes[ids[i]].store.record(neighbors[i], owns[i], values[i])
+            action = nodes[ids[i]].cache.observe(neighbors[i], owns[i], values[i])
             codes[i] = ACTION_CODES[action]
         if rows.size:
-            js = np.array(neighbors, dtype=np.int64)[rows] * scale_of[id_col[rows]]
+            js = np.array(neighbors, dtype=np.int64)[rows]
             xs = np.array(owns, dtype=np.float64)[rows]
             ys = np.array(values, dtype=np.float64)[rows]
             self._flush_fleet(codes, rows, lanes[rows], js, xs, ys)
         self._emit(id_col, neighbors, codes)
 
-    def _route(self, fleet: ModelAwareCacheFleet) -> tuple[np.ndarray, np.ndarray]:
-        """The node id -> lane and measurement-count columns for ``fleet``."""
+    def _route(self, fleet: ModelAwareCacheFleet) -> np.ndarray:
+        """The node id -> lane column for ``fleet``."""
         if self._routed is not fleet:
-            size = max(self.nodes, default=-1) + 1
-            lanes = np.full(size, -1, dtype=np.int64)
-            scales = np.ones(size, dtype=np.int64)
+            lanes = np.full(max(self.nodes, default=-1) + 1, -1, dtype=np.int64)
             for node_id, node in self.nodes.items():
-                store = node.store
-                policy = store.policy
-                if getattr(policy, "_fleet", None) is fleet:
-                    lanes[node_id] = policy._lane
-                    scales[node_id] = store.n_measurements
-            self._routed, self._lanes, self._scales = fleet, lanes, scales
-        return self._lanes, self._scales
+                cache = node.cache
+                if getattr(cache, "_fleet", None) is fleet:
+                    lanes[node_id] = cache._lane
+            self._routed, self._lanes = fleet, lanes
+        return self._lanes
 
     def _flush_fleet(
         self,

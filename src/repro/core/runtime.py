@@ -34,7 +34,6 @@ from repro.energy.costs import PAPER_COST_MODEL, EnergyCostModel
 from repro.models.cache import pairs_for_budget
 from repro.models.cache_manager import ModelAwareCache
 from repro.models.soa import ModelAwareCacheFleet
-from repro.models.estimator import NeighborModelStore
 from repro.models.policy import CachePolicy
 from repro.network.links import PERFECT_LINKS, LossModel
 from repro.network.messages import DataReport
@@ -161,11 +160,10 @@ class SnapshotRuntime:
         self.tally = StructureTally()
         self.nodes: dict[int, ProtocolNode] = {}
         for node_id in topology.node_ids:
-            store = NeighborModelStore(cache_factory())
             self.nodes[node_id] = ProtocolNode(
                 node_id=node_id,
                 radio=self.radio,
-                store=store,
+                cache=cache_factory(),
                 config=self.config,
                 value_fn=self._value_fn(node_id),
                 location=topology.position(node_id),
@@ -206,7 +204,7 @@ class SnapshotRuntime:
         """
         policies = []
         for node_id in sorted(self.nodes):
-            policy = self.nodes[node_id].store.policy
+            policy = self.nodes[node_id].cache
             if not isinstance(policy, ModelAwareCache) or policy.total_pairs != 0:
                 return None
             policies.append(policy)

@@ -14,7 +14,6 @@ from repro.models.cache import (
     pairs_for_budget,
 )
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.estimator import NeighborModelStore
 from repro.models.metrics import (
     AbsoluteError,
     ErrorMetric,
@@ -43,7 +42,6 @@ __all__ = [
     "ErrorMetric",
     "LinearModel",
     "ModelAwareCache",
-    "NeighborModelStore",
     "RegressionStats",
     "RelativeError",
     "RoundRobinCache",

@@ -199,8 +199,8 @@ class ModelAwareCacheFleet:
                     break
             if s is None:
                 # The initial max_lines sizing bounds slots by the
-                # *static* topology's degree; mobility (or any topology
-                # swap) can push a cache past it.  The policy's pair
+                # *static* topology's degree; a topology swap can push
+                # a cache past it.  The policy's pair
                 # budget still bounds live lines at capacity_pairs, so
                 # grow toward that and only fail once eviction itself
                 # must have gone wrong.

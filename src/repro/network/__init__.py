@@ -29,12 +29,6 @@ from repro.network.messages import (
     Resign,
     StayActive,
 )
-from repro.network.mobility import (
-    GaussianDrift,
-    MobilityModel,
-    RandomWaypoint,
-    apply_mobility,
-)
 from repro.network.node import NetworkNode
 from repro.network.radio import Radio
 from repro.network.stats import MessageStats
@@ -47,7 +41,6 @@ __all__ = [
     "CandidateList",
     "DataReport",
     "DistanceLoss",
-    "GaussianDrift",
     "GlobalLoss",
     "Heartbeat",
     "HeartbeatReply",
@@ -55,18 +48,15 @@ __all__ = [
     "LossModel",
     "Message",
     "MessageStats",
-    "MobilityModel",
     "NetworkNode",
     "PERFECT_LINKS",
     "PROTOCOL_MESSAGE_TYPES",
     "PerLinkLoss",
     "QueryRequest",
     "Radio",
-    "RandomWaypoint",
     "Recall",
     "Resign",
     "StayActive",
     "Topology",
-    "apply_mobility",
     "uniform_random_topology",
 ]

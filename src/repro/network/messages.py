@@ -83,13 +83,11 @@ class Invitation(Message):
     """A node looking for a representative; carries its current value.
 
     ``epoch`` identifies the election round the invitation belongs to;
-    stale-round replies are discarded.  ``measurement_id`` supports the
-    multi-measurement extension of §3 (one model per measurement).
+    stale-round replies are discarded.
     """
 
     value: float
     epoch: int
-    measurement_id: int = 0
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,6 @@ class Heartbeat(Message):
 
     target: int
     value: float
-    measurement_id: int = 0
 
 
 @dataclass(frozen=True)

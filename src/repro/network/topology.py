@@ -8,7 +8,7 @@ asymmetric — exactly the loose, directional notion of *neighbor* the
 paper adopts (footnote 2).
 
 :class:`Topology` is a value object: placement and ranges are fixed at
-construction; mobility experiments rebuild it.  Neighbor sets are
+construction; a moved network is a new object.  Neighbor sets are
 pre-computed once, because the election protocol queries them heavily.
 """
 

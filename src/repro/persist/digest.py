@@ -326,7 +326,7 @@ def _digest_runtime(runtime: Any) -> dict[str, str]:
             node_id: _digest_node(node) for node_id, node in runtime.nodes.items()
         },
         "caches": {
-            node_id: _digest_policy(node.store.policy)
+            node_id: _digest_policy(node.cache)
             for node_id, node in runtime.nodes.items()
         },
         "energy": (

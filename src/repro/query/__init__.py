@@ -8,8 +8,6 @@ snapshot mode with the paper's participation and energy accounting.
 
 from repro.query.aggregation_tree import AggregationTree
 from repro.query.ast import Aggregate, Comparison, Query, ValuePredicate
-from repro.query.collection import CollectionOutcome, TagCollection
-from repro.query.continuous import ContinuousQuery, EpochRecord
 from repro.query.coverage import CoverageSeries
 from repro.query.executor import QueryExecutor, QueryResult
 from repro.query.formatting import format_query, format_region
@@ -29,11 +27,8 @@ __all__ = [
     "Aggregate",
     "AggregationTree",
     "Circle",
-    "CollectionOutcome",
     "Comparison",
-    "ContinuousQuery",
     "CoverageSeries",
-    "EpochRecord",
     "Everywhere",
     "NAMED_REGIONS",
     "Query",
@@ -44,7 +39,6 @@ __all__ = [
     "QuerySyntaxError",
     "Rect",
     "Region",
-    "TagCollection",
     "ValuePredicate",
     "format_query",
     "format_region",

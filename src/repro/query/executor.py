@@ -140,6 +140,8 @@ class QueryExecutor:
         self._trees: Optional[tuple] = None
         #: ``(state key, cover)`` of the last state seen (see :meth:`cover`).
         self._cover: Optional[tuple] = None
+        #: ``(state key, answering set)`` (see :meth:`answering`).
+        self._answering: Optional[tuple] = None
         metrics = runtime.simulator.metrics
         self._executed = metrics.counter("query.executed", labels=("snapshot",))
         self._estimates = metrics.counter("cache.estimate", labels=("outcome",))
@@ -156,7 +158,6 @@ class QueryExecutor:
         sink: Optional[int] = None,
         rounds: Optional[int] = None,
         charge_energy: bool = True,
-        messaged: bool = False,
         tree: Optional[AggregationTree] = None,
     ) -> QueryResult:
         """Run ``query`` once and return its result.
@@ -174,13 +175,6 @@ class QueryExecutor:
         charge_energy:
             Whether participants transmit real (energy-charged,
             snoopable) radio messages; disable for pure what-if counts.
-        messaged:
-            Fully message-driven collection: the answer is assembled at
-            the sink from an epoch-slotted TAG round of real radio
-            messages (see :mod:`repro.query.collection`), so message
-            loss and mid-round deaths remove data from the answer.
-            Identical to the default central computation on a lossless
-            radio.  Implies ``charge_energy``.
         tree:
             A pre-built aggregation tree rooted at ``sink`` to reuse
             instead of flooding a fresh one — the serving front-end
@@ -234,21 +228,15 @@ class QueryExecutor:
                 reports.update(bundles[responder])
             routers = tree.routers_for(responders)
 
-            if messaged:
-                reports, aggregate_value = self._collect_messaged(
-                    query, query_id, bundles, tree, n_rounds
+            if charge_energy:
+                self._transmit(
+                    query, query_id, sink, responders, routers, reports,
+                    tree, n_rounds,
                 )
-            else:
-                if charge_energy:
-                    self._transmit(
-                        query, query_id, sink, responders, routers, reports,
-                        tree, n_rounds,
-                    )
-                aggregate_value = None
-                if query.is_aggregate:
-                    aggregate_value = self._aggregate(query.aggregate, reports)
-            if messaged or charge_energy:
-                self._hand_off(bundles if messaged else responders)
+                self._hand_off(responders)
+            aggregate_value = None
+            if query.is_aggregate:
+                aggregate_value = self._aggregate(query.aggregate, reports)
 
             result = QueryResult(
                 query=query,
@@ -293,12 +281,7 @@ class QueryExecutor:
         runtime = self.runtime
         prefer: frozenset[int] = frozenset()
         if use_snapshot and self.prefer_representative_routing:
-            nodes = runtime.nodes
-            prefer = frozenset(
-                node_id
-                for node_id in runtime.alive_ids()
-                if nodes[node_id].mode is not NodeMode.PASSIVE
-            )
+            prefer = self.answering()
         topology = runtime.topology
         loss_model = runtime.radio.loss_model
         memo = None
@@ -395,6 +378,16 @@ class QueryExecutor:
             self._cover = (key, (*ids, xy[0::2], xy[1::2]))
         return self._cover[1]
 
+    def answering(self) -> frozenset[int]:
+        """The nodes that answer snapshot queries: the owners of the
+        :meth:`cover`'s own-location rows (alive and not PASSIVE),
+        memoized with it.  Representative routing prefers them."""
+        key = self.runtime.state_key()
+        if self._answering is None or self._answering[0] != key:
+            owners, subjects = self.cover()[:2]
+            self._answering = (key, frozenset(owners[owners == subjects].tolist()))
+        return self._answering[1]
+
     def _snapshot_bundles(
         self, query: Query, tree: AggregationTree
     ) -> dict[int, dict[int, tuple[float, bool]]]:
@@ -421,7 +414,7 @@ class QueryExecutor:
                 continue
             node = nodes[owner]
             own_value = node.value_fn()
-            estimate_of = node.store.estimate
+            estimate_of = node.cache.estimate
             bundle: dict[int, tuple[float, bool]] = {}
             for _, subject in group:
                 if subject == owner:
@@ -442,31 +435,6 @@ class QueryExecutor:
         if misses:
             self._estimates.inc_by("miss", misses)
         return bundles
-
-    def _collect_messaged(
-        self,
-        query: Query,
-        query_id: int,
-        bundles: dict[int, dict[int, tuple[float, bool]]],
-        tree: AggregationTree,
-        n_rounds: int,
-    ) -> tuple[dict[int, tuple[float, bool]], Optional[float]]:
-        """Run ``n_rounds`` epoch-slotted TAG rounds of real messages.
-
-        Returns the reports that reached the sink in the *last* round
-        and the aggregate assembled from its delivered partials.
-        """
-        from repro.query.collection import TagCollection
-
-        delivered: dict[int, tuple[float, bool]] = {}
-        aggregate_value: Optional[float] = None
-        for _ in range(n_rounds):
-            outcome = TagCollection(
-                self.runtime, tree, query, query_id, bundles
-            ).run()
-            delivered = outcome.delivered_reports
-            aggregate_value = outcome.aggregate_value
-        return delivered, aggregate_value
 
     # ------------------------------------------------------------------
     # transmission + aggregation

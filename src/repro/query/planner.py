@@ -141,7 +141,7 @@ class QueryPlanner:
         self.executor = executor if executor is not None else QueryExecutor(runtime)
         self.multi = multi
         #: ``(topology, mean hops)`` of the last topology seen: ranges are
-        #: fixed at construction, and mobility installs a new object.
+        #: fixed at construction, and a moved network is a new object.
         self._hops: Optional[tuple[Topology, float]] = None
 
     # ------------------------------------------------------------------

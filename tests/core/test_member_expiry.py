@@ -8,7 +8,6 @@ from repro.core.protocol import MemberInfo
 from repro.core.runtime import SnapshotRuntime
 from repro.core.status import NodeMode
 from repro.data.series import Dataset
-from repro.network.mobility import RandomWaypoint, apply_mobility
 from repro.network.topology import Topology
 
 
@@ -95,28 +94,3 @@ class TestExpiryMechanics:
         runtime.advance_to(50.0)
         assert node.expire_stale_members(max_silence=1.0) == []
 
-
-class TestExpiryUnderMobility:
-    def test_mobile_network_sheds_stale_claims(self):
-        """With expiry enabled, a drifting network keeps its spurious
-        claim count bounded instead of accumulating them forever."""
-        base = np.linspace(0.0, 30.0, 2500)
-        values = np.stack([base + 0.4 * i for i in range(12)])
-        dataset = Dataset(values)
-        topology = Topology(
-            [(0.2 + 0.05 * i, 0.5) for i in range(12)], ranges=0.2
-        )
-        runtime = SnapshotRuntime(
-            topology, dataset,
-            ProtocolConfig(
-                threshold=5.0, heartbeat_period=10.0, member_expiry_periods=3.0
-            ),
-            seed=13,
-        )
-        runtime.train(duration=10)
-        runtime.run_election()
-        runtime.start_maintenance()
-        apply_mobility(runtime, RandomWaypoint(speed=0.01), period=5.0)
-        runtime.advance_to(runtime.now + 600)
-        audit = runtime.snapshot().audit()
-        assert len(audit.stale_claims) <= 4

@@ -10,7 +10,7 @@ produces the candidate lists
 
 and whose refinement cascade ends with representatives {N3, N4, N7}:
 N4 representing {N1, N2, N5}, N3 representing {N6}, N7 representing
-{N8}.  We pin the candidate lists by scripting each node's model store
+{N8}.  We pin the candidate lists by scripting each node's cache
 and assert both the initial selection (Figure 3) and the final
 refinement outcome (Figure 4), including the intermediate rule firings
 the paper narrates.
@@ -44,19 +44,18 @@ CAN_REPRESENT = {
 }
 
 
-class ScriptedStore:
-    """A model store whose representability answers are fixed."""
+class ScriptedCache:
+    """A cache whose estimates fix the representability answers: every
+    node reads 0.0, so an estimate of 0.0 is within ``threshold=1.0``
+    and a missing model never is."""
 
     def __init__(self, node_id: int) -> None:
         self._can = CAN_REPRESENT[node_id]
 
-    def can_represent(self, neighbor_id, neighbor_value, own_value, metric, threshold):
-        return neighbor_id in self._can
-
-    def estimate(self, neighbor_id, own_value, measurement_id=0):
+    def estimate(self, neighbor_id, own_value):
         return 0.0 if neighbor_id in self._can else None
 
-    def record(self, neighbor_id, own_value, neighbor_value, measurement_id=0):
+    def observe(self, neighbor_id, own_value, neighbor_value):
         return "append"
 
 
@@ -72,7 +71,7 @@ def election():
         node_id: ProtocolNode(
             node_id=node_id,
             radio=radio,
-            store=ScriptedStore(node_id),
+            cache=ScriptedCache(node_id),
             config=config,
             value_fn=lambda: 0.0,
             location=topology.position(node_id),

@@ -15,7 +15,6 @@ from repro.core.protocol import MemberInfo, ProtocolNode
 from repro.core.status import NodeMode
 from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.estimator import NeighborModelStore
 from repro.network.messages import (
     Accept,
     CandidateList,
@@ -37,9 +36,8 @@ def make_cluster(n: int = 4, battery_capacity=None, **config_overrides):
     config = ProtocolConfig(threshold=10.0, **config_overrides)
     nodes = {}
     for node_id in range(n):
-        store = NeighborModelStore(ModelAwareCache(BYTES_PER_PAIR * 64))
         nodes[node_id] = ProtocolNode(
-            node_id, radio, store, config,
+            node_id, radio, ModelAwareCache(BYTES_PER_PAIR * 64), config,
             value_fn=lambda nid=node_id: float(nid),
             location=topology.position(node_id),
         )
@@ -49,7 +47,7 @@ def make_cluster(n: int = 4, battery_capacity=None, **config_overrides):
 def teach(nodes, learner: int, subject: int) -> None:
     """Give ``learner`` a usable model of ``subject`` (constant value)."""
     for x in (0.0, 1.0):
-        nodes[learner].store.record(subject, x, float(subject))
+        nodes[learner].cache.observe(subject, x, float(subject))
 
 
 class TestOfferBatching:
@@ -155,9 +153,9 @@ class TestHeartbeatSemantics:
         rep = nodes[0]
         rep.mode = NodeMode.ACTIVE
         rep.represented[1] = MemberInfo((0.1, 0.0), 0.0)
-        assert rep.store.model(1) is None
+        assert rep.cache.model(1) is None
         rep._on_message(Heartbeat(sender=1, target=0, value=7.5), False)
-        assert rep.store.model(1) is not None
+        assert rep.cache.model(1) is not None
         # the cache-maintenance CPU charge was applied
         assert radio.ledger._cells[(0, "cpu")] == pytest.approx(0.1)
 

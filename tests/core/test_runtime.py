@@ -66,7 +66,7 @@ class TestTraining:
         runtime.train(duration=10)
         # every node heard every other node's ten broadcasts
         for node in runtime.nodes.values():
-            known = node.store.known_neighbors()
+            known = node.cache.known_neighbors()
             assert len(known) == 7
 
     def test_training_advances_clock(self):

@@ -1,82 +1,70 @@
-"""Tests for the per-node model store facade."""
+"""Estimating a neighbor: the cache policy's models and the §3 test.
+
+A node estimates ``x̂_j`` straight from its cache policy, and
+``ProtocolNode.can_represent`` tests ``d(x_j, x̂_j) <= T`` on it.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.config import ProtocolConfig
+from repro.core.protocol import ProtocolNode
 from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.estimator import NeighborModelStore
 from repro.models.metrics import SumSquaredError
+from repro.network.radio import Radio
+from repro.network.topology import Topology
+from repro.simulation.engine import Simulator
 
 
-def make_store(pairs: int = 16, n_measurements: int = 1) -> NeighborModelStore:
-    return NeighborModelStore(
-        ModelAwareCache(BYTES_PER_PAIR * pairs), n_measurements=n_measurements
+def make_cache(pairs: int = 16) -> ModelAwareCache:
+    return ModelAwareCache(BYTES_PER_PAIR * pairs)
+
+
+def make_node(threshold: float) -> ProtocolNode:
+    """A lone protocol node under the SSE metric at ``threshold``."""
+    simulator = Simulator(seed=0)
+    topology = Topology([(0.0, 0.0)], ranges=1.0)
+    radio = Radio(simulator, topology)
+    radio.populate()
+    config = ProtocolConfig(threshold=threshold, metric=SumSquaredError())
+    return ProtocolNode(
+        0, radio, make_cache(), config, value_fn=lambda: 0.0, location=(0.0, 0.0)
     )
 
 
 class TestEstimation:
     def test_no_history_no_estimate(self):
-        store = make_store()
-        assert store.estimate(3, own_value=1.0) is None
-        assert store.model(3) is None
+        cache = make_cache()
+        assert cache.estimate(3, own_value=1.0) is None
+        assert cache.model(3) is None
 
     def test_linear_neighbor_estimated(self):
-        store = make_store()
+        cache = make_cache()
         for x in range(5):
-            store.record(3, own_value=float(x), neighbor_value=2.0 * x + 1.0)
-        assert store.estimate(3, own_value=10.0) == pytest.approx(21.0)
+            cache.observe(3, own_value=float(x), neighbor_value=2.0 * x + 1.0)
+        assert cache.estimate(3, own_value=10.0) == pytest.approx(21.0)
 
     def test_can_represent_uses_metric_and_threshold(self):
-        store = make_store()
-        metric = SumSquaredError()
+        node = make_node(threshold=0.01)
         for x in range(5):
-            store.record(3, float(x), 2.0 * x)
-        assert store.can_represent(3, neighbor_value=20.0, own_value=10.0,
-                                   metric=metric, threshold=0.01)
-        assert not store.can_represent(3, neighbor_value=25.0, own_value=10.0,
-                                       metric=metric, threshold=0.01)
+            node.cache.observe(3, float(x), 2.0 * x)
+        assert node.can_represent(3, neighbor_value=20.0, own_value=10.0)
+        assert not node.can_represent(3, neighbor_value=25.0, own_value=10.0)
 
     def test_can_represent_false_without_model(self):
-        store = make_store()
-        assert not store.can_represent(
-            9, 1.0, 1.0, metric=SumSquaredError(), threshold=1e9
-        )
+        node = make_node(threshold=1e9)
+        assert not node.can_represent(9, 1.0, 1.0)
 
     def test_known_neighbors(self):
-        store = make_store()
-        store.record(5, 0.0, 1.0)
-        store.record(2, 0.0, 1.0)
-        assert store.known_neighbors() == [2, 5]
+        cache = make_cache()
+        cache.observe(5, 0.0, 1.0)
+        cache.observe(2, 0.0, 1.0)
+        assert cache.known_neighbors() == [2, 5]
 
     def test_forget(self):
-        store = make_store()
-        store.record(5, 0.0, 1.0)
-        store.forget(5)
-        assert store.estimate(5, 0.0) is None
-
-
-class TestMultiMeasurement:
-    def test_measurements_keyed_separately(self):
-        store = make_store(n_measurements=2)
-        for x in range(4):
-            store.record(1, float(x), 10.0 + x, measurement_id=0)
-            store.record(1, float(x), -5.0 * x, measurement_id=1)
-        assert store.estimate(1, 2.0, measurement_id=0) == pytest.approx(12.0)
-        assert store.estimate(1, 2.0, measurement_id=1) == pytest.approx(-10.0)
-
-    def test_out_of_range_measurement_rejected(self):
-        store = make_store(n_measurements=2)
-        with pytest.raises(ValueError):
-            store.record(1, 0.0, 1.0, measurement_id=2)
-
-    def test_known_neighbors_filters_by_measurement(self):
-        store = make_store(n_measurements=2)
-        store.record(4, 0.0, 1.0, measurement_id=1)
-        assert store.known_neighbors(measurement_id=0) == []
-        assert store.known_neighbors(measurement_id=1) == [4]
-
-    def test_invalid_n_measurements(self):
-        with pytest.raises(ValueError):
-            NeighborModelStore(ModelAwareCache(64), n_measurements=0)
+        cache = make_cache()
+        cache.observe(5, 0.0, 1.0)
+        cache.forget(5)
+        assert cache.estimate(5, 0.0) is None

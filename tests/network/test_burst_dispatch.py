@@ -15,7 +15,8 @@ naming the first divergent component when they do not, over:
 * finite batteries with a nonzero receive cost, so receivers die in the
   middle of a burst;
 * a crash/revive chaos schedule;
-* message-driven query collection, whose rounds attach per-device
+* message-driven query collection (the TAG oracle of
+  ``tests/query/tag_oracle.py``), whose rounds attach per-device
   handlers next to the protocol;
 * a free transmit, so the ledger holds ``0.0`` cells;
 * addressed bursts whose target is dead on arrival, has no protocol,
@@ -42,7 +43,6 @@ from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
 from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.estimator import NeighborModelStore
 from repro.network import radio as radio_module
 from repro.network.links import GlobalLoss
 from repro.network.messages import DataReport, Heartbeat
@@ -51,6 +51,7 @@ from repro.obs.registry import CounterMetric
 from repro.persist import RoundDigestRecorder
 from repro.query.ast import Aggregate, Query
 from repro.query.executor import QueryExecutor
+from tests.query.tag_oracle import collect
 from repro.query.spatial import random_square
 from repro.simulation.engine import Simulator
 
@@ -158,8 +159,9 @@ def build(seed, loss=0.0, battery=None, receive=0.0, reference=False, transmit=1
 
 
 def _messaged(aggregate):
-    """A query collected by TAG rounds of real messages (see
-    ``query.collection``): its handlers ride each tree member's device."""
+    """A query collected by TAG rounds of real messages (the oracle of
+    ``tests/query/tag_oracle.py``): its handlers ride each tree member's
+    device."""
 
     def step(runtime):
         executor = QueryExecutor(runtime)
@@ -170,10 +172,11 @@ def _messaged(aggregate):
             use_snapshot=True,
         )
         try:
-            result = executor.execute(query, messaged=True)
+            outcome = collect(executor, query)
         except RuntimeError:
             return  # every node dead — still a trajectory to compare
-        runtime.collected = getattr(runtime, "collected", 0) + len(result.reports)
+        delivered = len(outcome.delivered_reports)
+        runtime.collected = getattr(runtime, "collected", 0) + delivered
 
     return step
 
@@ -329,7 +332,7 @@ def cluster(reference: bool):
         ProtocolNode(
             node_id,
             radio,
-            NeighborModelStore(ModelAwareCache(BYTES_PER_PAIR * 64)),
+            ModelAwareCache(BYTES_PER_PAIR * 64),
             config,
             value_fn=lambda nid=node_id: float(nid),
             location=topology.position(node_id),

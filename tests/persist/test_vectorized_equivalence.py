@@ -54,7 +54,7 @@ def test_vectorized_cache_resumes_bit_identically(loss, tmp_path):
         resumed = load_checkpoint(path)
         assert resumed.state_digest().whole == saved.whole
         # the restored policy still runs as a lane of the shared fleet
-        policy = resumed.nodes[0].store.policy
+        policy = resumed.nodes[0].cache
         assert policy._fleet is not None
         assert policy._fleet is resumed.observation_router.fleet
         for step in SCRIPT[cut:]:

@@ -1,24 +1,23 @@
-"""Message-driven, epoch-slotted TAG collection.
+"""The reference oracle of query collection: message-driven TAG rounds.
 
-The default executor computes a query's answer centrally and charges
-the radio for the implied messages — exact for lossless runs (all of
-§6's query experiments) and fast.  This module is the fully faithful
-alternative: the answer is assembled *from the messages that actually
-arrive*, using TAG's slotted schedule (Madden et al., the paper's
-[11]):
+``QueryExecutor`` computes a query's answer centrally and charges the
+radio for the messages it implies: one partial aggregate per
+participant, or one report bundle per responder per hop.  This oracle
+assembles the answer *from the messages that actually arrive*, using
+TAG's slotted schedule (Madden et al., the paper's [11]):
 
 * nodes are scheduled by tree depth, deepest first;
 * at its slot, a node merges its own readings with the partials its
   children delivered, and transmits one message to its parent
-  (aggregates) or forwards the buffered report bundles (drill-through);
-* the sink's slot closes the round; whatever never arrived — dropped by
-  ``P_loss``, stranded by a mid-round death — is simply missing from
-  the answer.
+  (aggregates) or forwards the buffered reports (drill-through);
+* the sink's slot closes the round; whatever never arrived, dropped by
+  ``P_loss`` or stranded by a mid-round death, is missing from the
+  answer.
 
-Under a lossless radio the result is identical to the central
-computation (asserted by tests); under loss it degrades exactly the way
-a real TAG round does: losing a partial near the root silences a whole
-subtree.
+Under a lossless radio its answer equals the central computation, and
+so does its transmit energy wherever the two count messages alike
+(``tests/query/test_collection.py``).  Its receive handlers ride the
+devices through ``NetworkNode.attach``, next to the protocol.
 """
 
 from __future__ import annotations
@@ -30,8 +29,9 @@ from typing import Optional
 from repro.network.messages import AggregateReport, DataReport, Message
 from repro.query.aggregation_tree import AggregationTree
 from repro.query.ast import Aggregate, Query
+from repro.query.executor import QueryExecutor
 
-__all__ = ["TagCollection", "CollectionOutcome"]
+__all__ = ["TagCollection", "CollectionOutcome", "collect"]
 
 
 @dataclass
@@ -96,9 +96,8 @@ class TagCollection:
         Tags this round's messages.
     contributions:
         ``origin -> (value, estimated)`` per responder — each
-        responder's own bundle, injected at its tree position.
-    responders:
-        The nodes that contribute; every other tree member only relays.
+        responder's own bundle, injected at its tree position; every
+        other tree member only relays.
     slot:
         Slot width in time units; a node at depth d transmits
         ``(max_depth - d)`` slots after the round starts.
@@ -247,3 +246,33 @@ class TagCollection:
         handler = self._handlers.pop(node_id, None)
         if handler is not None:
             self.runtime.radio.node(node_id).detach(handler)
+
+
+def collect(
+    executor: QueryExecutor, query: Query, sink: Optional[int] = None
+) -> CollectionOutcome:
+    """Answer ``query`` through the oracle instead of the central model.
+
+    The executor picks the sink (a random alive node when ``sink`` is
+    omitted), builds the tree and selects the responders' bundles as
+    ``execute`` does; one TAG round carries them to the sink, and the
+    responders run their energy hand-off.
+    """
+    runtime = executor.runtime
+    if sink is None:
+        alive = runtime.alive_ids()
+        if not alive:
+            raise RuntimeError("no alive node can act as sink")
+        sink = int(alive[executor._rng.integers(0, len(alive))])
+    tree = executor.build_tree(sink, use_snapshot=query.use_snapshot)
+    if query.use_snapshot:
+        bundles = executor._snapshot_bundles(query, tree)
+    else:
+        alive_matching = frozenset(
+            node for node in executor._matching_nodes(query) if runtime.radio.is_alive(node)
+        )
+        bundles = executor._regular_bundles(query, alive_matching, tree)
+    executor._query_counter += 1
+    outcome = TagCollection(runtime, tree, query, executor._query_counter, bundles).run()
+    executor._hand_off(bundles)
+    return outcome

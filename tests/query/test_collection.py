@@ -1,4 +1,10 @@
-"""Tests for message-driven TAG collection (`messaged=True` execution)."""
+"""The central cost model against the message-driven TAG oracle.
+
+``tests/query/tag_oracle.py`` assembles each answer from the messages
+that arrive.  On a lossless radio it must give the central answer, and
+the same transmit energy wherever both count messages alike; under loss
+it degrades the way a TAG round does.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ from repro.network.topology import Topology
 from repro.query.ast import Aggregate, Query
 from repro.query.executor import QueryExecutor
 from repro.query.spatial import Everywhere
+from tests.query.tag_oracle import collect
 
 
 def line_runtime(n: int = 6, loss_model=None, reach: float = 0.2):
@@ -35,9 +42,8 @@ class TestLosslessEquivalence:
         executor = QueryExecutor(runtime)
         query = Query(region=Everywhere())
         central = executor.execute(query, sink=0, charge_energy=False)
-        messaged = executor.execute(query, sink=0, messaged=True)
-        assert messaged.reports == central.reports
-        assert messaged.coverage() == central.coverage()
+        messaged = collect(executor, query, sink=0)
+        assert messaged.delivered_reports == central.reports
 
     @pytest.mark.parametrize(
         "aggregate", [Aggregate.SUM, Aggregate.AVG, Aggregate.MIN,
@@ -48,7 +54,7 @@ class TestLosslessEquivalence:
         executor = QueryExecutor(runtime)
         query = Query(region=Everywhere(), aggregate=aggregate)
         central = executor.execute(query, sink=0, charge_energy=False)
-        messaged = executor.execute(query, sink=0, messaged=True)
+        messaged = collect(executor, query, sink=0)
         assert messaged.aggregate_value == pytest.approx(central.aggregate_value)
 
     def test_snapshot_mode_matches_central(self):
@@ -57,9 +63,9 @@ class TestLosslessEquivalence:
         executor = QueryExecutor(runtime)
         query = Query(region=Everywhere(), use_snapshot=True)
         central = executor.execute(query, sink=0, charge_energy=False)
-        messaged = executor.execute(query, sink=0, messaged=True)
-        assert set(messaged.reports) == set(central.reports)
-        for origin, (value, estimated) in messaged.reports.items():
+        messaged = collect(executor, query, sink=0)
+        assert set(messaged.delivered_reports) == set(central.reports)
+        for origin, (value, estimated) in messaged.delivered_reports.items():
             assert central.reports[origin][0] == pytest.approx(value)
             assert central.reports[origin][1] == estimated
 
@@ -76,23 +82,50 @@ class TestLossyDegradation:
         runtime.radio.loss_model = loss
         executor = QueryExecutor(runtime)
         query = Query(region=Everywhere())
-        result = executor.execute(query, sink=0, messaged=True)
+        outcome = collect(executor, query, sink=0)
         # nodes 1..5 all route through the blocked link
-        assert set(result.reports) == {0}
-        assert result.coverage() < 1.0
+        assert set(outcome.delivered_reports) == {0}
 
     def test_heavy_loss_loses_data_but_not_correctness(self):
         runtime = line_runtime(reach=2.0)
         runtime.radio.loss_model = GlobalLoss(0.5)
         executor = QueryExecutor(runtime)
         query = Query(region=Everywhere(), aggregate=Aggregate.COUNT)
-        result = executor.execute(query, sink=0, messaged=True)
-        assert result.aggregate_value is not None
-        assert 1.0 <= result.aggregate_value <= 6.0
+        outcome = collect(executor, query, sink=0)
+        assert outcome.aggregate_value is not None
+        assert 1.0 <= outcome.aggregate_value <= 6.0
 
     def test_messaged_charges_energy(self):
         runtime = line_runtime()
         executor = QueryExecutor(runtime)
         before = runtime.ledger.total("transmit")
-        executor.execute(Query(region=Everywhere()), sink=0, messaged=True)
+        collect(executor, Query(region=Everywhere()), sink=0)
         assert runtime.ledger.total("transmit") > before
+
+
+def transmit_energy(query: Query, messaged: bool) -> float:
+    """One lossless round at sink 0 of a fresh line (elected for a
+    snapshot query): the transmit energy it costs."""
+    runtime = line_runtime()
+    if query.use_snapshot:
+        runtime.run_election()
+    executor = QueryExecutor(runtime)
+    before = runtime.ledger.total("transmit")
+    if messaged:
+        collect(executor, query, sink=0)
+    else:
+        executor.execute(query, sink=0)
+    return runtime.ledger.total("transmit") - before
+
+
+class TestCostModel:
+    @pytest.mark.parametrize(
+        "aggregate,use_snapshot",
+        [(None, False), (Aggregate.SUM, False), (Aggregate.SUM, True)],
+        ids=["regular-drill-through", "regular-aggregate", "snapshot-aggregate"],
+    )
+    def test_central_transmit_energy_equals_the_oracle(self, aggregate, use_snapshot):
+        query = Query(region=Everywhere(), aggregate=aggregate, use_snapshot=use_snapshot)
+        central = transmit_energy(query, messaged=False)
+        assert central > 0
+        assert central == transmit_energy(query, messaged=True)

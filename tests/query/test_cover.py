@@ -4,8 +4,8 @@
 both the planner's census and the snapshot walk read it.  One planner
 and one executor are reused here across every way the cover changes:
 a device failed and restored by hand, a charged depletion, a
-resignation caused by another executor, a maintenance event, a
-mobility step and a re-election.  After each, their census and
+resignation caused by another executor, a maintenance event and a
+re-election.  After each, their census and
 snapshot bundles equal those of a freshly built planner and executor
 and of the full-scan executor, and ``cache.estimate`` books the same
 hits and misses.
@@ -28,7 +28,6 @@ from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.models.cache_manager import ModelAwareCache
 from repro.models.policy import CachePolicy
 from repro.models.soa import ModelAwareCacheFleet
-from repro.network.mobility import GaussianDrift, apply_mobility
 from repro.network.topology import uniform_random_topology
 from repro.query.aggregation_tree import AggregationTree
 from repro.query.ast import Aggregate, Query
@@ -169,11 +168,6 @@ def test_a_reused_planner_and_executor_follow_every_change():
 
     runtime.start_maintenance()
     step(lambda: runtime.advance_to(runtime.now + 1.0))
-
-    apply_mobility(runtime, GaussianDrift(sigma_per_unit_time=0.05), period=1.0)
-    topology = runtime.topology
-    step(lambda: runtime.advance_to(runtime.now + 1.5))
-    assert runtime.topology is not topology
 
     epoch = runtime.current_epoch
     step(runtime.run_election)

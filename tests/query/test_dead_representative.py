@@ -21,9 +21,7 @@ from repro.data.series import Dataset
 from repro.faults.injector import FaultInjector
 from repro.network.topology import Topology
 from repro.query.ast import Query
-from repro.query.continuous import ContinuousQuery
 from repro.query.executor import QueryExecutor
-from repro.query.parser import parse_query
 from repro.query.spatial import Everywhere
 
 
@@ -110,37 +108,3 @@ class TestSnapshotQueryWithDeadRepresentative:
             1.0 - 1 / len(result.matching_all)
         )
 
-
-class TestContinuousQueryWithDeadSink:
-    def test_all_epochs_complete_when_pinned_sink_dies(self):
-        """A continuous query pinned to a sink that dies mid-run must
-        finish every epoch (falling back to per-epoch alive sinks), not
-        crash out of the executor's sink validation."""
-        runtime = snapshot_runtime()
-        rep, _ = representative_with_members(runtime)
-        executor = QueryExecutor(runtime)
-        query = parse_query(
-            "SELECT loc FROM sensors SAMPLE INTERVAL 5s FOR 20s"
-        )
-        handle = ContinuousQuery(executor, query, sink=rep).start()
-        runtime.advance_to(runtime.now + 7.0)  # epoch 1 done
-        FaultInjector(runtime).crash(rep)
-        runtime.advance_to(runtime.now + 25.0)
-        assert handle.finished
-        assert len(handle.records) == handle.total_epochs
-        # Epochs after the death still produced results.
-        assert all(record.result is not None for record in handle.records)
-
-    def test_epochs_after_sink_death_exclude_dead_node(self):
-        runtime = snapshot_runtime()
-        rep, _ = representative_with_members(runtime)
-        executor = QueryExecutor(runtime)
-        query = parse_query(
-            "SELECT loc FROM sensors SAMPLE INTERVAL 5s FOR 20s"
-        )
-        handle = ContinuousQuery(executor, query, sink=rep).start()
-        runtime.advance_to(runtime.now + 7.0)
-        FaultInjector(runtime).crash(rep)
-        runtime.advance_to(runtime.now + 25.0)
-        for record in handle.records[1:]:
-            assert rep not in record.result.responders

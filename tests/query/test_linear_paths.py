@@ -125,7 +125,9 @@ def test_lossy_flood_matches_per_link_reference(seed, loss, preferring):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize(
-    "loss_model", [PERFECT_LINKS, PerLinkLoss(0.0, {(0, 1): 0.0})], ids=repr
+    "loss_model",
+    [PERFECT_LINKS, PerLinkLoss(0.0, {(0, 1): 0.0})],
+    ids=["perfect", "per-link-zero"],
 )
 def test_lossless_flood_is_a_plain_bfs_that_draws_nothing(seed, loss_model):
     topology, alive, sink, prefer, _ = flood_case(seed)

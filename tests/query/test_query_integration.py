@@ -91,18 +91,18 @@ class TestSnoopingSideChannel:
         runtime = ramp_runtime(snoop=1.0)
         # no training at all: models start empty
         executor = QueryExecutor(runtime)
-        assert runtime.nodes[0].store.model(1) is None
+        assert runtime.nodes[0].cache.model(1) is None
         executor.execute(parse_query("SELECT loc, value FROM sensors"), sink=8)
         runtime.advance_to(runtime.now + 1)  # let the radio deliveries fire
         # node 0 overheard node 1's report and cached the pair
-        assert runtime.nodes[0].store.model(1) is not None
+        assert runtime.nodes[0].cache.model(1) is not None
 
     def test_zero_snoop_probability_learns_nothing(self):
         runtime = ramp_runtime(snoop=0.0)
         executor = QueryExecutor(runtime)
         executor.execute(parse_query("SELECT loc, value FROM sensors"), sink=8)
         runtime.advance_to(runtime.now + 1)
-        assert runtime.nodes[0].store.model(1) is None
+        assert runtime.nodes[0].cache.model(1) is None
 
     def test_partial_snooping_statistics(self):
         runtime = ramp_runtime(snoop=0.3, seed=11)
@@ -111,7 +111,7 @@ class TestSnoopingSideChannel:
             executor.execute(parse_query("SELECT loc, value FROM sensors"), sink=8)
             runtime.advance_to(runtime.now + 1)
         line_lengths = [
-            len(runtime.nodes[0].store.policy.line(j) or [])
+            len(runtime.nodes[0].cache.line(j) or [])
             for j in (1, 2, 3)
         ]
         # roughly 30% of 30 reports each — loose statistical band
@@ -130,7 +130,7 @@ class TestSnoopingSideChannel:
         # or forwarded report: we can't observe that directly, but the
         # runtime must still produce accurate estimates afterwards
         for node in runtime.nodes.values():
-            for neighbor in node.store.known_neighbors():
-                estimate = node.store.estimate(neighbor, node.value_fn())
+            for neighbor in node.cache.known_neighbors():
+                estimate = node.cache.estimate(neighbor, node.value_fn())
                 truth = runtime.value_of(neighbor)
                 assert estimate == pytest.approx(truth, abs=10.0)

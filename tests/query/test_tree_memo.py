@@ -4,7 +4,7 @@ Over a lossless radio the flood draws nothing, so ``build_tree`` keeps
 the trees of one (topology, liveness) state, keyed on the sink and the
 ``prefer`` set.  Every memoized tree is compared here with a fresh
 ``AggregationTree.build`` of the same state: after a crash and a
-revive, after mobility installs a new topology, with representative
+revive, after a new topology is installed, with representative
 routing on, and with an explicit ``alive`` set.  Over a lossy radio
 there is no memo: N builds leave the trees and the ``query`` stream
 exactly where N direct floods leave them.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.status import NodeMode
 from repro.network.links import GlobalLoss
-from repro.network.mobility import GaussianDrift, apply_mobility
+from repro.network.topology import Topology
 from repro.query.aggregation_tree import AggregationTree
 from repro.query.ast import Aggregate, Query
 from repro.query.executor import QueryExecutor
@@ -104,15 +104,21 @@ def test_a_depleted_battery_is_a_new_state():
     assert shape(after) == shape(fresh(runtime, sink))
 
 
-def test_mobility_installs_a_new_topology():
+def test_a_new_topology_is_a_new_state():
+    """The memo keys on the topology object, not only on liveness."""
     runtime = elected()
     executor = QueryExecutor(runtime)
     sink = min(runtime.alive_ids())
-    old_topology = runtime.topology
+    old = runtime.topology
     before = executor.build_tree(sink)
-    apply_mobility(runtime, GaussianDrift(sigma_per_unit_time=0.05), period=1.0)
-    runtime.advance_to(runtime.now + 1.5)
-    assert runtime.topology is not old_topology
+    drift = np.random.default_rng(1).normal(0.0, 0.05, size=(len(old.node_ids), 2))
+    positions = [
+        tuple(np.clip(np.add(old.position(node_id), step), 0.0, 1.0))
+        for node_id, step in zip(old.node_ids, drift)
+    ]
+    runtime.topology = runtime.radio.topology = Topology(
+        positions, [old.range_of(node_id) for node_id in old.node_ids]
+    )
     moved = executor.build_tree(sink)
     assert shape(moved) == shape(fresh(runtime, sink))
     assert shape(moved) != shape(before)
@@ -129,9 +135,12 @@ def test_representative_routing_keys_on_the_prefer_set():
     assert shape(preferring) != shape(plain)
     assert executor.build_tree(sink, use_snapshot=True) is preferring
 
-    # Modes change without any liveness change: a new prefer set.
+    # Modes change without any liveness change: a new prefer set.  A
+    # hand edit moves no part of the state key the prefer set is
+    # memoized on, so the clock marks the new state.
     for node_id in sorted(non_passive(runtime) - {sink}):
         runtime.nodes[node_id].mode = NodeMode.PASSIVE
+    runtime.advance_to(runtime.now + 1.0)
     demoted = executor.build_tree(sink, use_snapshot=True)
     assert demoted is not preferring
     assert shape(demoted) == shape(fresh(runtime, sink, prefer=non_passive(runtime)))

@@ -30,10 +30,6 @@ CASES = {
         {"REPRO_EXAMPLE_QUERIES": "240"},
         "area under coverage curve",
     ),
-    "volatile_deployment.py": (
-        {"REPRO_EXAMPLE_NODES": "30"},
-        "mean coverage",
-    ),
     "weather_monitoring.py": (
         {"REPRO_EXAMPLE_NODES": "40"},
         "tighter thresholds",
