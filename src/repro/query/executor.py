@@ -140,8 +140,6 @@ class QueryExecutor:
         self._trees: Optional[tuple] = None
         #: ``(state key, cover)`` of the last state seen (see :meth:`cover`).
         self._cover: Optional[tuple] = None
-        #: ``(state key, answering set)`` (see :meth:`answering`).
-        self._answering: Optional[tuple] = None
         metrics = runtime.simulator.metrics
         self._executed = metrics.counter("query.executed", labels=("snapshot",))
         self._estimates = metrics.counter("cache.estimate", labels=("outcome",))
@@ -281,7 +279,12 @@ class QueryExecutor:
         runtime = self.runtime
         prefer: frozenset[int] = frozenset()
         if use_snapshot and self.prefer_representative_routing:
-            prefer = self.answering()
+            nodes = runtime.nodes
+            prefer = frozenset(
+                node_id
+                for node_id in runtime.alive_ids()
+                if nodes[node_id].mode is not NodeMode.PASSIVE
+            )
         topology = runtime.topology
         loss_model = runtime.radio.loss_model
         memo = None
@@ -377,16 +380,6 @@ class QueryExecutor:
             ids = (np.fromiter(column, dtype=np.int64, count=n) for column in (owner, subject))
             self._cover = (key, (*ids, xy[0::2], xy[1::2]))
         return self._cover[1]
-
-    def answering(self) -> frozenset[int]:
-        """The nodes that answer snapshot queries: the owners of the
-        :meth:`cover`'s own-location rows (alive and not PASSIVE),
-        memoized with it.  Representative routing prefers them."""
-        key = self.runtime.state_key()
-        if self._answering is None or self._answering[0] != key:
-            owners, subjects = self.cover()[:2]
-            self._answering = (key, frozenset(owners[owners == subjects].tolist()))
-        return self._answering[1]
 
     def _snapshot_bundles(
         self, query: Query, tree: AggregationTree

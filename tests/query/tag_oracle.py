@@ -254,9 +254,10 @@ def collect(
     """Answer ``query`` through the oracle instead of the central model.
 
     The executor picks the sink (a random alive node when ``sink`` is
-    omitted), builds the tree and selects the responders' bundles as
-    ``execute`` does; one TAG round carries them to the sink, and the
-    responders run their energy hand-off.
+    omitted), checks the query's threshold, builds the tree and selects
+    the responders' bundles as ``execute`` does; ``query.rounds`` TAG
+    rounds carry them to the sink, and the responders run their energy
+    hand-off.  The outcome is the last round's.
     """
     runtime = executor.runtime
     if sink is None:
@@ -264,6 +265,7 @@ def collect(
         if not alive:
             raise RuntimeError("no alive node can act as sink")
         sink = int(alive[executor._rng.integers(0, len(alive))])
+    executor._check_threshold_reuse(query)
     tree = executor.build_tree(sink, use_snapshot=query.use_snapshot)
     if query.use_snapshot:
         bundles = executor._snapshot_bundles(query, tree)
@@ -273,6 +275,7 @@ def collect(
         )
         bundles = executor._regular_bundles(query, alive_matching, tree)
     executor._query_counter += 1
-    outcome = TagCollection(runtime, tree, query, executor._query_counter, bundles).run()
+    for _ in range(query.rounds):
+        outcome = TagCollection(runtime, tree, query, executor._query_counter, bundles).run()
     executor._hand_off(bundles)
     return outcome

@@ -129,3 +129,22 @@ class TestCostModel:
         central = transmit_energy(query, messaged=False)
         assert central > 0
         assert central == transmit_energy(query, messaged=True)
+
+    def test_every_round_is_charged(self):
+        """A query sampled over three rounds costs three rounds, in the
+        central model and in the oracle alike."""
+        once = Query(region=Everywhere())
+        thrice = Query(region=Everywhere(), sample_interval=1.0, duration=3.0)
+        assert thrice.rounds == 3
+        central = transmit_energy(thrice, messaged=False)
+        assert central == 3 * transmit_energy(once, messaged=False)
+        assert central == transmit_energy(thrice, messaged=True)
+
+    def test_a_tighter_threshold_is_refused_as_by_execute(self):
+        runtime = line_runtime(reach=2.0)
+        runtime.run_election()
+        query = Query(region=Everywhere(), use_snapshot=True, snapshot_threshold=1.0)
+        with pytest.raises(ValueError, match="tighter"):
+            QueryExecutor(runtime).execute(query, sink=0)
+        with pytest.raises(ValueError, match="tighter"):
+            collect(QueryExecutor(runtime), query, sink=0)

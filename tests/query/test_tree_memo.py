@@ -135,12 +135,9 @@ def test_representative_routing_keys_on_the_prefer_set():
     assert shape(preferring) != shape(plain)
     assert executor.build_tree(sink, use_snapshot=True) is preferring
 
-    # Modes change without any liveness change: a new prefer set.  A
-    # hand edit moves no part of the state key the prefer set is
-    # memoized on, so the clock marks the new state.
+    # Modes change without any liveness change: a new prefer set.
     for node_id in sorted(non_passive(runtime) - {sink}):
         runtime.nodes[node_id].mode = NodeMode.PASSIVE
-    runtime.advance_to(runtime.now + 1.0)
     demoted = executor.build_tree(sink, use_snapshot=True)
     assert demoted is not preferring
     assert shape(demoted) == shape(fresh(runtime, sink, prefer=non_passive(runtime)))
