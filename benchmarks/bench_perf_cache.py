@@ -10,8 +10,9 @@ scalar engine — and two sections:
 * ``matrix`` — neighbors ∈ {4, 8, 16, 32} for the single model-aware
   cache, with round-robin as the per-neighbor-count control;
 * ``fleet`` — the cross-cache numpy engine driving 512 caches in
-  lock-step through ``observe_batch``, the configuration that closes
-  the throughput gap against the single-cache interpreter loop.
+  lock-step through ``observe_lanes`` over every lane, with the dense
+  id table built as ``SnapshotRuntime`` builds it: the entry point the
+  simulator's observation router sweeps.
 
 Scales: ``quick`` streams 20k observations per cell, ``paper`` 100k.
 """
@@ -71,7 +72,7 @@ def throughput(policy, stream) -> float:
 
 
 def fleet_throughput(steps: int) -> float:
-    """Aggregate obs/sec of ``observe_batch`` across FLEET_LANES caches.
+    """Aggregate obs/sec of ``observe_lanes`` across FLEET_LANES caches.
 
     Warm-up fills every lane past its capacity, then the best of
     FLEET_REPS timed passes is reported — the fleet is steady-state by
@@ -86,13 +87,15 @@ def fleet_throughput(steps: int) -> float:
     xs = np.array([[s[t][1] for s in streams] for t in range(steps + warmup)])
     ys = np.array([[s[t][2] for s in streams] for t in range(steps + warmup)])
     fleet = ModelAwareCacheFleet(FLEET_LANES, CACHE_BYTES, max_lines=NEIGHBORS)
+    fleet._ensure_idmap()
+    lanes = np.arange(FLEET_LANES)
     for t in range(warmup):
-        fleet.observe_batch(js[t], xs[t], ys[t])
+        fleet.observe_lanes(lanes, js[t], xs[t], ys[t])
     best = 0.0
     for _ in range(FLEET_REPS):
         start = time.perf_counter()
         for t in range(warmup, steps + warmup):
-            fleet.observe_batch(js[t], xs[t], ys[t])
+            fleet.observe_lanes(lanes, js[t], xs[t], ys[t])
         elapsed = time.perf_counter() - start
         best = max(best, FLEET_LANES * steps / elapsed)
     return best
@@ -140,7 +143,7 @@ def test_bench_cache_observe_throughput(benchmark, report):
             f"{cell['round_robin']:>12,.0f}"
             for neighbors, cell in sorted(matrix.items())
         ),
-        f"  fleet ({FLEET_LANES} caches, observe_batch, best of "
+        f"  fleet ({FLEET_LANES} caches, observe_lanes, best of "
         f"{FLEET_REPS}) {fleet_rate:>12,.0f} obs/sec",
     ]
     report(
@@ -165,8 +168,9 @@ def test_bench_cache_observe_throughput(benchmark, report):
         },
     )
 
-    # The O(1) decision procedure comfortably clears this floor even on
-    # slow CI hardware; the pre-rewrite batch refitting managed ~20k.
+    # O(1) candidate scoring plus an O(lines) victim scan on augment
+    # comfortably clears this floor even on slow CI hardware; the
+    # pre-rewrite batch refitting managed ~20k.
     assert headline["model_aware_2048"] > 40_000
     # The fleet engine is the 3x-the-baseline contract: the pinned
     # pre-SoA BENCH_cache.json measured ~110k ops/sec at this cell.

@@ -93,12 +93,6 @@ class ProtocolConfig:
         the paper's lifetime experiment relies on representatives
         answering for *dead* members indefinitely, so expiry is opt-in
         (``ChaosConfig`` turns it on).
-    observe_node_label:
-        Whether the ``cache.observe`` counter keys each increment by
-        ``(node, action)`` (the default, handy for per-node debugging)
-        or by ``action`` alone.  The per-node key is a label-cardinality
-        footgun at scale — N × |actions| counter cells at N nodes — so
-        large-deployment benches set this to ``False``.
     """
 
     threshold: float = 1.0
@@ -118,7 +112,6 @@ class ProtocolConfig:
     snoop_probability: float = 1.0
     energy_resign_fraction: float = 0.0
     rotation_probability: float = 0.0
-    observe_node_label: bool = True
 
     def __post_init__(self) -> None:
         if self.threshold < 0:

@@ -159,12 +159,8 @@ class ProtocolNode:
         self._reelections_counter = self.simulator.metrics.counter(
             "election.reelections", labels=("node",)
         )
-        # Per-(node, action) cells are a cardinality footgun at large N
-        # (N × |actions| series); ``observe_node_label=False`` collapses
-        # the key to the action alone.
         self._observe_counter = self.simulator.metrics.counter(
-            "cache.observe",
-            labels=("node", "action") if config.observe_node_label else ("action",),
+            "cache.observe", labels=("node", "action")
         )
 
         self.device = radio.node(node_id)
@@ -903,9 +899,7 @@ class ProtocolNode:
     ) -> str:
         """Feed the cache and charge the §6.2 CPU cost for the update."""
         action = self.cache.observe(neighbor_id, own_value, neighbor_value)
-        self._observe_counter.inc(
-            (self.node_id, action) if self.config.observe_node_label else action
-        )
+        self._observe_counter.inc((self.node_id, action))
         if action != Action.REJECT:
             # Admissions (append/shift/augment/newcomer) land on the
             # span timeline; rejects are counted but not timestamped.

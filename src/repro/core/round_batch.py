@@ -90,10 +90,6 @@ class BatchedObservationRouter:
         policy is not fleet-capable (the router then applies every
         sample scalarly — still batched at the same barrier, just
         without the vectorized sweep).
-    node_label:
-        Mirrors ``ProtocolConfig.observe_node_label``: whether the
-        ``cache.observe`` counter keys on ``(node, action)`` or just
-        ``action``.
     """
 
     def __init__(
@@ -101,12 +97,10 @@ class BatchedObservationRouter:
         simulator: "Simulator",
         nodes: dict[int, "ProtocolNode"],
         fleet: Optional[ModelAwareCacheFleet] = None,
-        node_label: bool = True,
     ) -> None:
         self.simulator = simulator
         self.nodes = nodes
         self.fleet = fleet
-        self.node_label = node_label
         #: The pending samples' node ids, in arrival order (``-1`` for a
         #: sample :meth:`sync` consumed); the barrier's truthy
         #: ``pending`` attribute.  ``_neighbors``, ``_owns`` and
@@ -120,8 +114,9 @@ class BatchedObservationRouter:
         # counter already exists by the time the router is built, so
         # nothing new is registered (digested registry rows must match
         # a scalar run, which has no router at all).
-        labels = ("node", "action") if node_label else ("action",)
-        self._counter = simulator.metrics.counter("cache.observe", labels=labels)
+        self._counter = simulator.metrics.counter(
+            "cache.observe", labels=("node", "action")
+        )
         # Node id -> fleet lane (-1: scalar fallback), for the fleet it
         # was read from; rebuilt when the fleet changes (a cache-policy
         # swap binds fresh caches).
@@ -284,8 +279,7 @@ class BatchedObservationRouter:
 
     def _effect(self, node_id: int, neighbor_id: int, action: str) -> None:
         """Scalar-path effects for one sample (used by :meth:`sync`)."""
-        key = (node_id, action) if self.node_label else action
-        self._counter.inc(key)
+        self._counter.inc((node_id, action))
         if action != Action.REJECT:
             self.simulator.spans.instant(
                 "cache.admit", node=node_id, neighbor=neighbor_id, action=action
@@ -304,10 +298,7 @@ class BatchedObservationRouter:
             return
         applied = codes >= 0
         n_codes = len(ACTION_CODES)
-        if self.node_label:
-            keys = id_col[applied] * n_codes + codes[applied]
-        else:
-            keys = codes[applied].astype(np.int64)
+        keys = id_col[applied] * n_codes + codes[applied]
         cells, first, counts = np.unique(keys, return_index=True, return_counts=True)
         touch = np.argsort(first, kind="stable")
         admitted = np.flatnonzero(applied & (codes != ACTION_CODES[Action.REJECT]))
@@ -326,11 +317,8 @@ class BatchedObservationRouter:
         )
         inc_by = self._counter.inc_by
         for key, count in zip(cells[touch].tolist(), counts[touch].tolist()):
-            if self.node_label:
-                node_id, code = divmod(key, n_codes)
-                inc_by((node_id, names[code]), count)
-            else:
-                inc_by(names[key], count)
+            node_id, code = divmod(key, n_codes)
+            inc_by((node_id, names[code]), count)
 
     def __repr__(self) -> str:
         return (

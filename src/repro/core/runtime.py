@@ -173,7 +173,6 @@ class SnapshotRuntime:
             self.simulator,
             self.nodes,
             fleet=self._build_fleet(),
-            node_label=self.config.observe_node_label,
         )
         self.observation_router = router
         self.simulator.observation_barrier = router

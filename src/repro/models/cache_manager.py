@@ -36,10 +36,10 @@ Every candidate is scored from the line's running sufficient statistics
 (:class:`~repro.models.regression.RegressionStats`): ``c_aug`` is the
 stats plus the new pair, the shifted line is ``c_aug`` minus the oldest
 pair, and each fit/sse is a closed form over six sums — the whole
-decision is O(1) with zero list copies.  Victim selection keeps a lazy
-min-heap of ``(penalty, neighbor_id)`` over memoized eviction
-penalties: mutated lines are marked dirty, re-scored in O(1) at the
-next decision, and stale heap entries are discarded on pop.
+decision is O(1) with zero list copies.  Victim selection is a direct
+minimum of ``(penalty, neighbor_id)`` over the cache's lines, O(lines)
+per augment; each :class:`~repro.models.cache.CacheLine` memoizes its
+own penalty until it is mutated.
 
 Correlated data ties constantly (collinear lines score shift and
 augment alike and have zero eviction penalties), so the comparisons
@@ -51,7 +51,6 @@ evict the smaller neighbor id.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator, Optional
 
 from repro.models.cache import TIE_RTOL, CacheLine, PairsView
@@ -73,7 +72,7 @@ class FleetLineView:
     Resolves its row by ``(lane, neighbor_id)`` on every access, so the
     view stays valid across evictions that free or reuse slots, and
     answers the read surface consumers of ``policy.line(j)`` use —
-    ``len``, iteration, ``pairs``, ``oldest``, ``stats``, the fitted
+    ``len``, iteration, ``pairs``, ``stats``, the fitted
     model, benefit and eviction penalty — from the fleet's columns and
     memos, exactly as a scalar :class:`CacheLine` would.  Memo reads
     (fit/benefit/penalty) refresh the fleet's memo columns; memoized
@@ -104,13 +103,6 @@ class FleetLineView:
         """The stored pairs, oldest first (a lazy, read-only view)."""
         r = self._row()
         return PairsView(() if r is None else self._fleet._pairs(r))
-
-    @property
-    def oldest(self) -> tuple[float, float]:
-        r = self._row()
-        if r is None:
-            raise IndexError(f"cache line for neighbor {self.neighbor_id} is empty")
-        return self._fleet._pairs(r)[0]
 
     @property
     def stats(self) -> RegressionStats:
@@ -177,13 +169,6 @@ class ModelAwareCache(CachePolicy):
         #: is lane ``_lane`` of a shared :class:`ModelAwareCacheFleet`.
         self._fleet: Optional[ModelAwareCacheFleet] = None
         self._lane = -1
-        #: Memoized Penalty_Evict per line; absent while a line is dirty.
-        self._penalties: dict[int, float] = {}
-        #: Lazy min-heap of (penalty, neighbor_id); entries whose penalty
-        #: no longer matches the memo are stale and dropped on pop.
-        self._victim_heap: list[tuple[float, int]] = []
-        #: Lines mutated since their penalty was last scored.
-        self._dirty: set[int] = set()
         self._rr_cursor = -1
 
     def bind_fleet(self, fleet: ModelAwareCacheFleet, lane: int) -> None:
@@ -215,12 +200,11 @@ class ModelAwareCache(CachePolicy):
         if self._total_pairs < self.capacity_pairs:
             line = self._line_or_new(neighbor_id)
             self._append_pair(line, *new_pair)
-            self._mark_dirty(neighbor_id)
             self._check_capacity_invariant()
             return Action.APPEND
 
         line = self._lines.get(neighbor_id)
-        if line is None or len(line) == 0:
+        if line is None:
             action = self._admit_newcomer(neighbor_id, new_pair)
             self._check_capacity_invariant()
             return action
@@ -228,15 +212,6 @@ class ModelAwareCache(CachePolicy):
         action = self._decide_full_cache(line, new_pair)
         self._check_capacity_invariant()
         return action
-
-    def forget(self, neighbor_id: int) -> None:
-        """Drop all history for ``neighbor_id`` (e.g. a departed node)."""
-        if self._fleet is not None:
-            self._fleet.forget(self._lane, neighbor_id)
-            return
-        super().forget(neighbor_id)
-        self._penalties.pop(neighbor_id, None)
-        self._dirty.discard(neighbor_id)
 
     # -- fleet-backed read surface -------------------------------------------
 
@@ -280,11 +255,6 @@ class ModelAwareCache(CachePolicy):
         else:
             cursor = self._rr_cursor
         return super().digest_state() + (cursor,)
-
-    def _check_capacity_invariant(self) -> None:
-        assert self.total_pairs <= self.capacity_pairs, (
-            f"cache over budget: {self.total_pairs} > {self.capacity_pairs}"
-        )
 
     # -- the §4 decision procedure ------------------------------------------
 
@@ -352,9 +322,8 @@ class ModelAwareCache(CachePolicy):
         gain_augment = benefit_augment - benefit_shift
         victim = self._cheapest_victim(exclude=neighbor_id, below=gain_augment)
         if victim is not None:
-            self._evict_from(victim)
+            self._evict_oldest_of(victim)
             self._append_pair(line, *new_pair)
-            self._mark_dirty(neighbor_id)
             return Action.AUGMENT
 
         # No affordable victim: time-shifting is still better than
@@ -369,63 +338,27 @@ class ModelAwareCache(CachePolicy):
         # unchanged, so the line is mutated directly.
         line.evict_oldest()
         line.append(*new_pair)
-        self._mark_dirty(line.neighbor_id)
 
     # -- victim selection -----------------------------------------------------
 
-    def _mark_dirty(self, neighbor_id: int) -> None:
-        """Invalidate the memoized penalty after a line mutation."""
-        self._penalties.pop(neighbor_id, None)
-        self._dirty.add(neighbor_id)
-
-    def _refresh_dirty(self) -> None:
-        """Re-score every dirty line (O(1) each) and push fresh heap entries."""
-        if self._dirty:
-            # Sorted so heap layout is independent of set iteration order,
-            # which changes across pickle round-trips (checkpoint/restore).
-            for neighbor_id in sorted(self._dirty):
-                line = self._lines.get(neighbor_id)
-                if line is None or len(line) == 0:
-                    continue
-                penalty = line.eviction_penalty()
-                self._penalties[neighbor_id] = penalty
-                heapq.heappush(self._victim_heap, (penalty, neighbor_id))
-            self._dirty.clear()
-        # Deep stale entries never reach the top on their own; rebuild the
-        # heap from the live memo once they dominate, keeping the heap
-        # O(#lines) and the amortized cost O(1) per mutation.
-        if len(self._victim_heap) > 16 + 4 * len(self._penalties):
-            self._victim_heap = [(p, k) for k, p in self._penalties.items()]
-            heapq.heapify(self._victim_heap)
-
     def _cheapest_victim(self, exclude: int, below: float) -> Optional[int]:
-        """The line with the smallest penalty strictly under ``below``.
+        """The line other than ``exclude`` with the smallest penalty, if
+        that penalty is strictly under ``below``.
 
-        Ties break toward the smaller neighbor id for determinism —
-        guaranteed by the ``(penalty, neighbor_id)`` heap order.
+        Equal penalties break toward the smaller neighbor id (the
+        ``(penalty, neighbor_id)`` order of the tie rule).
         """
-        self._refresh_dirty()
-        heap = self._victim_heap
-        excluded_entries: list[tuple[float, int]] = []
-        victim: Optional[int] = None
-        while heap:
-            penalty, neighbor_id = heap[0]
-            if self._penalties.get(neighbor_id) != penalty:
-                heapq.heappop(heap)  # stale: line mutated or forgotten
-                continue
-            if neighbor_id == exclude:
-                excluded_entries.append(heapq.heappop(heap))
-                continue
-            if penalty < below:
-                victim = neighbor_id
-            break
-        for entry in excluded_entries:
-            heapq.heappush(heap, entry)
-        return victim
-
-    def _evict_from(self, neighbor_id: int) -> None:
-        self._evict_oldest_of(neighbor_id)
-        self._mark_dirty(neighbor_id)
+        best = min(
+            (
+                (line.eviction_penalty(), neighbor_id)
+                for neighbor_id, line in self._lines.items()
+                if neighbor_id != exclude
+            ),
+            default=None,
+        )
+        if best is not None and best[0] < below:
+            return best[1]
+        return None
 
     # -- newcomer handling ------------------------------------------------------
 
@@ -443,16 +376,13 @@ class ModelAwareCache(CachePolicy):
             # Degenerate budget: nothing to evict (no other line holds a
             # pair).  Reject; the invariant wins over admission.
             return Action.REJECT
-        self._evict_from(victim)
+        self._evict_oldest_of(victim)
         line = self._line_or_new(neighbor_id)
         self._append_pair(line, *new_pair)
-        self._mark_dirty(neighbor_id)
         return Action.NEWCOMER
 
     def _next_round_robin_victim(self, exclude: int) -> Optional[int]:
-        candidates = sorted(
-            k for k, line in self._lines.items() if k != exclude and len(line) > 0
-        )
+        candidates = sorted(k for k in self._lines if k != exclude)
         if not candidates:
             return None
         for k in candidates:

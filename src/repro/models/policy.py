@@ -60,7 +60,7 @@ class CachePolicy(abc.ABC):
         """Pairs currently stored across all lines (O(1) running count).
 
         Maintained by the shared mutation helpers (``_append_pair``,
-        ``_evict_oldest_of``, ``forget``); subclasses must mutate lines
+        ``_evict_oldest_of``); subclasses must mutate lines
         through them so ``is_full`` stays a constant-time check on the
         observe hot path.
         """
@@ -92,12 +92,6 @@ class CachePolicy(abc.ABC):
         if model is None:
             return None
         return model.predict(own_value)
-
-    def forget(self, neighbor_id: int) -> None:
-        """Drop all history for ``neighbor_id`` (e.g. a departed node)."""
-        line = self._lines.pop(neighbor_id, None)
-        if line is not None:
-            self._total_pairs -= len(line)
 
     def digest_state(self) -> tuple:
         """The policy's canonical state for digests and equivalence tests.
@@ -137,20 +131,6 @@ class CachePolicy(abc.ABC):
     @abc.abstractmethod
     def observe(self, neighbor_id: int, own_value: float, neighbor_value: float) -> str:
         """Offer a synchronized observation; returns the :class:`Action` taken."""
-
-    def observe_batch(self, neighbor_ids, own_values, neighbor_values) -> list[str]:
-        """Offer one synchronized observation per neighbor; actions in order.
-
-        The base implementation is a plain :meth:`observe` loop —
-        observations within one cache are order-dependent (§4's augment
-        moves pairs across lines), so a single cache cannot fan them
-        out.  Cross-cache batching is where vectorization pays; see
-        :class:`~repro.models.soa.ModelAwareCacheFleet`.
-        """
-        return [
-            self.observe(j, x, y)
-            for j, x, y in zip(neighbor_ids, own_values, neighbor_values)
-        ]
 
     # -- internal helpers ------------------------------------------------------
 

@@ -40,13 +40,6 @@ class RoundRobinCache(CachePolicy):
         self._check_capacity_invariant()
         return Action.SHIFT if evicted else Action.APPEND
 
-    def forget(self, neighbor_id: int) -> None:
-        """Drop all history for ``neighbor_id`` and purge its order entries."""
-        super().forget(neighbor_id)
-        self._insertion_order = deque(
-            j for j in self._insertion_order if j != neighbor_id
-        )
-
     def digest_state(self) -> tuple:
         """Canonical state: the shared line state plus the global FIFO order."""
         return super().digest_state() + (tuple(self._insertion_order),)

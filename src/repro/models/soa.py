@@ -4,10 +4,9 @@
 block of contiguous numpy columns (row = cache × line slot): the six
 RegressionStats sufficient sums ``(n, Σx, Σy, Σx², Σxy, Σy²)``, the
 ring-buffered sample pairs, and the memoized fit/benefit/penalty
-columns with their validity flags.  :meth:`~ModelAwareCacheFleet.observe_batch`
-and :meth:`~ModelAwareCacheFleet.observe_lanes` advance many caches by
-one observation each with the §4 decision procedure evaluated
-lane-parallel.  A :class:`~repro.models.cache_manager.ModelAwareCache`
+columns with their validity flags.  :meth:`~ModelAwareCacheFleet.observe_lanes`
+advances many caches by one observation each with the §4 decision
+procedure evaluated lane-parallel.  A :class:`~repro.models.cache_manager.ModelAwareCache`
 bound to a fleet lane answers its whole API from these columns; an
 unbound one runs the scalar :class:`~repro.models.cache.CacheLine`
 path, which is the reference every fleet decision is tested against
@@ -51,7 +50,7 @@ _DEG = 1e-12  # regression._DEGENERATE_RTOL, inlined on the hot path
 _SYNC = STATS_SYNC_INTERVAL
 
 #: Compact action encoding used by the fleet's vectorized
-#: :meth:`ModelAwareCacheFleet.observe_batch` (int8 per lane instead of
+#: :meth:`ModelAwareCacheFleet.observe_lanes` (int8 per lane instead of
 #: a Python string per cache).  Names match :class:`~repro.models.policy.Action`.
 ACTION_CODES = {"reject": 0, "shift": 1, "augment": 2, "append": 3, "newcomer": 4}
 ACTION_NAMES = {code: name for name, code in ACTION_CODES.items()}
@@ -106,9 +105,9 @@ class ModelAwareCacheFleet:
 
     Row ``c * max_lines + s`` holds slot ``s`` of cache ``c``; all
     columns are contiguous numpy arrays over those rows.  One
-    :meth:`observe_batch` call advances every cache by one observation
-    — lane ``i`` feeds cache ``i`` — with the full-cache decision
-    procedure evaluated vectorized across lanes.  Because the lanes are
+    :meth:`observe_lanes` call advances each listed cache by one
+    observation with the full-cache decision procedure evaluated
+    vectorized across lanes.  Because the lanes are
     *independent caches*, a batch is trivially equivalent to running
     each cache's scalar procedure in sequence: no lane reads or writes
     another lane's rows.  Warm-up appends (a known neighbor of a cache
@@ -161,20 +160,18 @@ class ModelAwareCacheFleet:
         self.total = np.zeros(F, dtype=np.int64)
         self.rr = np.full(F, -1, dtype=np.int64)
         self.slot = [dict() for _ in range(F)]   # id -> slot within cache
-        # Dense id -> slot map: one int32 per (cache, id) enabling the
-        # batched lane dispatch gather of :meth:`observe_batch`; grown
-        # by doubling on demand.  Built lazily on first use — the
-        # sparse :meth:`observe_lanes` dispatch resolves slots through
-        # the per-cache dicts instead, so fleet-backed simulations at
-        # large node counts never pay the F x max_id footprint.
+        # Dense id -> slot map: one int32 per (cache, id), letting
+        # :meth:`observe_lanes` resolve slots with one gather; grown by
+        # doubling on demand.  Built only by :meth:`_ensure_idmap`;
+        # without it slots resolve through the per-cache dicts, so
+        # large deployments never pay the F x max_id footprint.
         self.idcap = 64
         self.idmap: Optional[np.ndarray] = None
-        self._arF = np.arange(F)
 
     def __getstate__(self):
         # The dense idmap is a pure gather cache over the slot dicts;
-        # drop it from checkpoints (it can be 100s of MB at large F)
-        # and rebuild lazily on demand after restore.
+        # drop it from checkpoints (it can be 100s of MB at large F).
+        # A restored fleet resolves slots through the dicts.
         state = self.__dict__.copy()
         state["idmap"] = None
         return state
@@ -494,9 +491,9 @@ class ModelAwareCacheFleet:
     def _ensure_idmap(self) -> None:
         """Build the dense id -> slot gather table from the slot dicts.
 
-        Deferred until :meth:`observe_batch` actually needs it, so
-        sparse-dispatch users (:meth:`observe_lanes`) never allocate
-        the ``F x idcap`` table.
+        ``SnapshotRuntime._build_fleet`` calls it while the ``F x idcap``
+        table stays modest; :meth:`observe_lanes` then gathers slots
+        from it in one vector operation.
         """
         if self.idmap is not None:
             return
@@ -510,40 +507,16 @@ class ModelAwareCacheFleet:
             for j, s in d.items():
                 self.idmap[c, j] = s
 
-    def observe_batch(self, neighbor_ids, own_values, neighbor_values) -> np.ndarray:
-        """Advance every cache by one observation; lane ``i`` → cache ``i``.
-
-        Returns an int8 array of :data:`ACTION_CODES` per lane.  Lanes
-        whose neighbor has no line yet fall back to the scalar per-lane
-        path; everything else — warm-up appends, candidate scoring,
-        victim selection, eviction, append, memo refresh — runs
-        column-wise.
-        """
-        F = self.F
-        js = np.asarray(neighbor_ids, dtype=np.int64)
-        xs = np.asarray(own_values, dtype=np.float64)
-        ys = np.asarray(neighbor_values, dtype=np.float64)
-        if js.shape != (F,) or xs.shape != (F,) or ys.shape != (F,):
-            raise ValueError(
-                f"observe_batch wants one observation per cache "
-                f"(shape ({F},)), got {js.shape}/{xs.shape}/{ys.shape}"
-            )
-        _check_ids(js)
-        self._ensure_idmap()
-        slot = self.idmap[self._arF, np.minimum(js, self.idcap - 1)]
-        slot = np.where(js < self.idcap, slot, -1).astype(np.int64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._observe_lanes(self._arF, js, xs, ys, slot)
-
     def observe_lanes(self, cache_ids, neighbor_ids, own_values, neighbor_values) -> np.ndarray:
         """Advance a *subset* of caches by one observation each.
 
         ``cache_ids`` must be distinct (one observation per cache — a
         cache's decisions are order-dependent, so feeding it twice in
-        one call would race its own column updates).  Slots are
-        resolved through the per-cache dicts, so no dense id table is
-        materialized; otherwise this is exactly :meth:`observe_batch`
-        restricted to the given lanes, bit-for-bit.
+        one call would race its own column updates).  Returns an int8
+        array of :data:`ACTION_CODES` per lane.  A neighbor's first
+        sample takes the scalar per-lane :meth:`observe`; everything
+        else — warm-up appends, candidate scoring, victim selection,
+        eviction, append, memo refresh — runs column-wise.
         """
         cs = np.asarray(cache_ids, dtype=np.int64)
         js = np.asarray(neighbor_ids, dtype=np.int64)
@@ -855,20 +828,6 @@ class ModelAwareCacheFleet:
             grown.reshape(F, new_S, C)[:, :old_S] = col.reshape(F, old_S, C)
             setattr(self, name, grown)
         self.S = new_S
-
-    def forget(self, c: int, j: int) -> None:
-        """Drop all history cache ``c`` holds for neighbor ``j``.
-
-        Mirrors the scalar ``forget``: the line's pairs leave the pair
-        budget and the row is freed; the round-robin cursor is
-        untouched.
-        """
-        r = self._row(c, j)
-        if r is None:
-            return
-        self.total[c] -= int(self.n[r])
-        self.n[r] = 0
-        self._free_row(c, r)
 
     def __repr__(self) -> str:
         return (

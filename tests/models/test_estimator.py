@@ -62,9 +62,3 @@ class TestEstimation:
         cache.observe(5, 0.0, 1.0)
         cache.observe(2, 0.0, 1.0)
         assert cache.known_neighbors() == [2, 5]
-
-    def test_forget(self):
-        cache = make_cache()
-        cache.observe(5, 0.0, 1.0)
-        cache.forget(5)
-        assert cache.estimate(5, 0.0) is None

@@ -1,14 +1,9 @@
-"""Batch parity for cache policies and the fleet's lane sweep.
+"""Batch parity for the fleet's lane sweep.
 
-Two layers of the batched-rounds equivalence argument, pinned at the
-model level:
-
-* ``CachePolicy.observe_batch`` equals the loop of scalar ``observe``
-  calls for *both* policies (within one cache, observations are
-  order-dependent, so the batch is defined as the loop);
-* ``ModelAwareCacheFleet.observe_lanes`` — the kernel the
-  ``BatchedObservationRouter`` sweeps per wave — equals per-lane scalar
-  application, wave order interleaved arbitrarily across lanes.
+The batched-rounds equivalence argument, pinned at the model level:
+``ModelAwareCacheFleet.observe_lanes`` — the kernel the
+``BatchedObservationRouter`` sweeps per wave — equals per-lane scalar
+application, wave order interleaved arbitrarily across lanes.
 """
 
 from __future__ import annotations
@@ -19,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
-from repro.models.round_robin import RoundRobinCache
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
 from tests.models.conftest import bound_lanes
 
@@ -31,24 +25,6 @@ MAX_LINES = 6
 
 _value = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 _sample = st.tuples(st.integers(0, MAX_LINES - 1), _value, _value)
-_stream = st.lists(_sample, min_size=1, max_size=120)
-
-
-@given(stream=_stream)
-@settings(max_examples=40, deadline=None)
-def test_observe_batch_equals_scalar_loop(stream):
-    js = [s[0] for s in stream]
-    xs = [s[1] for s in stream]
-    ys = [s[2] for s in stream]
-    for factory in (
-        lambda: ModelAwareCache(BUDGET),
-        lambda: RoundRobinCache(BUDGET),
-    ):
-        batched, scalar = factory(), factory()
-        got = batched.observe_batch(js, xs, ys)
-        want = [scalar.observe(j, x, y) for j, x, y in stream]
-        assert got == want
-        assert batched.digest_state() == scalar.digest_state()
 
 
 def _fleet_with_twins(n_lanes):

@@ -37,17 +37,6 @@ class TestFifoSemantics:
         assert cache.line(1) is None
         assert cache.known_neighbors() == [2]
 
-    def test_forget_purges_order_queue(self):
-        cache = cache_of(2)
-        cache.observe(1, 0.0, 1.0)
-        cache.observe(2, 0.0, 2.0)
-        cache.forget(1)
-        # the forgotten line's order entry must not be evicted "again"
-        cache.observe(3, 0.0, 3.0)
-        cache.observe(4, 0.0, 4.0)
-        assert cache.total_pairs == 2
-        assert set(cache.known_neighbors()) <= {2, 3, 4}
-
     @given(
         st.lists(
             st.tuples(

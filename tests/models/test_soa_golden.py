@@ -2,7 +2,7 @@
 
 The scalar object-graph path (an unbound ``ModelAwareCache``) and the
 cross-cache numpy fleet (a cache bound to a ``ModelAwareCacheFleet``
-lane, or the fleet driven directly through ``observe_batch``) must make
+lane, or the fleet driven directly through ``observe_lanes``) must make
 the *same decision on every observation* and hold *bit-identical state*
 afterwards — that is the contract that lets the fleet replace the
 reference engine under the pinned trajectory/digest tests.  Cases
@@ -135,23 +135,6 @@ def test_scalar_and_block_agree_on_benefit_penalty_columns():
         assert ls.stats.fit() == lb.stats.fit()
 
 
-def test_forget_matches_across_engines():
-    scalar = ModelAwareCache(BYTES_PER_PAIR * 16)
-    block = fleet_cache(BYTES_PER_PAIR * 16)
-    stream = correlated_stream(600, neighbors=5, seed=23)
-    for step, (j, x, y) in enumerate(stream):
-        assert scalar.observe(j, x, y) == block.observe(j, x, y)
-        if step in (100, 350):
-            scalar.forget(2)
-            block.forget(2)
-            assert canonical_bytes(block_state(block)) == canonical_bytes(
-                block_state(scalar)
-            )
-    assert canonical_bytes(block.digest_state()) == canonical_bytes(
-        scalar.digest_state()
-    )
-
-
 @pytest.mark.parametrize("n_caches,steps,cache_bytes", [(64, 1000, 128)])
 def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
     """Every lane of the fleet replays its scalar reference exactly.
@@ -168,6 +151,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
     fleet = ModelAwareCacheFleet(
         n_caches, cache_bytes, max_lines=8, ring_cap=32
     )
+    fleet._ensure_idmap()
     lanes = bound_lanes(fleet)
     streams = [
         correlated_stream(steps, neighbors=6, seed=1000 + c)
@@ -177,7 +161,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
         js = np.array([streams[c][t][0] for c in range(n_caches)])
         xs = np.array([streams[c][t][1] for c in range(n_caches)])
         ys = np.array([streams[c][t][2] for c in range(n_caches)])
-        codes = fleet.observe_batch(js, xs, ys)
+        codes = fleet.observe_lanes(np.arange(n_caches), js, xs, ys)
         for c in range(n_caches):
             expected = refs[c].observe(int(js[c]), float(xs[c]), float(ys[c]))
             got = ACTION_NAMES[int(codes[c])]
@@ -194,6 +178,7 @@ def test_fleet_ring_growth_preserves_state():
     n_caches = 8
     refs = [ModelAwareCache(512) for _ in range(n_caches)]
     fleet = ModelAwareCacheFleet(n_caches, 512, max_lines=4, ring_cap=4)
+    fleet._ensure_idmap()
     lanes = bound_lanes(fleet)
     streams = [
         correlated_stream(400, neighbors=3, seed=50 + c) for c in range(n_caches)
@@ -203,7 +188,7 @@ def test_fleet_ring_growth_preserves_state():
         js = np.array([streams[c][t][0] for c in range(n_caches)])
         xs = np.array([streams[c][t][1] for c in range(n_caches)])
         ys = np.array([streams[c][t][2] for c in range(n_caches)])
-        codes = fleet.observe_batch(js, xs, ys)
+        codes = fleet.observe_lanes(np.arange(n_caches), js, xs, ys)
         if fleet.C > 4:
             grew = True
         for c in range(n_caches):

@@ -9,7 +9,7 @@ sufficient-sum updates, the centered-moment SSE quantities and the
 benefit/penalty columns agree with the scalar implementation to exact
 float equality, decision-for-decision.  The "block" side is a cache
 bound to a one-lane ``ModelAwareCacheFleet``; the fleet-lane case
-drives the vectorized ``observe_batch`` kernel directly.
+drives the vectorized ``observe_lanes`` kernel directly.
 """
 
 from __future__ import annotations
@@ -108,18 +108,19 @@ def test_resync_boundary_crossing_stays_identical(seed):
 @given(_observations, st.integers(4, 16))
 @settings(max_examples=60, deadline=None)
 def test_fleet_lane_matches_scalar(observations, capacity):
-    """A one-lane fleet driven through observe_batch replays the scalar
+    """A one-lane fleet driven through observe_lanes replays the scalar
     reference exactly (the vectorized kernel, not just the scalar
     fallbacks, once the cache fills)."""
     scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
     fleet = ModelAwareCacheFleet(
         1, BYTES_PER_PAIR * capacity, max_lines=8, ring_cap=8
     )
+    fleet._ensure_idmap()
     lane = ModelAwareCache(BYTES_PER_PAIR * capacity)
     lane.bind_fleet(fleet, 0)  # reads the lane's columns
     for j, x, y in observations:
-        code = fleet.observe_batch(
-            np.array([j]), np.array([x]), np.array([y])
+        code = fleet.observe_lanes(
+            np.arange(1), np.array([j]), np.array([x]), np.array([y])
         )[0]
         assert ACTION_NAMES[int(code)] == scalar.observe(j, x, y)
     assert _state(lane) == _state(scalar)

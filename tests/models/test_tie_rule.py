@@ -9,7 +9,7 @@ neighbor id.  Each stream below sits on one clause, and every case runs
 on all three ways into the cache: an unbound cache (the scalar
 ``CacheLine`` engine), a cache bound to a one-lane
 ``ModelAwareCacheFleet`` (the fleet's per-lane path) and the fleet's
-vectorized ``observe_batch``.
+vectorized lane sweep ``observe_lanes`` (engine id ``observe_batch``).
 
 Line ``0`` is the observed line: ``y = 2x + 1`` at ``x = 1, 2, 3``,
 then ``(4, 9 + δ)``.  In exact arithmetic the three candidates then
@@ -60,8 +60,10 @@ def run(engine: str, lines: dict[int, list], new_pair: tuple[float, float]):
         fleet = ModelAwareCacheFleet(1, cache.cache_bytes)
         cache.bind_fleet(fleet, 0)
         if engine == "observe_batch":
+            fleet._ensure_idmap()
+
             def observe(j, x, y):
-                return ACTION_NAMES[int(fleet.observe_batch([j], [x], [y])[0])]
+                return ACTION_NAMES[int(fleet.observe_lanes([0], [j], [x], [y])[0])]
     for j, pairs in lines.items():
         for x, y in pairs:
             assert observe(j, x, y) == Action.APPEND
@@ -180,11 +182,12 @@ def test_negative_neighbor_ids_are_refused():
     """A negative id would alias another neighbor's slot in the fleet's
     dense id table (``idmap[c, -1]`` is its last column)."""
     fleet = ModelAwareCacheFleet(2, 64, max_lines=4)
+    fleet._ensure_idmap()
     lane = ModelAwareCache(64)
     lane.bind_fleet(fleet, 0)  # reads lane 0's columns
-    fleet.observe_batch([63, 1], [1.0, 1.0], [2.0, 2.0])
+    fleet.observe_lanes([0, 1], [63, 1], [1.0, 1.0], [2.0, 2.0])
     for call in (
-        lambda: fleet.observe_batch([-1, 1], [1.0, 1.0], [2.0, 2.0]),
+        lambda: fleet.observe_lanes([0, 1], [-1, 1], [1.0, 1.0], [2.0, 2.0]),
         lambda: fleet.observe_lanes([0], [-1], [1.0], [2.0]),
         lambda: fleet.observe(0, -1, 1.0, 2.0),
     ):

@@ -76,7 +76,6 @@ class OracleRuntime(SnapshotRuntime):
             self.simulator,
             self.nodes,
             fleet=None,
-            node_label=self.config.observe_node_label,
         )
         self.observation_router = router
         self.simulator.observation_barrier = router

@@ -21,7 +21,6 @@ from functools import partial
 
 import pytest
 
-from repro.core.config import ProtocolConfig
 from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
 from repro.persist import load_checkpoint, save_checkpoint
@@ -197,32 +196,3 @@ def test_batched_barrier_flushes_before_a_read_soon_after_the_burst():
     # Non-vacuity: the read right after the burst found usable models.
     assert any(length for heard in lists.values() for length in heard.values())
 
-
-def test_batched_respects_observe_node_label_knob():
-    """With the cardinality knob off, the runtime and the oracle key the
-    counter by action alone — and still agree cell-for-cell."""
-    import numpy as np
-
-    from repro.data.random_walk import RandomWalkConfig, generate_random_walk
-    from repro.network.topology import uniform_random_topology
-
-    cells = {}
-    for batched in (False, True):
-        rng = np.random.default_rng(2)
-        dataset, _ = generate_random_walk(
-            RandomWalkConfig(n_nodes=10, n_classes=2, length=100), rng
-        )
-        topology = uniform_random_topology(10, 1.5, rng)
-        runtime = (SnapshotRuntime if batched else OracleRuntime)(
-            topology,
-            dataset,
-            ProtocolConfig(observe_node_label=False),
-            seed=2,
-        )
-        runtime.train(duration=5.0)
-        counter = runtime.metrics.counter("cache.observe", labels=("action",))
-        cells[batched] = dict(counter.cells)
-    assert cells[True] == cells[False]
-    assert cells[True], "training must have produced observations"
-    for key in cells[True]:
-        assert isinstance(key, str)  # action-only keys, no node label

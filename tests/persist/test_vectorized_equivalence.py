@@ -96,9 +96,11 @@ def test_fleet_bound_cache_pickle_roundtrip_is_byte_identical():
 
 def test_fleet_pickle_roundtrip_is_byte_identical():
     fleet = ModelAwareCacheFleet(16, 256, max_lines=6, ring_cap=16)
+    fleet._ensure_idmap()
     streams = [_stream(300, 4, 100 + c) for c in range(16)]
     for t in range(200):
-        fleet.observe_batch(
+        fleet.observe_lanes(
+            np.arange(16),
             np.array([streams[c][t][0] for c in range(16)]),
             np.array([streams[c][t][1] for c in range(16)]),
             np.array([streams[c][t][2] for c in range(16)]),
@@ -113,7 +115,11 @@ def test_fleet_pickle_roundtrip_is_byte_identical():
         js = np.array([streams[c][t][0] for c in range(16)])
         xs = np.array([streams[c][t][1] for c in range(16)])
         ys = np.array([streams[c][t][2] for c in range(16)])
-        assert (restored.observe_batch(js, xs, ys) == fleet.observe_batch(js, xs, ys)).all()
+        lanes16 = np.arange(16)
+        assert (
+            restored.observe_lanes(lanes16, js, xs, ys)
+            == fleet.observe_lanes(lanes16, js, xs, ys)
+        ).all()
     for c in range(16):
         assert canonical_bytes(restored_lanes[c].digest_state()) == canonical_bytes(
             lanes[c].digest_state()
