@@ -10,9 +10,8 @@ scalar engine — and two sections:
 * ``matrix`` — neighbors ∈ {4, 8, 16, 32} for the single model-aware
   cache, with round-robin as the per-neighbor-count control;
 * ``fleet`` — the cross-cache numpy engine driving 512 caches in
-  lock-step through ``observe_lanes`` over every lane, with the dense
-  id table built as ``SnapshotRuntime`` builds it: the entry point the
-  simulator's observation router sweeps.
+  lock-step through ``observe_lanes`` over every lane: the entry point
+  the simulator's observation router sweeps.
 
 Scales: ``quick`` streams 20k observations per cell, ``paper`` 100k.
 """
@@ -87,7 +86,6 @@ def fleet_throughput(steps: int) -> float:
     xs = np.array([[s[t][1] for s in streams] for t in range(steps + warmup)])
     ys = np.array([[s[t][2] for s in streams] for t in range(steps + warmup)])
     fleet = ModelAwareCacheFleet(FLEET_LANES, CACHE_BYTES, max_lines=NEIGHBORS)
-    fleet._ensure_idmap()
     lanes = np.arange(FLEET_LANES)
     for t in range(warmup):
         fleet.observe_lanes(lanes, js[t], xs[t], ys[t])

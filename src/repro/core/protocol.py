@@ -801,6 +801,7 @@ class ProtocolNode:
         own_value = self.value_fn()
         # The heartbeat doubles as a model fine-tuning sample (§3).
         self._record_observation(message.sender, own_value, message.value)
+        self.radio.charge_cpu(self.node_id)
         if self.mode is NodeMode.ACTIVE and message.sender in self.represented:
             self.represented[message.sender].last_heard = self.simulator.now
             estimate = self.cache.estimate(message.sender, own_value)
@@ -897,7 +898,11 @@ class ProtocolNode:
     def _record_observation(
         self, neighbor_id: int, own_value: float, neighbor_value: float
     ) -> str:
-        """Feed the cache and charge the §6.2 CPU cost for the update."""
+        """Feed the cache and emit the observation's counter and span.
+
+        The caller charges the §6.2 CPU cost of the update (the batched
+        path charges it when the sample is queued).
+        """
         action = self.cache.observe(neighbor_id, own_value, neighbor_value)
         self._observe_counter.inc((self.node_id, action))
         if action != Action.REJECT:
@@ -906,7 +911,6 @@ class ProtocolNode:
             self.simulator.spans.instant(
                 "cache.admit", node=self.node_id, neighbor=neighbor_id, action=action
             )
-        self.radio.charge_cpu(self.node_id)
         return action
 
     def _cancel_event(self, attribute: str) -> None:
@@ -1007,6 +1011,7 @@ def _burst_data_report(message: DataReport, live, devices) -> None:
         # apply their samples inline.
         for node, own in zip(snoopers, own_values):
             node._record_observation(sender, own, message.value)
+            radio.charge_cpu(node.node_id)
         return
     ids = [node.node_id for node in snoopers]
     router.enqueue_burst(ids, sender, own_values, message.value)

@@ -17,13 +17,13 @@ next event that is not part of the same same-instant delivery burst.
 The batch is four parallel columns in arrival order: ``pending`` (the
 snooper's node id, ``-1`` once :meth:`sync` consumed the sample — the
 tombstone mask), the neighbor's id, the snooper's own value and the
-neighbor's value.  A flush maps the id column through a node → lane
-column and sweeps fleet-backed caches in *waves* through
+neighbor's value.  A node's fleet lane is its id, so with a fleet a
+flush sweeps every live sample in *waves* through
 :meth:`~repro.models.soa.ModelAwareCacheFleet.observe_lanes` — wave *k*
 carries each lane's *k*-th pending sample, so per-lane order (the only
 order the cache state depends on; lanes are independent) is preserved
-exactly.  Everything else falls back to per-node scalar application in
-arrival order.
+exactly.  Without a fleet (round-robin caches, or a test oracle) it
+applies each sample through its node's cache in arrival order.
 
 Equivalence contract — the batched run must be bit-identical to the
 scalar run:
@@ -39,7 +39,8 @@ scalar run:
   the burst (``_on_heartbeat`` records a sample and immediately serves
   an estimate from it) first calls :meth:`sync`, which applies that
   node's pending samples scalarly, in arrival order, with their
-  effects, and tombstones them.
+  effects (``ProtocolNode._record_observation`` without the CPU
+  charge), and tombstones them.
 * **Effects.** The ``cache.observe`` counter and the ``cache.admit``
   span instants are emitted in global arrival order during the flush —
   the counter through one :meth:`~repro.obs.registry.CounterMetric.inc_by`
@@ -86,10 +87,10 @@ class BatchedObservationRouter:
         The protocol nodes by id; the samples' ids resolve here.
     fleet:
         The shared :class:`~repro.models.soa.ModelAwareCacheFleet`
-        backing the deployment's caches, or ``None`` when the cache
-        policy is not fleet-capable (the router then applies every
-        sample scalarly — still batched at the same barrier, just
-        without the vectorized sweep).
+        backing every node's cache, node ``i`` on lane ``i``; or
+        ``None`` when the cache policy is not fleet-capable (the router
+        then applies every sample scalarly — still batched at the same
+        barrier, just without the vectorized sweep).
     """
 
     def __init__(
@@ -117,10 +118,6 @@ class BatchedObservationRouter:
         self._counter = simulator.metrics.counter(
             "cache.observe", labels=("node", "action")
         )
-        # Node id -> fleet lane (-1: scalar fallback), for the fleet it
-        # was read from; rebuilt when the fleet changes (a cache-policy
-        # swap binds fresh caches).
-        self._routed: Optional[ModelAwareCacheFleet] = None
 
     # ------------------------------------------------------------------
     # producer side (delivery handlers)
@@ -158,12 +155,11 @@ class BatchedObservationRouter:
         node_id = node.node_id
         if node_id not in ids:
             return
-        observe = node.cache.observe
         i = ids.index(node_id)
         while True:
-            neighbor_id = self._neighbors[i]
-            action = observe(neighbor_id, self._owns[i], self._values[i])
-            self._effect(node_id, neighbor_id, action)
+            node._record_observation(
+                self._neighbors[i], self._owns[i], self._values[i]
+            )
             ids[i] = -1
             try:
                 i = ids.index(node_id, i + 1)
@@ -190,7 +186,9 @@ class BatchedObservationRouter:
         self.flush()
 
     def flush(self) -> None:
-        """Apply every pending sample and emit its effects."""
+        """Apply every pending sample and emit its effects: one fleet
+        sweep over the live samples, or without a fleet one scalar
+        ``cache.observe`` per sample in arrival order."""
         if not self.pending:
             return
         ids = self.pending
@@ -199,37 +197,22 @@ class BatchedObservationRouter:
         self._pending_time = -1.0
         id_col = np.array(ids, dtype=np.int64)
         codes = np.full(id_col.size, -1, dtype=np.int8)
-        fleet = self.fleet
-        if fleet is None:
-            lanes = np.full(id_col.size, -1, dtype=np.int64)
+        if self.fleet is None:
+            nodes = self.nodes
+            for i, node_id in enumerate(ids):
+                if node_id >= 0:
+                    action = nodes[node_id].cache.observe(
+                        neighbors[i], owns[i], values[i]
+                    )
+                    codes[i] = ACTION_CODES[action]
         else:
-            lane_of = self._route(fleet)
-            lanes = np.where(id_col >= 0, lane_of[id_col], -1)
-        rows = np.flatnonzero(lanes >= 0)
-        scalar = (id_col >= 0) & (lanes < 0)
-        if rows.size == 1:  # one sample: a scalar call beats a sweep
-            scalar[rows], rows = True, rows[:0]
-        nodes = self.nodes
-        for i in np.flatnonzero(scalar).tolist():
-            action = nodes[ids[i]].cache.observe(neighbors[i], owns[i], values[i])
-            codes[i] = ACTION_CODES[action]
-        if rows.size:
-            js = np.array(neighbors, dtype=np.int64)[rows]
-            xs = np.array(owns, dtype=np.float64)[rows]
-            ys = np.array(values, dtype=np.float64)[rows]
-            self._flush_fleet(codes, rows, lanes[rows], js, xs, ys)
+            rows = np.flatnonzero(id_col >= 0)
+            if rows.size:
+                js = np.array(neighbors, dtype=np.int64)[rows]
+                xs = np.array(owns, dtype=np.float64)[rows]
+                ys = np.array(values, dtype=np.float64)[rows]
+                self._flush_fleet(codes, rows, id_col[rows], js, xs, ys)
         self._emit(id_col, neighbors, codes)
-
-    def _route(self, fleet: ModelAwareCacheFleet) -> np.ndarray:
-        """The node id -> lane column for ``fleet``."""
-        if self._routed is not fleet:
-            lanes = np.full(max(self.nodes, default=-1) + 1, -1, dtype=np.int64)
-            for node_id, node in self.nodes.items():
-                cache = node.cache
-                if getattr(cache, "_fleet", None) is fleet:
-                    lanes[node_id] = cache._lane
-            self._routed, self._lanes = fleet, lanes
-        return self._lanes
 
     def _flush_fleet(
         self,
@@ -274,16 +257,8 @@ class BatchedObservationRouter:
         codes[rows[perm]] = swept
 
     # ------------------------------------------------------------------
-    # effects (identical to ProtocolNode._record_observation's)
+    # effects (those of ProtocolNode._record_observation, in bulk)
     # ------------------------------------------------------------------
-
-    def _effect(self, node_id: int, neighbor_id: int, action: str) -> None:
-        """Scalar-path effects for one sample (used by :meth:`sync`)."""
-        self._counter.inc((node_id, action))
-        if action != Action.REJECT:
-            self.simulator.spans.instant(
-                "cache.admit", node=node_id, neighbor=neighbor_id, action=action
-            )
 
     def _emit(self, id_col: np.ndarray, neighbors: list[int], codes: np.ndarray) -> None:
         """Emit counter/span effects for a flushed batch in arrival order.

@@ -190,7 +190,8 @@ class SnapshotRuntime:
         )
 
     def _build_fleet(self) -> Optional[ModelAwareCacheFleet]:
-        """A shared cache fleet with one lane per node, if the policy allows.
+        """A shared cache fleet with lane ``node_id`` per node, if the
+        policy allows.
 
         Every cache must be an empty
         :class:`~repro.models.cache_manager.ModelAwareCache` on a single
@@ -199,7 +200,8 @@ class SnapshotRuntime:
         returns ``None``: the caches stay unbound on the scalar engine
         and the observation router applies their samples scalarly —
         still batched at the same barrier, just without the vectorized
-        sweep.  Lane order is ascending node id.
+        sweep.  Node ids are ``0..N-1`` (``topology.node_ids``), so a
+        node's id is its lane and the router needs no lane table.
         """
         policies = []
         for node_id in sorted(self.nodes):
@@ -222,14 +224,8 @@ class SnapshotRuntime:
         fleet = ModelAwareCacheFleet(
             len(policies), cache_bytes, max_lines=lines, ring_cap=8
         )
-        for lane, policy in enumerate(policies):
-            policy.bind_fleet(fleet, lane)
-        # Materialize the dense id -> slot gather table while its
-        # eventual F x n_nodes footprint stays modest (int32 entries;
-        # the 32M-entry gate is ~128 MB).  Above that, observe_lanes
-        # resolves slots through the per-cache dicts instead.
-        if len(policies) * len(self.nodes) <= 32_000_000:
-            fleet._ensure_idmap()
+        for node_id, policy in enumerate(policies):
+            policy.bind_fleet(fleet, node_id)
         return fleet
 
     def _value_fn(self, node_id: int) -> Callable[[], float]:

@@ -94,8 +94,8 @@ def _snap_penalty(p, scale):
 
 
 def _check_ids(js) -> None:
-    # A negative id would index the dense idmap from its far end and
-    # alias another neighbor's slot.
+    # ``ids`` marks a free slot with -1, so a negative id would match a
+    # free slot and alias an empty row.
     if js.size and js.min() < 0:
         raise ValueError(f"neighbor ids must be non-negative, got {int(js.min())}")
 
@@ -116,8 +116,8 @@ class ModelAwareCacheFleet:
     to the scalar path row-wise.
 
     This is the simulator's production cache engine:
-    ``SnapshotRuntime`` binds every node's ``ModelAwareCache`` to one
-    lane of a shared fleet, and the maintenance rounds'
+    ``SnapshotRuntime`` binds node ``i``'s ``ModelAwareCache`` to lane
+    ``i`` of a shared fleet, and the maintenance rounds'
     ``BatchedObservationRouter`` feeds it through :meth:`observe_lanes`.
     A ``ModelAwareCache`` outside a runtime is unbound and runs the
     scalar ``CacheLine`` reference path instead.
@@ -159,36 +159,16 @@ class ModelAwareCacheFleet:
         self.head = np.zeros(R, dtype=np.int64)
         self.total = np.zeros(F, dtype=np.int64)
         self.rr = np.full(F, -1, dtype=np.int64)
-        self.slot = [dict() for _ in range(F)]   # id -> slot within cache
-        # Dense id -> slot map: one int32 per (cache, id), letting
-        # :meth:`observe_lanes` resolve slots with one gather; grown by
-        # doubling on demand.  Built only by :meth:`_ensure_idmap`;
-        # without it slots resolve through the per-cache dicts, so
-        # large deployments never pay the F x max_id footprint.
-        self.idcap = 64
-        self.idmap: Optional[np.ndarray] = None
-
-    def __getstate__(self):
-        # The dense idmap is a pure gather cache over the slot dicts;
-        # drop it from checkpoints (it can be 100s of MB at large F).
-        # A restored fleet resolves slots through the dicts.
-        state = self.__dict__.copy()
-        state["idmap"] = None
-        return state
+        # id -> slot within cache: the O(1) index of the scalar
+        # :meth:`_row` lookups.  :meth:`observe_lanes` compares against
+        # the ``ids`` column instead.
+        self.slot = [dict() for _ in range(F)]
 
     # -- scalar per-lane operations (first samples, rare paths) --------------
 
     def _row(self, c: int, j: int, make: bool = False) -> Optional[int]:
         s = self.slot[c].get(j)
         if s is None and make:
-            if self.idmap is not None and j >= self.idcap:
-                cap = self.idcap
-                while j >= cap:
-                    cap *= 2
-                grown = np.full((self.F, cap), -1, dtype=np.int32)
-                grown[:, : self.idcap] = self.idmap
-                self.idmap = grown
-                self.idcap = cap
             base = c * self.S
             for k in range(self.S):
                 if self.ids[base + k] < 0:
@@ -210,8 +190,6 @@ class ModelAwareCacheFleet:
                 self._grow_lines(min(2 * self.S, self.capacity_pairs))
                 base = c * self.S
             self.slot[c][j] = s
-            if self.idmap is not None:
-                self.idmap[c, j] = s
             r = base + s
             self.ids[r] = j
             self.n[r] = 0
@@ -225,8 +203,6 @@ class ModelAwareCacheFleet:
     def _free_row(self, c: int, r: int) -> None:
         j = int(self.ids[r])
         del self.slot[c][j]
-        if self.idmap is not None:
-            self.idmap[c, j] = -1
         self.ids[r] = -1
         self.n[r] = 0
 
@@ -488,25 +464,6 @@ class ModelAwareCacheFleet:
 
     # -- the vectorized batch step --------------------------------------------
 
-    def _ensure_idmap(self) -> None:
-        """Build the dense id -> slot gather table from the slot dicts.
-
-        ``SnapshotRuntime._build_fleet`` calls it while the ``F x idcap``
-        table stays modest; :meth:`observe_lanes` then gathers slots
-        from it in one vector operation.
-        """
-        if self.idmap is not None:
-            return
-        cap = self.idcap
-        top = max((max(d) for d in self.slot if d), default=-1)
-        while top >= cap:
-            cap *= 2
-        self.idcap = cap
-        self.idmap = np.full((self.F, cap), -1, dtype=np.int32)
-        for c, d in enumerate(self.slot):
-            for j, s in d.items():
-                self.idmap[c, j] = s
-
     def observe_lanes(self, cache_ids, neighbor_ids, own_values, neighbor_values) -> np.ndarray:
         """Advance a *subset* of caches by one observation each.
 
@@ -528,18 +485,10 @@ class ModelAwareCacheFleet:
                 f"{cs.shape}/{js.shape}/{xs.shape}/{ys.shape}"
             )
         _check_ids(js)
-        if self.idmap is not None:
-            # Dense gather (one vector op) when the id table has been
-            # materialized — see _ensure_idmap / runtime._build_fleet.
-            slot = self.idmap[cs, np.minimum(js, self.idcap - 1)]
-            slot = np.where(js < self.idcap, slot, -1).astype(np.int64)
-        else:
-            slots = self.slot
-            slot = np.fromiter(
-                (slots[c].get(j, -1) for c, j in zip(cs.tolist(), js.tolist())),
-                dtype=np.int64,
-                count=cs.size,
-            )
+        # Each lane's slot: the column of its cache row holding ``j``,
+        # or -1 where none does (free slots hold id -1).
+        hit = self.ids.reshape(self.F, self.S)[cs] == js[:, None]
+        slot = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._observe_lanes(cs, js, xs, ys, slot)
 
@@ -808,8 +757,8 @@ class ModelAwareCacheFleet:
         """Re-lay every row column for ``new_S`` slots per cache.
 
         Occupied slots keep their indices (rows move from stride ``S``
-        to stride ``new_S``), so the per-cache slot dicts and the dense
-        idmap stay valid; the appended slots are empty (``ids == -1``).
+        to stride ``new_S``), so the per-cache slot dicts stay valid;
+        the appended slots are empty (``ids == -1``).
         """
         old_S, F, C = self.S, self.F, self.C
         if new_S <= old_S:

@@ -151,7 +151,6 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
     fleet = ModelAwareCacheFleet(
         n_caches, cache_bytes, max_lines=8, ring_cap=32
     )
-    fleet._ensure_idmap()
     lanes = bound_lanes(fleet)
     streams = [
         correlated_stream(steps, neighbors=6, seed=1000 + c)
@@ -178,7 +177,6 @@ def test_fleet_ring_growth_preserves_state():
     n_caches = 8
     refs = [ModelAwareCache(512) for _ in range(n_caches)]
     fleet = ModelAwareCacheFleet(n_caches, 512, max_lines=4, ring_cap=4)
-    fleet._ensure_idmap()
     lanes = bound_lanes(fleet)
     streams = [
         correlated_stream(400, neighbors=3, seed=50 + c) for c in range(n_caches)

@@ -38,6 +38,18 @@ _observations = st.lists(
     max_size=300,
 )
 
+#: As ``_observations``, but half the neighbor pool sits at 2**40: the
+#: fleet resolves slots without any table indexed by neighbor id.
+_wide_observations = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 4), st.integers(2**40, 2**40 + 4)),
+        _values,
+        _values,
+    ),
+    min_size=1,
+    max_size=300,
+)
+
 
 def _fleet_cache(cache_bytes: int) -> ModelAwareCache:
     """A cache bound to lane 0 of its own one-lane fleet."""
@@ -105,7 +117,7 @@ def test_resync_boundary_crossing_stays_identical(seed):
     assert _state(block) == _state(scalar)
 
 
-@given(_observations, st.integers(4, 16))
+@given(_wide_observations, st.integers(4, 16))
 @settings(max_examples=60, deadline=None)
 def test_fleet_lane_matches_scalar(observations, capacity):
     """A one-lane fleet driven through observe_lanes replays the scalar
@@ -115,7 +127,6 @@ def test_fleet_lane_matches_scalar(observations, capacity):
     fleet = ModelAwareCacheFleet(
         1, BYTES_PER_PAIR * capacity, max_lines=8, ring_cap=8
     )
-    fleet._ensure_idmap()
     lane = ModelAwareCache(BYTES_PER_PAIR * capacity)
     lane.bind_fleet(fleet, 0)  # reads the lane's columns
     for j, x, y in observations:

@@ -60,8 +60,6 @@ def run(engine: str, lines: dict[int, list], new_pair: tuple[float, float]):
         fleet = ModelAwareCacheFleet(1, cache.cache_bytes)
         cache.bind_fleet(fleet, 0)
         if engine == "observe_batch":
-            fleet._ensure_idmap()
-
             def observe(j, x, y):
                 return ACTION_NAMES[int(fleet.observe_lanes([0], [j], [x], [y])[0])]
     for j, pairs in lines.items():
@@ -179,10 +177,9 @@ def test_without_a_victim_shift_must_beat_current_by_more_than_tol(
 
 
 def test_negative_neighbor_ids_are_refused():
-    """A negative id would alias another neighbor's slot in the fleet's
-    dense id table (``idmap[c, -1]`` is its last column)."""
+    """A negative id would match a free slot: the fleet's ``ids``
+    column marks every free slot with ``-1``."""
     fleet = ModelAwareCacheFleet(2, 64, max_lines=4)
-    fleet._ensure_idmap()
     lane = ModelAwareCache(64)
     lane.bind_fleet(fleet, 0)  # reads lane 0's columns
     fleet.observe_lanes([0, 1], [63, 1], [1.0, 1.0], [2.0, 2.0])

@@ -96,7 +96,6 @@ def test_fleet_bound_cache_pickle_roundtrip_is_byte_identical():
 
 def test_fleet_pickle_roundtrip_is_byte_identical():
     fleet = ModelAwareCacheFleet(16, 256, max_lines=6, ring_cap=16)
-    fleet._ensure_idmap()
     streams = [_stream(300, 4, 100 + c) for c in range(16)]
     for t in range(200):
         fleet.observe_lanes(
