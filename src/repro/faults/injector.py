@@ -28,7 +28,7 @@ from repro.faults.plan import (
     NetworkPartition,
     NodeCrash,
 )
-from repro.network.links import LossModel, _sample_deliveries
+from repro.network.links import LossModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.runtime import SnapshotRuntime
@@ -102,12 +102,10 @@ class _FaultOverlayLoss(LossModel):
         rng: np.random.Generator,
     ) -> np.ndarray:
         if self.quiet:
-            # Pass-through preserves the base model's draw order exactly,
-            # so arming an injector perturbs nothing until a fault fires.
+            # Pass-through keeps the base model's own loss_vector (and
+            # its shortcut, if it has one) until a fault fires.
             return self.base.loss_vector(sender, receivers, rng)
-        return _sample_deliveries(
-            [self.loss_probability(sender, receiver) for receiver in receivers], rng
-        )
+        return super().loss_vector(sender, receivers, rng)
 
     def __repr__(self) -> str:
         return (

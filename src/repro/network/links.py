@@ -12,11 +12,13 @@ overrides (for modelling obstacles — the paper's §3 example of a node
 never hearing another due to "an obstacle in their direct path") and a
 distance-proportional model for softer degradation studies.
 
-Loss models expose two equivalent sampling APIs: the scalar
-``delivered(sender, receiver, rng)`` and the vectorized
-``loss_vector(sender, receivers, rng)`` the radio's batched fan-out
-uses — one blocked ``rng.random(k)`` draw per transmission instead of
-``k`` scalar calls, consuming the stream draw-for-draw identically.
+A model defines ``loss_probability(sender, receiver)``; sampling has
+one API, ``loss_vector(sender, receivers, rng)``, which the radio's
+fan-out and the query flood (``query.aggregation_tree``) both call once
+per transmission.  It draws one uniform per link whose loss probability
+is strictly inside ``(0, 1)``, in receiver order, as one blocked
+``rng.random(k)`` call.  :class:`GlobalLoss` overrides it with a
+shortcut that draws the same numbers.
 """
 
 from __future__ import annotations
@@ -34,16 +36,15 @@ __all__ = ["LossModel", "GlobalLoss", "PerLinkLoss", "DistanceLoss", "PERFECT_LI
 def _sample_deliveries(
     probabilities: Sequence[float], rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized Bernoulli delivery outcomes, draw-for-draw scalar-equivalent.
+    """Bernoulli delivery outcomes for links with loss ``probabilities``.
 
-    The scalar path (:meth:`LossModel.delivered`) consumes one uniform
-    draw per link whose loss probability is strictly inside ``(0, 1)``
-    and none for the degenerate ones, so this kernel draws a single
+    One uniform per link whose loss probability is strictly inside
+    ``(0, 1)`` and none for the degenerate ones, drawn as a single
     ``rng.random(k)`` block over exactly those links, in receiver
     order.  ``numpy``'s ``Generator.random`` produces the identical
     double sequence whether called ``k`` times with size ``None`` or
-    once with size ``k``, which makes the two paths reproduce the same
-    outcomes from the same stream state (pinned by a property test).
+    once with size ``k``, so this consumes the stream as one scalar
+    draw per uncertain link would (pinned by a property test).
     """
     ps = np.asarray(probabilities, dtype=np.float64)
     delivered = ps <= 0.0
@@ -61,23 +62,14 @@ class LossModel(abc.ABC):
     def loss_probability(self, sender: int, receiver: int) -> float:
         """Probability in ``[0, 1]`` that this directed link drops a message."""
 
-    def delivered(self, sender: int, receiver: int, rng: np.random.Generator) -> bool:
-        """Sample one delivery outcome for this directed link."""
-        p = self.loss_probability(sender, receiver)
-        if p <= 0.0:
-            return True
-        if p >= 1.0:
-            return False
-        return rng.random() >= p
-
     @property
     def lossless(self) -> bool:
         """Whether no link can drop a message, so sampling draws nothing.
 
         Derived from the model, never set: a lossless model's
-        ``delivered`` is ``True`` on every link without touching the
-        RNG, which lets callers skip the per-link calls.  The base class
-        answers ``False`` (sample every link), which is always safe.
+        :meth:`loss_vector` is all ``True`` without touching the RNG,
+        which lets callers skip the call.  The base class answers
+        ``False`` (sample every link), which is always safe.
         """
         return False
 
@@ -89,18 +81,11 @@ class LossModel(abc.ABC):
     ) -> np.ndarray:
         """Delivery outcomes for all ``receivers`` of one transmission.
 
-        Returns a boolean array aligned with ``receivers``.  The base
-        implementation is the scalar fallback — it literally calls
-        :meth:`delivered` per receiver, so third-party models that
-        override ``delivered`` (custom RNG usage included) stay
-        correct without knowing about vectorization.  The bundled
-        models override this with a single blocked draw that consumes
-        the stream identically.
+        Returns a boolean array aligned with ``receivers``, sampled from
+        :meth:`loss_probability` by :func:`_sample_deliveries`.
         """
-        return np.fromiter(
-            (self.delivered(sender, receiver, rng) for receiver in receivers),
-            dtype=bool,
-            count=len(receivers),
+        return _sample_deliveries(
+            [self.loss_probability(sender, receiver) for receiver in receivers], rng
         )
 
 
@@ -174,17 +159,6 @@ class PerLinkLoss(LossModel):
     def lossless(self) -> bool:
         return self.base <= 0.0 and not self._lossy_links
 
-    def loss_vector(
-        self,
-        sender: int,
-        receivers: Sequence[int],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        get, base = self.overrides.get, self.base
-        return _sample_deliveries(
-            [get((sender, receiver), base) for receiver in receivers], rng
-        )
-
 
 class DistanceLoss(LossModel):
     """Loss grows linearly with distance up to the sender's range.
@@ -210,19 +184,6 @@ class DistanceLoss(LossModel):
             return 1.0
         fraction = distance / reach if reach > 0 else 1.0
         return self.floor + (self.ceiling - self.floor) * fraction
-
-    def loss_vector(
-        self,
-        sender: int,
-        receivers: Sequence[int],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        # Probabilities come from the scalar formula on purpose: reusing
-        # ``loss_probability`` keeps boundary links (distance == reach)
-        # bit-identical to the scalar path; only the draws are blocked.
-        return _sample_deliveries(
-            [self.loss_probability(sender, receiver) for receiver in receivers], rng
-        )
 
 
 #: Shared lossless model for the paper's ``P_loss = 0`` configurations.

@@ -25,7 +25,7 @@ receivers a handler needs: the target alone for an addressed kind.
 Energy: the sender pays the transmit cost once per transmission (not per
 receiver), receivers pay the receive cost (zero in the paper's
 accounting), and both are booked in the ledger.  Deliveries are
-scheduled ``latency`` time units after the send, so same-instant
+scheduled :data:`LATENCY` time units after the send, so same-instant
 protocol steps observe a consistent global order.
 """
 
@@ -51,6 +51,10 @@ __all__ = ["Radio"]
 #: traffic that "already happened".
 DELIVERY_PRIORITY = -1
 
+#: Propagation delay between a send and its delivery burst, in time
+#: units; small relative to protocol phase spacing.
+LATENCY = 0.001
+
 #: Buckets of the ``net.fanout`` histogram: in-range receivers per
 #: transmission, dead ones included, since liveness is only checked when
 #: the burst is delivered (unit-disk neighborhoods rarely exceed a few
@@ -75,9 +79,6 @@ class Radio:
         Optional message counters (created if omitted).
     ledger:
         Optional energy ledger (created if omitted).
-    latency:
-        Propagation delay between send and delivery, in time units.
-        Must be small relative to protocol phase spacing.
     """
 
     def __init__(
@@ -88,10 +89,7 @@ class Radio:
         cost_model: EnergyCostModel = PAPER_COST_MODEL,
         stats: Optional[MessageStats] = None,
         ledger: Optional[EnergyLedger] = None,
-        latency: float = 0.001,
     ) -> None:
-        if latency < 0:
-            raise ValueError(f"latency must be non-negative, got {latency}")
         self.simulator = simulator
         self.topology = topology
         self.loss_model = loss_model
@@ -103,7 +101,8 @@ class Radio:
         self.stats = stats if stats is not None else MessageStats(registry)
         self.ledger = ledger if ledger is not None else EnergyLedger(registry)
         self._fanout = registry.histogram("net.fanout", FANOUT_BUCKETS)
-        self.latency = latency
+        #: :data:`LATENCY`, kept on the instance for the ``radio`` digest.
+        self.latency = LATENCY
         self._nodes: dict[int, NetworkNode] = {}
         #: Every registered device's liveness byte and energy, by id.
         self.devices = DeviceState(len(topology))
@@ -244,9 +243,9 @@ class Radio:
                 receivers = [rid for rid, ok in zip(receivers, outcomes) if ok]
                 if not receivers:
                     return
-        # Deliveries are never cancelled, so they ride the
-        # allocation-free transient slab instead of an Event handle.
-        self.simulator.schedule_transient(
+        # One Event per transmission, like every other occurrence: the
+        # burst already amortizes the handle over all its receivers.
+        self.simulator.schedule(
             self.latency,
             partial(self._deliver_batch, message, receivers, target),
             label=f"deliver:{message.kind}",

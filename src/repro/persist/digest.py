@@ -186,23 +186,17 @@ def _queue_structure(queue: Any) -> tuple:
     Entries are ``(time, priority, label, descriptor)`` sorted by
     content: the insertion counter and the heap's physical layout are
     representation details, and cancelled handles are excluded
-    outright — the lazy ``_drop_cancelled`` sweep pops them at
-    representation-dependent moments and they can never affect future
-    behavior.  Two queues that will fire the same work therefore digest
-    equal however they were built.
+    outright — the queue drops them lazily, when they reach its head,
+    at representation-dependent moments, and they can never affect
+    future behavior.  Two queues that will fire the same work
+    therefore digest equal however they were built.
     """
     entries = []
-    for entry in queue._heap:
-        time, priority, _key, tail = entry
-        if isinstance(tail, int):  # transient slab slot — never cancellable
-            label = queue._slab_label[tail]
-            descriptor = callback_descriptor(queue._slab_callback[tail])
-        else:
-            if tail.cancelled:
-                continue
-            label = tail.label
-            descriptor = callback_descriptor(tail.callback)
-        entries.append((time, priority, label, descriptor))
+    for time, priority, _key, event in queue._heap:
+        if not event.cancelled:
+            entries.append(
+                (time, priority, event.label, callback_descriptor(event.callback))
+            )
     entries.sort(key=lambda e: (e[0], e[1], canonical_bytes((e[2], e[3]))))
     return tuple(entries)
 

@@ -13,10 +13,13 @@ tree in the first round it hears any re-broadcast.  When several
 same-round parents are heard the tie-break prefers nodes in ``prefer``
 (the §3.1 remark that routing can favor representatives, exercised by
 the routing ablation) and then the smallest id, keeping trees
-deterministic for a given RNG state.  Over a lossless model
+deterministic for a given RNG state.  A lossy flood samples each
+broadcaster's links to its pending (alive, not yet joined) out-neighbors
+with one :meth:`~repro.network.links.LossModel.loss_vector` call, in
+``out_neighbors`` order.  Over a lossless model
 (:attr:`~repro.network.links.LossModel.lossless`) the flood is a plain
-BFS that samples no link: a lossless ``delivered`` draws nothing, so
-the tree and the RNG state are the ones the per-link flood leaves.
+BFS that samples no link: a lossless ``loss_vector`` draws nothing, so
+the tree and the RNG state are the ones the sampled flood leaves.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ class AggregationTree:
         """
         if sink not in alive:
             raise ValueError(f"sink {sink} is not alive")
-        delivered = None if loss_model.lossless else loss_model.delivered
+        lossless = loss_model.lossless
         out_neighbors = topology.out_neighbors
         parents: dict[int, int] = {sink: sink}
         depths: dict[int, int] = {sink: 0}
@@ -107,18 +110,17 @@ class AggregationTree:
             # order, so the first broadcaster heard is the smallest id;
             # a later one replaces it only by being the first preferred
             # one.  A lossy flood samples every pending link in frontier
-            # and neighbor order, as it always has.
+            # and neighbor order.
             heard: dict[int, int] = {}
             for broadcaster in frontier:
-                if delivered is None:
+                if lossless:
                     hearers = pending.intersection(out_neighbors(broadcaster))
                 else:
-                    hearers = [
-                        receiver
-                        for receiver in out_neighbors(broadcaster)
-                        if receiver in pending
-                        and delivered(broadcaster, receiver, rng)
-                    ]
+                    links = [r for r in out_neighbors(broadcaster) if r in pending]
+                    if not links:
+                        continue
+                    outcomes = loss_model.loss_vector(broadcaster, links, rng)
+                    hearers = [r for r, ok in zip(links, outcomes) if ok]
                 if broadcaster in prefer:
                     for receiver in hearers:
                         current = heard.get(receiver)

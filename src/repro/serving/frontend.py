@@ -67,6 +67,12 @@ LATENCY_BUCKETS = (
 #: Buckets of the ``serving.batch_size`` histogram.
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+#: Most requests one dispatch drains (and can share trees across).
+BATCH_MAX = 32
+
+#: LRU bound of the state-keyed result cache.
+CACHE_CAPACITY = 1024
+
 
 class AdmissionRejected(RuntimeError):
     """A query the front door refused to enqueue.
@@ -144,15 +150,12 @@ class QueryFrontEnd:
         ``MultiResolutionSnapshot`` to serve per-query thresholds).
     max_queue:
         Bound of the admission queue; further submits are rejected.
-    batch_max:
-        Most requests one dispatch drains (and can share trees across).
     max_cost:
         Reject queries whose estimated *total* transmissions exceed
         this; ``None`` admits everything the queue can hold.
     cache:
-        Enable the state-keyed result cache.
-    cache_capacity:
-        LRU bound of the cache.
+        Enable the state-keyed result cache (:data:`CACHE_CAPACITY`
+        entries).
     default_sink:
         Sink for submits that name none; the smallest alive id when
         ``None`` — serving needs a *deterministic* default, a random
@@ -168,10 +171,8 @@ class QueryFrontEnd:
         planner: Optional[QueryPlanner] = None,
         *,
         max_queue: int = 256,
-        batch_max: int = 32,
         max_cost: Optional[float] = None,
         cache: bool = True,
-        cache_capacity: int = 1024,
         default_sink: Optional[int] = None,
         charge_energy: bool = True,
     ) -> None:
@@ -179,17 +180,14 @@ class QueryFrontEnd:
 
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
         self.runtime = runtime
         self.planner = planner if planner is not None else QueryPlanner(runtime)
         self.executor: QueryExecutor = self.planner.executor
         self.max_cost = max_cost
-        self.batch_max = batch_max
         self.default_sink = default_sink
         self.charge_energy = charge_energy
         self.cache: Optional[EpochResultCache] = (
-            EpochResultCache(cache_capacity) if cache else None
+            EpochResultCache(CACHE_CAPACITY) if cache else None
         )
         self._queue: "queue.Queue[_Request]" = queue.Queue(maxsize=max_queue)
         # Reentrant so a driver holding it may still call ``submit``.
@@ -358,7 +356,7 @@ class QueryFrontEnd:
                     return
                 continue
             batch = [first]
-            while len(batch) < self.batch_max:
+            while len(batch) < BATCH_MAX:
                 try:
                     batch.append(self._queue.get_nowait())
                 except queue.Empty:

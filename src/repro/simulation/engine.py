@@ -9,6 +9,12 @@ written against:
   maintenance rounds, §5.1 of the paper);
 * ``run()`` / ``run_until(t)`` / ``step()`` drivers.
 
+Every scheduled occurrence, message deliveries included, is an
+:class:`~repro.simulation.events.Event` handle, and :meth:`EventQueue.pop`
+is the one way an event leaves the queue.  Cancelling sets the handle's
+flag (``Simulator.cancel(event)`` and ``event.cancel()`` are the same
+operation); the queue reads liveness from the handles.
+
 The engine is deliberately tiny — the paper's network operates in
 abstract time units and nothing in its evaluation needs process-style
 coroutines — but it is a complete, reusable DES core with cancellation,
@@ -181,31 +187,9 @@ class Simulator:
         event = Event(time=time, callback=callback, label=label, priority=priority)
         return self.queue.push(event)
 
-    def schedule_transient(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        label: str = "",
-        priority: int = 0,
-    ) -> None:
-        """Schedule a fire-and-forget callback ``delay`` units from now.
-
-        No :class:`Event` handle is created, so the occurrence cannot be
-        cancelled — the right shape for the hot high-volume paths
-        (message deliveries) where nothing ever holds a reference.  The
-        entry lands in the queue's slab (see
-        :meth:`EventQueue.push_transient`) and orders exactly as
-        :meth:`schedule` would.
-        """
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        self.queue.push_transient(
-            self.now + delay, callback, priority=priority, label=label
-        )
-
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        self.queue.cancel(event)
+        """Cancel a previously scheduled event (same as ``event.cancel()``)."""
+        event.cancel()
 
     def every(
         self,
@@ -221,31 +205,30 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one event.  Returns ``False`` if the queue is empty."""
+        queue = self.queue
         barrier = self.observation_barrier
-        if not self.queue:
-            if barrier is not None and barrier.pending:
-                barrier.flush()
-            return False
         if barrier is not None and barrier.pending:
             # Flush queued observations before any event that is not
             # part of the same same-instant delivery burst, so every
             # later event observes exactly the cache state the scalar
             # path would have built during the deliveries.
-            barrier.before_event(*self.queue.peek_entry())
-        time, callback, label, slot = self.queue.pop_next()
-        self.clock.advance_to(time)
-        if slot >= 0:
-            # Recycle the transient's slab slot before firing: the
-            # callback and label are already in hand, and releasing
-            # first keeps the slot from leaking if the callback raises.
-            self.queue.release(slot)
+            head = queue.peek()
+            if head is None:
+                barrier.flush()
+                return False
+            barrier.before_event(*head)
+        try:
+            event = queue.pop()
+        except IndexError:
+            return False
+        self.clock.advance_to(event.time)
         profiler = self.profiler
         if profiler is None:
-            callback()
+            event.callback()
         else:
             started = perf_counter()
-            callback()
-            profiler.record(label, perf_counter() - started)
+            event.callback()
+            profiler.record(event.label, perf_counter() - started)
         self._events_processed += 1
         return True
 
@@ -272,8 +255,8 @@ class Simulator:
             raise ValueError(f"cannot run until the past ({time} < {self.now})")
         fired = 0
         while True:
-            next_time = self.queue.peek_time()
-            if next_time is None or next_time > time:
+            head = self.queue.peek()
+            if head is None or head[0] > time:
                 break
             self.step()
             fired += 1

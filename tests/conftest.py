@@ -9,8 +9,25 @@ from repro.core.config import ProtocolConfig
 from repro.core.runtime import SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.data.series import Dataset
+from repro.network.links import LossModel
 from repro.network.topology import Topology, uniform_random_topology
 from repro.simulation.engine import Simulator
+
+
+def scalar_delivered(
+    model: LossModel, sender: int, receiver: int, rng: np.random.Generator
+) -> bool:
+    """One link's delivery outcome, sampled one draw at a time.
+
+    The scalar oracle of :meth:`LossModel.loss_vector`: it draws one
+    uniform only for a loss probability strictly inside ``(0, 1)``.
+    """
+    p = model.loss_probability(sender, receiver)
+    if p <= 0.0:
+        return True
+    if p >= 1.0:
+        return False
+    return bool(rng.random() >= p)
 
 
 @pytest.fixture

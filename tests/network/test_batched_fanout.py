@@ -6,8 +6,8 @@ stream, dead receivers included, and schedules a single delivery event
 for the survivors.  These tests pin what that rests on:
 
 * ``LossModel.loss_vector`` consumes a stream draw-for-draw identically
-  to per-receiver ``delivered`` calls, for every bundled model and the
-  scalar fallback;
+  to per-receiver scalar draws (``scalar_delivered``), for every bundled
+  model and for a model that defines only ``loss_probability``;
 * a dead receiver is booked as ``dropped_dead`` at delivery and changes
   no other receiver's loss outcome and no sender stream's state;
 * ``net.fanout`` counts in-range receivers per transmission, dead ones
@@ -28,11 +28,11 @@ from repro.network.links import (
 from repro.network.messages import Invitation
 from repro.network.radio import FANOUT_BUCKETS, Radio
 from repro.simulation.engine import Simulator
-from tests.conftest import grid_topology
+from tests.conftest import grid_topology, scalar_delivered
 
 
 class _ScalarOnlyLoss(LossModel):
-    """A third-party model that only implements the scalar API."""
+    """A third-party model that defines only ``loss_probability``."""
 
     def __init__(self, probability: float) -> None:
         self.probability = probability
@@ -60,7 +60,7 @@ class TestLossVectorEquivalence:
         receivers = [1, 2, 3, 5, 6, 7, 9, 10]
         scalar_rng = np.random.default_rng(seed)
         vector_rng = np.random.default_rng(seed)
-        scalar = [model.delivered(0, r, scalar_rng) for r in receivers]
+        scalar = [scalar_delivered(model, 0, r, scalar_rng) for r in receivers]
         vector = model.loss_vector(0, receivers, vector_rng)
         assert vector.dtype == bool
         assert list(vector) == scalar
@@ -68,7 +68,7 @@ class TestLossVectorEquivalence:
         assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
 
     def test_property_random_probabilities(self):
-        """loss_vector == [delivered(...)] over random per-link tables."""
+        """loss_vector == [scalar_delivered(...)] over random per-link tables."""
         meta_rng = np.random.default_rng(42)
         for _ in range(50):
             n = int(meta_rng.integers(1, 20))
@@ -82,7 +82,7 @@ class TestLossVectorEquivalence:
             )
             seed = int(meta_rng.integers(0, 2**32))
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            scalar = [model.delivered(0, r, a) for r in receivers]
+            scalar = [scalar_delivered(model, 0, r, a) for r in receivers]
             assert list(model.loss_vector(0, receivers, b)) == scalar
             assert a.bit_generator.state == b.bit_generator.state
 

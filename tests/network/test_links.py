@@ -7,23 +7,24 @@ import pytest
 
 from repro.network.links import DistanceLoss, GlobalLoss, PERFECT_LINKS, PerLinkLoss
 from repro.network.topology import Topology
+from tests.conftest import scalar_delivered
 
 
 class TestGlobalLoss:
     def test_zero_always_delivers(self):
         rng = np.random.default_rng(0)
-        assert all(PERFECT_LINKS.delivered(0, 1, rng) for _ in range(100))
+        assert all(scalar_delivered(PERFECT_LINKS, 0, 1, rng) for _ in range(100))
 
     def test_one_never_delivers(self):
         model = GlobalLoss(1.0)
         rng = np.random.default_rng(0)
-        assert not any(model.delivered(0, 1, rng) for _ in range(100))
+        assert not any(scalar_delivered(model, 0, 1, rng) for _ in range(100))
 
     def test_rate_statistics(self):
         """Empirical delivery rate tracks 1 - P_loss."""
         model = GlobalLoss(0.3)
         rng = np.random.default_rng(42)
-        delivered = sum(model.delivered(0, 1, rng) for _ in range(20_000))
+        delivered = sum(scalar_delivered(model, 0, 1, rng) for _ in range(20_000))
         assert delivered / 20_000 == pytest.approx(0.7, abs=0.02)
 
     def test_invalid_probability(self):
@@ -36,14 +37,14 @@ class TestPerLinkLoss:
         model = PerLinkLoss(base=0.0)
         model.set_link(2, 3, 1.0)
         rng = np.random.default_rng(0)
-        assert not model.delivered(2, 3, rng)
-        assert model.delivered(3, 2, rng)  # reverse direction unaffected
+        assert not scalar_delivered(model, 2, 3, rng)
+        assert scalar_delivered(model, 3, 2, rng)  # reverse direction unaffected
 
     def test_base_used_without_override(self):
         model = PerLinkLoss(base=1.0, overrides={(0, 1): 0.0})
         rng = np.random.default_rng(0)
-        assert model.delivered(0, 1, rng)
-        assert not model.delivered(1, 0, rng)
+        assert scalar_delivered(model, 0, 1, rng)
+        assert not scalar_delivered(model, 1, 0, rng)
 
     def test_invalid_override(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,7 @@ from repro.query.planner import (
     QueryPlanner,
 )
 from repro.query.spatial import Circle, Everywhere, Rect
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, scalar_delivered
 
 # ----------------------------------------------------------------------
 # flood
@@ -59,7 +59,7 @@ def per_link_flood(topology, sink, alive, rng, loss_model, prefer=frozenset()):
             for receiver in topology.out_neighbors(broadcaster):
                 if receiver in parents or receiver not in alive:
                     continue
-                if loss_model.delivered(broadcaster, receiver, rng):
+                if scalar_delivered(loss_model, broadcaster, receiver, rng):
                     heard.setdefault(receiver, []).append(broadcaster)
         frontier = []
         for receiver in sorted(heard):

@@ -33,8 +33,6 @@ class TestValidation:
         runtime = served_runtime()
         with pytest.raises(ValueError):
             QueryFrontEnd(runtime, max_queue=0)
-        with pytest.raises(ValueError):
-            QueryFrontEnd(runtime, batch_max=0)
 
 
 class TestAdmission:

@@ -58,12 +58,21 @@ class TestScheduling:
         simulator.run()
         assert seen == [1.0, 2.0, 3.0]
 
-    def test_cancel_prevents_firing(self, simulator):
+    @pytest.mark.parametrize(
+        "cancel",
+        [
+            pytest.param(lambda sim, event: sim.cancel(event), id="simulator"),
+            pytest.param(lambda sim, event: event.cancel(), id="event"),
+        ],
+    )
+    def test_cancel_prevents_firing(self, simulator, cancel):
         hits = []
         event = simulator.schedule(1.0, lambda: hits.append(1))
-        simulator.cancel(event)
-        simulator.run()
+        cancel(simulator, event)
+        assert len(simulator.queue) == 0
+        assert simulator.run() == 0
         assert hits == []
+        assert len(simulator.queue) == 0
 
     def test_run_until_advances_clock_even_without_events(self, simulator):
         fired = simulator.run_until(42.0)

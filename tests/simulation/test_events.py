@@ -48,7 +48,7 @@ class TestEventQueue:
         queue = EventQueue()
         kept = queue.push(Event(time=1.0, callback=_noop))
         dropped = queue.push(Event(time=2.0, callback=_noop))
-        queue.cancel(dropped)
+        dropped.cancel()
         assert len(queue) == 1
         assert queue.pop() is kept
         assert not queue
@@ -57,18 +57,18 @@ class TestEventQueue:
         queue = EventQueue()
         first = queue.push(Event(time=1.0, callback=_noop, label="first"))
         queue.push(Event(time=2.0, callback=_noop, label="second"))
-        queue.cancel(first)
+        first.cancel()
         assert queue.pop().label == "second"
 
     def test_peek_time_skips_cancelled(self):
         queue = EventQueue()
         first = queue.push(Event(time=1.0, callback=_noop))
         queue.push(Event(time=4.0, callback=_noop))
-        queue.cancel(first)
-        assert queue.peek_time() == 4.0
+        first.cancel()
+        assert queue.peek() == (4.0, 0)
 
     def test_peek_time_empty(self):
-        assert EventQueue().peek_time() is None
+        assert EventQueue().peek() is None
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -77,19 +77,19 @@ class TestEventQueue:
     def test_double_cancel_keeps_count_consistent(self):
         queue = EventQueue()
         event = queue.push(Event(time=1.0, callback=_noop))
-        queue.cancel(event)
-        queue.cancel(event)
+        event.cancel()
+        event.cancel()
         assert len(queue) == 0
 
     def test_cancel_of_popped_event_keeps_counter_consistent(self):
         """Regression: cancelling an already-fired event must not
         corrupt the live count (it once made step() believe the queue
-        was empty while peek_time disagreed — an infinite run_until)."""
+        was empty while peek disagreed — an infinite run_until)."""
         queue = EventQueue()
         fired = queue.push(Event(time=1.0, callback=_noop))
         queued = queue.push(Event(time=2.0, callback=_noop))
         assert queue.pop() is fired
-        queue.cancel(fired)  # late cancel of the popped event
+        fired.cancel()  # late cancel of the popped event
         assert len(queue) == 1
         assert bool(queue)
         assert queue.pop() is queued
@@ -100,7 +100,7 @@ class TestEventQueue:
         queue.push(Event(time=2.0, callback=_noop))
         queue.clear()
         assert len(queue) == 0
-        assert queue.peek_time() is None
+        assert queue.peek() is None
 
     def test_cancel_after_clear_keeps_counter_consistent(self):
         """Regression: clear() left dropped events flagged as queued, so
@@ -109,7 +109,7 @@ class TestEventQueue:
         queue = EventQueue()
         dropped = queue.push(Event(time=1.0, callback=_noop))
         queue.clear()
-        queue.cancel(dropped)  # late cancel of a cleared event
+        dropped.cancel()  # late cancel of a cleared event
         assert len(queue) == 0
         assert not queue
         survivor = queue.push(Event(time=2.0, callback=_noop))
