@@ -627,15 +627,15 @@ class ProtocolNode:
     # ------------------------------------------------------------------
 
     def _on_message(self, message: Message, overheard: bool) -> None:
-        """Handle one delivered message: a burst of one receiver.
+        """Handle one delivered message: a run of one burst to one receiver.
 
-        The radio hands whole bursts to :func:`dispatch_burst`; this is
+        The radio hands whole runs to :func:`dispatch_burst`; this is
         the same table entry applied to this node alone.  Addressing
         comes from the message itself, so ``overheard`` is implied.
         """
         burst = _BURSTS.get(type(message))
         if burst is not None:
-            burst(message, (self.node_id,), {self.node_id: self.device})
+            burst((message,), ((self.node_id,),), {self.node_id: self.device})
 
     def _on_invitation(self, message: Invitation) -> None:
         if message.sender == self.node_id:
@@ -930,33 +930,39 @@ class ProtocolNode:
 # burst dispatch
 # ----------------------------------------------------------------------
 #
-# A *burst* is the single delivery event one transmission schedules for
-# all its surviving receivers.  The radio books the burst over ids
-# (liveness, counters, receive energy) and then makes one call into this
-# table with the live receivers' ids, in receiver order, and its
-# id -> device map.  Each entry gives exactly the outcome of running the
-# kind's handler on every receiver's protocol in that order, and looks
-# up only the devices it needs: an addressed kind (:func:`_to_target`)
-# only its target's.  Entries are module-level functions (or partials of
-# them), so a radio holding :func:`dispatch_burst` pickles with
-# checkpoints.
+# A *burst* is one transmission's surviving receivers; a *run* is a
+# stretch of bursts of one delivery event (see ``Radio._deliver_wave``)
+# in which no receiver's liveness can change.  Only a wave of
+# ``DataReport`` bursts makes runs of more than one burst.
+# The radio books the run over ids (liveness, counters, receive energy)
+# and then makes one call into this table with the run's messages, each
+# burst's live receivers' ids, in receiver order, and its id -> device
+# map.  Each entry gives exactly the outcome of running the kind's
+# handler on every receiver's protocol, burst by burst, in that order,
+# and looks up only the devices it needs: an addressed kind
+# (:func:`_to_target`) only its target's.  Entries are module-level
+# functions (or partials of them), so a radio holding
+# :func:`dispatch_burst` pickles with checkpoints.
 
 
-def dispatch_burst(message: Message, live, devices) -> None:
-    """Run one delivery burst's protocol handlers (the radio's entry).
+def dispatch_burst(messages, lives, devices) -> None:
+    """Run one delivery run's protocol handlers (the radio's entry).
 
     Keyed on the exact message type (protocol messages are never
-    subclassed); query traffic has no entry and is ignored here.
+    subclassed, and a wave holds one type); query traffic has no entry
+    and is ignored here.
     """
-    burst = _BURSTS.get(type(message))
+    burst = _BURSTS.get(type(messages[0]))
     if burst is not None:
-        burst(message, live, devices)
+        burst(messages, lives, devices)
 
 
-def _to_target(handler, address: str, message: Message, live, devices) -> None:
+def _to_target(handler, address: str, messages, lives, devices) -> None:
     """A unicast on the broadcast medium: only the receiver named by the
     message's ``address`` field acts, if it is live; its overheard
-    copies were booked by the radio and need nothing more."""
+    copies were booked by the radio and need nothing more.  A run of
+    a kind whose handlers send is always one burst."""
+    (message,), (live,) = messages, lives
     target = getattr(message, address)
     if target in live:
         node = devices[target].protocol
@@ -964,43 +970,51 @@ def _to_target(handler, address: str, message: Message, live, devices) -> None:
             handler(node, message)
 
 
-def _to_each(handler, message: Message, live, devices) -> None:
-    """A broadcast: every receiver's handler, in receiver order."""
+def _to_each(handler, messages, lives, devices) -> None:
+    """A broadcast: every receiver's handler, in receiver order (one
+    burst, as for :func:`_to_target`)."""
+    (message,), (live,) = messages, lives
     for rid in live:
         node = devices[rid].protocol
         if node is not None:
             handler(node, message)
 
 
-def _burst_data_report(message: DataReport, live, devices) -> None:
-    """Snoop an overheard measurement report (§3), as columns.
+def _burst_data_report(messages, lives, devices) -> None:
+    """Snoop overheard measurement reports (§3), as columns.
 
     Per receiver this is: draw the snoop decision from its own
     ``protocol.<id>`` stream, read its own value, and queue the sample
     for the observation router with the §6.2 CPU charge — which does
     not depend on the cache's decision, so charging at queue time keeps
     the battery and ledger timelines of an inline application.  The
-    steps run as passes over the burst: the draws in receiver order
-    (each from its own stream), one gather of the snoopers' values, one
-    router call with the snoopers' ids, then the CPU charges in
-    receiver order, so every battery, ledger cell and ledger total sums
-    as it would receiver by receiver.
+    steps run as passes over the whole run: the draws in burst and
+    receiver order (each from its own stream), one gather of the
+    snoopers' values, one router call with the snoopers' ids, then the
+    CPU charges in the same order, so every battery, ledger cell and
+    ledger total sums as it would receiver by receiver.
     """
-    # Only model raw measurements the reporter took itself; estimates
-    # produced on behalf of other nodes would poison the cache.
-    if message.estimated or message.origin != message.sender:
-        return
-    sender = message.sender
-    snoopers = []
-    for rid in live:
-        node = devices[rid].protocol
-        if node is None:
+    snoopers, neighbors, values = [], [], []
+    for message, live in zip(messages, lives):
+        # Only model raw measurements the reporter took itself;
+        # estimates produced on behalf of other nodes would poison the
+        # cache.
+        if message.estimated or message.origin != message.sender:
             continue
-        probability = node.snoop_probability
-        if probability <= 0 or rid == sender:
-            continue
-        if probability >= 1.0 or node._rng.random() < probability:
-            snoopers.append(node)
+        sender = message.sender
+        before = len(snoopers)
+        for rid in live:
+            node = devices[rid].protocol
+            if node is None:
+                continue
+            probability = node.snoop_probability
+            if probability <= 0 or rid == sender:
+                continue
+            if probability >= 1.0 or node._rng.random() < probability:
+                snoopers.append(node)
+        count = len(snoopers) - before
+        neighbors += [sender] * count
+        values += [message.value] * count
     if not snoopers:
         return
     own_values = _own_values(snoopers)
@@ -1009,12 +1023,12 @@ def _burst_data_report(message: DataReport, live, devices) -> None:
     if router is None:
         # Stand-alone nodes on a bare radio (no runtime, so no router)
         # apply their samples inline.
-        for node, own in zip(snoopers, own_values):
-            node._record_observation(sender, own, message.value)
+        for node, sender, own, value in zip(snoopers, neighbors, own_values, values):
+            node._record_observation(sender, own, value)
             radio.charge_cpu(node.node_id)
         return
     ids = [node.node_id for node in snoopers]
-    router.enqueue_burst(ids, sender, own_values, message.value)
+    router.enqueue_burst(ids, neighbors, own_values, values)
     radio.charge_cpu_each(ids)
 
 

@@ -8,11 +8,13 @@ leaves the cross-cache fleet engine (``models.soa``) idle exactly where
 the simulation spends its time.
 
 :class:`BatchedObservationRouter` collects those observations instead:
-each delivery burst of a report hands its snoopers' ids, their own
-values, the reporter's id and its value to :meth:`enqueue_burst`, and
-the simulator's observation barrier (see
-``Simulator.observation_barrier``) :meth:`flush`-es the batch before the
-next event that is not part of the same same-instant delivery burst.
+each delivery run of reports (one burst, or a stretch of the *wave*
+that delivers a §6.1 training tick in one event, see
+``Radio._deliver_wave``) hands its snoopers' ids, their own values and
+each sample's reporter id and value to :meth:`enqueue_burst`, and the
+simulator's observation barrier (see ``Simulator.observation_barrier``)
+:meth:`flush`-es the batch before the next event that is not a delivery
+at the same instant: a tick's samples are swept together.
 
 The batch is four parallel columns in arrival order: ``pending`` (the
 snooper's node id, ``-1`` once :meth:`sync` consumed the sample — the
@@ -126,23 +128,23 @@ class BatchedObservationRouter:
     def enqueue_burst(
         self,
         node_ids: list[int],
-        neighbor_id: int,
+        neighbor_ids: list[int],
         own_values: list[float],
-        neighbor_value: float,
+        neighbor_values: list[float],
     ) -> None:
-        """Queue one delivery burst's overheard samples for the next flush.
+        """Queue one delivery run's overheard samples for the next flush.
 
-        Node ``node_ids[i]`` overheard ``neighbor_id`` report
-        ``neighbor_value`` while its own value was ``own_values[i]``;
-        the samples queue in burst (receiver) order.
+        Node ``node_ids[i]`` overheard ``neighbor_ids[i]`` report
+        ``neighbor_values[i]`` while its own value was
+        ``own_values[i]``; the samples queue in the run's burst and
+        receiver order.
         """
         if not self.pending:
             self._pending_time = self.simulator.now
-        count = len(node_ids)
         self.pending += node_ids
-        self._neighbors += [neighbor_id] * count
+        self._neighbors += neighbor_ids
         self._owns += own_values
-        self._values += [neighbor_value] * count
+        self._values += neighbor_values
 
     def sync(self, node: "ProtocolNode") -> None:
         """Apply (and tombstone) ``node``'s pending samples scalarly.

@@ -360,18 +360,14 @@ class SnapshotRuntime:
             )
 
     def _train_broadcast(self) -> None:
-        """One training tick: every alive node broadcasts a data report."""
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            if node.alive:
-                self.radio.broadcast(
-                    DataReport(
-                        sender=node_id,
-                        query_id=0,
-                        origin=node_id,
-                        value=node.value_fn(),
-                    )
-                )
+        """One training tick: every alive node broadcasts a data report,
+        in id order, all delivered by one event (a radio *wave*)."""
+        nodes = self.nodes
+        self.radio.broadcast_wave(
+            DataReport(sender=i, query_id=0, origin=i, value=nodes[i].value_fn())
+            for i in sorted(nodes)
+            if nodes[i].alive
+        )
 
     def run_election(self, at: Optional[float] = None) -> SnapshotView:
         """Run one global election and return the settled snapshot."""

@@ -110,10 +110,11 @@ class ModelAwareCacheFleet:
     vectorized across lanes.  Because the lanes are
     *independent caches*, a batch is trivially equivalent to running
     each cache's scalar procedure in sequence: no lane reads or writes
-    another lane's rows.  Warm-up appends (a known neighbor of a cache
-    below its pair budget) and full-cache decisions run column-wise;
-    only a neighbor's first sample, which must claim a line slot, drops
-    to the scalar path row-wise.
+    another lane's rows.  Warm-up appends (a cache below its pair
+    budget, a neighbor's first sample claiming a free line slot) and
+    full-cache decisions run column-wise; only a first sample that
+    evicts a newcomer victim or needs more line slots drops to the
+    scalar path row-wise.
 
     This is the simulator's production cache engine:
     ``SnapshotRuntime`` binds node ``i``'s ``ModelAwareCache`` to lane
@@ -190,15 +191,19 @@ class ModelAwareCacheFleet:
                 self._grow_lines(min(2 * self.S, self.capacity_pairs))
                 base = c * self.S
             self.slot[c][j] = s
-            r = base + s
-            self.ids[r] = j
-            self.n[r] = 0
-            self.sx[r] = self.sy[r] = 0.0
-            self.sxx[r] = self.sxy[r] = self.syy[r] = 0.0
-            self.fok[r] = self.bok[r] = self.pok[r] = False
-            self.esync[r] = 0
-            self.head[r] = 0
+            self._claim_rows(base + s, j)
         return None if s is None else c * self.S + s
+
+    def _claim_rows(self, r, j) -> None:
+        """Give row(s) ``r`` to neighbor(s) ``j``: an empty line, no
+        memo (the caller records the slot)."""
+        self.ids[r] = j
+        self.n[r] = 0
+        self.sx[r] = self.sy[r] = 0.0
+        self.sxx[r] = self.sxy[r] = self.syy[r] = 0.0
+        self.fok[r] = self.bok[r] = self.pok[r] = False
+        self.esync[r] = 0
+        self.head[r] = 0
 
     def _free_row(self, c: int, r: int) -> None:
         j = int(self.ids[r])
@@ -471,9 +476,10 @@ class ModelAwareCacheFleet:
         cache's decisions are order-dependent, so feeding it twice in
         one call would race its own column updates).  Returns an int8
         array of :data:`ACTION_CODES` per lane.  A neighbor's first
-        sample takes the scalar per-lane :meth:`observe`; everything
-        else — warm-up appends, candidate scoring, victim selection,
-        eviction, append, memo refresh — runs column-wise.
+        sample into a full cache, or into one without a free line slot,
+        takes the scalar per-lane :meth:`observe`; everything else —
+        warm-up appends and slot claims, candidate scoring, victim
+        selection, eviction, append, memo refresh — runs column-wise.
         """
         cs = np.asarray(cache_ids, dtype=np.int64)
         js = np.asarray(neighbor_ids, dtype=np.int64)
@@ -500,17 +506,32 @@ class ModelAwareCacheFleet:
         actions = np.zeros(cs.size, dtype=np.int8)  # 0 = reject
         known = slot >= 0
         full = self.total[cs] >= self.capacity_pairs
-        # A neighbor's first sample (no line yet) takes the scalar path:
-        # it claims a slot, and in a full cache evicts a newcomer victim.
-        for i in np.flatnonzero(~known):
+        # A first sample into a cache below budget claims the lowest
+        # free slot, as ``_row(make=True)`` does (growth only appends
+        # slots).  First samples into full caches (newcomer) or caches
+        # with no free slot (line growth) take the scalar path.
+        claim = np.flatnonzero(~known & ~full)
+        if claim.size:
+            free = self.ids.reshape(self.F, self.S)[cs[claim]] < 0
+            has = free.any(axis=1)
+            claim, lowest = claim[has], free[has].argmax(axis=1)
+        scalar = ~known
+        scalar[claim] = False
+        for i in np.flatnonzero(scalar):
             actions[i] = ACTION_CODES[
                 self.observe(int(cs[i]), int(js[i]), float(xs[i]), float(ys[i]))
             ]
         F, S = self.F, self.S
+        if claim.size:
+            slot[claim] = lowest
+            cc, jc = cs[claim], js[claim]
+            for c, j, s in zip(cc.tolist(), jc.tolist(), lowest.tolist()):
+                self.slot[c][j] = s
+            self._claim_rows(cc * S + lowest, jc)
         rows = cs * S + slot
-        # Warm-up: a known neighbor of a cache below its pair budget
-        # appends, exactly as the scalar ``observe`` would.
-        warm = np.flatnonzero(known & ~full)
+        # Warm-up: a neighbor of a cache below its pair budget appends,
+        # exactly as the scalar ``observe`` would.
+        warm = np.flatnonzero((slot >= 0) & ~full)
         if warm.size:
             self._append_rows(rows[warm], xs[warm], ys[warm])
             self.total[cs[warm]] += 1

@@ -107,7 +107,7 @@ class NetworkNode:
         immutable tuple so dispatch iterates a stable snapshot;
         attach/detach during dispatch affect only later deliveries.
         The radio itself dispatches whole bursts (see
-        :meth:`~repro.network.radio.Radio._deliver_batch`) with the
+        :meth:`~repro.network.radio.Radio._deliver_wave`) with the
         same per-receiver outcome.
         """
         protocol = self.protocol

@@ -11,10 +11,11 @@ designated target — non-target receivers get the message flagged as
 §3 ("snooping ... values broadcast by its neighbor node in response to
 a query").
 
-One transmission schedules one delivery *burst*: a single event
-carrying the message, the surviving receivers' ids and the target.  A
-burst travels as ids and is booked as loops over id-indexed columns:
-the liveness bytes and the energy of
+A transmission's surviving receivers make one delivery *burst*, and one
+event delivers a *wave* of bursts: a lone transmission's, or a §6.1
+training tick's (:meth:`Radio.broadcast_wave`), in *runs* inside which
+no receiver's liveness can change.  A run travels as ids and is booked
+as loops over id-indexed columns: the liveness bytes and the energy of
 :class:`~repro.network.state.DeviceState`, the node × kind delivery
 counts of :class:`~repro.network.stats.MessageStats` and the node ×
 category cells of the :class:`~repro.energy.EnergyLedger`.  The live
@@ -31,13 +32,14 @@ protocol steps observe a consistent global order.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Optional
 
 from repro.energy.accounting import EnergyLedger
 from repro.energy.costs import PAPER_COST_MODEL, EnergyCostModel
 from repro.network.links import PERFECT_LINKS, LossModel
-from repro.network.messages import Message
+from repro.network.messages import DataReport, Message
 from repro.network.node import NetworkNode
 from repro.network.state import DeviceState
 from repro.network.stats import MessageStats
@@ -115,9 +117,10 @@ class Radio:
         #: stays ``None`` and they apply them inline.
         self.observation_router = None
         #: The protocol layer's burst entry point,
-        #: ``burst_dispatch(message, live_ids, devices)``: runs one
-        #: delivery burst's handlers for the live receivers' resident
-        #: protocols (``devices`` maps ids to this radio's devices).
+        #: ``burst_dispatch(messages, lives, devices)``: runs one
+        #: delivery run's handlers for the live receivers' resident
+        #: protocols, ``lives[i]`` the live ids of ``messages[i]``'s
+        #: burst (``devices`` maps ids to this radio's devices).
         #: Set by the first protocol instance on this radio (a
         #: module-level function, so checkpoints pickle it by name).
         self.burst_dispatch = None
@@ -174,7 +177,7 @@ class Radio:
         All in-range alive receivers get the message with
         ``overheard=False`` — a broadcast addresses everyone.
         """
-        return self._transmit(message, target=None)
+        return self._transmit((message,), target=None)
 
     def unicast(self, message: Message, target: int) -> bool:
         """Transmit ``message`` addressed to ``target``.
@@ -185,25 +188,75 @@ class Radio:
         """
         if target == message.sender:
             raise ValueError("a node does not unicast to itself")
-        return self._transmit(message, target=target)
+        return self._transmit((message,), target=target)
 
-    def _transmit(self, message: Message, target: Optional[int]) -> bool:
-        sender = message.sender
-        if sender not in self._nodes:
-            raise KeyError(f"unregistered sender {sender}")
-        devices = self.devices
-        if devices.flags[sender]:
-            return False
-        cost = self.cost_model.transmit
-        devices.draw(sender, cost)
-        self.ledger.record(sender, "transmit", cost)
-        self.stats.record_sent(message)
-        self.simulator.trace.emit(
-            self.simulator.now, "message.sent",
-            sender=sender, message_kind=message.kind, target=target,
-        )
-        self._fan_out(message, target)
-        return True
+    def broadcast_wave(self, messages) -> None:
+        """:meth:`broadcast` each of ``messages``, in order, as one wave:
+        each send is booked as :meth:`broadcast` books it, and one
+        delivery event carries all their bursts.  A §6.1 training
+        tick's reports: only :class:`DataReport`, whose handlers send
+        nothing, so no handler's draw can empty a receiver that a later
+        burst of the same run delivers to."""
+        messages = tuple(messages)
+        for message in messages:
+            if type(message) is not DataReport:
+                raise TypeError(f"a wave carries DataReports, not {message.kind}")
+        self._transmit(messages, target=None)
+
+    def _transmit(self, messages, target: Optional[int]) -> bool:
+        """Send each of ``messages`` in order, then schedule one delivery
+        event carrying their bursts (a *wave*).  Returns whether the
+        last sender was alive: a dead one sends nothing.
+
+        A send's loss draw is one blocked :meth:`LossModel.loss_vector`
+        call on the sender's own ``radio.<sender>`` stream, in
+        ``out_neighbors`` order, and covers every in-range receiver
+        regardless of liveness, so neither interleaving with other
+        senders nor any receiver's state changes the stream position.
+        A lossless model draws nothing, so its call is skipped; the
+        stream is still created, as every sender's stream is part of
+        the digested state.  The loss survivors' ids make the send's
+        burst ``(message, receivers, target)``; dead ones among them
+        are filtered, and booked as ``dropped_dead``, at delivery.
+        """
+        devices, cost = self.devices, self.cost_model.transmit
+        bursts, sent = [], False
+        for message in messages:
+            sender = message.sender
+            if sender not in self._nodes:
+                raise KeyError(f"unregistered sender {sender}")
+            sent = not devices.flags[sender]
+            if not sent:
+                continue
+            devices.draw(sender, cost)
+            self.ledger.record(sender, "transmit", cost)
+            self.stats.record_sent(message)
+            self.simulator.trace.emit(
+                self.simulator.now, "message.sent",
+                sender=sender, message_kind=message.kind, target=target,
+            )
+            receivers = self.topology.out_neighbors(sender)
+            self._fanout.observe(len(receivers))
+            if not receivers:
+                continue
+            rng = self._sender_rng(sender)
+            if not self.loss_model.lossless:
+                outcomes = self.loss_model.loss_vector(sender, receivers, rng)
+                if not outcomes.all():
+                    self.stats.record_dropped(
+                        message, len(receivers) - int(outcomes.sum())
+                    )
+                    receivers = [rid for rid, ok in zip(receivers, outcomes) if ok]
+            if receivers:
+                bursts.append((message, receivers, target))
+        if bursts:
+            self.simulator.schedule(
+                self.latency,
+                partial(self._deliver_wave, bursts),
+                label=f"deliver:{bursts[0][0].kind}",
+                priority=DELIVERY_PRIORITY,
+            )
+        return sent
 
     def _sender_rng(self, sender: int):
         rng = self._entity_rngs.get(sender)
@@ -213,87 +266,93 @@ class Radio:
             )
         return rng
 
-    def _fan_out(self, message: Message, target: Optional[int]) -> None:
-        """Sample loss over the full neighborhood; schedule one delivery.
+    def _deliver_wave(self, bursts: list) -> None:
+        """Deliver a wave's bursts in order, a run at a time: no
+        receiver's liveness changes inside a run (:meth:`_run_end`), so
+        it is booked column-wise (:meth:`_deliver_run`) with every
+        per-cell, per-stream and router arrival order of delivering its
+        bursts one by one."""
+        start = 0
+        while start < len(bursts):
+            end = self._run_end(bursts, start)
+            self._deliver_run(bursts[start:end])
+            start = end
 
-        The draw is one blocked :meth:`LossModel.loss_vector` call on
-        the sender's own ``radio.<sender>`` stream, in ``out_neighbors``
-        order, and covers every in-range receiver regardless of
-        liveness, so neither interleaving with other senders nor any
-        receiver's state changes the stream position.  A lossless
-        model draws nothing, so its call is skipped; the stream is
-        still created, as every sender's stream is part of the digested
-        state.  The
-        loss survivors' ids ride a single delivery event (the *burst*);
-        dead ones among them are filtered — and booked as
-        ``dropped_dead`` — when the burst is delivered.
+    def _run_end(self, bursts: list, start: int) -> int:
+        """The end of the run that starts at ``bursts[start]``.
+
+        Each appearance of a live receiver is charged, in order, the
+        draws its burst could make: the receive cost, then a snoop's
+        CPU cost.  The run stops before the burst at which one of them
+        would reach the receiver's charge (so infinite batteries never
+        cut it), at a receiver in ``devices.hooked`` and, when both
+        costs are drawn, at a receiver's second appearance, whose draws
+        would otherwise reorder between the two costs.  The first burst
+        always makes a run.
         """
-        sender = message.sender
-        receivers = self.topology.out_neighbors(sender)
-        self._fanout.observe(len(receivers))
-        if not receivers:
+        if start + 1 == len(bursts):
+            return start + 1
+        devices, model = self.devices, self.cost_model
+        flags, charge, hooked = devices.flags, devices.charge, devices.hooked
+        costs = [c for c in (model.receive, model.cpu_cache_update) if c > 0]
+        once = len(costs) > 1
+        exact = hooked or once or min(charge) < math.inf
+        left: dict[int, float] = {}
+        end = start
+        for _, receivers, _ in bursts[start:]:
+            for rid in receivers if exact else ():
+                if flags[rid]:
+                    continue
+                remaining = left.get(rid)
+                if rid in hooked or (once and remaining is not None):
+                    return max(end, start + 1)
+                remaining = charge[rid] if remaining is None else remaining
+                for cost in costs:
+                    if not cost < remaining:
+                        return max(end, start + 1)
+                    remaining -= cost
+                left[rid] = remaining
+            end += 1
+        return end
+
+    def _deliver_run(self, run: list) -> None:
+        """Deliver one run of bursts, booked over ids as columns.
+
+        Receivers dead on arrival are counted as ``dropped_dead``, the
+        rest as delivered, and a nonzero receive cost is drawn —
+        dropping the receivers it drains, which only a run of one burst
+        can do.  The live ids then go to the protocols in one call, and
+        to the attached handlers of the devices that have any, flagged
+        ``overheard`` unless addressed.  Neither a node's own handlers
+        nor anything it sends can change another receiver's liveness,
+        so this is the per-receiver outcome of
+        :meth:`NetworkNode.deliver`.
+        """
+        flags = self.devices.flags
+        message = run[0][0]
+        lives = [[rid for rid in ids if not flags[rid]] for _, ids, _ in run]
+        live = [rid for ids in lives for rid in ids]
+        dead = sum(len(ids) for _, ids, _ in run) - len(live)
+        if dead:
+            self.stats.record_dropped_dead(message, dead)
+        if not live:
             return
-        rng = self._sender_rng(sender)
-        if not self.loss_model.lossless:
-            outcomes = self.loss_model.loss_vector(sender, receivers, rng)
-            if not outcomes.all():
-                self.stats.record_dropped(
-                    message, len(receivers) - int(outcomes.sum())
-                )
-                receivers = [rid for rid, ok in zip(receivers, outcomes) if ok]
-                if not receivers:
-                    return
-        # One Event per transmission, like every other occurrence: the
-        # burst already amortizes the handle over all its receivers.
-        self.simulator.schedule(
-            self.latency,
-            partial(self._deliver_batch, message, receivers, target),
-            label=f"deliver:{message.kind}",
-            priority=DELIVERY_PRIORITY,
-        )
-
-    def _deliver_batch(
-        self, message: Message, receivers, target: Optional[int]
-    ) -> None:
-        """Deliver one burst: ``message`` to the ``receivers`` ids.
-
-        The burst is booked over ids before any handler runs: receivers
-        dead on arrival are counted as ``dropped_dead``, the rest as
-        delivered, and a nonzero receive cost is drawn — dropping the
-        receivers it drains.  The live ids then go to the protocols
-        and the devices' attached handlers (:meth:`_dispatch`).
-        Neither a node's own handlers nor anything it sends can change
-        another receiver's liveness, so this is the per-receiver
-        outcome of :meth:`NetworkNode.deliver`.
-        """
-        devices = self.devices
-        flags = devices.flags
-        live = [rid for rid in receivers if not flags[rid]]
-        if len(live) < len(receivers):
-            self.stats.record_dropped_dead(message, len(receivers) - len(live))
-            if not live:
-                return
         self.stats.delivered.add_each(live, message.kind, 1)
         cost_receive = self.cost_model.receive
         if cost_receive > 0:
-            drawn = devices.draw_each(live, cost_receive)
+            drawn = self.devices.draw_each(live, cost_receive)
             self.ledger.record_each(drawn, "receive", cost_receive)
-            live = [rid for rid in live if not flags[rid]]
-        self._dispatch(message, live, target)
-
-    def _dispatch(self, message: Message, live: list[int], target: Optional[int]) -> None:
-        """One call for the live ids' protocols, then the attached
-        handlers of the devices that have any, flagged ``overheard``
-        unless addressed."""
+            lives = [[rid for rid in ids if not flags[rid]] for ids in lives]
         if self.burst_dispatch is not None:
-            self.burst_dispatch(message, live, self._nodes)
+            self.burst_dispatch([m for m, _, _ in run], lives, self._nodes)
         hooked = self.devices.hooked
         if hooked:
-            for rid in live:
-                if rid in hooked:
-                    overheard = target is not None and rid != target
-                    for handler in self._nodes[rid]._handlers:
-                        handler(message, overheard)
+            for (message, _, target), live in zip(run, lives):
+                for rid in live:
+                    if rid in hooked:
+                        overheard = target is not None and rid != target
+                        for handler in self._nodes[rid]._handlers:
+                            handler(message, overheard)
 
     # -- misc --------------------------------------------------------------
 

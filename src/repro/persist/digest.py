@@ -38,6 +38,8 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro.network.state import FAILED
+
 __all__ = [
     "StateDigest",
     "state_digest",
@@ -308,13 +310,16 @@ def _describe_loss(model: Any) -> tuple:
 def _digest_runtime(runtime: Any) -> dict[str, str]:
     """Per-component digests of a full runtime's own state.
 
-    The energy component keeps the per-node batteries and the ledger's
-    registry cells but not the ledger's running float totals: those are
-    sums whose last bits depend on the order of addition, and they are
-    derivable from the cells.
+    The energy component keeps the per-node batteries, each crash bit
+    as the radio's own device columns hold it (a radio restored without
+    them is refused) and the ledger's registry cells, but not the
+    ledger's running float totals: those are sums whose last bits
+    depend on the order of addition, and they are derivable from the
+    cells.
     """
     radio = runtime.radio
     topology = radio.topology
+    flags = radio.devices.flags
     comps = {
         "nodes": {
             node_id: _digest_node(node) for node_id, node in runtime.nodes.items()
@@ -329,7 +334,7 @@ def _digest_runtime(runtime: Any) -> dict[str, str]:
                     device.battery.capacity,
                     device.battery.charge,
                     device.battery.spent,
-                    device.failed,
+                    bool(flags[node_id] & FAILED),
                 )
                 for node_id, device in radio._nodes.items()
             },

@@ -198,3 +198,73 @@ def test_fleet_ring_growth_preserves_state():
         assert canonical_bytes(block_state(lanes[c])) == canonical_bytes(
             block_state(refs[c])
         )
+
+
+#: Every per-row and per-cache column of a fleet, compared raw.
+FLEET_COLUMNS = ModelAwareCacheFleet._ROW_COLUMNS + ("rx", "ry", "total", "rr")
+
+#: Memo columns and their valid flags.  The column path refreshes
+#: stale penalty memos fleet-wide where the scalar path refreshes them
+#: lazily, so with warm lanes in the batch a memo is compared only
+#: where both fleets hold it, and the valid flags are not compared.
+MEMO_COLUMNS = {"fa": "fok", "fb": "fok", "ben": "bok", "pen": "pok"}
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["first-only", "mixed"])
+def test_first_samples_match_scalar_observe_column_for_column(mixed):
+    """A neighbor's first sample through ``observe_lanes`` equals the
+    scalar ``observe``: the same action and the same raw columns, slot
+    indices and slot dicts included.  Covered: caches below budget
+    claiming their lowest free slot (holes left by freed lines too),
+    caches at budget (newcomer eviction) and caches with no free slot
+    (line growth).  "first-only" feeds known neighbors' samples
+    through the scalar ``observe`` on both fleets, so the batch sees
+    only first samples; "mixed" sends every lane through one
+    ``observe_lanes`` call, so slot claims, warm appends and full-cache
+    decisions share it (with line growth ahead of the column path).
+    """
+    n_caches, cache_bytes = 16, 12 * BYTES_PER_PAIR
+    batched = ModelAwareCacheFleet(n_caches, cache_bytes, max_lines=2, ring_cap=4)
+    scalar = ModelAwareCacheFleet(n_caches, cache_bytes, max_lines=2, ring_cap=4)
+    rng = np.random.default_rng(31)
+    seen = {"claim": 0, "newcomer": 0, "growth": 0}
+    if mixed:
+        seen.update(warm=0, column=0)
+    for _ in range(300):
+        js = rng.integers(0, 10, size=n_caches)
+        xs = rng.normal(0.0, 10.0, size=n_caches)
+        ys = 2.0 * xs + rng.normal(0.0, 1.0, size=n_caches)
+        first = [c for c in range(n_caches) if int(js[c]) not in scalar.slot[c]]
+        if mixed:
+            first = list(range(n_caches))
+        for c in range(n_caches):
+            if c not in first:
+                for fleet in (batched, scalar):
+                    fleet.observe(c, int(js[c]), float(xs[c]), float(ys[c]))
+        if not first:
+            continue
+        lines = batched.S
+        codes = batched.observe_lanes(first, js[first], xs[first], ys[first])
+        seen["growth"] += batched.S > lines
+        for c, code in zip(first, codes.tolist()):
+            free = (scalar.ids[c * scalar.S:(c + 1) * scalar.S] < 0).any()
+            below = scalar.total[c] < scalar.capacity_pairs
+            if int(js[c]) in scalar.slot[c]:
+                seen["warm" if below else "column"] += 1
+            else:
+                seen["claim"] += bool(free and below)
+            action = scalar.observe(c, int(js[c]), float(xs[c]), float(ys[c]))
+            seen["newcomer"] += action == "newcomer"
+            assert ACTION_NAMES[code] == action
+        assert (batched.S, batched.C) == (scalar.S, scalar.C)
+        assert batched.slot == scalar.slot
+        for name in FLEET_COLUMNS:
+            ours, theirs = getattr(batched, name), getattr(scalar, name)
+            if mixed and name in MEMO_COLUMNS.values():
+                continue
+            if mixed and name in MEMO_COLUMNS:
+                flag = MEMO_COLUMNS[name]
+                both = getattr(batched, flag) & getattr(scalar, flag)
+                ours, theirs = ours[both], theirs[both]
+            assert np.array_equal(ours, theirs), name
+    assert all(seen.values()), seen

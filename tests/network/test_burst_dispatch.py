@@ -1,10 +1,12 @@
 """Differential proof of the radio's burst dispatch.
 
-A transmission's survivors ride one delivery *burst*: the radio books
-every receiver in one pass (liveness, counters, receive energy) and then
-hands the live receivers' protocols the whole burst in one call through
-the protocol layer's per-message-type table, columnar for ``DataReport``
-snoops.  The reference here is a test-only per-receiver medium: each
+A transmission's survivors form one delivery *burst*, and one event
+delivers a *wave* of bursts: a single burst, or all of a training tick's
+reports.  The radio books a run of a wave's bursts in one pass
+(liveness, counters, receive energy) and then hands the live receivers'
+protocols the whole run in one call through the protocol layer's
+per-message-type table, columnar for ``DataReport`` snoops.  The
+reference here is a test-only per-receiver medium: burst by burst, each
 survivor, in turn, is checked for liveness, counted, charged its receive
 cost and handed the message through ``NetworkNode.deliver`` →
 ``ProtocolNode._on_message``, the way a receiver-by-receiver radio runs
@@ -14,6 +16,8 @@ naming the first divergent component when they do not, over:
 * lossless links and ``GlobalLoss(0.3)``;
 * finite batteries with a nonzero receive cost, so receivers die in the
   middle of a burst;
+* finite batteries drained by training's snoop charges, so receivers
+  die in the middle of a training tick's wave;
 * a crash/revive chaos schedule;
 * message-driven query collection (the TAG oracle of
   ``tests/query/tag_oracle.py``), whose rounds attach per-device
@@ -65,6 +69,10 @@ class Radio(radio_module.Radio):
     a pending delivery by its callback's qualified name and owner type,
     so in-flight bursts digest equal on both sides.
     """
+
+    def _deliver_wave(self, bursts):
+        for message, receivers, target in bursts:
+            self._deliver_batch(message, receivers, target)
 
     def _deliver_batch(self, message, receivers, target):
         cost_receive = self.cost_model.receive
@@ -252,6 +260,33 @@ def test_burst_matches_per_receiver_with_receive_cost(battery, addressed):
         assert burst.stats.sent_of_kind(kind) > 0, kind
 
 
+def test_burst_matches_per_receiver_when_snoops_drain_batteries(monkeypatch):
+    """Training's CPU charges empty batteries in the middle of a tick:
+    the wave's run stops before the burst whose snoops could empty one,
+    so a node drained by one burst is dead on arrival in the next."""
+    cuts = []
+    run_end = radio_module.Radio._run_end
+
+    def spy(radio, bursts, start):
+        end = run_end(radio, bursts, start)
+        cuts.append(end < len(bursts))
+        return end
+
+    monkeypatch.setattr(radio_module.Radio, "_run_end", spy)
+    # A free transmit and receive: only the snoops' CPU draws drain.
+    kwargs = dict(seed=8, battery=3.0, transmit=0.0)
+    burst, reference = build(**kwargs), build(**kwargs, reference=True)
+    for runtime in (burst, reference):
+        SCRIPT[0](runtime)  # train()
+    # Non-vacuity: nodes died inside train(), and runs were cut.
+    assert len(burst.alive_ids()) < N_NODES
+    assert any(cuts)
+    for runtime in (burst, reference):
+        for step in SCRIPT[1:]:
+            step(runtime)
+    assert_same_run(burst, reference)
+
+
 def test_burst_matches_per_receiver_with_messaged_queries():
     """Collection handlers attached to devices run in the same burst."""
     burst = run(MESSAGED_SCRIPT, seed=5)
@@ -379,3 +414,15 @@ def test_addressed_bursts_wake_only_a_live_target():
     # Non-vacuity: two live targets replied, the drained one did not.
     assert burst.stats.sent_of_kind("HeartbeatReply") == 2
     assert not burst.is_alive(0) and burst.stats.dropped_dead["Heartbeat"] >= 1
+
+
+def test_wave_refuses_kinds_whose_handlers_send():
+    """A wave carries only ``DataReport``s: a run guard books no
+    handler's transmit draw, so a kind whose handlers send is refused
+    before any send of the wave is booked."""
+    simulator, radio = cluster(reference=False)
+    report = DataReport(sender=1, query_id=0, origin=1, value=1.0)
+    heartbeat = Heartbeat(sender=2, target=0, value=1.0)
+    with pytest.raises(TypeError, match="Heartbeat"):
+        radio.broadcast_wave([report, heartbeat])
+    assert radio.stats.sent == {} and len(simulator.queue) == 0

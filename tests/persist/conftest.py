@@ -32,6 +32,7 @@ from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.energy.battery import Battery
 from repro.experiments.harness import make_cache_factory
 from repro.network.links import GlobalLoss
+from repro.network.radio import Radio
 from repro.network.state import DeviceState
 from repro.network.topology import uniform_random_topology
 from repro.obs.report import RunReport
@@ -50,13 +51,15 @@ class _EagerRouter(BatchedObservationRouter):
     """The production router, flushed after every sample of a burst.
 
     Each overheard sample is then applied inside the delivery that
-    carried it, in receiver order, before the burst's CPU charges — the
-    order a stand-alone node applies it inline.
+    carried it, in burst and receiver order, before the run's CPU
+    charges — the order a stand-alone node applies it inline.
     """
 
-    def enqueue_burst(self, node_ids, neighbor_id, own_values, neighbor_value) -> None:
-        for node_id, own in zip(node_ids, own_values):
-            super().enqueue_burst([node_id], neighbor_id, [own], neighbor_value)
+    def enqueue_burst(self, node_ids, neighbor_ids, own_values, neighbor_values) -> None:
+        for node_id, neighbor_id, own, value in zip(
+            node_ids, neighbor_ids, own_values, neighbor_values
+        ):
+            super().enqueue_burst([node_id], [neighbor_id], [own], [value])
             self.flush()
 
 
@@ -231,6 +234,17 @@ class _CountlessDeviceStatePickler(pickle.Pickler):
         return copyreg.__newobj__, (DeviceState,), state
 
 
+class _DevicelessRadioPickler(pickle.Pickler):
+    """Pickles the radio without its ``devices`` columns (its devices'
+    batteries keep theirs)."""
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, Radio):
+            return NotImplemented
+        state = {k: v for k, v in vars(obj).items() if k != "devices"}
+        return copyreg.__newobj__, (type(obj),), state
+
+
 def save_with_pickler(runtime, path, monkeypatch, pickler) -> None:
     """Save ``runtime`` to ``path`` as a checkpoint file with a valid
     header and payload hash, its payload written by ``pickler``."""
@@ -255,3 +269,9 @@ def save_countless_checkpoint(runtime, path, monkeypatch) -> None:
     """Save ``runtime`` with a device state that lacks the ``changes``
     count, which the state digests do not read."""
     save_with_pickler(runtime, path, monkeypatch, _CountlessDeviceStatePickler)
+
+
+def save_deviceless_checkpoint(runtime, path, monkeypatch) -> None:
+    """Save ``runtime`` with a radio that lacks the ``devices`` columns
+    every delivery reads."""
+    save_with_pickler(runtime, path, monkeypatch, _DevicelessRadioPickler)

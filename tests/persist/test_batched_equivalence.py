@@ -128,8 +128,9 @@ def test_batched_checkpoint_mid_burst_resumes(tmp_path):
 
     runtime = build_runtime(seed, "model-aware", 0.0)
     # Replay train()'s exact schedule, but drive it one event at a time
-    # so we can stop mid-delivery-burst (train() itself runs the whole
-    # window; see SnapshotRuntime.train).
+    # so we can stop after the first tick's delivery wave, before the
+    # barrier flushes its samples (train() itself runs the whole window;
+    # see SnapshotRuntime.train).
     simulator = runtime.simulator
     t0 = simulator.now
     end = t0 + 6.0

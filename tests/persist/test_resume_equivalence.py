@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.runtime import SnapshotRuntime
+from repro.network.radio import DELIVERY_PRIORITY
 from repro.persist import load_checkpoint, save_checkpoint
 
 from tests.persist.conftest import (
@@ -72,6 +73,50 @@ def test_checkpoint_at_arbitrary_event_index(tmp_path):
     resumed = SnapshotRuntime.restore(path)
     resumed.simulator.run_until(80.0)
     for step in SCRIPT[6:]:
+        step(resumed)
+    assert_outcomes_equal(outcome(resumed), reference)
+
+
+def _wave_pending(runtime) -> bool:
+    """A training tick's reports are sent and their wave not delivered."""
+    head = runtime.simulator.queue.peek()
+    return head is not None and head[1] == DELIVERY_PRIORITY
+
+
+def _wave_delivered(runtime) -> bool:
+    """A tick's wave is delivered and its samples not yet flushed."""
+    return bool(runtime.observation_router.pending)
+
+
+@pytest.mark.parametrize(
+    "frozen", [_wave_pending, _wave_delivered], ids=["before-wave", "before-flush"]
+)
+@pytest.mark.parametrize("loss", [0.0, 0.25], ids=["lossless", "lossy"])
+def test_checkpoint_inside_a_training_tick(frozen, loss, tmp_path):
+    """Freeze between a training tick's sends and its one delivery
+    event, or between that wave and the barrier flush of its samples."""
+    seed, policy = 4, "model-aware"
+    reference = run_reference(seed, policy, loss)
+
+    runtime = build_runtime(seed, policy, loss)
+    simulator = runtime.simulator
+    # train()'s own schedule, stepped one event at a time.
+    end = runtime._schedule_train(duration=6.0)
+    while not frozen(runtime):
+        assert simulator.run_until(end, max_events=1) == 1
+    assert runtime.stats.sent_of_kind("DataReport") > 0
+    if frozen is _wave_pending:
+        assert not runtime.observation_router.pending
+    path = tmp_path / "mid-tick.ckpt"
+    saved = save_checkpoint(runtime, path)
+    assert ("observations" in saved.components) == (frozen is _wave_delivered)
+    del runtime
+
+    resumed = load_checkpoint(path)
+    assert resumed.state_digest().whole == saved.whole
+    assert frozen(resumed)
+    resumed.simulator.run_until(end)
+    for step in SCRIPT[1:]:
         step(resumed)
     assert_outcomes_equal(outcome(resumed), reference)
 

@@ -5,8 +5,8 @@ batteries and liveness bytes are slots of the radio's device state;
 the observation router holds the runtime's nodes.  Whichever of the
 objects that share this state is unpickled first, the restored run
 digests as the saved one did, holds one set of columns, and resumes on
-the saved run's trajectory — here from the middle of a delivery burst,
-with samples still queued.
+the saved run's trajectory — here from between a delivery wave and its
+flush, with samples still queued.
 
 A checkpoint restores only in code whose digests of it verify: a
 payload that does not match this code's classes is refused by name.
@@ -24,7 +24,11 @@ from repro.core.runtime import SnapshotRuntime
 from repro.energy.costs import EnergyCostModel
 from repro.persist import CheckpointIntegrityError, load_checkpoint
 from tests.conftest import make_runtime
-from tests.persist.conftest import save_countless_checkpoint, save_mismatched_checkpoint
+from tests.persist.conftest import (
+    save_countless_checkpoint,
+    save_deviceless_checkpoint,
+    save_mismatched_checkpoint,
+)
 
 #: Roots that make a different object of the shared state unpickle first.
 ORDERS = {
@@ -38,7 +42,7 @@ ORDERS = {
 
 def mid_burst_runtime() -> SnapshotRuntime:
     """A trained, elected, maintained run with a failed node, stopped
-    inside a training tick's delivery bursts with samples queued."""
+    after a training tick's delivery wave with its samples queued."""
     runtime = make_runtime(
         n_nodes=12,
         transmission_range=0.6,
@@ -100,6 +104,20 @@ def test_mismatched_payload_is_refused_by_name(tmp_path, monkeypatch):
         assert str(path) in message
         assert "does not match this code's classes" in message
         assert isinstance(refused.value.__cause__, AttributeError)
+
+
+def test_a_radio_without_device_columns_is_refused_by_name(tmp_path, monkeypatch):
+    """The batteries still digest through their own columns, but the
+    radio books every burst over ``devices``: restore refuses the file
+    instead of failing at the first delivery."""
+    path = tmp_path / "deviceless.ckpt"
+    save_deviceless_checkpoint(mid_burst_runtime(), path, monkeypatch)
+    for restore in (load_checkpoint, SnapshotRuntime.restore):
+        with pytest.raises(CheckpointIntegrityError) as refused:
+            restore(path)
+        message = str(refused.value)
+        assert str(path) in message
+        assert "'Radio' object has no attribute 'devices'" in message
 
 
 def test_a_device_state_without_the_change_count_restores_and_runs_on(tmp_path, monkeypatch):
