@@ -190,33 +190,34 @@ class SnapshotRuntime:
         )
 
     def _build_fleet(self) -> Optional[ModelAwareCacheFleet]:
-        """A shared cache fleet with lane ``node_id`` per node, if the
-        policy allows.
+        """The shared cache fleet, lane ``node_id`` per node's cache.
 
-        Every cache must be an empty
-        :class:`~repro.models.cache_manager.ModelAwareCache` on a single
-        byte budget; binding it to a lane makes the fleet its engine.
-        Anything else (round-robin, mixed budgets, pre-warmed caches)
-        returns ``None``: the caches stay unbound on the scalar engine
-        and the observation router applies their samples scalarly —
-        still batched at the same barrier, just without the vectorized
-        sweep.  Node ids are ``0..N-1`` (``topology.node_ids``), so a
-        node's id is its lane and the router needs no lane table.
+        Model-aware caches on one byte budget are bound to the lanes of
+        one fleet, the engine the observation router sweeps.  Node ids
+        are ``0..N-1`` (``topology.node_ids``), so a node's id is its
+        lane and the router needs no lane table.  Caches of another
+        policy (round-robin) have no fleet: this returns ``None`` and
+        the router applies their samples one by one.  Refused by name
+        (``ValueError``): model-aware caches mixed with other policies
+        or on several budgets, and a cache that already owns a lane
+        (one used before the runtime was built).
         """
-        policies = []
-        for node_id in sorted(self.nodes):
-            policy = self.nodes[node_id].cache
-            if not isinstance(policy, ModelAwareCache) or policy.total_pairs != 0:
-                return None
-            policies.append(policy)
-        if not policies:
+        policies = [self.nodes[node_id].cache for node_id in sorted(self.nodes)]
+        model_aware = [isinstance(policy, ModelAwareCache) for policy in policies]
+        if not any(model_aware):
             return None
-        budgets = {policy.cache_bytes for policy in policies}
+        if not all(model_aware):
+            raise ValueError(
+                "model-aware caches cannot share a runtime with other cache policies"
+            )
+        budgets = sorted({policy.cache_bytes for policy in policies})
         if len(budgets) != 1:
-            return None
-        cache_bytes = budgets.pop()
+            raise ValueError(
+                f"model-aware caches must share one byte budget, got {budgets}"
+            )
+        cache_bytes = budgets[0]
         # A node only ever caches lines for senders it can hear, and a
-        # scalar cache never holds more lines than its pair budget.
+        # cache never holds more lines than its pair budget.
         max_degree = max(
             len(self.topology.in_neighbors(node_id)) for node_id in sorted(self.nodes)
         )

@@ -112,8 +112,8 @@ def make_cache_factory(policy: str, cache_bytes: int) -> Callable[[], CachePolic
     """Cache-policy factory from a registry name.
 
     ``model-aware`` is the §4 manager: a runtime binds each cache to a
-    lane of its shared fleet, and a cache used on its own runs the
-    scalar reference engine.  ``round-robin`` is Figure 8's baseline.
+    lane of its shared fleet, and a cache used on its own gets a
+    one-lane fleet.  ``round-robin`` is Figure 8's baseline.
     """
     if policy == "model-aware":
         return _CacheFactory(ModelAwareCache, cache_bytes)

@@ -6,7 +6,10 @@ round-robin/FIFO baseline it is compared against in Figure 8
 (:class:`~repro.models.round_robin.RoundRobinCache`).
 
 A policy owns the whole per-node cache — all cache lines — under a
-fixed byte budget, and exposes:
+fixed byte budget.  The round-robin baseline stores
+:class:`~repro.models.cache.CacheLine` objects; the model-aware manager
+is a lane of the struct-of-arrays engine in :mod:`repro.models.soa`,
+the one §4 engine in the program.  Each exposes:
 
 * ``observe(j, x_i, x_j)`` — offer a fresh synchronized observation;
   the policy decides admission/eviction and reports the action taken;
@@ -40,6 +43,9 @@ class Action:
 class CachePolicy(abc.ABC):
     """A byte-budgeted collection of per-neighbor cache lines.
 
+    A policy stores its lines as it likes; the shared read side (models,
+    estimates, the digest) goes through :meth:`line`.
+
     Parameters
     ----------
     cache_bytes:
@@ -50,34 +56,26 @@ class CachePolicy(abc.ABC):
     def __init__(self, cache_bytes: int) -> None:
         self.cache_bytes = int(cache_bytes)
         self.capacity_pairs = pairs_for_budget(self.cache_bytes)
-        self._lines: dict[int, CacheLine] = {}
-        self._total_pairs = 0
 
-    # -- shared read side ----------------------------------------------------
+    # -- read side ---------------------------------------------------------------
 
     @property
+    @abc.abstractmethod
     def total_pairs(self) -> int:
-        """Pairs currently stored across all lines (O(1) running count).
-
-        Maintained by the shared mutation helpers (``_append_pair``,
-        ``_evict_oldest_of``); subclasses must mutate lines
-        through them so ``is_full`` stays a constant-time check on the
-        observe hot path.
-        """
-        return self._total_pairs
+        """Pairs currently stored across all lines (O(1))."""
 
     @property
     def is_full(self) -> bool:
         """Whether the budget is exhausted."""
         return self.total_pairs >= self.capacity_pairs
 
+    @abc.abstractmethod
     def known_neighbors(self) -> list[int]:
         """Neighbors with at least one stored pair, ascending id."""
-        return sorted(j for j, line in self._lines.items() if len(line) > 0)
 
+    @abc.abstractmethod
     def line(self, neighbor_id: int) -> Optional[CacheLine]:
         """The cache line for ``neighbor_id``, or ``None``."""
-        return self._lines.get(neighbor_id)
 
     def model(self, neighbor_id: int) -> Optional[LinearModel]:
         """Current model for ``neighbor_id``, or ``None`` if no history."""
@@ -131,30 +129,3 @@ class CachePolicy(abc.ABC):
     @abc.abstractmethod
     def observe(self, neighbor_id: int, own_value: float, neighbor_value: float) -> str:
         """Offer a synchronized observation; returns the :class:`Action` taken."""
-
-    # -- internal helpers ------------------------------------------------------
-
-    def _line_or_new(self, neighbor_id: int) -> CacheLine:
-        line = self._lines.get(neighbor_id)
-        if line is None:
-            line = CacheLine(neighbor_id)
-            self._lines[neighbor_id] = line
-        return line
-
-    def _append_pair(self, line: CacheLine, own_value: float, neighbor_value: float) -> None:
-        """Append to ``line`` while keeping the running pair count exact."""
-        line.append(own_value, neighbor_value)
-        self._total_pairs += 1
-
-    def _evict_oldest_of(self, neighbor_id: int) -> None:
-        """Evict the oldest pair of ``neighbor_id``'s line, dropping it if emptied."""
-        line = self._lines[neighbor_id]
-        line.evict_oldest()
-        self._total_pairs -= 1
-        if len(line) == 0:
-            del self._lines[neighbor_id]
-
-    def _check_capacity_invariant(self) -> None:
-        assert self.total_pairs <= self.capacity_pairs, (
-            f"cache over budget: {self.total_pairs} > {self.capacity_pairs}"
-        )

@@ -11,7 +11,9 @@ pairs across lines.
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
+from repro.models.cache import CacheLine
 from repro.models.policy import Action, CachePolicy
 
 __all__ = ["RoundRobinCache"]
@@ -22,22 +24,42 @@ class RoundRobinCache(CachePolicy):
 
     def __init__(self, cache_bytes: int) -> None:
         super().__init__(cache_bytes)
+        self._lines: dict[int, CacheLine] = {}
+        self._total_pairs = 0
         # Per-pair insertion order: the neighbor id whose line received
         # each stored pair, oldest first.  Evicting the front id's
         # oldest pair is exact global FIFO.
         self._insertion_order: deque[int] = deque()
 
+    @property
+    def total_pairs(self) -> int:
+        """Pairs currently stored across all lines (O(1) running count)."""
+        return self._total_pairs
+
+    def known_neighbors(self) -> list[int]:
+        """Neighbors with at least one stored pair, ascending id."""
+        return sorted(self._lines)
+
+    def line(self, neighbor_id: int) -> Optional[CacheLine]:
+        """The cache line for ``neighbor_id``, or ``None``."""
+        return self._lines.get(neighbor_id)
+
     def observe(self, neighbor_id: int, own_value: float, neighbor_value: float) -> str:
         """Store the pair, evicting the globally oldest one if needed."""
-        evicted = False
-        if self.is_full:
+        evicted = self.is_full
+        if evicted:
             victim = self._insertion_order.popleft()
-            self._evict_oldest_of(victim)
-            evicted = True
-        line = self._line_or_new(neighbor_id)
-        self._append_pair(line, float(own_value), float(neighbor_value))
+            line = self._lines[victim]
+            line.evict_oldest()
+            if not line:
+                del self._lines[victim]
+        else:
+            self._total_pairs += 1
+        line = self._lines.get(neighbor_id)
+        if line is None:
+            line = self._lines[neighbor_id] = CacheLine(neighbor_id)
+        line.append(own_value, neighbor_value)
         self._insertion_order.append(neighbor_id)
-        self._check_capacity_invariant()
         return Action.SHIFT if evicted else Action.APPEND
 
     def digest_state(self) -> tuple:

@@ -6,11 +6,13 @@ RegressionStats sufficient sums ``(n, Σx, Σy, Σx², Σxy, Σy²)``, the
 ring-buffered sample pairs, and the memoized fit/benefit/penalty
 columns with their validity flags.  :meth:`~ModelAwareCacheFleet.observe_lanes`
 advances many caches by one observation each with the §4 decision
-procedure evaluated lane-parallel.  A :class:`~repro.models.cache_manager.ModelAwareCache`
-bound to a fleet lane answers its whole API from these columns; an
-unbound one runs the scalar :class:`~repro.models.cache.CacheLine`
-path, which is the reference every fleet decision is tested against
-(golden-trace and hypothesis suites).
+procedure evaluated lane-parallel.  This is the program's one §4
+engine: every :class:`~repro.models.cache_manager.ModelAwareCache` is a
+lane of a fleet and answers its whole API from these columns.  The
+scalar reading of §4 over :class:`~repro.models.cache.CacheLine`
+objects lives in the tests (``tests/models/scalar_oracle.py``) as the
+oracle every fleet decision is tested against (golden-trace and
+hypothesis suites).
 
 Why are lanes caches and not neighbors?  The §4 decision procedure is
 inherently sequential *within* a cache: ~85% of full-cache decisions
@@ -20,7 +22,7 @@ evaluated as independent lanes without changing results.  Independent
 caches in lock-step vectorize cleanly, which is exactly the shape of a
 measurement round (every node snoops one sample per tick).
 
-Bit-identity with the scalar path rests on a few load-bearing rules:
+Bit-identity with the scalar oracle rests on a few load-bearing rules:
 
 * eviction applies sums *subtract-then-add* while decision scoring
   builds candidates *add-then-subtract* — exactly the scalar orders;
@@ -116,12 +118,11 @@ class ModelAwareCacheFleet:
     evicts a newcomer victim or needs more line slots drops to the
     scalar path row-wise.
 
-    This is the simulator's production cache engine:
     ``SnapshotRuntime`` binds node ``i``'s ``ModelAwareCache`` to lane
-    ``i`` of a shared fleet, and the maintenance rounds'
-    ``BatchedObservationRouter`` feeds it through :meth:`observe_lanes`.
-    A ``ModelAwareCache`` outside a runtime is unbound and runs the
-    scalar ``CacheLine`` reference path instead.
+    ``i`` of a shared fleet, and its ``BatchedObservationRouter`` feeds
+    the fleet through :meth:`observe_lanes`.  A ``ModelAwareCache``
+    outside a runtime is lane 0 of a private one-lane fleet, driven
+    through the per-lane :meth:`observe`.
 
     Parameters
     ----------
@@ -363,7 +364,9 @@ class ModelAwareCacheFleet:
         return ((syy_ if syy_ > 0.0 else 0.0) - rsse) / n_
 
     def observe(self, c: int, j: int, x: float, y: float) -> str:
-        """Scalar single-cache observe (first-sample and fallback path)."""
+        """Advance cache ``c`` by one observation, lane by itself: a
+        standalone cache's path, a handler's mid-burst sync, and the
+        first samples :meth:`observe_lanes` hands over."""
         if j < 0:
             raise ValueError(f"neighbor ids must be non-negative, got {j}")
         x = float(x); y = float(y)

@@ -8,7 +8,6 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.core.runtime import SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
-from repro.data.series import Dataset
 from repro.network.links import LossModel
 from repro.network.topology import Topology, uniform_random_topology
 from repro.simulation.engine import Simulator
@@ -82,18 +81,3 @@ def make_runtime(
         seed=seed,
         **runtime_kwargs,
     )
-
-
-@pytest.fixture
-def trained_runtime() -> SnapshotRuntime:
-    """A 20-node network that has completed the §6.1 warm-up."""
-    runtime = make_runtime()
-    runtime.train(duration=10)
-    return runtime
-
-
-@pytest.fixture
-def constant_dataset() -> Dataset:
-    """Nine nodes with constant, pairwise-distinct measurement levels."""
-    values = [[float(10 * (node + 1))] * 50 for node in range(9)]
-    return Dataset(values)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.runtime import SnapshotRuntime
 from repro.data.series import Dataset
+from repro.models.cache_manager import ModelAwareCache
 from repro.models.metrics import AbsoluteError
+from repro.models.round_robin import RoundRobinCache
+from repro.models.soa import ModelAwareCacheFleet
 from repro.network.links import GlobalLoss
 from repro.simulation.rng import RandomSource
 from tests.conftest import grid_topology, make_runtime
@@ -58,6 +63,67 @@ class TestRuntimeConstruction:
         assert len(runtime.alive_ids()) == 5
         runtime.radio.node(2).battery.draw(10.0)
         assert 2 not in runtime.alive_ids()
+
+
+class TestCacheFleet:
+    """A runtime binds every model-aware cache to a lane of one fleet."""
+
+    def test_construction_builds_exactly_one_fleet(self, monkeypatch):
+        # A cache's private one-lane fleet is built lazily; one built
+        # per cache before binding would cost every large deployment.
+        built = []
+        init = ModelAwareCacheFleet.__init__
+
+        def counting_init(fleet, *args, **kwargs):
+            built.append(args)
+            init(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(ModelAwareCacheFleet, "__init__", counting_init)
+        runtime = make_runtime(n_nodes=12)
+        assert len(built) == 1
+        fleet = runtime.observation_router.fleet
+        assert fleet.F == 12
+        assert all(node.cache._fleet is fleet for node in runtime.nodes.values())
+
+    def test_round_robin_caches_have_no_fleet(self):
+        runtime = make_runtime(n_nodes=6, cache_factory=lambda: RoundRobinCache(256))
+        assert runtime.observation_router.fleet is None
+
+    @pytest.mark.parametrize(
+        "kinds,budgets,refusal",
+        [
+            ((ModelAwareCache,), (256, 512), "one byte budget"),
+            ((ModelAwareCache, RoundRobinCache), (256,), "other cache policies"),
+        ],
+        ids=["mixed-budgets", "mixed-policies"],
+    )
+    def test_mixed_caches_are_refused(self, kinds, budgets, refusal):
+        caches = (
+            kind(budget)
+            for kind, budget in zip(itertools.cycle(kinds), itertools.cycle(budgets))
+        )
+        with pytest.raises(ValueError, match=refusal):
+            make_runtime(n_nodes=6, cache_factory=caches.__next__)
+
+    def test_a_pre_warmed_cache_is_refused(self):
+        def warm():
+            cache = ModelAwareCache(256)
+            cache.observe(1, 0.5, 1.0)
+            return cache
+
+        with pytest.raises(ValueError, match="already owns lane"):
+            make_runtime(n_nodes=6, cache_factory=warm)
+
+    def test_a_cache_that_owns_a_lane_cannot_be_rebound(self):
+        fleet = ModelAwareCacheFleet(2, 256)
+        bound = ModelAwareCache(256)
+        bound.bind_fleet(fleet, 0)
+        used = ModelAwareCache(256)
+        used.estimate(3, 1.0)  # builds its private fleet
+        for cache in (bound, used):
+            with pytest.raises(ValueError, match="already owns lane"):
+                cache.bind_fleet(fleet, 1)
+        assert bound._fleet is fleet and used._fleet is not fleet
 
 
 class TestTraining:

@@ -1,10 +1,15 @@
-"""Tests for cache lines and budget accounting (§4)."""
+"""Tests for cache lines and budget accounting (§4).
+
+A line's scores (fit memo, benefit, eviction penalty) are the scalar
+oracle's (``OracleLine``); the plain ``CacheLine`` stores pairs and sums.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.models.cache import BYTES_PER_PAIR, CacheLine, pairs_for_budget
+from tests.models.scalar_oracle import OracleLine
 
 
 class TestBudget:
@@ -40,7 +45,7 @@ class TestCacheLine:
             CacheLine(neighbor_id=0).evict_oldest()
 
     def test_model_cached_and_invalidated(self):
-        line = CacheLine(neighbor_id=1)
+        line = OracleLine(neighbor_id=1)
         line.append(0.0, 0.0)
         line.append(1.0, 2.0)
         first = line.model()
@@ -51,29 +56,29 @@ class TestCacheLine:
         assert second.slope == pytest.approx(2.0)
 
     def test_benefit_positive_for_predictable_data(self):
-        line = CacheLine(neighbor_id=1)
+        line = OracleLine(neighbor_id=1)
         for x in range(5):
             line.append(float(x), 10.0 + float(x))
         assert line.benefit() > 0.0
 
     def test_benefit_empty_is_zero(self):
-        assert CacheLine(neighbor_id=0).benefit() == 0.0
+        assert OracleLine(neighbor_id=0).benefit() == 0.0
 
     def test_eviction_penalty_single_pair_is_full_benefit(self):
-        line = CacheLine(neighbor_id=1)
+        line = OracleLine(neighbor_id=1)
         line.append(1.0, 5.0)
         assert line.eviction_penalty() == pytest.approx(line.benefit())
 
     def test_eviction_penalty_zero_for_perfectly_linear_data(self):
         """Dropping one pair from an exact line loses nothing."""
-        line = CacheLine(neighbor_id=1)
+        line = OracleLine(neighbor_id=1)
         for x in range(4):
             line.append(float(x), 2.0 * x + 1.0)
         assert line.eviction_penalty() == pytest.approx(0.0, abs=1e-9)
 
     def test_eviction_penalty_positive_when_oldest_matters(self):
         """The only pair anchoring the slope is expensive to lose."""
-        line = CacheLine(neighbor_id=1)
+        line = OracleLine(neighbor_id=1)
         line.append(0.0, 0.0)       # anchors the slope
         line.append(10.0, 20.0)
         line.append(10.0, 20.0)

@@ -69,7 +69,6 @@ class TestFullCacheDecisions:
         # Neighbor 1: two points of a steep, imperfectly known line.
         cache.observe(1, 0.0, 5.0)
         cache.observe(1, 1.0, 17.0)
-        # list(...) snapshots: .pairs is a live view of the line.
         before = list(cache.line(2).pairs)
         action = cache.observe(1, 2.0, 28.0)
         assert action in (Action.AUGMENT, Action.SHIFT, Action.REJECT)

@@ -10,13 +10,17 @@ Three guarantees are pinned down here:
    ``sse_tolerance``), across random append/evict sequences, including
    the drift regime where evictions dominate (bounded by the periodic
    exact recompute every ``STATS_SYNC_INTERVAL`` evictions).
-2. **Decision equivalence** — ``ModelAwareCache`` emits the identical
-   reject/shift/augment/newcomer trace as a self-contained batch-refit
-   reference of the §4 procedure under the same tie rule
+2. **Decision equivalence** — ``ModelAwareCache`` (the fleet engine)
+   and the scalar oracle (``ScalarOracleCache``) each emit the
+   identical reject/shift/augment/newcomer trace as a self-contained
+   batch-refit reference of the §4 procedure under the same tie rule
    (:data:`~repro.models.cache.TIE_RTOL`), on seeded correlated streams.
-3. **No copies on the hot path** — ``observe``/``benefit``/
+3. **No copies on the hot path** — the oracle's ``observe``/``benefit``/
    ``eviction_penalty``/``model`` never touch the copying ``pairs``
    property.
+
+The line-level scores are the oracle's (``OracleLine``); the fleet's
+are pinned to them by ``test_soa_golden.py``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.models.cache import BYTES_PER_PAIR, STATS_SYNC_INTERVAL, TIE_RTOL, CacheLine
 from repro.models.cache_manager import ModelAwareCache
+from tests.models.scalar_oracle import OracleLine, ScalarOracleCache
 from repro.models.policy import Action
 from repro.models.regression import (
     RegressionStats,
@@ -180,7 +185,7 @@ class TestIncrementalMatchesBatch:
     )
     @settings(max_examples=60, deadline=None)
     def test_model_benefit_penalty_track_batch(self, operations):
-        line = CacheLine(neighbor_id=0)
+        line = OracleLine(neighbor_id=0)
         for op, x, y in operations:
             if op == "evict" and len(line) > 0:
                 line.evict_oldest()
@@ -211,7 +216,7 @@ class TestIncrementalMatchesBatch:
         large-amplitude line: the periodic exact recompute keeps the
         incremental quantities within 1e-9 of the batch formulas."""
         rng = random.Random(7)
-        line = CacheLine(neighbor_id=0)
+        line = OracleLine(neighbor_id=0)
         value = 1000.0
         for _ in range(32):
             value += rng.gauss(0.0, 10.0)
@@ -247,7 +252,7 @@ class _BatchReferenceCache:
     Batch refits of current/shifted/augmented candidates compared under
     the tie rule (:data:`~repro.models.cache.TIE_RTOL`), a full sorted
     scan for the cheapest victim, and the same round-robin newcomer
-    rule — the golden reference the O(1) engines must reproduce.
+    rule — the golden reference the fleet and the oracle must reproduce.
     """
 
     def __init__(self, capacity_pairs: int) -> None:
@@ -335,23 +340,35 @@ def correlated_stream(length: int, neighbors: int, seed: int):
     return stream
 
 
+def engines(capacity: int) -> list:
+    """The fleet (a standalone cache's lane) and the scalar oracle."""
+    budget = BYTES_PER_PAIR * capacity
+    return [ModelAwareCache(budget), ScalarOracleCache(budget)]
+
+
+def assert_same_lines(caches, reference) -> None:
+    """Identical traces imply identical stored pairs, line by line."""
+    for cache in caches:
+        assert sorted(reference.lines) == cache.known_neighbors()
+        for k, pairs in reference.lines.items():
+            assert cache.line(k).pairs == pairs
+
+
 class TestGoldenDecisionTrace:
     @pytest.mark.parametrize(
         "capacity,neighbors,seed",
         [(2, 3, 1), (4, 4, 2), (8, 5, 3), (16, 5, 4), (32, 6, 5)],
     )
     def test_trace_identical_to_batch_reference(self, capacity, neighbors, seed):
-        cache = ModelAwareCache(BYTES_PER_PAIR * capacity)
+        caches = engines(capacity)
         reference = _BatchReferenceCache(capacity)
         stream = correlated_stream(1200, neighbors, seed)
         for step, (j, x, y) in enumerate(stream):
-            got = cache.observe(j, x, y)
             expected = reference.observe(j, x, y)
-            assert got == expected, f"step {step}: {got} != {expected}"
-        # identical traces imply identical stored pairs, line by line
-        assert sorted(reference.lines) == cache.known_neighbors()
-        for k, pairs in reference.lines.items():
-            assert cache.line(k).pairs == pairs
+            for cache in caches:
+                got = cache.observe(j, x, y)
+                assert got == expected, f"{type(cache).__name__} step {step}: {got} != {expected}"
+        assert_same_lines(caches, reference)
 
     def test_trace_identical_on_tie_heavy_stream(self):
         """Ties resolve by the stated rule, whatever the arithmetic.
@@ -368,7 +385,7 @@ class TestGoldenDecisionTrace:
         """
         capacity, neighbors = 8, 4
         rng = random.Random(77)
-        cache = ModelAwareCache(BYTES_PER_PAIR * capacity)
+        caches = engines(capacity)
         reference = _BatchReferenceCache(capacity)
         for step in range(1500):
             j = rng.randrange(neighbors)
@@ -377,17 +394,16 @@ class TestGoldenDecisionTrace:
                 y = (j + 2.0) * x  # exactly collinear per neighbor
             else:
                 y = float(rng.randrange(1, 50))
-            got = cache.observe(j, x, y)
             expected = reference.observe(j, x, y)
-            assert got == expected, f"step {step}: {got} != {expected}"
-        assert sorted(reference.lines) == cache.known_neighbors()
-        for k, pairs in reference.lines.items():
-            assert cache.line(k).pairs == pairs
+            for cache in caches:
+                got = cache.observe(j, x, y)
+                assert got == expected, f"{type(cache).__name__} step {step}: {got} != {expected}"
+        assert_same_lines(caches, reference)
 
     def test_collinear_line_penalty_is_exact_zero(self):
         """Removing the oldest of a collinear line costs exactly nothing —
         the zero must be exact (victim ordering breaks ties on it)."""
-        line = CacheLine(0)
+        line = OracleLine(0)
         for x in (1.0, 2.0, 3.0, 4.0):
             line.append(x, 3.0 * x)
         assert line.eviction_penalty() == 0.0
@@ -414,7 +430,7 @@ class TestNoPairCopiesOnHotPath:
             return original(self)
 
         monkeypatch.setattr(CacheLine, "pairs", property(counting_pairs))
-        cache = ModelAwareCache(BYTES_PER_PAIR * 16)
+        cache = ScalarOracleCache(BYTES_PER_PAIR * 16)
         for j, x, y in correlated_stream(800, 4, seed=9):
             cache.observe(j, x, y)
             line = cache.line(j)

@@ -2,8 +2,9 @@
 
 The batched-rounds equivalence argument, pinned at the model level:
 ``ModelAwareCacheFleet.observe_lanes`` — the kernel the
-``BatchedObservationRouter`` sweeps per wave — equals per-lane scalar
-application, wave order interleaved arbitrarily across lanes.
+``BatchedObservationRouter`` sweeps per wave — equals the scalar oracle
+fed each lane's samples, wave order interleaved arbitrarily across
+lanes, and equals the fleet's own per-lane ``observe`` through warm-up.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.cache import BYTES_PER_PAIR
-from repro.models.cache_manager import ModelAwareCache
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
 from tests.models.conftest import bound_lanes
+from tests.models.scalar_oracle import ScalarOracleCache
 
 BUDGET = BYTES_PER_PAIR * 24
 #: Neighbor-id universe; kept within the fleet's ``max_lines`` so a
@@ -28,17 +29,12 @@ _sample = st.tuples(st.integers(0, MAX_LINES - 1), _value, _value)
 
 
 def _fleet_with_twins(n_lanes):
-    """A fleet plus (fleet-backed, scalar) ModelAwareCache pairs per lane."""
+    """A fleet, a cache bound to each lane, and an oracle twin per lane."""
     fleet = ModelAwareCacheFleet(
         n_lanes, BUDGET, max_lines=MAX_LINES, ring_cap=4
     )
-    backed, twins = [], []
-    for lane in range(n_lanes):
-        cache = ModelAwareCache(BUDGET)
-        cache.bind_fleet(fleet, lane)
-        backed.append(cache)
-        twins.append(ModelAwareCache(BUDGET))
-    return fleet, backed, twins
+    twins = [ScalarOracleCache(BUDGET) for _ in range(n_lanes)]
+    return fleet, bound_lanes(fleet), twins
 
 
 @given(data=st.data())

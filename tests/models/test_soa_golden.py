@@ -1,13 +1,13 @@
-"""Golden-trace equivalence of the two model-aware cache engines.
+"""Golden-trace equivalence of the fleet engine and the scalar oracle.
 
-The scalar object-graph path (an unbound ``ModelAwareCache``) and the
-cross-cache numpy fleet (a cache bound to a ``ModelAwareCacheFleet``
+The scalar oracle (``tests/models/scalar_oracle.py``, one object per
+line) and the cross-cache numpy fleet (a ``ModelAwareCache`` on its
 lane, or the fleet driven directly through ``observe_lanes``) must make
 the *same decision on every observation* and hold *bit-identical state*
-afterwards — that is the contract that lets the fleet replace the
-reference engine under the pinned trajectory/digest tests.  Cases
-named "block" drive a cache bound to a one-lane fleet, so the fleet's
-per-lane path and ``FleetLineView`` are pinned too.  Streams are the
+afterwards — that is the contract that lets the fleet be the program's
+one §4 engine under the pinned trajectory/digest tests.  Cases named
+"block" drive a standalone cache on its private one-lane fleet, so the
+fleet's per-lane path and the cache's line copies are pinned too.  Streams are the
 correlated neighbor walks the perf bench uses, long enough to cross the
 ``STATS_SYNC_INTERVAL`` drift-resync boundary many times and to hit
 every action (append, newcomer, shift, augment, reject) plus dominant
@@ -23,7 +23,8 @@ from repro.models.cache import BYTES_PER_PAIR, STATS_SYNC_INTERVAL
 from repro.models.cache_manager import ModelAwareCache
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
 from repro.persist.digest import canonical_bytes
-from tests.models.conftest import bound_lanes
+from tests.models.conftest import bound_lanes, lane_scores, oracle_scores
+from tests.models.scalar_oracle import ScalarOracleCache
 
 
 def correlated_stream(length: int, neighbors: int = 8, seed: int = 42):
@@ -65,15 +66,8 @@ def adversarial_stream(length: int, neighbors: int, seed: int):
     return out
 
 
-def fleet_cache(cache_bytes: int) -> ModelAwareCache:
-    """A cache bound to lane 0 of its own one-lane fleet."""
-    cache = ModelAwareCache(cache_bytes)
-    cache.bind_fleet(ModelAwareCacheFleet(1, cache_bytes), 0)
-    return cache
-
-
-def block_state(cache: ModelAwareCache) -> dict:
-    """Engine-independent canonical state of a ModelAwareCache."""
+def block_state(cache) -> dict:
+    """Engine-independent canonical state of a §4 cache."""
     lines = {}
     for j in cache.known_neighbors():
         line = cache.line(j)
@@ -94,8 +88,8 @@ def block_state(cache: ModelAwareCache) -> dict:
 ])
 @pytest.mark.parametrize("capacity", [8, 48])
 def test_scalar_and_block_bitwise_identical(stream_fn, seed, capacity):
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
-    block = fleet_cache(BYTES_PER_PAIR * capacity)
+    scalar = ScalarOracleCache(BYTES_PER_PAIR * capacity)
+    block = ModelAwareCache(BYTES_PER_PAIR * capacity)
     stream = (
         stream_fn(3000, 6, seed)
         if stream_fn is adversarial_stream
@@ -121,18 +115,15 @@ def test_scalar_and_block_bitwise_identical(stream_fn, seed, capacity):
 
 
 def test_scalar_and_block_agree_on_benefit_penalty_columns():
-    """Every memoized §4 quantity matches the scalar value exactly."""
-    scalar = ModelAwareCache(BYTES_PER_PAIR * 24)
-    block = fleet_cache(BYTES_PER_PAIR * 24)
+    """Every memoized §4 quantity matches the oracle's value exactly."""
+    scalar = ScalarOracleCache(BYTES_PER_PAIR * 24)
+    block = ModelAwareCache(BYTES_PER_PAIR * 24)
     for j, x, y in correlated_stream(1500, neighbors=5, seed=11):
         assert scalar.observe(j, x, y) == block.observe(j, x, y)
     assert scalar.known_neighbors() == block.known_neighbors()
     for j in scalar.known_neighbors():
-        ls, lb = scalar.line(j), block.line(j)
-        assert ls.model_coefficients() == lb.model_coefficients()
-        assert ls.benefit() == lb.benefit()
-        assert ls.eviction_penalty() == lb.eviction_penalty()
-        assert ls.stats.fit() == lb.stats.fit()
+        assert oracle_scores(scalar.line(j)) == lane_scores(block, j)
+        assert scalar.line(j).stats.fit() == block.line(j).stats.fit()
 
 
 @pytest.mark.parametrize("n_caches,steps,cache_bytes", [(64, 1000, 128)])
@@ -141,13 +132,11 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
 
     64 independent caches × 1000 lock-step batches: per-step actions
     and the complete final state (pairs, sums, resync counters, cursor)
-    must match a scalar ``ModelAwareCache`` fed the same per-lane
+    must match a scalar oracle cache fed the same per-lane
     stream.  Small capacity forces heavy eviction traffic across the
     ``STATS_SYNC_INTERVAL`` boundary in every lane.
     """
-    refs = [
-        ModelAwareCache(cache_bytes) for _ in range(n_caches)
-    ]
+    refs = [ScalarOracleCache(cache_bytes) for _ in range(n_caches)]
     fleet = ModelAwareCacheFleet(
         n_caches, cache_bytes, max_lines=8, ring_cap=32
     )
@@ -175,7 +164,7 @@ def test_fleet_bitwise_identical_to_scalar(n_caches, steps, cache_bytes):
 def test_fleet_ring_growth_preserves_state():
     """Ring doubling mid-run is a pure relayout: lanes keep matching."""
     n_caches = 8
-    refs = [ModelAwareCache(512) for _ in range(n_caches)]
+    refs = [ScalarOracleCache(512) for _ in range(n_caches)]
     fleet = ModelAwareCacheFleet(n_caches, 512, max_lines=4, ring_cap=4)
     lanes = bound_lanes(fleet)
     streams = [

@@ -1,4 +1,4 @@
-"""Property tests: the fleet engine vs the scalar reference.
+"""Property tests: the fleet engine vs the scalar oracle.
 
 Hypothesis drives adversarial observation streams — mixed magnitudes
 (1e-6 … 1e6, so dominant-sum evictions happen), repeated/collinear
@@ -7,9 +7,10 @@ capacities (dense eviction traffic crossing the
 ``STATS_SYNC_INTERVAL`` resync boundary) — and asserts the fleet's
 sufficient-sum updates, the centered-moment SSE quantities and the
 benefit/penalty columns agree with the scalar implementation to exact
-float equality, decision-for-decision.  The "block" side is a cache
-bound to a one-lane ``ModelAwareCacheFleet``; the fleet-lane case
-drives the vectorized ``observe_lanes`` kernel directly.
+float equality, decision-for-decision.  The "scalar" side is the oracle
+of ``tests/models/scalar_oracle.py``; the "block" side is a standalone
+``ModelAwareCache`` on its private one-lane fleet, and the fleet-lane
+case drives the vectorized ``observe_lanes`` kernel directly.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from repro.models.cache import BYTES_PER_PAIR, STATS_SYNC_INTERVAL
 from repro.models.cache_manager import ModelAwareCache
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
 from repro.persist.digest import canonical_bytes
+from tests.models.conftest import bound_lanes, lane_scores, oracle_scores
+from tests.models.scalar_oracle import ScalarOracleCache
 
 #: Adversarial values: exponents spanning twelve orders of magnitude so
 #: a single pair can dominate a running sum, plus exact small integers
@@ -51,39 +54,29 @@ _wide_observations = st.lists(
 )
 
 
-def _fleet_cache(cache_bytes: int) -> ModelAwareCache:
-    """A cache bound to lane 0 of its own one-lane fleet."""
-    cache = ModelAwareCache(cache_bytes)
-    cache.bind_fleet(ModelAwareCacheFleet(1, cache_bytes), 0)
-    return cache
-
-
-def _state(cache: ModelAwareCache) -> bytes:
+def _state(cache) -> bytes:
     return canonical_bytes(cache.digest_state())
 
 
 @given(_observations, st.integers(4, 24))
 @settings(max_examples=120, deadline=None)
 def test_block_matches_scalar_decision_for_decision(observations, capacity):
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
-    block = _fleet_cache(BYTES_PER_PAIR * capacity)
+    scalar = ScalarOracleCache(BYTES_PER_PAIR * capacity)
+    block = ModelAwareCache(BYTES_PER_PAIR * capacity)
     for j, x, y in observations:
         assert scalar.observe(j, x, y) == block.observe(j, x, y)
     assert _state(block) == _state(scalar)
     # every memoized column agrees exactly after the stream
     for j in scalar.known_neighbors():
-        ls, lb = scalar.line(j), block.line(j)
-        assert ls.benefit() == lb.benefit()
-        assert ls.eviction_penalty() == lb.eviction_penalty()
-        assert ls.model_coefficients() == lb.model_coefficients()
+        assert oracle_scores(scalar.line(j)) == lane_scores(block, j)
 
 
 @given(_observations)
 @settings(max_examples=60, deadline=None)
 def test_block_sums_are_bitwise_scalar_sums(observations):
     """Batched sufficient-sum maintenance ≡ RegressionStats add/remove."""
-    scalar = ModelAwareCache(BYTES_PER_PAIR * 8)
-    block = _fleet_cache(BYTES_PER_PAIR * 8)
+    scalar = ScalarOracleCache(BYTES_PER_PAIR * 8)
+    block = ModelAwareCache(BYTES_PER_PAIR * 8)
     for j, x, y in observations:
         scalar.observe(j, x, y)
         block.observe(j, x, y)
@@ -103,8 +96,8 @@ def test_resync_boundary_crossing_stays_identical(seed):
     line keep the engines identical through the periodic exact resync."""
     rng = np.random.default_rng(seed)
     capacity = 6  # tiny: almost every observation evicts something
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
-    block = _fleet_cache(BYTES_PER_PAIR * capacity)
+    scalar = ScalarOracleCache(BYTES_PER_PAIR * capacity)
+    block = ModelAwareCache(BYTES_PER_PAIR * capacity)
     evictions = 0
     for _ in range(3 * STATS_SYNC_INTERVAL):
         j = int(rng.integers(0, 3))
@@ -121,14 +114,13 @@ def test_resync_boundary_crossing_stays_identical(seed):
 @settings(max_examples=60, deadline=None)
 def test_fleet_lane_matches_scalar(observations, capacity):
     """A one-lane fleet driven through observe_lanes replays the scalar
-    reference exactly (the vectorized kernel, not just the scalar
-    fallbacks, once the cache fills)."""
-    scalar = ModelAwareCache(BYTES_PER_PAIR * capacity)
+    oracle exactly (the vectorized kernel, not just the per-lane
+    path, once the cache fills)."""
+    scalar = ScalarOracleCache(BYTES_PER_PAIR * capacity)
     fleet = ModelAwareCacheFleet(
         1, BYTES_PER_PAIR * capacity, max_lines=8, ring_cap=8
     )
-    lane = ModelAwareCache(BYTES_PER_PAIR * capacity)
-    lane.bind_fleet(fleet, 0)  # reads the lane's columns
+    (lane,) = bound_lanes(fleet)  # reads the lane's columns
     for j, x, y in observations:
         code = fleet.observe_lanes(
             np.arange(1), np.array([j]), np.array([x]), np.array([y])

@@ -6,10 +6,12 @@ scores that differ only by rounding noise: benefits within
 before SHIFT before AUGMENT, and an eviction penalty within tolerance
 of zero is exactly ``0.0``, so equal penalties evict the lowest
 neighbor id.  Each stream below sits on one clause, and every case runs
-on all three ways into the cache: an unbound cache (the scalar
-``CacheLine`` engine), a cache bound to a one-lane
-``ModelAwareCacheFleet`` (the fleet's per-lane path) and the fleet's
-vectorized lane sweep ``observe_lanes`` (engine id ``observe_batch``).
+on the scalar oracle (``tests/models/scalar_oracle.py``) and on all
+three ways into the fleet: a standalone cache (``unbound``: its private
+one-lane fleet), a cache bound to lane 1 of a shared
+``ModelAwareCacheFleet`` (``fleet-bound``; both take the fleet's
+per-lane path) and the fleet's vectorized lane sweep ``observe_lanes``
+(``observe_batch``).
 
 Line ``0`` is the observed line: ``y = 2x + 1`` at ``x = 1, 2, 3``,
 then ``(4, 9 + δ)``.  In exact arithmetic the three candidates then
@@ -32,8 +34,10 @@ from repro.models.cache_manager import ModelAwareCache
 from repro.models.policy import Action
 from repro.models.regression import fit_line, mean_sse_of_model, no_answer_sse
 from repro.models.soa import ACTION_NAMES, ModelAwareCacheFleet
+from tests.models.conftest import lane_scores
+from tests.models.scalar_oracle import ScalarOracleCache
 
-ENGINES = ("unbound", "fleet-bound", "observe_batch")
+ENGINES = ("oracle", "unbound", "fleet-bound", "observe_batch")
 
 #: The observed line, exactly collinear until its new pair arrives.
 LINE_0 = [(1.0, 3.0), (2.0, 5.0), (3.0, 7.0)]
@@ -53,19 +57,28 @@ LINE_7 = collinear(1.02, -0.27, (3.9, 4.0, 1.4))
 def run(engine: str, lines: dict[int, list], new_pair: tuple[float, float]):
     """Fill a cache to its budget with ``lines``, then offer ``new_pair``
     to line 0.  Returns ``(action, cache)``."""
-    capacity = sum(len(pairs) for pairs in lines.values())
-    cache = ModelAwareCache(BYTES_PER_PAIR * capacity)
+    budget = BYTES_PER_PAIR * sum(len(pairs) for pairs in lines.values())
+    if engine == "oracle":
+        cache = ScalarOracleCache(budget)
+    else:
+        cache = ModelAwareCache(budget)
+        if engine != "unbound":
+            cache.bind_fleet(ModelAwareCacheFleet(2, budget), 1)
     observe = cache.observe
-    if engine != "unbound":
-        fleet = ModelAwareCacheFleet(1, cache.cache_bytes)
-        cache.bind_fleet(fleet, 0)
-        if engine == "observe_batch":
-            def observe(j, x, y):
-                return ACTION_NAMES[int(fleet.observe_lanes([0], [j], [x], [y])[0])]
+    if engine == "observe_batch":
+        def observe(j, x, y):
+            return ACTION_NAMES[int(cache._fleet.observe_lanes([1], [j], [x], [y])[0])]
     for j, pairs in lines.items():
         for x, y in pairs:
             assert observe(j, x, y) == Action.APPEND
     return observe(0, *new_pair), cache
+
+
+def penalty(cache, neighbor_id: int) -> float:
+    """The eviction penalty of a line, as the cache's engine scores it."""
+    if isinstance(cache, ScalarOracleCache):
+        return cache.line(neighbor_id).eviction_penalty()
+    return lane_scores(cache, neighbor_id)[2]
 
 
 def scores(line, pair):
@@ -123,8 +136,8 @@ def test_collinear_penalties_are_zero_and_lowest_id_is_evicted(engine):
     assert list(cache.line(5).pairs) == LINE_5
     assert list(cache.line(7).pairs) == LINE_7
     # The untouched lines' penalties were scored for the victim scan.
-    assert cache.line(5).eviction_penalty() == 0.0
-    assert cache.line(7).eviction_penalty() == 0.0
+    assert penalty(cache, 5) == 0.0
+    assert penalty(cache, 7) == 0.0
 
 
 @pytest.mark.parametrize("engine", ENGINES)

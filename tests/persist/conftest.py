@@ -27,10 +27,11 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.round_batch import BatchedObservationRouter
-from repro.core.runtime import SnapshotRuntime
+from repro.core.runtime import DEFAULT_CACHE_BYTES, SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.energy.battery import Battery
 from repro.experiments.harness import make_cache_factory
+from repro.models.cache_manager import ModelAwareCache
 from repro.network.links import GlobalLoss
 from repro.network.radio import Radio
 from repro.network.state import DeviceState
@@ -41,6 +42,7 @@ from repro.persist import checkpoint as checkpoint_module
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor
 from repro.query.spatial import random_square
+from tests.models.scalar_oracle import ScalarOracleCache
 
 N_NODES = 14
 PERIOD = 25.0
@@ -63,18 +65,32 @@ class _EagerRouter(BatchedObservationRouter):
             self.flush()
 
 
+def _oracle_caches(factory):
+    """``factory`` with each model-aware cache it builds replaced by a
+    scalar oracle on the same budget."""
+
+    def build():
+        cache = factory() if factory else ModelAwareCache(DEFAULT_CACHE_BYTES)
+        if isinstance(cache, ModelAwareCache):
+            return ScalarOracleCache(cache.cache_bytes)
+        return cache
+
+    return build
+
+
 class OracleRuntime(SnapshotRuntime):
     """Test-side reference for the batched observation path.
 
-    It builds no fleet, so its model-aware caches run the scalar §4
-    ``CacheLine`` engine, and its router flushes after every sample.
-    Comparing a whole run against :class:`SnapshotRuntime` thus proves
-    both the fleet engine against the scalar one and the burst
-    barrier against per-delivery application.
+    Whatever cache factory it is given, each model-aware cache is a
+    :class:`~tests.models.scalar_oracle.ScalarOracleCache`, so it builds
+    no fleet, and its router flushes after every sample.  Comparing a
+    whole run against :class:`SnapshotRuntime` thus proves both the
+    fleet engine against the scalar oracle and the burst barrier
+    against per-delivery application.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, cache_factory=None, **kwargs) -> None:
+        super().__init__(*args, cache_factory=_oracle_caches(cache_factory), **kwargs)
         router = _EagerRouter(
             self.simulator,
             self.nodes,
@@ -85,8 +101,11 @@ class OracleRuntime(SnapshotRuntime):
         self.radio.observation_router = router
         self.maintenance.router = router
 
-    def _build_fleet(self):
-        return None
+
+def assert_runs_the_oracle(runtime) -> None:
+    """Every cache of ``runtime`` is a scalar oracle cache."""
+    caches = [node.cache for node in runtime.nodes.values()]
+    assert caches and all(isinstance(cache, ScalarOracleCache) for cache in caches)
 
 
 def build_runtime(

@@ -10,9 +10,9 @@ outcome* (whole-sim digest, every component digest, trace records,
 message counters, event count, report rows, per-round digests) is equal
 across both cache policies × lossless/lossy, through a randomized fault
 schedule, and through a checkpoint frozen mid-burst with observations
-still pending in the batch.  The oracle's model-aware caches run the
-scalar ``CacheLine`` engine, so the model-aware cases double as the
-whole-run fleet-vs-scalar proof.
+still pending in the batch.  The oracle's model-aware caches are the
+scalar oracle of ``tests/models/scalar_oracle.py``, so the model-aware
+cases double as the whole-run fleet-vs-oracle proof.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from tests.persist.conftest import (
     SCRIPT,
     OracleRuntime,
     assert_outcomes_equal,
+    assert_runs_the_oracle,
     build_runtime,
     outcome,
 )
@@ -44,6 +45,8 @@ def _run(seed, policy, loss, batched):
         assert fleet is not None and fleet.F == len(runtime.nodes)
     else:
         assert fleet is None
+    if not batched and policy == "model-aware":
+        assert_runs_the_oracle(runtime)
     for step in SCRIPT:
         step(runtime)
     return outcome(runtime)
@@ -59,8 +62,8 @@ def _run(seed, policy, loss, batched):
     ],
 )
 def test_batched_matches_scalar_model_aware(seed, loss):
-    # The oracle leaves every cache unbound, so this is also the
-    # whole-run proof that the fleet engine matches the scalar one.
+    # The oracle runs scalar oracle caches, so this is also the
+    # whole-run proof that the fleet engine matches the oracle.
     batched = _run(seed, "model-aware", loss, batched=True)
     assert_outcomes_equal(batched, _run(seed, "model-aware", loss, batched=False))
     assert batched["round_digests"], "script must complete maintenance rounds"
@@ -114,8 +117,12 @@ def test_extended_batched_chaos_schedule_matches_scalar(monkeypatch):
     """Crashes, revivals, partitions and a loss burst: still bit-identical."""
     batched = _chaos_outcome(monkeypatch, True)
     scalar = _chaos_outcome(monkeypatch, False)
-    assert isinstance(scalar.pop("runtime"), OracleRuntime)
-    assert not isinstance(batched.pop("runtime"), OracleRuntime)
+    oracle = scalar.pop("runtime")
+    assert isinstance(oracle, OracleRuntime)
+    # chaos builds its caches through make_cache_factory; the oracle
+    # must have swapped every one of them.
+    assert_runs_the_oracle(oracle)
+    assert batched.pop("runtime").observation_router.fleet is not None
     assert batched == scalar
     assert batched["crashes"] > 0  # non-vacuity: faults really fired
 

@@ -4,10 +4,10 @@ A runtime binds every node's model-aware cache to one lane of a shared
 ``ModelAwareCacheFleet``.  These cases pin that the fleet-backed state
 survives freezing: a run checkpointed mid-script restores with its
 caches still fleet-bound and finishes bit-identically to the
-uninterrupted run, and direct pickle round-trips of a fleet-bound
-cache and of a bare fleet keep behaving identically under further
-traffic.  The whole-run scalar-vs-fleet proofs live in
-``test_batched_equivalence.py``.
+uninterrupted run, and a bare fleet's pickle round-trip keeps behaving
+identically under further traffic (``tests/persist/test_property.py``
+round-trips a single cache on its lane).  The whole-run
+fleet-vs-oracle proofs live in ``test_batched_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.models.cache import BYTES_PER_PAIR
-from repro.models.cache_manager import ModelAwareCache
 from repro.models.soa import ModelAwareCacheFleet
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.persist.digest import canonical_bytes
@@ -71,27 +69,6 @@ def _stream(length, neighbors, seed):
         (int(ids[k]), float(own[k]), float(1.5 * own[k] + noise[k]))
         for k in range(length)
     ]
-
-
-def test_fleet_bound_cache_pickle_roundtrip_is_byte_identical():
-    """A mid-stream fleet-bound cache restores (with its fleet) to the
-    exact same state and keeps behaving identically under further
-    traffic."""
-    cache = ModelAwareCache(BYTES_PER_PAIR * 32)
-    cache.bind_fleet(ModelAwareCacheFleet(1, BYTES_PER_PAIR * 32), 0)
-    stream = _stream(800, 5, 77)
-    for j, x, y in stream[:500]:
-        cache.observe(j, x, y)
-    restored = pickle.loads(pickle.dumps(cache))
-    assert restored._fleet is not None and restored._fleet is not cache._fleet
-    assert canonical_bytes(restored.digest_state()) == canonical_bytes(
-        cache.digest_state()
-    )
-    for j, x, y in stream[500:]:
-        assert restored.observe(j, x, y) == cache.observe(j, x, y)
-    assert canonical_bytes(restored.digest_state()) == canonical_bytes(
-        cache.digest_state()
-    )
 
 
 def test_fleet_pickle_roundtrip_is_byte_identical():

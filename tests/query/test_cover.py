@@ -12,7 +12,7 @@ hits and misses.
 
 ``estimate`` on a fleet-bound cache, which reads the fleet's fitted
 coefficients directly, is compared bit for bit with the base class's
-read through the line's model and with the scalar engine, over
+read through the line's model and with the scalar oracle, over
 neighbors that were never modelled and a fit whose ``x`` never varied.
 """
 
@@ -25,7 +25,6 @@ from repro.core.config import ProtocolConfig
 from repro.core.runtime import SnapshotRuntime
 from repro.core.status import NodeMode
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
-from repro.models.cache_manager import ModelAwareCache
 from repro.models.policy import CachePolicy
 from repro.models.soa import ModelAwareCacheFleet
 from repro.network.topology import uniform_random_topology
@@ -35,6 +34,7 @@ from repro.query.executor import QueryExecutor
 from repro.query.planner import QueryPlanner
 from repro.query.spatial import Circle, Everywhere, Rect
 from tests.models.conftest import bound_lanes
+from tests.models.scalar_oracle import ScalarOracleCache
 from tests.query.test_linear_paths import FullScanExecutor
 
 CAPACITY = 1e6
@@ -177,7 +177,7 @@ def test_a_reused_planner_and_executor_follow_every_change():
 def fleet_and_scalar(cache_bytes: int = 512):
     fleet = ModelAwareCacheFleet(1, cache_bytes, max_lines=8, ring_cap=8)
     (bound,) = bound_lanes(fleet)
-    return bound, ModelAwareCache(cache_bytes)
+    return bound, ScalarOracleCache(cache_bytes)
 
 
 def bits(estimates) -> list:
