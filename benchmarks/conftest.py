@@ -19,7 +19,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
+import subprocess
+import time
 
+import numpy as np
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -38,23 +42,56 @@ def is_paper_scale() -> bool:
     return SCALE == "paper"
 
 
+def _git(*args: str):
+    """Output of a git command on this checkout, or ``None`` without one."""
+    root = RESULTS_DIR.parent.parent
+    if not (root / ".git").exists():
+        return None
+    try:
+        done = subprocess.run(
+            ["git", "--no-optional-locks", "-C", str(root), *args],
+            capture_output=True, text=True, timeout=30, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip()
+
+
+def stamp() -> dict:
+    """Where a record came from, with the fields perfbench's records
+    carry (``perfbench/run.py``'s ``provenance``) plus the scale."""
+    status = _git("status", "--porcelain")
+    return {
+        "git_rev": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "scale": SCALE,
+        "nproc": os.cpu_count(),
+        "cpus_usable": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
 @pytest.fixture
 def report():
     """Print a result block and persist it under ``benchmarks/results/``.
 
     ``save(name, text)`` writes ``results/<name>.txt``.  Pass ``data``
-    (any JSON-serializable object) to additionally emit
+    (a JSON-serializable dict) to additionally emit
     ``results/<name>.json`` — a machine-readable record (e.g. ops/sec
     of the perf microbenchmarks) that future PRs can diff to track the
-    performance trajectory.
+    performance trajectory, stamped under ``"stamp"`` (:func:`stamp`).
     """
 
     def save(name: str, text: str, data=None) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         if data is not None:
+            record = {**data, "stamp": stamp()}
             (RESULTS_DIR / f"{name}.json").write_text(
-                json.dumps(data, indent=2, sort_keys=True) + "\n"
+                json.dumps(record, indent=2, sort_keys=True) + "\n"
             )
         print("\n" + text)
 

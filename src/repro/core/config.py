@@ -114,7 +114,8 @@ class ProtocolConfig:
     rotation_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
+        # Every bound is written so that NaN fails it.
+        if not self.threshold >= 0:
             raise ValueError(f"threshold must be non-negative, got {self.threshold}")
         for name in (
             "phase_spacing",
@@ -127,9 +128,9 @@ class ProtocolConfig:
             "heartbeat_timeout",
         ):
             value = getattr(self, name)
-            if value <= 0:
+            if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.member_expiry_periods < 0:
+        if not self.member_expiry_periods >= 0:
             raise ValueError(
                 f"member_expiry_periods must be non-negative, got "
                 f"{self.member_expiry_periods}"

@@ -20,6 +20,7 @@ True
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Optional
 
@@ -333,8 +334,11 @@ class SnapshotRuntime:
         interval: float = 1.0,
     ) -> float:
         """Schedule the training window's events; returns its end time."""
-        if duration <= 0 or interval <= 0:
-            raise ValueError("training duration and interval must be positive")
+        for name, value in (("duration", duration), ("interval", interval)):
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ValueError(
+                    f"training {name} must be positive and finite, got {value}"
+                )
         t0 = self.simulator.now if start is None else start
         saved = {node_id: node.snoop_probability for node_id, node in self.nodes.items()}
 

@@ -67,15 +67,20 @@ class Message:
         attribute (stamped by ``__init_subclass__``) rather than a
         property: the radio layer reads it once per delivery, which
         made property dispatch measurable in large simulations.
+    delivery_label:
+        Label of the radio's delivery event for this kind,
+        ``deliver:<kind>``, stamped with ``kind``.
     """
 
     sender: int
 
     kind = "Message"
+    delivery_label = "deliver:Message"
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.kind = cls.__name__
+        cls.delivery_label = f"deliver:{cls.__name__}"
 
 
 @dataclass(frozen=True)

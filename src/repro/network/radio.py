@@ -28,11 +28,24 @@ receiver), receivers pay the receive cost (zero in the paper's
 accounting), and both are booked in the ledger.  Deliveries are
 scheduled :data:`LATENCY` time units after the send, so same-instant
 protocol steps observe a consistent global order.
+
+Booking rule: every message books once, by plain writes into cells the
+radio finds once per wave, never through a per-message call into a
+book's owner.  A send writes its battery columns, its transmit energy
+cell and total, its ``(sender, kind)`` sent count, the ``message.sent``
+trace count (a record only when one is kept or subscribed) and, while
+the registry is enabled, the ``net.fanout`` cell; a delivery writes its
+live receivers' cells of the kind's delivered column, and a one-burst
+wave, every lone send's, is booked without run cuts.  At N=2000 with
+12 neighbours and 6,000 timers queued, this took a lone unicast from
+5.3 to 3.9 µs to send and from 4.5 to 3.1 µs to deliver, and a
+training wave's send from 2.9 to 1.2 µs per report (2-vCPU VM).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import partial
 from typing import Optional
 
@@ -177,7 +190,7 @@ class Radio:
         All in-range alive receivers get the message with
         ``overheard=False`` — a broadcast addresses everyone.
         """
-        return self._transmit((message,), target=None)
+        return self._transmit((message,), None)
 
     def unicast(self, message: Message, target: int) -> bool:
         """Transmit ``message`` addressed to ``target``.
@@ -188,7 +201,7 @@ class Radio:
         """
         if target == message.sender:
             raise ValueError("a node does not unicast to itself")
-        return self._transmit((message,), target=target)
+        return self._transmit((message,), target)
 
     def broadcast_wave(self, messages) -> None:
         """:meth:`broadcast` each of ``messages``, in order, as one wave:
@@ -208,6 +221,15 @@ class Radio:
         event carrying their bursts (a *wave*).  Returns whether the
         last sender was alive: a dead one sends nothing.
 
+        Each send is booked straight into its cells, found once per
+        wave: the sender's battery, its transmit energy cell and the
+        category total (:meth:`EnergyLedger.cells_for`), its
+        ``(sender, kind)`` sent count, the ``message.sent`` trace count
+        (a record is built only when one is kept or subscribed,
+        :meth:`TraceLog.builds`) and, while the registry is enabled,
+        the ``net.fanout`` cell.  Both gates, record building and the
+        registry's switch, are read once per wave.
+
         A send's loss draw is one blocked :meth:`LossModel.loss_vector`
         call on the sender's own ``radio.<sender>`` stream, in
         ``out_neighbors`` order, and covers every in-range receiver
@@ -219,29 +241,54 @@ class Radio:
         burst ``(message, receivers, target)``; dead ones among them
         are filtered, and booked as ``dropped_dead``, at delivery.
         """
-        devices, cost = self.devices, self.cost_model.transmit
+        simulator, devices, nodes = self.simulator, self.devices, self._nodes
+        flags, charge, spent = devices.flags, devices.charge, devices.spent
+        cost = self.cost_model.transmit
+        energy, totals = self.ledger.cells_for("transmit", cost, len(flags))
+        sent_counts = self.stats.sent
+        trace = simulator.trace
+        traced, trace_counts = trace.builds("message.sent"), trace.counts
+        fanout, uppers = self._fanout.open_cell(), self._fanout.uppers
+        out_neighbors, rngs = self.topology.out_neighbors, self._entity_rngs
+        loss = self.loss_model
+        lossless = loss.lossless
         bursts, sent = [], False
         for message in messages:
             sender = message.sender
-            if sender not in self._nodes:
+            if sender not in nodes:
                 raise KeyError(f"unregistered sender {sender}")
-            sent = not devices.flags[sender]
+            sent = not flags[sender]
             if not sent:
                 continue
-            devices.draw(sender, cost)
-            self.ledger.record(sender, "transmit", cost)
-            self.stats.record_sent(message)
-            self.simulator.trace.emit(
-                self.simulator.now, "message.sent",
-                sender=sender, message_kind=message.kind, target=target,
-            )
-            receivers = self.topology.out_neighbors(sender)
-            self._fanout.observe(len(receivers))
+            left = charge[sender]
+            if cost < left:
+                charge[sender] = left - cost
+                spent[sender] += cost
+            else:  # may empty the battery
+                devices.draw(sender, cost)
+            energy[sender] += cost
+            totals["transmit"] += cost
+            kind = message.kind
+            sent_counts[(sender, kind)] += 1
+            if traced:
+                trace.emit(
+                    simulator.now, "message.sent",
+                    sender=sender, message_kind=kind, target=target,
+                )
+            else:
+                trace_counts["message.sent"] += 1
+            receivers = out_neighbors(sender)
+            if fanout is not None:
+                fanout.counts[bisect_left(uppers, len(receivers))] += 1
+                fanout.count += 1
+                fanout.sum += len(receivers)
             if not receivers:
                 continue
-            rng = self._sender_rng(sender)
-            if not self.loss_model.lossless:
-                outcomes = self.loss_model.loss_vector(sender, receivers, rng)
+            rng = rngs.get(sender)
+            if rng is None:
+                rng = self._sender_rng(sender)
+            if not lossless:
+                outcomes = loss.loss_vector(sender, receivers, rng)
                 if not outcomes.all():
                     self.stats.record_dropped(
                         message, len(receivers) - int(outcomes.sum())
@@ -250,11 +297,11 @@ class Radio:
             if receivers:
                 bursts.append((message, receivers, target))
         if bursts:
-            self.simulator.schedule(
+            simulator.schedule(
                 self.latency,
                 partial(self._deliver_wave, bursts),
-                label=f"deliver:{bursts[0][0].kind}",
-                priority=DELIVERY_PRIORITY,
+                bursts[0][0].delivery_label,
+                DELIVERY_PRIORITY,
             )
         return sent
 
@@ -271,11 +318,23 @@ class Radio:
         receiver's liveness changes inside a run (:meth:`_run_end`), so
         it is booked column-wise (:meth:`_deliver_run`) with every
         per-cell, per-stream and router arrival order of delivering its
-        bursts one by one."""
+        bursts one by one.  A wave of one burst, every lone send's, is
+        its own run."""
+        flags = self.devices.flags
+        if len(bursts) == 1:
+            message, receivers, target = bursts[0]
+            live = [rid for rid in receivers if not flags[rid]]
+            dead = len(receivers) - len(live)
+            self._deliver_run((message,), (target,), (live,), live, dead)
+            return
         start = 0
         while start < len(bursts):
             end = self._run_end(bursts, start)
-            self._deliver_run(bursts[start:end])
+            messages, receivers, targets = zip(*bursts[start:end])
+            lives = [[rid for rid in ids if not flags[rid]] for ids in receivers]
+            live = [rid for ids in lives for rid in ids]
+            dead = sum(map(len, receivers)) - len(live)
+            self._deliver_run(messages, targets, lives, live, dead)
             start = end
 
     def _run_end(self, bursts: list, start: int) -> int:
@@ -315,39 +374,43 @@ class Radio:
             end += 1
         return end
 
-    def _deliver_run(self, run: list) -> None:
-        """Deliver one run of bursts, booked over ids as columns.
+    def _deliver_run(self, messages, targets, lives, live: list, dead: int) -> None:
+        """Deliver one run of bursts, booked over ids as columns: burst
+        ``i`` carries ``messages[i]`` to ``targets[i]`` (``None`` for a
+        broadcast), ``lives[i]`` holds the ids of its receivers alive on
+        arrival, ``live`` all of them in order, and ``dead`` counts the
+        others.
 
-        Receivers dead on arrival are counted as ``dropped_dead``, the
-        rest as delivered, and a nonzero receive cost is drawn —
-        dropping the receivers it drains, which only a run of one burst
-        can do.  The live ids then go to the protocols in one call, and
-        to the attached handlers of the devices that have any, flagged
-        ``overheard`` unless addressed.  Neither a node's own handlers
-        nor anything it sends can change another receiver's liveness,
-        so this is the per-receiver outcome of
+        The dead are counted as ``dropped_dead``, the live as delivered
+        (straight into the kind's column), and a nonzero receive cost is
+        drawn — dropping the receivers it drains, which only a run of
+        one burst can do.  The live ids then go to the protocols in one
+        call, and to the attached handlers of the devices that have
+        any, flagged ``overheard`` unless addressed.  Neither a node's
+        own handlers nor anything it sends can change another
+        receiver's liveness, so this is the per-receiver outcome of
         :meth:`NetworkNode.deliver`.
         """
-        flags = self.devices.flags
-        message = run[0][0]
-        lives = [[rid for rid in ids if not flags[rid]] for _, ids, _ in run]
-        live = [rid for ids in lives for rid in ids]
-        dead = sum(len(ids) for _, ids, _ in run) - len(live)
+        devices = self.devices
+        message = messages[0]
         if dead:
             self.stats.record_dropped_dead(message, dead)
         if not live:
             return
-        self.stats.delivered.add_each(live, message.kind, 1)
+        delivered = self.stats.delivered.column(message.kind, 1, len(devices.flags))
+        for rid in live:
+            delivered[rid] += 1
         cost_receive = self.cost_model.receive
         if cost_receive > 0:
-            drawn = self.devices.draw_each(live, cost_receive)
+            flags = devices.flags
+            drawn = devices.draw_each(live, cost_receive)
             self.ledger.record_each(drawn, "receive", cost_receive)
             lives = [[rid for rid in ids if not flags[rid]] for ids in lives]
         if self.burst_dispatch is not None:
-            self.burst_dispatch([m for m, _, _ in run], lives, self._nodes)
-        hooked = self.devices.hooked
+            self.burst_dispatch(messages, lives, self._nodes)
+        hooked = devices.hooked
         if hooked:
-            for (message, _, target), live in zip(run, lives):
+            for message, target, live in zip(messages, targets, lives):
                 for rid in live:
                     if rid in hooked:
                         overheard = target is not None and rid != target

@@ -205,6 +205,25 @@ class ColumnCounter(CounterMetric, Mapping):
             for i in rest:
                 column[i] += amount
 
+    def column(self, label: Any, amount: int | float, size: int):
+        """The cells of ``label`` by id, grown to ``size`` ids, for a
+        caller that adds ``amount`` one id at a time: ``column[i] +=
+        amount`` is ``add_each((i,), label, amount)`` without its
+        per-call work.  A zero amount gets a view that also records
+        each cell it writes, since a cell written with 0 exists.
+
+        Writes through it pass no gate, so only essential counters
+        hand one out.
+        """
+        if self._gate is not None:
+            raise TypeError(f"{self.name} is gated: book it with add_each")
+        column = self._columns.get(label)
+        if column is None:
+            column = self._columns[label] = []
+        if len(column) < size:
+            column.extend([0] * (size - len(column)))
+        return column if amount else _ZeroColumn(self, label)
+
     def _items(self) -> Iterator[tuple[tuple[int, Any], int | float]]:
         for label, column in self._columns.items():
             for i, value in enumerate(column):
@@ -255,6 +274,22 @@ class ColumnCounter(CounterMetric, Mapping):
         """Drop every cell."""
         self._columns.clear()
         self._zeros.clear()
+
+
+class _ZeroColumn:
+    """:meth:`ColumnCounter.column` for a zero amount: each write goes
+    through the counter's mapping, which records the cell."""
+
+    __slots__ = ("_counter", "_label")
+
+    def __init__(self, counter: ColumnCounter, label: Any) -> None:
+        self._counter, self._label = counter, label
+
+    def __getitem__(self, i: int) -> int | float:
+        return self._counter[(i, self._label)]
+
+    def __setitem__(self, i: int, value: int | float) -> None:
+        self._counter[(i, self._label)] = value
 
 
 class GaugeMetric(_Metric):
@@ -321,15 +356,24 @@ class HistogramMetric(_Metric):
 
     def observe(self, value: float, key: Any = ()) -> None:
         """Record one observation at ``key`` (O(log #buckets))."""
-        gate = self._gate
-        if gate is not None and not gate.enabled:
-            return
-        cell = self.cells.get(key)
+        cell = self.open_cell(key)
         if cell is None:
-            cell = self.cells[key] = HistogramCell([0] * (len(self.uppers) + 1))
+            return
         cell.counts[bisect_left(self.uppers, value)] += 1
         cell.count += 1
         cell.sum += value
+
+    def open_cell(self, key: Any = ()) -> Optional[HistogramCell]:
+        """The cell at ``key`` for a caller that books observations into
+        it directly, as :meth:`observe` does (bucket count, ``count``,
+        ``sum``), created if new; ``None`` while the gate is closed."""
+        gate = self._gate
+        if gate is not None and not gate.enabled:
+            return None
+        cell = self.cells.get(key)
+        if cell is None:
+            cell = self.cells[key] = HistogramCell([0] * (len(self.uppers) + 1))
+        return cell
 
     def cell(self, key: Any = ()) -> HistogramCell:
         """The cell at ``key`` (an empty cell if nothing was observed)."""

@@ -16,8 +16,8 @@ class SimulationClock:
     """Monotonic simulated time source measured in abstract time units."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"clock cannot start at negative time {start}")
+        if not start >= 0:  # NaN fails too
+            raise ValueError(f"clock cannot start at {start}: negative or NaN")
         self._now = float(start)
 
     @property
@@ -31,10 +31,11 @@ class SimulationClock:
         Raises
         ------
         ValueError
-            If ``time`` lies in the past; simulated time never rewinds.
+            If ``time`` lies in the past (simulated time never rewinds)
+            or is NaN.
         """
-        if time < self._now:
-            raise ValueError(f"cannot rewind clock from {self._now} to {time}")
+        if not time >= self._now:  # NaN fails too
+            raise ValueError(f"cannot move clock from {self._now} to {time}")
         self._now = float(time)
 
     def __repr__(self) -> str:

@@ -48,7 +48,7 @@ class PeriodicTask:
         label: str,
         priority: int,
     ) -> None:
-        if period <= 0:
+        if not period > 0:  # NaN fails too
             raise ValueError(f"period must be positive, got {period}")
         self._simulator = simulator
         self._period = period
@@ -169,10 +169,14 @@ class Simulator:
         label: str = "",
         priority: int = 0,
     ) -> Event:
-        """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0:
+        """Schedule ``callback`` to fire ``delay`` time units from now.
+
+        The event is pushed here, not through :meth:`schedule_at`: every
+        message delivery and protocol timer comes this way.
+        """
+        if not delay >= 0:  # NaN fails too
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self.now + delay, callback, label=label, priority=priority)
+        return self.queue.push(Event(self.clock.now + delay, callback, priority, label))
 
     def schedule_at(
         self,
@@ -182,8 +186,8 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback`` to fire at absolute time ``time``."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        if not time >= self.now:  # NaN fails too
+            raise ValueError(f"cannot schedule at {time}: before now ({self.now}) or NaN")
         event = Event(time=time, callback=callback, label=label, priority=priority)
         return self.queue.push(event)
 
@@ -251,8 +255,8 @@ class Simulator:
         queued, and jumping past them would make resuming the window
         (``run_until(time)`` again) fire them in the clock's past.
         """
-        if time < self.now:
-            raise ValueError(f"cannot run until the past ({time} < {self.now})")
+        if not time >= self.now:  # NaN fails too
+            raise ValueError(f"cannot run until {time}: before now ({self.now}) or NaN")
         fired = 0
         while True:
             head = self.queue.peek()

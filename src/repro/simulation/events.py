@@ -85,8 +85,8 @@ class EventQueue:
 
     def push(self, event: Event) -> Event:
         """Schedule ``event`` and return it (for later cancellation)."""
-        if event.time < 0:
-            raise ValueError(f"cannot schedule event at negative time {event.time}")
+        if not event.time >= 0:  # NaN fails too
+            raise ValueError(f"cannot schedule event at time {event.time}")
         heapq.heappush(
             self._heap, (event.time, event.priority, next(self._counter), event)
         )

@@ -110,6 +110,12 @@ class TraceLog:
         """
         self.emit_many(time, kind, 1, (payload,))
 
+    def builds(self, kind: str) -> bool:
+        """Whether :meth:`emit` builds a record of ``kind`` (stored or
+        subscribed); when it does not, ``counts[kind] += 1`` is all an
+        emission does."""
+        return self.keep_records or kind in self._subscribers
+
     def emit_many(
         self, time: float, kind: str, count: int, payloads: Iterable[dict[str, Any]]
     ) -> None:

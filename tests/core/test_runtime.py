@@ -39,6 +39,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["threshold", "heartbeat_period", "member_expiry_periods"]
+    )
+    def test_rejects_nan_by_name(self, name):
+        with pytest.raises(ValueError, match=f"{name} .*nan"):
+            ProtocolConfig(**{name: float("nan")})
+
     def test_custom_metric_accepted(self):
         config = ProtocolConfig(metric=AbsoluteError(), threshold=0.5)
         assert config.metric(3.0, 1.0) == 2.0
@@ -154,6 +161,22 @@ class TestTraining:
             runtime.train(duration=0.0)
         with pytest.raises(ValueError):
             runtime.train(duration=5.0, interval=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"duration": float("nan")},
+            {"duration": float("inf")},
+            {"interval": float("nan")},
+            {"start": float("nan")},
+        ],
+    )
+    def test_non_finite_training_window_is_refused(self, kwargs):
+        """``train(duration=nan)`` returned with the clock at NaN."""
+        runtime = make_runtime(n_nodes=4, n_classes=1)
+        with pytest.raises(ValueError, match="nan|inf"):
+            runtime.train(**kwargs)
+        assert runtime.now == 0.0 and len(runtime.simulator.queue) == 0
 
     def test_training_messages_counted(self):
         runtime = make_runtime(n_nodes=4, n_classes=1)

@@ -82,3 +82,26 @@ class TestLedger:
         assert dict(bulk._cells) == dict(one._cells)
         with pytest.raises(ValueError):
             bulk.record_each(ids, "flux", 0.1)
+
+    @pytest.mark.parametrize("amount", [0.3, 0.0], ids=["priced", "free"])
+    def test_cells_for_equals_repeated_record(self, amount):
+        """Booking through ``cells_for`` is ``record``: same cells (a
+        free draw still makes its ``0.0`` cell), same float total."""
+        one, direct = EnergyLedger(), EnergyLedger()
+        ids = [3, 1, 3, 2]
+        for node_id in ids:
+            one.record(node_id, "transmit", amount)
+        cells, totals = direct.cells_for("transmit", amount, 4)
+        for node_id in ids:
+            cells[node_id] += amount
+            totals["transmit"] += amount
+        assert direct.total("transmit") == one.total("transmit")
+        assert dict(direct._cells) == dict(one._cells)
+        assert (0, "transmit") not in direct._cells
+
+    @pytest.mark.parametrize(
+        "category,amount", [("flux", 1.0), ("cpu", -1.0), ("cpu", math.nan)]
+    )
+    def test_cells_for_checks_once(self, category, amount):
+        with pytest.raises(ValueError):
+            EnergyLedger().cells_for(category, amount, 4)

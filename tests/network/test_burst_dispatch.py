@@ -34,6 +34,8 @@ replace.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,7 @@ from repro.models.cache_manager import ModelAwareCache
 from repro.network import radio as radio_module
 from repro.network.links import GlobalLoss
 from repro.network.messages import DataReport, Heartbeat
+from repro.network.state import DeviceState
 from repro.network.topology import Topology, uniform_random_topology
 from repro.obs.registry import CounterMetric
 from repro.persist import RoundDigestRecorder
@@ -68,7 +71,52 @@ class Radio(radio_module.Radio):
     It shares the production class's name on purpose: digests describe
     a pending delivery by its callback's qualified name and owner type,
     so in-flight bursts digest equal on both sides.
+
+    Its sends are booked one call per book per message, the way the
+    owners' own record methods book them: ``ledger.record``,
+    ``stats.record_sent``, ``trace.emit``, ``net.fanout``'s ``observe``
+    and ``simulator.schedule`` with the label built per send.
     """
+
+    def _transmit(self, messages, target):
+        devices, cost = self.devices, self.cost_model.transmit
+        bursts, sent = [], False
+        for message in messages:
+            sender = message.sender
+            if sender not in self._nodes:
+                raise KeyError(f"unregistered sender {sender}")
+            sent = not devices.flags[sender]
+            if not sent:
+                continue
+            devices.draw(sender, cost)
+            self.ledger.record(sender, "transmit", cost)
+            self.stats.record_sent(message)
+            self.simulator.trace.emit(
+                self.simulator.now, "message.sent",
+                sender=sender, message_kind=message.kind, target=target,
+            )
+            receivers = self.topology.out_neighbors(sender)
+            self._fanout.observe(len(receivers))
+            if not receivers:
+                continue
+            rng = self._sender_rng(sender)
+            if not self.loss_model.lossless:
+                outcomes = self.loss_model.loss_vector(sender, receivers, rng)
+                if not outcomes.all():
+                    self.stats.record_dropped(
+                        message, len(receivers) - int(outcomes.sum())
+                    )
+                    receivers = [rid for rid, ok in zip(receivers, outcomes) if ok]
+            if receivers:
+                bursts.append((message, receivers, target))
+        if bursts:
+            self.simulator.schedule(
+                self.latency,
+                partial(self._deliver_wave, bursts),
+                label=f"deliver:{bursts[0][0].kind}",
+                priority=radio_module.DELIVERY_PRIORITY,
+            )
+        return sent
 
     def _deliver_wave(self, bursts):
         for message, receivers, target in bursts:
@@ -142,7 +190,10 @@ def booked_rows(runtime_or_radio):
     )
 
 
-def build(seed, loss=0.0, battery=None, receive=0.0, reference=False, transmit=1.0):
+def build(
+    seed, loss=0.0, battery=None, receive=0.0, reference=False, transmit=1.0,
+    keep_records=True,
+):
     data_rng = np.random.default_rng(seed)
     dataset, _ = generate_random_walk(
         RandomWalkConfig(n_nodes=N_NODES, n_classes=3, length=200), data_rng
@@ -158,7 +209,7 @@ def build(seed, loss=0.0, battery=None, receive=0.0, reference=False, transmit=1
         cost_model=EnergyCostModel(
             transmit=transmit, receive=receive, cpu_cache_update=0.1
         ),
-        keep_trace_records=True,
+        keep_trace_records=keep_records,
     )
     runtime.round_digests = RoundDigestRecorder(runtime)
     if reference:
@@ -214,6 +265,29 @@ def run(script, **kwargs):
     return runtime
 
 
+def assert_same_books(burst, reference):
+    """Every book of two radios (or runtimes) agrees, cell for cell:
+    the registry's exported rows (energy, sent, delivered, dropped,
+    ``net.fanout``, ...), the ledger's float totals, the trace's counts
+    and kept records, and the ``radio.<id>`` streams created."""
+    registry, theirs = burst.simulator.metrics, reference.simulator.metrics
+    assert list(registry.rows()) == list(theirs.rows())
+    assert [burst.ledger.total(c) for c in EnergyLedger.CATEGORIES] == [
+        reference.ledger.total(c) for c in EnergyLedger.CATEGORIES
+    ]
+    trace, their_trace = burst.simulator.trace, reference.simulator.trace
+    assert trace.counts == their_trace.counts
+    assert trace.records == their_trace.records
+    radio = getattr(burst, "radio", burst)
+    their_radio = getattr(reference, "radio", reference)
+    assert {
+        sender: rng.bit_generator.state for sender, rng in radio._entity_rngs.items()
+    } == {
+        sender: rng.bit_generator.state
+        for sender, rng in their_radio._entity_rngs.items()
+    }
+
+
 def assert_same_run(burst, reference):
     """The burst run equals the per-receiver one, digest for digest."""
     ours, theirs = burst.state_digest(), reference.state_digest()
@@ -221,7 +295,7 @@ def assert_same_run(burst, reference):
         f"burst dispatch diverges from per-receiver delivery in {ours.diff(theirs)}"
     )
     assert burst.round_digests.rounds == reference.round_digests.rounds
-    assert burst.simulator.trace.counts == reference.simulator.trace.counts
+    assert_same_books(burst, reference)
     assert burst.simulator.events_processed == reference.simulator.events_processed
 
 
@@ -281,6 +355,75 @@ def test_burst_matches_per_receiver_when_snoops_drain_batteries(monkeypatch):
     # Non-vacuity: nodes died inside train(), and runs were cut.
     assert len(burst.alive_ids()) < N_NODES
     assert any(cuts)
+    for runtime in (burst, reference):
+        for step in SCRIPT[1:]:
+            step(runtime)
+    assert_same_run(burst, reference)
+
+
+@pytest.mark.parametrize(
+    "keep_records,subscribed",
+    [(True, True), (False, True), (False, False)],
+    ids=["kept", "subscribed", "counted"],
+)
+def test_send_records_match_per_message_emits(keep_records, subscribed):
+    """A ``message.sent`` subscriber sees every send's record, in send
+    order, with or without stored records; with neither, only the
+    count moves."""
+    runs = []
+    for reference in (False, True):
+        runtime = build(seed=21, loss=0.3, reference=reference, keep_records=keep_records)
+        seen = []
+        if subscribed:
+            runtime.simulator.trace.subscribe("message.sent", seen.append)
+        for step in SCRIPT:
+            step(runtime)
+        runs.append((runtime, seen))
+    (burst, ours), (reference, theirs) = runs
+    assert_same_run(burst, reference)
+    assert ours == theirs
+    sent = burst.stats.total_sent()
+    assert burst.simulator.trace.count("message.sent") == sent > 0
+    assert (burst.simulator.trace.records == []) is not keep_records
+    if not subscribed:
+        assert ours == []
+        return
+    # Non-vacuity: training waves, broadcasts and addressed sends.
+    assert len(ours) == sent
+    assert {record.payload["message_kind"] for record in ours} >= {
+        "DataReport", "Invitation", "Heartbeat", "HeartbeatReply"
+    }
+    assert any(record.payload["target"] is not None for record in ours)
+
+
+def test_burst_matches_per_receiver_when_transmits_drain_senders(monkeypatch):
+    """A sender whose own transmit draw empties its battery in the
+    middle of a training wave still sends that report, and is dead on
+    arrival of the wave's bursts that reach it.  Staggered charges make
+    nodes die at different ticks, some by their transmit, some by
+    snooping, and leave some alive for the rest of the script."""
+    kwargs = dict(seed=8, battery=16.0)
+    burst, reference = build(**kwargs), build(**kwargs, reference=True)
+    for runtime in (burst, reference):
+        for node_id, device in runtime.radio.nodes.items():
+            device.battery.draw(0.35 * node_id)
+    drained = []
+    draw = DeviceState.draw
+
+    def spy(devices, slot, amount):
+        drawn = draw(devices, slot, amount)
+        if devices is burst.radio.devices and amount == 1.0 and devices.flags[slot]:
+            drained.append(slot)
+        return drawn
+
+    monkeypatch.setattr(DeviceState, "draw", spy)
+    for runtime in (burst, reference):
+        SCRIPT[0](runtime)  # train()
+    # Non-vacuity: transmits emptied senders that were not the last of
+    # their wave, the wave's bursts found them dead, and nodes survive.
+    assert drained and max(drained) < N_NODES - 1
+    assert burst.stats.dropped_dead["DataReport"] > 0
+    assert 0 < len(burst.alive_ids()) < N_NODES - len(drained)
     for runtime in (burst, reference):
         for step in SCRIPT[1:]:
             step(runtime)
@@ -414,6 +557,41 @@ def test_addressed_bursts_wake_only_a_live_target():
     # Non-vacuity: two live targets replied, the drained one did not.
     assert burst.stats.sent_of_kind("HeartbeatReply") == 2
     assert not burst.is_alive(0) and burst.stats.dropped_dead["Heartbeat"] >= 1
+
+
+def test_sender_without_out_neighbours_books_a_send_and_schedules_nothing():
+    """An isolated sender pays and counts its send, observes a fan-out
+    of 0 and creates no stream; a wave whose every sender is isolated
+    schedules no delivery."""
+    runs = []
+    for reference in (False, True):
+        simulator = Simulator(seed=4)
+        positions = [(0.1 * i, 0.0) for i in range(3)] + [(5.0, 5.0)]
+        topology = Topology(positions, ranges=2.0)
+        radio = (Radio if reference else radio_module.Radio)(simulator, topology)
+        if reference:
+            plain_books(radio)
+        radio.populate(battery_capacity=20.0)
+        lone = 3
+        assert radio.topology.out_neighbors(lone) == ()
+        assert radio.broadcast(Heartbeat(sender=lone, target=0, value=1.0))
+        assert len(simulator.queue) == 0
+        radio.broadcast_wave(
+            [DataReport(sender=lone, query_id=0, origin=lone, value=1.0)] * 2
+        )
+        assert len(simulator.queue) == 0
+        radio.broadcast_wave(
+            DataReport(sender=i, query_id=0, origin=i, value=1.0) for i in (lone, 1)
+        )
+        assert len(simulator.queue) == 1
+        simulator.run()
+        runs.append(radio)
+    burst, oracle = runs
+    assert_same_books(burst, oracle)
+    assert burst.stats.sent[(3, "DataReport")] == 3
+    assert set(burst._entity_rngs) == {1}
+    fanout = burst.simulator.metrics.histogram("net.fanout", radio_module.FANOUT_BUCKETS)
+    assert (fanout.cell().count, fanout.cell().counts[0]) == (5, 4)
 
 
 def test_wave_refuses_kinds_whose_handlers_send():

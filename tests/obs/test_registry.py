@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.stats import MessageStats
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import ColumnCounter, MetricsRegistry
 
 from tests.conftest import make_runtime
 
@@ -228,6 +229,48 @@ class TestBulkIncrement:
         registry.enabled = True
         counter.inc_by("x", 4)
         assert counter.value("x") == 4
+
+
+class TestDirectBooking:
+    """The accessors a per-message booker writes through."""
+
+    def test_column_writes_equal_add_each(self):
+        registry = MetricsRegistry()
+        direct = registry.column_counter("direct", ("node", "kind"), essential=True)
+        bulk = registry.column_counter("bulk", ("node", "kind"), essential=True)
+        column = direct.column("Heartbeat", 1, 6)
+        for i in (4, 0, 4):
+            column[i] += 1
+        bulk.add_each([4, 0, 4], "Heartbeat", 1)
+        assert direct.cells == bulk.cells == {(4, "Heartbeat"): 2, (0, "Heartbeat"): 1}
+        assert len(direct) == 2  # the grown ids hold no cells
+
+    def test_zero_column_records_the_cells_it_writes(self):
+        counter = ColumnCounter(None, "free", ("node", "category"), True)
+        column = counter.column("transmit", 0.0, 3)
+        column[2] += 0.0
+        assert dict(counter) == {(2, "transmit"): 0.0}
+
+    def test_only_essential_counters_hand_out_columns(self):
+        gated = MetricsRegistry().column_counter("gated", ("node", "kind"))
+        with pytest.raises(TypeError, match="gated"):
+            gated.column("Heartbeat", 1, 3)
+
+    def test_open_cell_books_as_observe_does_and_honours_the_gate(self):
+        registry = MetricsRegistry()
+        observed = registry.histogram("observed", (1.0, 4.0))
+        booked = registry.histogram("booked", (1.0, 4.0))
+        for value in (0.0, 3.0, 9.0):
+            observed.observe(value)
+            cell = booked.open_cell()
+            cell.counts[bisect_left(booked.uppers, value)] += 1
+            cell.count += 1
+            cell.sum += value
+        assert booked.cell() == observed.cell()
+        registry.enabled = False
+        assert booked.open_cell() is None
+        assert registry.histogram("fresh", (1.0,)).open_cell() is None
+        assert "fresh" in registry and not registry.metric("fresh").cells
 
 
 class TestDisabledRegistry:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import Simulator
+from repro.simulation.events import Event
 
 
 class TestClock:
@@ -192,6 +193,42 @@ class TestPeriodicTask:
         simulator.run_until(10.0)
         assert hits == [1.0, "late"]
         assert simulator.now == 10.0
+
+
+NAN = float("nan")
+
+
+class TestNaNTimes:
+    """A NaN time compares false both ways, so every time check is
+    written to fail on it: none reaches the heap or the clock."""
+
+    def test_clock_refuses_nan(self):
+        clock = SimulationClock()
+        with pytest.raises(ValueError, match="nan"):
+            clock.advance_to(NAN)
+        assert clock.now == 0.0
+        with pytest.raises(ValueError, match="nan"):
+            SimulationClock(start=NAN)
+
+    def test_schedule_refuses_nan(self, simulator):
+        with pytest.raises(ValueError, match="nan"):
+            simulator.schedule(NAN, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            simulator.schedule_at(NAN, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            simulator.queue.push(Event(NAN, lambda: None))
+        assert simulator.queue._heap == []
+
+    def test_run_until_nan_fires_nothing(self, simulator):
+        """A periodic task ran until ``max_events`` stopped it."""
+        simulator.every(1.0, lambda: None)
+        with pytest.raises(ValueError, match="nan"):
+            simulator.run_until(NAN, max_events=10)
+        assert simulator.events_processed == 0 and simulator.now == 0.0
+
+    def test_nan_period_rejected(self, simulator):
+        with pytest.raises(ValueError, match="nan"):
+            simulator.every(NAN, lambda: None)
 
 
 class TestDeterminism:

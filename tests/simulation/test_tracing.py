@@ -32,6 +32,15 @@ class TestTraceLog:
         assert log.count("x") == 4
         assert "y" not in log.counts
 
+    def test_builds_only_what_is_kept_or_subscribed(self):
+        log = TraceLog(keep_records=False)
+        assert not log.builds("x")
+        subscription = log.subscribe("x", lambda record: None)
+        assert log.builds("x") and not log.builds("y")
+        subscription.cancel()
+        assert not log.builds("x")
+        assert TraceLog(keep_records=True).builds("y")
+
     def test_counts_by_kind(self):
         log = TraceLog()
         log.emit(0.0, "a")
