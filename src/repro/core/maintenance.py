@@ -49,17 +49,12 @@ class MaintenanceManager:
         config: ProtocolConfig,
         stats: MessageStats,
         staggered: bool = True,
-        router=None,
     ) -> None:
         self.simulator = simulator
         self.nodes = nodes
         self.config = config
         self.stats = stats
         self.staggered = staggered
-        #: Optional :class:`~repro.core.round_batch.BatchedObservationRouter`;
-        #: round close flushes it defensively so the Fig-15 accounting
-        #: and round trace never straddle an un-applied batch.
-        self.router = router
         self._tasks: list[PeriodicTask] = []
         #: ``maintenance.<id>`` streams, created on a node's first draw.
         self._entity_rngs: dict[int, object] = {}
@@ -189,11 +184,6 @@ class MaintenanceManager:
 
     def _close_round(self) -> None:
         """Record this round's per-node protocol message cost (Fig. 15)."""
-        # Defensive: the engine's barrier has already flushed before
-        # this (priority-0) event fires; a direct _close_round call from
-        # stop() must not straddle a pending batch either.
-        if self.router is not None and self.router.pending:
-            self.router.flush()
         n_alive = sum(1 for node in self.nodes.values() if node.alive)
         if n_alive > 0:
             cost = self.stats.window_protocol_per_node(n_alive)

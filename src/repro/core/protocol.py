@@ -791,13 +791,6 @@ class ProtocolNode:
     def _on_heartbeat(self, message: Heartbeat) -> None:
         if not self.alive:
             return
-        # Read-after-write fallback: this handler both records an
-        # observation and immediately serves an estimate from the cache,
-        # so any samples this node has sitting in the batch must land
-        # first — scalarly, in arrival order.
-        router = self.radio.observation_router
-        if router is not None:
-            router.sync(self)
         own_value = self.value_fn()
         # The heartbeat doubles as a model fine-tuning sample (§3).
         self._record_observation(message.sender, own_value, message.value)
@@ -900,8 +893,7 @@ class ProtocolNode:
     ) -> str:
         """Feed the cache and emit the observation's counter and span.
 
-        The caller charges the §6.2 CPU cost of the update (the batched
-        path charges it when the sample is queued).
+        The caller charges the §6.2 CPU cost of the update.
         """
         action = self.cache.observe(neighbor_id, own_value, neighbor_value)
         self._observe_counter.inc((self.node_id, action))
@@ -944,6 +936,15 @@ class ProtocolNode:
 # functions (or partials of them), so a radio holding
 # :func:`dispatch_burst` pickles with checkpoints.
 
+#: The fewest snooped samples a delivery run must hold to be applied in
+#: one fleet sweep rather than sample by sample (same outcome either
+#: way).  A sweep's fixed numpy cost outweighs its per-sample saving on
+#: short runs: churn-n400's runs, nearly all one burst of a few
+#: samples, ran in 2.06 s (median of 6, 2-vCPU VM) with every run swept
+#: and 1.70 s with runs under 16 applied inline, while a §6.1 training
+#: tick's thousands of samples keep the sweep.
+SWEEP_MIN_SAMPLES = 16
+
 
 def dispatch_burst(messages, lives, devices) -> None:
     """Run one delivery run's protocol handlers (the radio's entry).
@@ -984,15 +985,21 @@ def _burst_data_report(messages, lives, devices) -> None:
     """Snoop overheard measurement reports (§3), as columns.
 
     Per receiver this is: draw the snoop decision from its own
-    ``protocol.<id>`` stream, read its own value, and queue the sample
-    for the observation router with the §6.2 CPU charge — which does
-    not depend on the cache's decision, so charging at queue time keeps
-    the battery and ledger timelines of an inline application.  The
-    steps run as passes over the whole run: the draws in burst and
-    receiver order (each from its own stream), one gather of the
-    snoopers' values, one router call with the snoopers' ids, then the
-    CPU charges in the same order, so every battery, ledger cell and
-    ledger total sums as it would receiver by receiver.
+    ``protocol.<id>`` stream, read its own value, feed the sample to
+    its cache, and pay the §6.2 CPU charge.  The steps run as passes
+    over the whole run: the draws in burst and receiver order (each
+    from its own stream), one gather of the snoopers' values, the
+    samples applied in that order, then the CPU charges in the same
+    order, so every battery, ledger cell and ledger total sums as it
+    would receiver by receiver (no charge depends on the cache's
+    decision, nor any decision on a charge).
+
+    The samples are applied before the delivery event returns: a run of
+    at least :data:`SWEEP_MIN_SAMPLES` samples on a runtime with a
+    cache fleet in one sweep (:meth:`BatchedObservationRouter.flush
+    <repro.core.round_batch.BatchedObservationRouter.flush>`), any other
+    run sample by sample through
+    :meth:`ProtocolNode._record_observation`.
     """
     snoopers, neighbors, values = [], [], []
     for message, live in zip(messages, lives):
@@ -1020,15 +1027,12 @@ def _burst_data_report(messages, lives, devices) -> None:
     own_values = _own_values(snoopers)
     radio = snoopers[0].radio
     router = radio.observation_router
-    if router is None:
-        # Stand-alone nodes on a bare radio (no runtime, so no router)
-        # apply their samples inline.
+    ids = [node.node_id for node in snoopers]
+    if router is not None and len(ids) >= SWEEP_MIN_SAMPLES:
+        router.flush(ids, neighbors, own_values, values)
+    else:
         for node, sender, own, value in zip(snoopers, neighbors, own_values, values):
             node._record_observation(sender, own, value)
-            radio.charge_cpu(node.node_id)
-        return
-    ids = [node.node_id for node in snoopers]
-    router.enqueue_burst(ids, neighbors, own_values, values)
     radio.charge_cpu_each(ids)
 
 

@@ -113,11 +113,12 @@ class SnapshotRuntime:
     cost_model:
         Energy prices (defaults to the paper's §6.2 accounting).
 
-    Overheard measurement observations are collected into per-burst
-    batches and applied through one fleet sweep (see
-    ``core.round_batch``) instead of one ``cache.observe`` call per
-    delivery.  The differential suite in ``tests/persist/`` proves this
-    bit-identical to applying each sample inside its delivery.
+    Overheard measurement observations are applied inside the delivery
+    that carried them: a delivery run of many samples through one sweep
+    of the cache fleet (see ``core.round_batch``), a short one sample
+    by sample.  The differential suite in ``tests/persist/`` proves this
+    bit-identical to a runtime without a fleet, which applies every
+    sample by itself to a scalar oracle cache.
     """
 
     def __init__(
@@ -170,14 +171,13 @@ class SnapshotRuntime:
                 location=topology.position(node_id),
                 tally=self.tally,
             )
-        router = BatchedObservationRouter(
-            self.simulator,
-            self.nodes,
-            fleet=self._build_fleet(),
+        fleet = self._build_fleet()
+        #: Sweeps long snoop runs through the cache fleet; ``None``
+        #: without a fleet, when every sample is applied by itself.
+        self.observation_router = (
+            None if fleet is None else BatchedObservationRouter(self.simulator, fleet)
         )
-        self.observation_router = router
-        self.simulator.observation_barrier = router
-        self.radio.observation_router = router
+        self.radio.observation_router = self.observation_router
 
         self.coordinator = ElectionCoordinator(
             self.simulator, self.nodes, self.config, tally=self.tally
@@ -187,7 +187,6 @@ class SnapshotRuntime:
             self.nodes,
             self.config,
             self.radio.stats,
-            router=self.observation_router,
         )
 
     def _build_fleet(self) -> Optional[ModelAwareCacheFleet]:
@@ -198,7 +197,7 @@ class SnapshotRuntime:
         are ``0..N-1`` (``topology.node_ids``), so a node's id is its
         lane and the router needs no lane table.  Caches of another
         policy (round-robin) have no fleet: this returns ``None`` and
-        the router applies their samples one by one.  Refused by name
+        their samples are applied one by one.  Refused by name
         (``ValueError``): model-aware caches mixed with other policies
         or on several budgets, and a cache that already owns a lane
         (one used before the runtime was built).

@@ -124,10 +124,10 @@ class Radio:
         #: ``radio.<sender>`` streams, created on a sender's first draw.
         self._entity_rngs: dict[int, object] = {}
         #: The runtime's
-        #: :class:`~repro.core.round_batch.BatchedObservationRouter`.
-        #: Protocol handlers divert overheard measurement observations
-        #: into its per-burst batch; on a bare radio (no runtime) it
-        #: stays ``None`` and they apply them inline.
+        #: :class:`~repro.core.round_batch.BatchedObservationRouter`,
+        #: which applies a long delivery run's overheard observations in
+        #: one fleet sweep; ``None`` on a bare radio (no runtime) or
+        #: without a fleet, where each is applied by itself.
         self.observation_router = None
         #: The protocol layer's burst entry point,
         #: ``burst_dispatch(messages, lives, devices)``: runs one
@@ -317,8 +317,8 @@ class Radio:
         """Deliver a wave's bursts in order, a run at a time: no
         receiver's liveness changes inside a run (:meth:`_run_end`), so
         it is booked column-wise (:meth:`_deliver_run`) with every
-        per-cell, per-stream and router arrival order of delivering its
-        bursts one by one.  A wave of one burst, every lone send's, is
+        per-cell, per-stream and per-cache arrival order of delivering
+        its bursts one by one.  A wave of one burst, every lone send's, is
         its own run."""
         flags = self.devices.flags
         if len(bursts) == 1:

@@ -128,7 +128,7 @@ class SpanTracer:
         The pub/sub sink begin/end records go to.
     clock:
         Anything with a ``now`` attribute in simulated time (the
-        engine passes its :class:`~repro.simulation.clock.SimulationClock`).
+        engine passes itself).
     registry:
         Optional metrics registry; when given, span counts and duration
         histograms accumulate there, and the registry's ``enabled``

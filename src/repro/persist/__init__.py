@@ -1,7 +1,7 @@
 """Deterministic checkpoint/restore with canonical state digests.
 
 ``save_checkpoint``/``load_checkpoint`` freeze a live simulation — the
-full object graph: clock, event queue, RNG streams, protocol nodes,
+full object graph: simulated time, event queue, RNG streams, protocol nodes,
 model caches, batteries, radio state, metrics — to a versioned on-disk
 file and restore it such that a resumed run is bit-identical,
 event-for-event, to an uninterrupted one.  ``state_digest`` fingerprints

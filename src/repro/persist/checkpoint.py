@@ -26,8 +26,9 @@ long-term archival format (the digests, being canonical, ARE stable
 across refactors that preserve behavior).  A checkpoint restores in
 code whose digests of it verify; any other file is refused with a
 named :class:`CheckpointError`, and nothing migrates an older payload.
-A payload that does not match this code's classes fails to digest,
-which is raised as :class:`CheckpointIntegrityError` naming the file.
+A payload that does not match this code's classes (it names a class
+this code no longer has, or fails to digest) is refused as
+:class:`CheckpointIntegrityError` naming the file.
 
 Writes are atomic: the file is assembled under a temporary name in the
 target directory and ``os.replace``d into place, so an interrupted save
@@ -79,7 +80,7 @@ class CheckpointVersionError(CheckpointError):
 
 
 def _is_digestable(obj: Any) -> bool:
-    if hasattr(obj, "clock") and hasattr(obj, "queue"):
+    if hasattr(obj, "queue") and hasattr(obj, "now"):
         return True
     runtime = obj if hasattr(obj, "radio") else getattr(obj, "runtime", None)
     return runtime is not None and hasattr(runtime, "simulator")
@@ -182,9 +183,15 @@ def load_checkpoint(path: str | os.PathLike, verify: bool = True) -> Any:
             f"{path}: payload sha256 mismatch (corrupt checkpoint)"
         )
     try:
-        obj = pickle.loads(zlib.decompress(payload))
-    except Exception as exc:
+        raw = zlib.decompress(payload)
+    except zlib.error as exc:
         raise CheckpointError(f"{path}: cannot decode payload: {exc}") from exc
+    try:
+        obj = pickle.loads(raw)
+    except Exception as exc:  # a class or module this code no longer has
+        raise CheckpointIntegrityError(
+            f"{path}: payload does not match this code's classes ({exc})"
+        ) from exc
     if verify and header.get("digest"):
         try:
             restored = state_digest(obj)

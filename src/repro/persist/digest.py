@@ -229,8 +229,9 @@ def _trace_structure(trace: Any) -> tuple:
 def _digest_simulator(sim: Any) -> dict[str, str]:
     """Per-component digests of a bare simulator.
 
-    The clock keeps only ``now``: the events-processed tally is an
-    execution statistic, not state that shapes what happens next.
+    The ``clock`` component keeps only ``now``: the events-processed
+    tally is an execution statistic, not state that shapes what happens
+    next.
     """
     structures = {
         "clock": ("now", sim.now),
@@ -355,12 +356,6 @@ def _digest_runtime(runtime: Any) -> dict[str, str]:
         ),
         "coordinator": runtime.coordinator.epoch,
     }
-    # Un-flushed observation batch (mid-burst checkpoints).  Added only
-    # when non-empty, so a run between bursts digests identically to
-    # one that applies every sample inside its delivery.
-    router = getattr(runtime, "observation_router", None)
-    if router is not None and router.pending:
-        comps["observations"] = tuple(router.samples())
     return {name: _hexdigest(value) for name, value in comps.items()}
 
 
@@ -388,7 +383,7 @@ def _resolve(target: Any) -> tuple[Any, Optional[Any]]:
         runtime = target
     elif hasattr(target, "runtime"):
         runtime = target.runtime
-    if hasattr(target, "clock") and hasattr(target, "queue"):
+    if hasattr(target, "queue") and hasattr(target, "now"):
         simulator = target
     elif runtime is not None:
         simulator = runtime.simulator

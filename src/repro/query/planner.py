@@ -27,13 +27,10 @@ from typing import Optional
 import numpy as np
 
 from repro.core.multi_resolution import MultiResolutionSnapshot
-from repro.core.protocol import ProtocolNode
 from repro.core.runtime import SnapshotRuntime
-from repro.core.status import NodeMode
 from repro.network.topology import Topology
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor, QueryResult
-from repro.query.spatial import Region
 
 __all__ = ["QueryPlan", "QueryCostEstimate", "QueryPlanner"]
 
@@ -166,27 +163,15 @@ class QueryPlanner:
             self._hops = (topology, max(1.0, 0.52 / reach))
         return self._hops[1]
 
-    @staticmethod
-    def _member_covers(node: ProtocolNode, region: Region) -> bool:
-        """Whether a representative holds a member location in ``region``.
-
-        The locations are the ones learned from the Accept messages
-        (§3.1); only ACTIVE nodes answer for members.
-        """
-        if node.mode is not NodeMode.ACTIVE:
-            return False
-        contains = region.contains
-        for info in node.represented.values():
-            location = info.location
-            if location is not None and contains(*location):
-                return True
-        return False
-
     def _census(self, query: Query) -> tuple[int, int, int]:
         """``(regular responders, snapshot responders, alive nodes)``.
 
-        The sizes of :meth:`regular_responders`,
-        :meth:`snapshot_responders` and ``alive_ids()``, from columns:
+        Regular responders are the alive nodes inside the query's
+        region, snapshot responders the alive non-passive nodes whose
+        own location or a member location learned from the Accept
+        messages (§3.1) lies inside it.  Both are upper bounds on who
+        reports: value predicates, tree membership and model-estimate
+        misses only shrink the executed set.  Counted from columns:
         the regular and alive counts from the liveness mask and the
         region's mask over the topology coordinates, the snapshot count
         as the distinct owners of the executor's cover rows inside the
@@ -201,38 +186,6 @@ class QueryPlanner:
         owner, _, x, y = self.executor.cover()
         snapshot = len(set(owner[region.contains_mask(x, y)].tolist()))
         return regular, snapshot, int(np.count_nonzero(alive))
-
-    def regular_responders(self, query: Query) -> frozenset[int]:
-        """Alive nodes inside the spatial predicate (regular execution).
-
-        A value predicate can only shrink the actual responder set, so
-        this is an upper bound on who reports.
-        """
-        topology = self.runtime.topology
-        return frozenset(
-            node_id
-            for node_id in self.runtime.alive_ids()
-            if query.region.contains(*topology.position(node_id))
-        )
-
-    def snapshot_responders(self, query: Query) -> frozenset[int]:
-        """Non-passive alive nodes covering the region (snapshot execution).
-
-        A node covers the query when its own location matches or, for a
-        representative, when any member location learned from the
-        Accept messages matches (§3.1).  Tree membership, value
-        predicates and model-estimate misses can only shrink the actual
-        responder set, so the planned set is a superset of the
-        executed one (property-tested in ``tests/query``).
-        """
-        region = query.region
-        return frozenset(
-            node_id
-            for node_id, node in self.runtime.nodes.items()
-            if node.alive
-            and node.mode is not NodeMode.PASSIVE
-            and (region.contains(*node.location) or self._member_covers(node, region))
-        )
 
     def _transmissions_per_round(self, query: Query, responders: int) -> float:
         if query.is_aggregate:

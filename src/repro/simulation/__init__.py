@@ -3,11 +3,10 @@
 The paper evaluates snapshot queries in a custom network simulator
 (§6: "We have developed a network simulator that allows us to vary
 several operational characteristics of the nodes...").  This subpackage
-is that simulator's core: a deterministic event queue, a monotonic
-clock, named seeded random streams and a trace log.
+is that simulator's core: a deterministic event queue, monotonic
+simulated time, named seeded random streams and a trace log.
 """
 
-from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import PeriodicTask, Simulator
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.rng import RandomSource
@@ -18,7 +17,6 @@ __all__ = [
     "EventQueue",
     "PeriodicTask",
     "RandomSource",
-    "SimulationClock",
     "Simulator",
     "TraceLog",
     "TraceRecord",

@@ -1,8 +1,8 @@
 """The discrete-event simulation engine.
 
-:class:`Simulator` glues the event queue, clock, RNG source and trace log
-together and exposes the scheduling API the rest of the reproduction is
-written against:
+:class:`Simulator` glues the event queue, simulated time, RNG source
+and trace log together and exposes the scheduling API the rest of the
+reproduction is written against:
 
 * ``schedule(delay, callback)`` / ``schedule_at(time, callback)``;
 * ``every(period, callback)`` for periodic tasks (heartbeats, snapshot
@@ -29,7 +29,6 @@ from typing import Callable, Optional
 from repro.obs.profiler import EventProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.simulation.clock import SimulationClock
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.rng import RandomSource
 from repro.simulation.tracing import TraceLog
@@ -128,22 +127,18 @@ class Simulator:
         keep_trace_records: bool = True,
         metrics_enabled: bool = True,
     ) -> None:
-        self.clock = SimulationClock()
+        #: Current simulated time.  Only :meth:`step` and
+        #: :meth:`run_until` move it, and never backwards:
+        #: :meth:`schedule` and :meth:`schedule_at` refuse a time
+        #: before it, and every check refuses NaN.
+        self.now = 0.0
         self.queue = EventQueue()
         self.random = RandomSource(seed)
         self.trace = TraceLog(keep_records=keep_trace_records)
         self.metrics = MetricsRegistry(enabled=metrics_enabled)
-        self.spans = SpanTracer(self.trace, self.clock, self.metrics)
+        self.spans = SpanTracer(self.trace, self, self.metrics)
         #: Wall-clock profiler; ``None`` keeps the hot loop untouched.
         self.profiler: Optional[EventProfiler] = None
-        #: Optional observation barrier (see ``core.round_batch``): an
-        #: object with ``pending`` (truthy while observations are
-        #: queued), ``before_event(time, priority)`` and ``flush()``.
-        #: The hot loop consults it *between* events, so flushing a
-        #: batch never schedules — or consumes — an event of its own
-        #: and the event count / queue sequence stay identical to an
-        #: unbatched run.
-        self.observation_barrier = None
         self._events_processed = 0
 
     def enable_profiling(self) -> EventProfiler:
@@ -151,11 +146,6 @@ class Simulator:
         if self.profiler is None:
             self.profiler = EventProfiler()
         return self.profiler
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self.clock.now
 
     @property
     def events_processed(self) -> int:
@@ -176,7 +166,7 @@ class Simulator:
         """
         if not delay >= 0:  # NaN fails too
             raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.push(Event(self.clock.now + delay, callback, priority, label))
+        return self.queue.push(Event(self.now + delay, callback, priority, label))
 
     def schedule_at(
         self,
@@ -209,23 +199,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Process exactly one event.  Returns ``False`` if the queue is empty."""
-        queue = self.queue
-        barrier = self.observation_barrier
-        if barrier is not None and barrier.pending:
-            # Flush queued observations before any event that is not
-            # part of the same same-instant delivery burst, so every
-            # later event observes exactly the cache state the scalar
-            # path would have built during the deliveries.
-            head = queue.peek()
-            if head is None:
-                barrier.flush()
-                return False
-            barrier.before_event(*head)
         try:
-            event = queue.pop()
+            event = self.queue.pop()
         except IndexError:
             return False
-        self.clock.advance_to(event.time)
+        # No check: scheduling refused every time before ``now`` or NaN.
+        self.now = float(event.time)
         profiler = self.profiler
         if profiler is None:
             event.callback()
@@ -246,14 +225,14 @@ class Simulator:
         return fired
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
-        """Run all events with firing time ``<= time``; advance clock to ``time``.
+        """Run all events with firing time ``<= time``; advance ``now`` to ``time``.
 
-        The clock is left at exactly ``time`` even if the last event fired
+        ``now`` is left at exactly ``time`` even if the last event fired
         earlier, matching the usual "run for this long" semantics.  When
-        ``max_events`` stops the run early, the clock instead stays at
+        ``max_events`` stops the run early, ``now`` instead stays at
         the last fired event — events due before ``time`` are still
         queued, and jumping past them would make resuming the window
-        (``run_until(time)`` again) fire them in the clock's past.
+        (``run_until(time)`` again) fire them in the past.
         """
         if not time >= self.now:  # NaN fails too
             raise ValueError(f"cannot run until {time}: before now ({self.now}) or NaN")
@@ -265,18 +244,8 @@ class Simulator:
             self.step()
             fired += 1
             if max_events is not None and fired >= max_events:
-                # Early cut: leave queued observations pending — they
-                # checkpoint with the run and flush on resume, exactly
-                # as the uninterrupted run would at its next step.
                 return fired
-        barrier = self.observation_barrier
-        if barrier is not None and barrier.pending:
-            # The window closed with deliveries still queued for batch
-            # application; apply them before handing control back so
-            # top-level readers (queries, digests) see settled caches.
-            barrier.flush()
-        if self.now < time:
-            self.clock.advance_to(time)
+        self.now = float(time)
         return fired
 
     # ------------------------------------------------------------------
@@ -284,7 +253,7 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def checkpoint(self, path, meta: Optional[dict] = None):
-        """Freeze the engine (clock, queue, RNG streams, trace, metrics)
+        """Freeze the engine (time, queue, RNG streams, trace, metrics)
         to a checkpoint file; returns the saved :class:`StateDigest`.
 
         Local import so the engine stays importable without the persist

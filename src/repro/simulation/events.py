@@ -94,12 +94,7 @@ class EventQueue:
         return event
 
     def peek(self) -> Optional[tuple[float, int]]:
-        """``(time, priority)`` of the next live event, or ``None`` if empty.
-
-        The observation barrier (see :meth:`Simulator.step`) needs the
-        priority as well as the time to decide whether the upcoming
-        event continues the current same-instant delivery burst.
-        """
+        """``(time, priority)`` of the next live event, or ``None`` if empty."""
         heap = self._heap
         while heap:
             time, priority, __, event = heap[0]

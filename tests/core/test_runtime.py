@@ -94,7 +94,7 @@ class TestCacheFleet:
 
     def test_round_robin_caches_have_no_fleet(self):
         runtime = make_runtime(n_nodes=6, cache_factory=lambda: RoundRobinCache(256))
-        assert runtime.observation_router.fleet is None
+        assert runtime.observation_router is None
 
     @pytest.mark.parametrize(
         "kinds,budgets,refusal",

@@ -21,6 +21,8 @@ from __future__ import annotations
 import copyreg
 import io
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -37,32 +39,19 @@ from repro.network.radio import Radio
 from repro.network.state import DeviceState
 from repro.network.topology import uniform_random_topology
 from repro.obs.report import RunReport
+from repro.obs.spans import SpanTracer
 from repro.persist import RoundDigestRecorder, save_checkpoint
 from repro.persist import checkpoint as checkpoint_module
+from repro.persist.digest import StateDigest, _hexdigest
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor
 from repro.query.spatial import random_square
+from repro.simulation.engine import Simulator
 from tests.models.scalar_oracle import ScalarOracleCache
 
 N_NODES = 14
 PERIOD = 25.0
 HORIZON = 140.0
-
-
-class _EagerRouter(BatchedObservationRouter):
-    """The production router, flushed after every sample of a burst.
-
-    Each overheard sample is then applied inside the delivery that
-    carried it, in burst and receiver order, before the run's CPU
-    charges — the order a stand-alone node applies it inline.
-    """
-
-    def enqueue_burst(self, node_ids, neighbor_ids, own_values, neighbor_values) -> None:
-        for node_id, neighbor_id, own, value in zip(
-            node_ids, neighbor_ids, own_values, neighbor_values
-        ):
-            super().enqueue_burst([node_id], [neighbor_id], [own], [value])
-            self.flush()
 
 
 def _oracle_caches(factory):
@@ -79,27 +68,19 @@ def _oracle_caches(factory):
 
 
 class OracleRuntime(SnapshotRuntime):
-    """Test-side reference for the batched observation path.
+    """Test-side reference for the fleet observation path.
 
     Whatever cache factory it is given, each model-aware cache is a
     :class:`~tests.models.scalar_oracle.ScalarOracleCache`, so it builds
-    no fleet, and its router flushes after every sample.  Comparing a
-    whole run against :class:`SnapshotRuntime` thus proves both the
-    fleet engine against the scalar oracle and the burst barrier
-    against per-delivery application.
+    no fleet and applies every overheard sample by itself, inside the
+    delivery that carried it.  Comparing a whole run against
+    :class:`SnapshotRuntime` thus proves both the fleet engine against
+    the scalar oracle and the run sweep against per-sample application.
     """
 
     def __init__(self, *args, cache_factory=None, **kwargs) -> None:
         super().__init__(*args, cache_factory=_oracle_caches(cache_factory), **kwargs)
-        router = _EagerRouter(
-            self.simulator,
-            self.nodes,
-            fleet=None,
-        )
-        self.observation_router = router
-        self.simulator.observation_barrier = router
-        self.radio.observation_router = router
-        self.maintenance.router = router
+        assert self.observation_router is None
 
 
 def assert_runs_the_oracle(runtime) -> None:
@@ -294,3 +275,85 @@ def save_deviceless_checkpoint(runtime, path, monkeypatch) -> None:
     """Save ``runtime`` with a radio that lacks the ``devices`` columns
     every delivery reads."""
     save_with_pickler(runtime, path, monkeypatch, _DevicelessRadioPickler)
+
+
+#: Where simulated time lived before the engine owned it.
+PARENT_CLOCK_MODULE = "repro.simulation.clock"
+
+
+def parent_clock_module() -> types.ModuleType:
+    """A stand-in for the module that held ``SimulationClock``."""
+    module = types.ModuleType(PARENT_CLOCK_MODULE)
+
+    class SimulationClock:
+        """Simulated time in ``_now``, read through a ``now`` property."""
+
+        @property
+        def now(self) -> float:
+            return self._now
+
+    SimulationClock.__module__ = PARENT_CLOCK_MODULE
+    SimulationClock.__qualname__ = "SimulationClock"
+    module.SimulationClock = SimulationClock
+    return module
+
+
+def save_parent_checkpoint(
+    runtime, path, monkeypatch, samples=(), clock: bool = True
+) -> None:
+    """Save ``runtime`` as code before this engine and router wrote it.
+
+    With ``clock``, the simulator holds its time in a
+    ``repro.simulation.clock.SimulationClock`` (shared with its span
+    tracer) instead of ``now``.  The simulator's observation barrier is
+    the runtime's router, which holds ``samples`` — ``(node, neighbor,
+    own value, neighbor value)`` tuples not yet applied — in its pending
+    columns; the header's digests then carry them as the
+    ``observations`` component, as that code recorded them.
+    """
+    module = parent_clock_module()
+    router = runtime.observation_router
+    parent_clock = module.SimulationClock()
+    parent_clock._now = runtime.simulator.now
+    columns = [list(column) for column in zip(*samples)] or [[], [], [], []]
+    ids, neighbors, owns, values = columns
+
+    class ParentPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, Simulator):
+                state = dict(vars(obj), observation_barrier=router)
+                if clock:
+                    del state["now"]
+                    state["clock"] = parent_clock
+                return copyreg.__newobj__, (Simulator,), state
+            if isinstance(obj, SpanTracer) and clock:
+                state = dict(vars(obj), _clock=parent_clock)
+                return copyreg.__newobj__, (SpanTracer,), state
+            if isinstance(obj, BatchedObservationRouter):
+                state = dict(
+                    vars(obj),
+                    nodes=runtime.nodes,
+                    pending=ids,
+                    _neighbors=neighbors,
+                    _owns=owns,
+                    _values=values,
+                    _pending_time=runtime.simulator.now if samples else -1.0,
+                )
+                return copyreg.__newobj__, (BatchedObservationRouter,), state
+            return NotImplemented
+
+    real_digest = checkpoint_module.state_digest
+
+    def parent_digest(target):
+        digest = real_digest(target)
+        if not samples:
+            return digest
+        components = dict(digest.components, observations=_hexdigest(tuple(samples)))
+        return StateDigest(
+            components, _hexdigest(tuple(sorted(components.items())))
+        )
+
+    with monkeypatch.context() as patch:
+        patch.setitem(sys.modules, PARENT_CLOCK_MODULE, module)
+        patch.setattr(checkpoint_module, "state_digest", parent_digest)
+        save_with_pickler(runtime, path, monkeypatch, ParentPickler)

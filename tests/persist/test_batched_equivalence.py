@@ -1,18 +1,19 @@
-"""Differential proof that batched rounds match per-delivery application.
+"""Differential proof that fleet sweeps match per-sample application.
 
-``SnapshotRuntime`` routes every overheard measurement observation
-through the ``BatchedObservationRouter`` and — for the model-aware
-policy — applies them via the shared ``ModelAwareCacheFleet``.  These
-cases pin the equivalence contract against the test-side
-``OracleRuntime`` (``tests/persist/conftest.py``), which builds no fleet
-and flushes its router after every enqueue: the *entire observable
-outcome* (whole-sim digest, every component digest, trace records,
-message counters, event count, report rows, per-round digests) is equal
-across both cache policies × lossless/lossy, through a randomized fault
-schedule, and through a checkpoint frozen mid-burst with observations
-still pending in the batch.  The oracle's model-aware caches are the
-scalar oracle of ``tests/models/scalar_oracle.py``, so the model-aware
-cases double as the whole-run fleet-vs-oracle proof.
+``SnapshotRuntime`` applies each delivery run's overheard measurement
+observations before the delivery event returns — a long run through one
+``BatchedObservationRouter.flush`` sweep of the shared
+``ModelAwareCacheFleet``, a short one sample by sample.  These cases pin
+the equivalence contract against the test-side ``OracleRuntime``
+(``tests/persist/conftest.py``), which builds no fleet and applies every
+sample by itself: the *entire observable outcome* (whole-sim digest,
+every component digest, trace records, message counters, event count,
+report rows, per-round digests) is equal across both cache policies ×
+lossless/lossy, through a randomized fault schedule, and when a cache
+is read at the instant after a run of either route.  The oracle's
+model-aware caches are the scalar oracle of
+``tests/models/scalar_oracle.py``, so the model-aware cases double as
+the whole-run fleet-vs-oracle proof.
 """
 
 from __future__ import annotations
@@ -21,10 +22,13 @@ from functools import partial
 
 import pytest
 
+from repro.core.protocol import SWEEP_MIN_SAMPLES, ProtocolNode
+from repro.core.round_batch import BatchedObservationRouter
+from repro.core.status import NodeMode
 from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
-from repro.persist import load_checkpoint, save_checkpoint
-from repro.core.runtime import SnapshotRuntime
+from repro.network.messages import DataReport, HeartbeatReply
+from repro.network.radio import Radio
 
 from tests.persist.conftest import (
     HORIZON,
@@ -39,12 +43,12 @@ from tests.persist.conftest import (
 
 def _run(seed, policy, loss, batched):
     runtime = build_runtime(seed, policy, loss, oracle=not batched)
-    fleet = runtime.observation_router.fleet
+    router = runtime.observation_router
     if batched and policy == "model-aware":
         # The whole deployment shares one fleet, one lane per node.
-        assert fleet is not None and fleet.F == len(runtime.nodes)
+        assert router.fleet.F == len(runtime.nodes)
     else:
-        assert fleet is None
+        assert router is None
     if not batched and policy == "model-aware":
         assert_runs_the_oracle(runtime)
     for step in SCRIPT:
@@ -72,8 +76,8 @@ def test_batched_matches_scalar_model_aware(seed, loss):
 @pytest.mark.bench
 @pytest.mark.parametrize("loss", [0.0, 0.3], ids=["lossless", "lossy"])
 def test_extended_batched_matches_scalar_round_robin(loss):
-    # No fleet for round-robin: the router applies samples scalarly at
-    # the same barrier — ordering, effects and digests must still match.
+    # No fleet for round-robin: both runtimes apply every sample by
+    # itself, and ordering, effects and digests must match.
     assert_outcomes_equal(
         _run(4, "round-robin", loss, batched=True),
         _run(4, "round-robin", loss, batched=False),
@@ -122,65 +126,20 @@ def test_extended_batched_chaos_schedule_matches_scalar(monkeypatch):
     # chaos builds its caches through make_cache_factory; the oracle
     # must have swapped every one of them.
     assert_runs_the_oracle(oracle)
-    assert batched.pop("runtime").observation_router.fleet is not None
+    assert batched.pop("runtime").observation_router is not None
     assert batched == scalar
     assert batched["crashes"] > 0  # non-vacuity: faults really fired
 
 
-def test_batched_checkpoint_mid_burst_resumes(tmp_path):
-    """Freeze with observations still pending in the batch; the restored
-    run flushes them exactly where the uninterrupted run would."""
-    seed = 6
-    reference = _run(seed, "model-aware", 0.0, batched=False)
-
-    runtime = build_runtime(seed, "model-aware", 0.0)
-    # Replay train()'s exact schedule, but drive it one event at a time
-    # so we can stop after the first tick's delivery wave, before the
-    # barrier flushes its samples (train() itself runs the whole window;
-    # see SnapshotRuntime.train).
-    simulator = runtime.simulator
-    t0 = simulator.now
-    end = t0 + 6.0
-    saved_snoop = {
-        node_id: node.snoop_probability for node_id, node in runtime.nodes.items()
-    }
-    simulator.schedule_at(
-        t0, partial(runtime._set_snoop, None), label="train:snoop-on"
-    )
-    tick = t0
-    while tick < end:
-        simulator.schedule_at(tick, runtime._train_broadcast, label="train:broadcast")
-        tick += 1.0
-    simulator.schedule_at(
-        end, partial(runtime._set_snoop, saved_snoop), label="train:snoop-restore"
-    )
-    while not runtime.observation_router.pending:
-        assert simulator.run_until(end, max_events=1) == 1
-    path = tmp_path / "mid-burst.ckpt"
-    saved = save_checkpoint(runtime, path)
-    # The un-flushed batch is part of the frozen state.
-    assert "observations" in saved.components
-    del runtime
-
-    resumed = load_checkpoint(path)
-    assert isinstance(resumed, SnapshotRuntime)
-    assert resumed.observation_router.pending
-    assert resumed.state_digest().whole == saved.whole
-    resumed.simulator.run_until(end)
-    for step in SCRIPT[1:]:
-        step(resumed)
-    assert_outcomes_equal(outcome(resumed), reference)
-
-
 def _read_soon_after_burst(batched):
-    """Evaluate an election 0.049 time units after an un-synced burst.
+    """Evaluate an election 0.049 time units after a training wave.
 
     Training ticks at 0 and 1 give every node its second sample of each
-    neighbor in the burst delivered at 1.001; the election's evaluate
-    phase at 1.05 then reads those caches through ``can_represent``,
-    which nothing syncs first.  Only the barrier stands between the two:
-    applied any later, the burst's samples miss the read (one sample
-    is not yet a model), and the candidate lists come out different.
+    neighbor in the wave delivered at 1.001; the election's evaluate
+    phase at 1.05 then reads those caches through ``can_represent``.
+    Applied any later than inside their delivery, the wave's samples
+    miss the read (one sample is not yet a model), and the candidate
+    lists come out different.
     """
     runtime = build_runtime(9, "model-aware", 0.0, oracle=not batched)
     end = runtime._schedule_train(start=0.0, duration=2.0)
@@ -196,7 +155,7 @@ def _read_soon_after_burst(batched):
     return lists, outcome(runtime)
 
 
-def test_batched_barrier_flushes_before_a_read_soon_after_the_burst():
+def test_batched_samples_land_before_a_read_soon_after_the_burst():
     lists, batched = _read_soon_after_burst(True)
     oracle_lists, scalar = _read_soon_after_burst(False)
     assert lists == oracle_lists
@@ -204,3 +163,96 @@ def test_batched_barrier_flushes_before_a_read_soon_after_the_burst():
     # Non-vacuity: the read right after the burst found usable models.
     assert any(length for heard in lists.values() for length in heard.values())
 
+
+def _report(runtime, node_id):
+    """``node_id`` broadcasts one measurement report of its own."""
+    value = runtime.nodes[node_id].value_fn()
+    runtime.radio.broadcast(
+        DataReport(sender=node_id, query_id=0, origin=node_id, value=value)
+    )
+
+
+def _heartbeat_after_snoop_run(monkeypatch, batched, route):
+    """A passive node's report is snooped by its representative, and at
+    the same instant, in the next delivery event, its heartbeat arrives
+    there: the representative records the heartbeat sample and answers
+    with an estimate from the line the run just fed.
+
+    ``route`` picks the run: ``"inline"`` is the passive node's lone
+    report (fewer than ``SWEEP_MIN_SAMPLES`` snoopers), ``"sweep"`` a
+    training tick's wave of every node's report.  Returns the outcome,
+    the replies' estimates, the sweeps made (each a list of
+    ``(snooper, reporter)`` pairs) and the ``(snooper, reporter)``
+    samples applied one by one, from the instant of the run on.
+    """
+    runtime = build_runtime(8, "model-aware", 0.0, oracle=not batched)
+    _train, _elect = SCRIPT[:2]
+    _train(runtime)
+    _elect(runtime)
+    passive = min(
+        node_id
+        for node_id, node in runtime.nodes.items()
+        if node.mode is NodeMode.PASSIVE
+    )
+    node = runtime.nodes[passive]
+    rep = node.representative_id
+
+    sweeps, singles, replies = [], [], []
+    flush = BatchedObservationRouter.flush
+    record = ProtocolNode._record_observation
+    unicast = Radio.unicast
+
+    def counted_flush(self, ids, neighbors, owns, values):
+        sweeps.append(list(zip(ids, neighbors)))
+        flush(self, ids, neighbors, owns, values)
+
+    def counted_record(self, neighbor_id, own, value):
+        singles.append((self.node_id, neighbor_id))
+        return record(self, neighbor_id, own, value)
+
+    def seen_unicast(self, message, target):
+        if isinstance(message, HeartbeatReply):
+            replies.append((message.sender, message.target, message.estimate))
+        return unicast(self, message, target)
+
+    simulator = runtime.simulator
+    t = runtime.now + 1.0
+    simulator.schedule_at(t, partial(runtime._set_snoop, None))
+    if route == "sweep":
+        simulator.schedule_at(t, runtime._train_broadcast)
+    else:
+        simulator.schedule_at(t, partial(_report, runtime, passive))
+    simulator.schedule_at(t, node.send_heartbeat)
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchedObservationRouter, "flush", counted_flush)
+        patch.setattr(ProtocolNode, "_record_observation", counted_record)
+        patch.setattr(Radio, "unicast", seen_unicast)
+        runtime.advance_to(t + 1.0)
+    return outcome(runtime), replies, sweeps, singles, (passive, rep)
+
+
+@pytest.mark.parametrize("route", ["inline", "sweep"])
+def test_heartbeat_right_after_a_snoop_run_reads_its_samples(monkeypatch, route):
+    batched, replies, sweeps, singles, (passive, rep) = _heartbeat_after_snoop_run(
+        monkeypatch, True, route
+    )
+    scalar, oracle_replies, oracle_sweeps, _, _ = _heartbeat_after_snoop_run(
+        monkeypatch, False, route
+    )
+    assert_outcomes_equal(batched, scalar)
+    assert replies == oracle_replies
+    assert not oracle_sweeps
+    # The representative answered its member with an estimate.
+    [(sender, target, estimate)] = replies
+    assert (sender, target) == (rep, passive) and estimate is not None
+    # Non-vacuity: the representative snooped the passive node's report
+    # by the route under test, then recorded the heartbeat's sample.
+    assert singles[-1] == (rep, passive)
+    if route == "sweep":
+        [run] = sweeps
+        assert len(run) >= SWEEP_MIN_SAMPLES and (rep, passive) in run
+        assert len(singles) == 1
+    else:
+        assert not sweeps
+        snooped = singles[:-1]
+        assert 0 < len(snooped) < SWEEP_MIN_SAMPLES and (rep, passive) in snooped

@@ -83,18 +83,27 @@ def _wave_pending(runtime) -> bool:
     return head is not None and head[1] == DELIVERY_PRIORITY
 
 
+def _reports_delivered(runtime) -> int:
+    return sum(
+        count
+        for (_, kind), count in runtime.stats.delivered.cells.items()
+        if kind == "DataReport"
+    )
+
+
 def _wave_delivered(runtime) -> bool:
-    """A tick's wave is delivered and its samples not yet flushed."""
-    return bool(runtime.observation_router.pending)
+    """A training tick's wave is delivered (its samples with it)."""
+    return _reports_delivered(runtime) > 0
 
 
 @pytest.mark.parametrize(
-    "frozen", [_wave_pending, _wave_delivered], ids=["before-wave", "before-flush"]
+    "frozen", [_wave_pending, _wave_delivered], ids=["before-wave", "after-wave"]
 )
 @pytest.mark.parametrize("loss", [0.0, 0.25], ids=["lossless", "lossy"])
 def test_checkpoint_inside_a_training_tick(frozen, loss, tmp_path):
     """Freeze between a training tick's sends and its one delivery
-    event, or between that wave and the barrier flush of its samples."""
+    event, or right after that event, whose snooped samples are
+    already in the caches: nothing is left pending across events."""
     seed, policy = 4, "model-aware"
     reference = run_reference(seed, policy, loss)
 
@@ -105,11 +114,13 @@ def test_checkpoint_inside_a_training_tick(frozen, loss, tmp_path):
     while not frozen(runtime):
         assert simulator.run_until(end, max_events=1) == 1
     assert runtime.stats.sent_of_kind("DataReport") > 0
-    if frozen is _wave_pending:
-        assert not runtime.observation_router.pending
+    # Every report delivered in training is one snooped sample, applied
+    # before its delivery event returned.
+    observed = runtime.metrics.metric("cache.observe").total()
+    assert observed == _reports_delivered(runtime)
+    assert (observed > 0) == (frozen is _wave_delivered)
     path = tmp_path / "mid-tick.ckpt"
     saved = save_checkpoint(runtime, path)
-    assert ("observations" in saved.components) == (frozen is _wave_delivered)
     del runtime
 
     resumed = load_checkpoint(path)

@@ -35,6 +35,7 @@ from repro.query.planner import QueryPlanner
 from repro.query.spatial import Circle, Everywhere, Rect
 from tests.models.conftest import bound_lanes
 from tests.models.scalar_oracle import ScalarOracleCache
+from tests.query.responder_oracle import regular_responders, snapshot_responders
 from tests.query.test_linear_paths import FullScanExecutor
 
 CAPACITY = 1e6
@@ -106,8 +107,8 @@ def assert_matches_fresh(runtime, planner) -> None:
     tree = star(runtime)
     for query in QUERIES:
         census = (
-            len(planner.regular_responders(query)),
-            len(planner.snapshot_responders(query)),
+            len(regular_responders(planner.runtime, query)),
+            len(snapshot_responders(planner.runtime, query)),
             len(runtime.alive_ids()),
         )
         assert planner._census(query) == census, query

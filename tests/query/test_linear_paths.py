@@ -8,8 +8,8 @@ against a reference that does the work the long way:
 * the flood against a per-link flood that samples every pending link
   and breaks parent ties with ``min`` — same tree, same RNG state — and,
   over lossless links, against a plain BFS;
-* ``plan``/``estimate_cost`` against values composed from
-  ``regular_responders``/``snapshot_responders`` and a scan of every
+* ``plan``/``estimate_cost`` against values composed from the
+  node-by-node walks of ``tests/query/responder_oracle.py`` and a scan of every
   alive node's topology position, on a runtime holding failed,
   battery-depleted, failed-then-restored, PASSIVE, ACTIVE and UNDEFINED
   nodes, over rectangles, circles and the whole plane;
@@ -40,6 +40,7 @@ from repro.query.planner import (
 )
 from repro.query.spatial import Circle, Everywhere, Rect
 from tests.conftest import make_runtime, scalar_delivered
+from tests.query.responder_oracle import regular_responders, snapshot_responders
 
 # ----------------------------------------------------------------------
 # flood
@@ -267,8 +268,8 @@ def scan_selectivity(runtime, query) -> float:
 @given(query=queries(), use_snapshot=st.sampled_from([None, False, True]))
 def test_plan_and_estimate_match_composed_values(mixed_runtime, query, use_snapshot):
     planner = QueryPlanner(mixed_runtime)
-    regular = len(planner.regular_responders(query))
-    snapshot = len(planner.snapshot_responders(query))
+    regular = len(regular_responders(planner.runtime, query))
+    snapshot = len(snapshot_responders(planner.runtime, query))
     n_alive = len(mixed_runtime.alive_ids())
     per_round = planner._transmissions_per_round
 
@@ -315,7 +316,7 @@ def test_census_reads_a_moved_node_at_its_own_location(mixed_runtime):
     for x, y in (moved.location, mixed_runtime.topology.position(moved.node_id)):
         query = Query(region=Rect(x, y, x, y), use_snapshot=True)
         assert planner.estimate_cost(query).responders == len(
-            planner.snapshot_responders(query)
+            snapshot_responders(planner.runtime, query)
         )
         assert planner.estimate_cost(query).selectivity == scan_selectivity(
             mixed_runtime, query

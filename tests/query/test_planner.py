@@ -15,6 +15,7 @@ from repro.network.topology import Topology
 from repro.query.ast import Query
 from repro.query.planner import QueryPlanner
 from repro.query.spatial import Everywhere, Rect
+from tests.query.responder_oracle import regular_responders
 
 
 def planned_runtime(n: int = 10):
@@ -84,7 +85,7 @@ class TestCostEstimates:
         west = Query(region=Rect(0.0, 0.0, 0.5, 1.0), aggregate=Aggregate.AVG)
         estimate = planner.estimate_cost(west, use_snapshot=False)
         assert not estimate.use_snapshot
-        assert estimate.responders == len(planner.regular_responders(west))
+        assert estimate.responders == len(regular_responders(planner.runtime, west))
         assert 0.0 < estimate.selectivity < 1.0
         assert estimate.nodes_touched <= len(runtime.alive_ids())
         assert estimate.bytes_on_network > 0

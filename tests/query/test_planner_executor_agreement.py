@@ -17,6 +17,7 @@ from repro.query.ast import Aggregate, Query
 from repro.query.planner import QueryPlanner
 from repro.query.spatial import Rect
 from tests.conftest import make_runtime
+from tests.query.responder_oracle import regular_responders, snapshot_responders
 
 coords = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -49,7 +50,7 @@ def planner() -> QueryPlanner:
 )
 def test_planned_snapshot_responders_cover_actual(planner, region, aggregate):
     query = Query(region=region, aggregate=aggregate, use_snapshot=True)
-    planned = planner.snapshot_responders(query)
+    planned = snapshot_responders(planner.runtime, query)
     result = planner.executor.execute(query, sink=0, charge_energy=False)
     assert result.responders <= planned
 
@@ -62,7 +63,7 @@ def test_planned_snapshot_responders_cover_actual(planner, region, aggregate):
 @given(region=rects())
 def test_planned_regular_responders_cover_actual(planner, region):
     query = Query(region=region, use_snapshot=False)
-    planned = planner.regular_responders(query)
+    planned = regular_responders(planner.runtime, query)
     result = planner.executor.execute(query, sink=0, charge_energy=False)
     assert result.responders <= planned
 
@@ -77,5 +78,5 @@ def test_selectivity_consistent_with_responders(planner, region):
     query = Query(region=region)
     alive = len(planner.runtime.alive_ids())
     assert planner.estimate_cost(query).selectivity == pytest.approx(
-        len(planner.regular_responders(query)) / alive
+        len(regular_responders(planner.runtime, query)) / alive
     )

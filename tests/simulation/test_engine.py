@@ -1,31 +1,39 @@
-"""Unit tests for the simulator engine, clock, and periodic tasks."""
+"""Unit tests for the simulator engine, simulated time, and periodic tasks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.simulation.clock import SimulationClock
 from repro.simulation.engine import Simulator
 from repro.simulation.events import Event
 
 
 class TestClock:
+    """Simulated time is the engine's ``now``: it starts at zero, moves
+    only forward, and only to a time the queue accepted."""
+
     def test_starts_at_zero(self):
-        assert SimulationClock().now == 0.0
+        assert Simulator().now == 0.0
 
-    def test_advance(self):
-        clock = SimulationClock()
-        clock.advance_to(5.5)
-        assert clock.now == 5.5
+    def test_advance(self, simulator):
+        simulator.run_until(5.5)
+        assert simulator.now == 5.5
+        simulator.schedule_at(7.0, lambda: None)
+        simulator.step()
+        assert simulator.now == 7.0
 
-    def test_never_rewinds(self):
-        clock = SimulationClock(start=10.0)
+    def test_never_rewinds(self, simulator):
+        simulator.run_until(10.0)
         with pytest.raises(ValueError):
-            clock.advance_to(9.0)
-
-    def test_negative_start_rejected(self):
+            simulator.run_until(9.0)
         with pytest.raises(ValueError):
-            SimulationClock(start=-1.0)
+            simulator.schedule_at(9.0, lambda: None)
+        assert simulator.now == 10.0
+
+    def test_negative_start_rejected(self, simulator):
+        with pytest.raises(ValueError):
+            simulator.queue.push(Event(-1.0, lambda: None))
+        assert simulator.queue._heap == [] and simulator.now == 0.0
 
 
 class TestScheduling:
@@ -202,13 +210,10 @@ class TestNaNTimes:
     """A NaN time compares false both ways, so every time check is
     written to fail on it: none reaches the heap or the clock."""
 
-    def test_clock_refuses_nan(self):
-        clock = SimulationClock()
+    def test_clock_refuses_nan(self, simulator):
         with pytest.raises(ValueError, match="nan"):
-            clock.advance_to(NAN)
-        assert clock.now == 0.0
-        with pytest.raises(ValueError, match="nan"):
-            SimulationClock(start=NAN)
+            simulator.run_until(NAN)
+        assert simulator.now == 0.0
 
     def test_schedule_refuses_nan(self, simulator):
         with pytest.raises(ValueError, match="nan"):
