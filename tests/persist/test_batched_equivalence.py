@@ -9,11 +9,11 @@ the equivalence contract against the test-side ``OracleRuntime``
 sample by itself: the *entire observable outcome* (whole-sim digest,
 every component digest, trace records, message counters, event count,
 report rows, per-round digests) is equal across both cache policies ×
-lossless/lossy, through a randomized fault schedule, and when a cache
-is read at the instant after a run of either route.  The oracle's
-model-aware caches are the scalar oracle of
-``tests/models/scalar_oracle.py``, so the model-aware cases double as
-the whole-run fleet-vs-oracle proof.
+lossless/lossy, through a randomized fault schedule, through a
+checkpoint frozen mid-burst, and when a cache is read at the instant
+after a run of either route.  The oracle's model-aware caches are the
+scalar oracle of ``tests/models/scalar_oracle.py``, so the model-aware
+cases double as the whole-run fleet-vs-oracle proof.
 """
 
 from __future__ import annotations
@@ -24,11 +24,13 @@ import pytest
 
 from repro.core.protocol import SWEEP_MIN_SAMPLES, ProtocolNode
 from repro.core.round_batch import BatchedObservationRouter
+from repro.core.runtime import SnapshotRuntime
 from repro.core.status import NodeMode
 from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
 from repro.network.messages import DataReport, HeartbeatReply
 from repro.network.radio import Radio
+from repro.persist import load_checkpoint, save_checkpoint
 
 from tests.persist.conftest import (
     HORIZON,
@@ -129,6 +131,38 @@ def test_extended_batched_chaos_schedule_matches_scalar(monkeypatch):
     assert batched.pop("runtime").observation_router is not None
     assert batched == scalar
     assert batched["crashes"] > 0  # non-vacuity: faults really fired
+
+
+def test_batched_checkpoint_mid_burst_resumes(tmp_path):
+    """Freeze mid-burst, right after the first training tick's delivery
+    wave with the later ticks still queued: the wave's samples are
+    already in the fleet, nothing is pending, and the restored run
+    ends where the oracle's uninterrupted run does."""
+    seed = 6
+    reference = _run(seed, "model-aware", 0.0, batched=False)
+
+    runtime = build_runtime(seed, "model-aware", 0.0)
+    simulator = runtime.simulator
+    # train()'s own schedule, stepped one event at a time.
+    end = runtime._schedule_train(duration=6.0)
+    observed = runtime.metrics.metric("cache.observe")
+    while observed.total() == 0:
+        assert simulator.run_until(end, max_events=1) == 1
+    assert simulator.now < end and len(simulator.queue) > 0
+    path = tmp_path / "mid-burst.ckpt"
+    saved = save_checkpoint(runtime, path)
+    frozen_observed = observed.total()
+    del runtime
+
+    resumed = load_checkpoint(path)
+    assert isinstance(resumed, SnapshotRuntime)
+    assert resumed.observation_router.fleet is not None
+    assert resumed.metrics.metric("cache.observe").total() == frozen_observed
+    assert resumed.state_digest().whole == saved.whole
+    resumed.simulator.run_until(end)
+    for step in SCRIPT[1:]:
+        step(resumed)
+    assert_outcomes_equal(outcome(resumed), reference)
 
 
 def _read_soon_after_burst(batched):
