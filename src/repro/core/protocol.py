@@ -31,7 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.core.config import ProtocolConfig
 from repro.core.status import NodeMode
@@ -936,14 +939,21 @@ class ProtocolNode:
 # functions (or partials of them), so a radio holding
 # :func:`dispatch_burst` pickles with checkpoints.
 
-#: The fewest snooped samples a delivery run must hold to be applied in
-#: one fleet sweep rather than sample by sample (same outcome either
-#: way).  A sweep's fixed numpy cost outweighs its per-sample saving on
-#: short runs: churn-n400's runs, nearly all one burst of a few
-#: samples, ran in 2.06 s (median of 6, 2-vCPU VM) with every run swept
-#: and 1.70 s with runs under 16 applied inline, while a §6.1 training
-#: tick's thousands of samples keep the sweep.
-SWEEP_MIN_SAMPLES = 16
+#: The fewest receivers a ``DataReport`` run must reach to be snooped
+#: as id columns, and the fewest snooped samples it must then hold to be
+#: applied in one fleet sweep rather than sample by sample (same outcome
+#: either way).  The column passes and the sweep have a fixed numpy
+#: cost that short runs do not earn back.  churn-n400 (snoop
+#: probability 0.05, runs of one burst, at most 22 receivers) ran in
+#: 2.06 s (median of 6, 2-vCPU VM) with every run swept and 1.70 s with
+#: runs under 16 samples applied inline; with runs of 16 or more
+#: receivers taken as columns it ran 2.0% slower than with none (1.783
+#: against 1.748 s, median of 8 alternated pairs, slower in 7), as a
+#: burst's draws cost the same either way.  64 lies above any single
+#: burst at the paper's degree 12 (out-degrees reach 20-25 at N=400
+#: and 2000), and far below a §6.1 training tick (about 12 samples per
+#: node), which keeps the columns and the sweep.
+SWEEP_MIN_SAMPLES = 64
 
 
 def dispatch_burst(messages, lives, devices) -> None:
@@ -982,25 +992,33 @@ def _to_each(handler, messages, lives, devices) -> None:
 
 
 def _burst_data_report(messages, lives, devices) -> None:
-    """Snoop overheard measurement reports (§3), as columns.
+    """Snoop overheard measurement reports (§3).
 
     Per receiver this is: draw the snoop decision from its own
     ``protocol.<id>`` stream, read its own value, feed the sample to
     its cache, and pay the §6.2 CPU charge.  The steps run as passes
     over the whole run: the draws in burst and receiver order (each
-    from its own stream), one gather of the snoopers' values, the
-    samples applied in that order, then the CPU charges in the same
-    order, so every battery, ledger cell and ledger total sums as it
-    would receiver by receiver (no charge depends on the cache's
-    decision, nor any decision on a charge).
+    from its own stream), one read of the snoopers' values, the samples
+    applied in that order, then the CPU charges in the same order, so
+    every battery, ledger cell and ledger total sums as it would
+    receiver by receiver (no charge depends on the cache's decision,
+    nor any decision on a charge).
 
-    The samples are applied before the delivery event returns: a run of
-    at least :data:`SWEEP_MIN_SAMPLES` samples on a runtime with a
-    cache fleet in one sweep (:meth:`BatchedObservationRouter.flush
-    <repro.core.round_batch.BatchedObservationRouter.flush>`), any other
-    run sample by sample through
+    A run of at least :data:`SWEEP_MIN_SAMPLES` receivers on a runtime
+    with a cache fleet takes these passes over id columns
+    (:func:`_snoop_columns`); any other run takes them over lists.
+    Either way the samples are applied before the delivery event
+    returns: at least :data:`SWEEP_MIN_SAMPLES` of them on a runtime
+    with a fleet in one sweep (:meth:`BatchedObservationRouter.flush
+    <repro.core.round_batch.BatchedObservationRouter.flush>`), fewer, or
+    any on a runtime without one, sample by sample through
     :meth:`ProtocolNode._record_observation`.
     """
+    if sum(map(len, lives)) >= SWEEP_MIN_SAMPLES:
+        radio = _radio_of(lives, devices)
+        if radio is not None and radio.observation_router is not None:
+            _snoop_columns(radio, messages, lives, devices)
+            return
     snoopers, neighbors, values = [], [], []
     for message, live in zip(messages, lives):
         # Only model raw measurements the reporter took itself;
@@ -1022,18 +1040,102 @@ def _burst_data_report(messages, lives, devices) -> None:
         count = len(snoopers) - before
         neighbors += [sender] * count
         values += [message.value] * count
-    if not snoopers:
+    if snoopers:
+        _apply_snoops(snoopers, neighbors, _own_values(snoopers), values)
+
+
+def _radio_of(lives, devices):
+    """The radio of the first receiver that runs a protocol, if any."""
+    for live in lives:
+        for rid in live:
+            node = devices[rid].protocol
+            if node is not None:
+                return node.radio
+    return None
+
+
+def _apply_snoops(snoopers: list, neighbors: list, own_values, values: list) -> None:
+    """Feed each snooper's sample to its cache, then charge the CPU
+    cost, sample by sample in sample order: the route of every run
+    with fewer than :data:`SWEEP_MIN_SAMPLES` snoopers, and of every
+    run on a runtime without a fleet."""
+    for node, sender, own, value in zip(snoopers, neighbors, own_values, values):
+        node._record_observation(sender, own, value)
+    snoopers[0].radio.charge_cpu_each([node.node_id for node in snoopers])
+
+
+def _snoop_columns(radio, messages, lives, devices) -> None:
+    """:func:`_burst_data_report` of a long run on a runtime with a
+    cache fleet, as one pass per step over id columns.
+
+    The run becomes three columns once: receiver, sender and reported
+    value per (burst, receiver).  The snoop mask takes every receiver
+    with probability ``>= 1`` and none with ``<= 0`` (nor a sender
+    hearing itself, nor a receiver without a protocol); only the
+    others draw, from their own streams, in burst and receiver order.
+    The snoopers' values are read in one gather, their samples applied
+    in one sweep, and their CPU cost charged in one columnar draw
+    (:meth:`Radio.charge_cpu_each
+    <repro.network.radio.Radio.charge_cpu_each>` of an id array).
+    """
+    kept = [
+        (message, live)
+        for message, live in zip(messages, lives)
+        if live and not message.estimated and message.origin == message.sender
+    ]
+    if not kept:
         return
-    own_values = _own_values(snoopers)
-    radio = snoopers[0].radio
-    router = radio.observation_router
-    ids = [node.node_id for node in snoopers]
-    if router is not None and len(ids) >= SWEEP_MIN_SAMPLES:
-        router.flush(ids, neighbors, own_values, values)
-    else:
-        for node, sender, own, value in zip(snoopers, neighbors, own_values, values):
-            node._record_observation(sender, own, value)
+    sizes = [len(live) for _, live in kept]
+    size = sum(sizes)
+    rids = np.fromiter(chain.from_iterable(live for _, live in kept), np.int64, size)
+    senders = np.repeat(
+        np.fromiter((message.sender for message, _ in kept), np.int64, len(kept)), sizes
+    )
+    reported = np.repeat(
+        np.fromiter((message.value for message, _ in kept), np.float64, len(kept)), sizes
+    )
+    # Each distinct receiver's protocol and snoop probability, read once.
+    heard = np.zeros(int(rids.max()) + 1, dtype=bool)
+    heard[rids] = True
+    protocols = {rid: devices[rid].protocol for rid in np.flatnonzero(heard).tolist()}
+    probability = np.zeros(heard.size)
+    for rid, node in protocols.items():
+        if node is not None:
+            probability[rid] = node.snoop_probability
+    p = probability[rids]
+    other = rids != senders
+    snoop = other & (p >= 1.0)
+    # NaN draws and never snoops, as ``random() < nan`` is false.
+    drawing = np.flatnonzero(other & ~(p <= 0) & ~(p >= 1.0))
+    for i, rid, chance in zip(drawing.tolist(), rids[drawing].tolist(), p[drawing].tolist()):
+        if protocols[rid]._rng.random() < chance:
+            snoop[i] = True
+    taken = np.flatnonzero(snoop)
+    if taken.size < SWEEP_MIN_SAMPLES:
+        if taken.size:
+            snoopers = [protocols[rid] for rid in rids[taken].tolist()]
+            _apply_snoops(
+                snoopers,
+                senders[taken].tolist(),
+                _own_values(snoopers),
+                reported[taken].tolist(),
+            )
+        return
+    ids = rids[taken]
+    radio.observation_router.flush(
+        ids, senders[taken], _own_value_column(protocols, ids), reported[taken]
+    )
     radio.charge_cpu_each(ids)
+
+
+def _own_value_column(protocols: dict, ids: np.ndarray) -> np.ndarray:
+    """The current value of each of ``ids``, read once per distinct
+    node (one gather when the readers allow it) and spread over the
+    column."""
+    distinct = np.flatnonzero(np.bincount(ids))
+    values = np.zeros(distinct[-1] + 1)
+    values[distinct] = _own_values([protocols[rid] for rid in distinct.tolist()])
+    return values[ids]
 
 
 def _own_values(nodes: list) -> list[float]:

@@ -11,11 +11,19 @@ share a :class:`~repro.models.soa.ModelAwareCacheFleet` is applied by
 :meth:`BatchedObservationRouter.flush`, in one sweep; every other run
 sample by sample, through ``ProtocolNode._record_observation``.
 
-A node's fleet lane is its id.  The sweep runs in *waves* through
-:meth:`~repro.models.soa.ModelAwareCacheFleet.observe_lanes`: wave *k*
-carries each lane's *k*-th sample of the run, so per-lane order (the
-only order the cache state depends on; lanes are independent) is
-exactly the order the samples arrived in.
+A node's fleet lane is its id.  A sweep first applies, in one pass,
+every lane whose run cannot change its decision mode
+(:meth:`~repro.models.soa.ModelAwareCacheFleet.append_runs`): a cache
+below its pair budget by at least its run's samples, hearing each
+neighbor once, with a free line slot for each new one, appends all of
+them, as sample-by-sample observation would.  At §6.1's 2,048-byte
+budget that is every lane of every training tick.  Only the remaining
+lanes — a cache that fills inside the run, hears a neighbor twice or
+must grow its line slots — take the *waves* through
+:meth:`~repro.models.soa.ModelAwareCacheFleet.observe_lanes`: wave
+*k* carries each such lane's *k*-th sample of the run, so per-lane
+order (the only order the cache state depends on; lanes are
+independent) is exactly the order the samples arrived in.
 
 The effects are those of ``ProtocolNode._record_observation`` per
 sample, in arrival order: the ``cache.observe`` counter through one
@@ -75,30 +83,45 @@ class BatchedObservationRouter:
         ``Tracer.install`` wraps it by name.
         """
 
-    def flush(
-        self,
-        node_ids: list[int],
-        neighbor_ids: list[int],
-        own_values: list[float],
-        neighbor_values: list[float],
-    ) -> None:
+    def flush(self, node_ids, neighbor_ids, own_values, neighbor_values) -> None:
         """Apply one run's samples and emit their effects.
 
         Node ``node_ids[i]`` overheard ``neighbor_ids[i]`` report
         ``neighbor_values[i]`` while its own value was
         ``own_values[i]``; the samples are in the run's burst and
-        receiver order.
+        receiver order.  Each argument is a sequence or a 1-D array.
         """
-        lanes = np.array(node_ids, dtype=np.int64)
+        lanes = np.asarray(node_ids, dtype=np.int64)
+        neighbors = np.asarray(neighbor_ids, dtype=np.int64)
         codes = self._sweep(
             lanes,
-            np.array(neighbor_ids, dtype=np.int64),
-            np.array(own_values, dtype=np.float64),
-            np.array(neighbor_values, dtype=np.float64),
+            neighbors,
+            np.asarray(own_values, dtype=np.float64),
+            np.asarray(neighbor_values, dtype=np.float64),
         )
-        self._emit(lanes, neighbor_ids, codes)
+        self._emit(lanes, neighbors, codes)
 
     def _sweep(
+        self, lanes: np.ndarray, js: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> np.ndarray:
+        """Apply the samples; returns each one's action code, in sample
+        order.
+
+        Every lane whose run cannot leave warm-up is applied in one
+        pass (:meth:`~repro.models.soa.ModelAwareCacheFleet.append_runs`):
+        all its samples append.  The rest take :meth:`_waves`.  Lanes
+        are independent caches, so the two groups touch disjoint rows,
+        and the one-pass lanes go first: the waves may grow the fleet's
+        line slots, which moves rows.
+        """
+        applied = self.fleet.append_runs(lanes, js, xs, ys)
+        codes = np.full(lanes.size, ACTION_CODES["append"], dtype=np.int8)
+        rest = np.flatnonzero(~applied)
+        if rest.size:
+            codes[rest] = self._waves(lanes[rest], js[rest], xs[rest], ys[rest])
+        return codes
+
+    def _waves(
         self, lanes: np.ndarray, js: np.ndarray, xs: np.ndarray, ys: np.ndarray
     ) -> np.ndarray:
         """Sweep the samples in per-lane-order-preserving waves; returns
@@ -139,7 +162,7 @@ class BatchedObservationRouter:
     # effects (those of ProtocolNode._record_observation, in bulk)
     # ------------------------------------------------------------------
 
-    def _emit(self, lanes: np.ndarray, neighbors: list[int], codes: np.ndarray) -> None:
+    def _emit(self, lanes: np.ndarray, neighbors: np.ndarray, codes: np.ndarray) -> None:
         """Emit counter/span effects for a swept run in arrival order.
 
         The counter cells are the distinct ``(node, action code)``
@@ -152,25 +175,31 @@ class BatchedObservationRouter:
             return
         n_codes = len(ACTION_CODES)
         keys = lanes * n_codes + codes
-        cells, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        touch = np.argsort(first, kind="stable")
+        counts = np.bincount(keys)
+        first = np.full(counts.size, keys.size)
+        np.minimum.at(first, keys, np.arange(keys.size))
+        cells = np.flatnonzero(counts)
+        cells = cells[np.argsort(first[cells], kind="stable")]
         admitted = np.flatnonzero(codes != ACTION_CODES[Action.REJECT])
         names = ACTION_NAMES
         spans.instants(
             "cache.admit",
             admitted.size,
             (
-                {"node": node_id, "neighbor": neighbors[i], "action": names[code]}
-                for i, node_id, code in zip(
-                    admitted.tolist(),
+                {"node": node_id, "neighbor": neighbor, "action": names[code]}
+                for node_id, neighbor, code in zip(
                     lanes[admitted].tolist(),
+                    neighbors[admitted].tolist(),
                     codes[admitted].tolist(),
                 )
             ),
         )
         inc_by = self._counter.inc_by
-        for key, count in zip(cells[touch].tolist(), counts[touch].tolist()):
-            node_id, code = divmod(key, n_codes)
+        for node_id, code, count in zip(
+            (cells // n_codes).tolist(),
+            (cells % n_codes).tolist(),
+            counts[cells].tolist(),
+        ):
             inc_by((node_id, names[code]), count)
 
     def __repr__(self) -> str:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from repro.core.config import ProtocolConfig
 from repro.core.election import ElectionCoordinator
 from repro.core.maintenance import MaintenanceManager
-from repro.core.protocol import ProtocolNode, StructureTally
+from repro.core.protocol import ProtocolNode, StructureTally, _own_values
 from repro.core.round_batch import BatchedObservationRouter
 from repro.core.snapshot import SnapshotView
 from repro.data.series import Dataset
@@ -71,7 +71,14 @@ class _NodeValueReader:
         self.node_id = node_id
 
     def __call__(self) -> float:
-        return self.runtime.dataset.value(self.node_id, self.runtime.simulator.now)
+        # One read of the dataset's array; a time outside the series
+        # (negative, NaN, past the end) takes ``Dataset.value``.
+        runtime = self.runtime
+        time = runtime.simulator.now
+        values = runtime.dataset.values
+        if 0 <= time < values.shape[1]:
+            return values.item(self.node_id, int(time))
+        return runtime.dataset.value(self.node_id, time)
 
     def read_many(self, readers: list) -> Optional[list[float]]:
         """The values of ``readers`` now, as one gather from the dataset.
@@ -297,7 +304,11 @@ class SnapshotRuntime:
 
     def value_of(self, node_id: int) -> float:
         """Ground-truth measurement of ``node_id`` right now."""
-        return self.dataset.value(node_id, self.simulator.now)
+        time = self.simulator.now
+        values = self.dataset.values
+        if 0 <= time < values.shape[1]:
+            return values.item(node_id, int(time))
+        return self.dataset.value(node_id, time)
 
     def alive_ids(self) -> list[int]:
         """Ids of alive nodes, ascending: battery not depleted and not
@@ -365,12 +376,15 @@ class SnapshotRuntime:
 
     def _train_broadcast(self) -> None:
         """One training tick: every alive node broadcasts a data report,
-        in id order, all delivered by one event (a radio *wave*)."""
+        in id order, all delivered by one event (a radio *wave*).  The
+        values are read in one gather when every sender's reader allows
+        it (:meth:`_NodeValueReader.read_many`)."""
         nodes = self.nodes
+        senders = [nodes[i] for i in self.radio.alive_ids() if i in nodes]
+        values = _own_values(senders) if senders else []
         self.radio.broadcast_wave(
-            DataReport(sender=i, query_id=0, origin=i, value=nodes[i].value_fn())
-            for i in sorted(nodes)
-            if nodes[i].alive
+            DataReport(node.node_id, 0, node.node_id, value)  # sender, query, origin
+            for node, value in zip(senders, values)
         )
 
     def run_election(self, at: Optional[float] = None) -> SnapshotView:

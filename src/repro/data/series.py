@@ -68,7 +68,10 @@ class Dataset:
     def _index(self, time: float) -> int:
         if time < 0:
             raise ValueError(f"cannot read a measurement at negative time {time}")
-        return min(int(time), self.length - 1)
+        if time != time:
+            raise ValueError("cannot read a measurement at time NaN")
+        last = self.length - 1
+        return last if time >= last else int(time)
 
     def __repr__(self) -> str:
         return f"Dataset(n_nodes={self.n_nodes}, length={self.length})"

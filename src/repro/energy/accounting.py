@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.obs.registry import ColumnCounter
 
 __all__ = ["EnergyLedger"]
@@ -69,6 +71,25 @@ class EnergyLedger:
         for _ in node_ids:
             total += amount
         self._totals[category] = total
+
+    def record_column(self, node_ids: np.ndarray, category: str, amount: float) -> None:
+        """:meth:`record_each` of an id array, as one pass per book:
+        each cell and the category total add ``amount`` once per id,
+        in order (``np.add.at`` and a running sum), so they sum to the
+        same floats as :meth:`record_each`."""
+        self._check(category, amount)
+        if not amount or not node_ids.size:
+            self.record_each(node_ids.tolist(), category, amount)
+            return
+        cells = self._cells.column(category, amount, int(node_ids.max()) + 1)
+        sums = np.array(cells, dtype=np.float64)
+        np.add.at(sums, node_ids, amount)
+        touched = np.flatnonzero(np.bincount(node_ids))
+        for node_id, value in zip(touched.tolist(), sums[touched].tolist()):
+            cells[node_id] = value
+        steps = np.full(node_ids.size + 1, amount)
+        steps[0] = self._totals[category]
+        self._totals[category] = float(np.cumsum(steps)[-1])
 
     def _check(self, category: str, amount: float) -> None:
         if category not in self.CATEGORIES:

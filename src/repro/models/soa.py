@@ -691,6 +691,83 @@ class ModelAwareCacheFleet:
         actions[flane[aug_apply]] = ACTION_CODES["augment"]
         return actions
 
+    def append_runs(self, cs, js, xs, ys) -> np.ndarray:
+        """Apply every sample of each cache whose run stays in warm-up,
+        in one :meth:`_append_rows` pass; returns the mask of the
+        samples applied (each an ``append``).
+
+        Sample ``i`` is neighbor ``js[i]``'s value ``ys[i]`` heard by
+        cache ``cs[i]`` while its own value was ``xs[i]``, in arrival
+        order.  A cache's ``k`` samples stay in warm-up when ``total +
+        k <= capacity_pairs`` (no sample meets a full cache) and they
+        land on ``k`` distinct rows: distinct neighbors, with a free
+        line slot for each new one.  Each of them then appends, as
+        :meth:`observe` would one by one: a new neighbor claims the
+        lowest free slot, in arrival order.  The other caches' samples
+        are left untouched for :meth:`observe_lanes`.
+
+        Rows are found by key ``(cache, neighbor)`` in the sorted keys
+        of the occupied rows, the ``ids`` column that the slot dicts
+        mirror, so no samples × line-slots matrix is built.
+        """
+        cs = np.asarray(cs, dtype=np.int64)
+        js = np.asarray(js, dtype=np.int64)
+        n_samples = cs.size
+        if not n_samples:
+            return np.zeros(0, dtype=bool)
+        _check_ids(js)
+        F, S = self.F, self.S
+        ids = self.ids
+        stride = max(int(ids.max()), int(js.max())) + 1
+        occupied = np.flatnonzero(ids >= 0)
+        okeys = (occupied // S) * stride + ids[occupied]
+        order = np.argsort(okeys)
+        okeys, occupied = okeys[order], occupied[order]
+        keys = cs * stride + js
+        by_key = np.argsort(keys)
+        sorted_keys = keys[by_key]
+        at = np.searchsorted(okeys, sorted_keys)
+        hit = at < okeys.size
+        hit[hit] = okeys[at[hit]] == sorted_keys[hit]
+        rows = np.full(n_samples, -1, dtype=np.int64)
+        rows[by_key[hit]] = occupied[at[hit]]
+        found = rows >= 0
+        # Per cache: samples, new neighbors, free slots; a neighbor
+        # heard twice disqualifies its cache.
+        runs = np.bincount(cs, minlength=F)
+        fresh = np.bincount(cs[~found], minlength=F)
+        free = S - np.bincount(occupied // S, minlength=F)
+        ok = (self.total + runs <= self.capacity_pairs) & (fresh <= free)
+        twice = sorted_keys[1:] == sorted_keys[:-1]
+        ok[sorted_keys[1:][twice] // stride] = False
+        applied = ok[cs]
+        claim = np.flatnonzero(applied & ~found)
+        if claim.size:
+            # The m-th new neighbor of a cache, in arrival order, takes
+            # its m-th lowest free slot.
+            cc = cs[claim]
+            by_cache = np.argsort(cc, kind="stable")
+            sorted_cc = cc[by_cache]
+            firsts = np.searchsorted(sorted_cc, sorted_cc)
+            rank = np.empty(claim.size, dtype=np.int64)
+            rank[by_cache] = np.arange(claim.size) - firsts
+            caches = sorted_cc[firsts == np.arange(claim.size)]
+            owner, slot = np.nonzero(ids.reshape(F, S)[caches] < 0)
+            first_free = np.searchsorted(owner, np.arange(caches.size))
+            slots = slot[first_free[np.searchsorted(caches, cc)] + rank]
+            rows[claim] = cc * S + slots
+            jc = js[claim]
+            tables = self.slot
+            for c, j, s in zip(cc.tolist(), jc.tolist(), slots.tolist()):
+                tables[c][j] = s
+            self._claim_rows(rows[claim], jc)
+        if applied.any():
+            xs = np.asarray(xs, dtype=np.float64)
+            ys = np.asarray(ys, dtype=np.float64)
+            self._append_rows(rows[applied], xs[applied], ys[applied])
+            self.total += np.where(ok, runs, 0)
+        return applied
+
     def _append_rows(self, P: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> None:
         """Vectorized :meth:`_append` of one pair to each of the distinct
         rows ``P``, minus the per-cache ``total`` update (the caller

@@ -47,7 +47,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import partial
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from repro.energy.accounting import EnergyLedger
 from repro.energy.costs import PAPER_COST_MODEL, EnergyCostModel
@@ -319,7 +322,8 @@ class Radio:
         it is booked column-wise (:meth:`_deliver_run`) with every
         per-cell, per-stream and per-cache arrival order of delivering
         its bursts one by one.  A wave of one burst, every lone send's, is
-        its own run."""
+        its own run.  While no device is dead, a run's receivers are
+        all live and are handed on without a liveness filter."""
         flags = self.devices.flags
         if len(bursts) == 1:
             message, receivers, target = bursts[0]
@@ -331,8 +335,11 @@ class Radio:
         while start < len(bursts):
             end = self._run_end(bursts, start)
             messages, receivers, targets = zip(*bursts[start:end])
-            lives = [[rid for rid in ids if not flags[rid]] for ids in receivers]
-            live = [rid for ids in lives for rid in ids]
+            if flags.count(0) == len(flags):  # no device is dead
+                lives = receivers
+            else:
+                lives = [[rid for rid in ids if not flags[rid]] for ids in receivers]
+            live = list(chain.from_iterable(lives))
             dead = sum(map(len, receivers)) - len(live)
             self._deliver_run(messages, targets, lives, live, dead)
             start = end
@@ -427,9 +434,17 @@ class Radio:
         """:meth:`charge_cpu` for each of ``node_ids``, in order.
 
         Dead nodes are skipped; each draw and ledger entry lands in id
-        order, so battery and ledger sums match one call per node.
+        order, so battery and ledger sums match one call per node.  An
+        id array is charged column-wise (:meth:`DeviceState.draw_column`,
+        :meth:`EnergyLedger.record_column`) unless one of its nodes is
+        dead or would be emptied, which only a run of one burst can do.
         """
         cost = self.cost_model.cpu_cache_update * multiplier
         if cost <= 0:
             return
+        if isinstance(node_ids, np.ndarray):
+            if self.devices.draw_column(node_ids, cost):
+                self.ledger.record_column(node_ids, "cpu", cost)
+                return
+            node_ids = node_ids.tolist()
         self.ledger.record_each(self.devices.draw_each(node_ids, cost), "cpu", cost)

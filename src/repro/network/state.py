@@ -114,3 +114,32 @@ class DeviceState:
             else:
                 self.draw(slot, amount)
         return drawn
+
+    def draw_column(self, slots: np.ndarray, amount: float) -> bool:
+        """:meth:`draw_each` of an id array, as one pass per column:
+        returns whether it drew, which it does only when every slot is
+        alive and no draw empties a battery (nothing happens
+        otherwise, and the caller takes :meth:`draw_each`).
+
+        Each slot's charge and spent energy take their draws one at a
+        time, in order (``np.subtract.at`` / ``np.add.at``), so they
+        sum to the same floats as :meth:`draw_each`.  A slot whose
+        charge stays positive after all its draws was above ``amount``
+        before each of them, so none of them emptied it.
+        """
+        if np.frombuffer(self.flags, dtype=np.uint8)[slots].any():
+            return False
+        charge = np.array(self.charge, dtype=np.float64)
+        np.subtract.at(charge, slots, amount)
+        touched = np.flatnonzero(np.bincount(slots))
+        left = charge[touched]
+        if not (left > 0.0).all():
+            return False
+        spent = np.array(self.spent, dtype=np.float64)
+        np.add.at(spent, slots, amount)
+        for slot, after, total in zip(
+            touched.tolist(), left.tolist(), spent[touched].tolist()
+        ):
+            self.charge[slot] = after
+            self.spent[slot] = total
+        return True

@@ -65,6 +65,31 @@ class TestRuntimeConstruction:
         assert runtime.value_of(0) == runtime.dataset.value(0, 50.0)
         assert runtime.now == 50.0
 
+    @pytest.mark.parametrize("time", [0.0, 7.5, 119.0, 250.0, float("inf")])
+    def test_value_reader_reads_the_dataset(self, time):
+        """A node's reader, and ``value_of``, read its series in one
+        step with ``Dataset.value``'s contract: time floored, a read
+        past the end (``inf`` too) the last sample."""
+        runtime = make_runtime(n_nodes=5, n_classes=1, length=120)
+        runtime.simulator.now = time
+        for node_id, node in runtime.nodes.items():
+            expected = runtime.dataset.value(node_id, time)
+            assert type(node.value_fn()) is float
+            assert node.value_fn() == expected == runtime.value_of(node_id)
+        index = 119 if time >= 119 else int(time)
+        assert runtime.nodes[3].value_fn() == runtime.dataset.values[3, index]
+
+    @pytest.mark.parametrize(
+        "time,match", [(-0.5, "negative"), (float("nan"), "NaN")]
+    )
+    def test_value_reader_refuses_bad_times(self, time, match):
+        runtime = make_runtime(n_nodes=3, n_classes=1)
+        runtime.simulator.now = time
+        with pytest.raises(ValueError, match=match):
+            runtime.nodes[0].value_fn()
+        with pytest.raises(ValueError, match=match):
+            runtime.value_of(0)
+
     def test_alive_ids_shrink_with_battery(self):
         runtime = make_runtime(n_nodes=5, n_classes=1, battery_capacity=3.0)
         assert len(runtime.alive_ids()) == 5

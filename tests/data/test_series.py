@@ -35,6 +35,18 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset([[1.0]]).value(0, -0.5)
 
+    def test_infinite_time_reads_the_last_sample(self):
+        data = Dataset([[10.0, 20.0, 30.0], [1.0, 2.0, 3.0]])
+        assert data.value(0, float("inf")) == 30.0
+        assert data.values_at([1, 0], float("inf")) == [3.0, 30.0]
+
+    def test_nan_time_refused_by_name(self):
+        data = Dataset([[10.0, 20.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            data.value(0, float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            data.values_at([0], float("nan"))
+
     def test_values_at_gathers_value(self):
         data = Dataset(np.arange(12.0).reshape(3, 4))
         for time in (0.0, 2.5, 99.0):

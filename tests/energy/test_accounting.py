@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.energy.accounting import EnergyLedger
@@ -82,6 +83,21 @@ class TestLedger:
         assert dict(bulk._cells) == dict(one._cells)
         with pytest.raises(ValueError):
             bulk.record_each(ids, "flux", 0.1)
+
+    def test_record_column_equals_record_each(self):
+        """An id array books the same cells and the same float total as
+        the per-id loop, repeated ids included (never ``k * amount``)."""
+        ids = [3, 1, 3, 2, 3, 3, 3, 0, 1, 3, 3, 3]
+        loop, column = EnergyLedger(), EnergyLedger()
+        for ledger in (loop, column):
+            ledger.record(1, "cpu", 0.7)
+        loop.record_each(ids, "cpu", 0.1)
+        column.record_column(np.array(ids), "cpu", 0.1)
+        assert column.total("cpu") == loop.total("cpu")
+        assert dict(column._cells) == dict(loop._cells)
+        assert column._cells[(3, "cpu")] != 8 * 0.1  # summed, not multiplied
+        with pytest.raises(ValueError):
+            column.record_column(np.array(ids), "flux", 0.1)
 
     @pytest.mark.parametrize("amount", [0.3, 0.0], ids=["priced", "free"])
     def test_cells_for_equals_repeated_record(self, amount):

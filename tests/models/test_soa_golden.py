@@ -257,3 +257,57 @@ def test_first_samples_match_scalar_observe_column_for_column(mixed):
                 ours, theirs = ours[both], theirs[both]
             assert np.array_equal(ours, theirs), name
     assert all(seen.values()), seen
+
+
+def test_append_runs_match_scalar_observe_column_for_column():
+    """``append_runs`` applies a run's warm-up caches in one pass and
+    leaves the rest: followed by the scalar ``observe`` of what it left,
+    in arrival order, it equals the scalar ``observe`` of every sample.
+    Same actions, raw columns, slot indices and slot dicts.  Covered:
+    caches applied (new neighbors claiming free slots, holes included),
+    and caches left for filling inside the run, hearing a neighbor
+    twice, or lacking a free slot."""
+    n_caches, cache_bytes = 12, 12 * BYTES_PER_PAIR
+    batched = ModelAwareCacheFleet(n_caches, cache_bytes, max_lines=3, ring_cap=4)
+    scalar = ModelAwareCacheFleet(n_caches, cache_bytes, max_lines=3, ring_cap=4)
+    rng = np.random.default_rng(7)
+    seen = {"applied": 0, "claimed": 0, "fills": 0, "twice": 0, "no-slot": 0}
+    for _ in range(200):
+        caches = rng.choice(n_caches, size=int(rng.integers(1, n_caches)), replace=False)
+        cs = np.repeat(caches, rng.integers(1, 4, size=caches.size))
+        rng.shuffle(cs)
+        js = rng.integers(0, 6, size=cs.size)
+        xs = rng.normal(0.0, 10.0, size=cs.size)
+        ys = 2.0 * xs + rng.normal(0.0, 1.0, size=cs.size)
+        for c in np.unique(cs).tolist():
+            mine = js[cs == c]
+            fresh = len(set(mine.tolist()) - set(scalar.slot[c]))
+            if scalar.total[c] + mine.size > scalar.capacity_pairs:
+                seen["fills"] += 1
+            elif len(set(mine.tolist())) < mine.size:
+                seen["twice"] += 1
+            elif fresh > int((scalar.ids[c * scalar.S:(c + 1) * scalar.S] < 0).sum()):
+                seen["no-slot"] += 1
+        applied = batched.append_runs(cs, js, xs, ys)
+        for i in range(cs.size):
+            args = (int(cs[i]), int(js[i]), float(xs[i]), float(ys[i]))
+            claims = args[1] not in scalar.slot[args[0]]
+            action = scalar.observe(*args)
+            if applied[i]:
+                assert action == "append"
+                seen["applied"] += 1
+                seen["claimed"] += claims
+            else:
+                assert batched.observe(*args) == action
+        assert (batched.S, batched.C) == (scalar.S, scalar.C)
+        assert batched.slot == scalar.slot
+        for name in FLEET_COLUMNS:
+            ours, theirs = getattr(batched, name), getattr(scalar, name)
+            if name in MEMO_COLUMNS.values():
+                continue
+            if name in MEMO_COLUMNS:
+                flag = MEMO_COLUMNS[name]
+                both = getattr(batched, flag) & getattr(scalar, flag)
+                ours, theirs = ours[both], theirs[both]
+            assert np.array_equal(ours, theirs), name
+    assert all(seen.values()), seen

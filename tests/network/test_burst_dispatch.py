@@ -24,7 +24,9 @@ naming the first divergent component when they do not, over:
   handlers next to the protocol;
 * a free transmit, so the ledger holds ``0.0`` cells;
 * addressed bursts whose target is dead on arrival, has no protocol,
-  or is drained by the burst's own receive cost.
+  or is drained by the burst's own receive cost;
+* each corner of the columnar snoop route of a long run
+  (``tests/persist/conftest.py::COLUMNAR_CASES``), counted as reached.
 
 Where the two sides' energy and delivery books are compared cell by
 cell, the reference keeps them in plain ``Counter`` objects
@@ -45,6 +47,7 @@ from repro.core.runtime import SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.energy.accounting import EnergyLedger
 from repro.energy.costs import EnergyCostModel
+from repro.experiments.harness import make_cache_factory
 from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
 from repro.models.cache import BYTES_PER_PAIR
@@ -62,7 +65,14 @@ from tests.query.tag_oracle import collect
 from repro.query.spatial import random_square
 from repro.simulation.engine import Simulator
 
-from tests.persist.conftest import HORIZON, N_NODES, PERIOD, SCRIPT
+from tests.persist.conftest import (
+    COLUMNAR_CASES,
+    HORIZON,
+    N_NODES,
+    PERIOD,
+    SCRIPT,
+    count_routes,
+)
 
 
 class Radio(radio_module.Radio):
@@ -192,7 +202,7 @@ def booked_rows(runtime_or_radio):
 
 def build(
     seed, loss=0.0, battery=None, receive=0.0, reference=False, transmit=1.0,
-    keep_records=True,
+    keep_records=True, cache_bytes=None,
 ):
     data_rng = np.random.default_rng(seed)
     dataset, _ = generate_random_walk(
@@ -210,6 +220,9 @@ def build(
             transmit=transmit, receive=receive, cpu_cache_update=0.1
         ),
         keep_trace_records=keep_records,
+        cache_factory=None if cache_bytes is None else make_cache_factory(
+            "model-aware", cache_bytes
+        ),
     )
     runtime.round_digests = RoundDigestRecorder(runtime)
     if reference:
@@ -359,6 +372,28 @@ def test_burst_matches_per_receiver_when_snoops_drain_batteries(monkeypatch):
         for step in SCRIPT[1:]:
             step(runtime)
     assert_same_run(burst, reference)
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
+def test_columnar_tick_matches_per_receiver(monkeypatch, case):
+    """Each corner of the columnar snoop route (lossy training, a crash
+    mid-training, batteries drained inside a tick, caches filling
+    mid-tick, a sender twice in one wave, snoop draws) against the
+    reference, which hands every receiver its message by itself and so
+    never takes the route; the counts show the corner was reached."""
+    knobs, steps, reached = COLUMNAR_CASES[case]
+    runs = []
+    for reference in (False, True):
+        runtime = build(seed=8, reference=reference, **knobs)
+        with monkeypatch.context() as patch:
+            routes = count_routes(patch)
+            for step in steps + SCRIPT:
+                step(runtime)
+        runs.append((runtime, routes))
+    (burst, routes), (reference, reference_routes) = runs
+    assert_same_run(burst, reference)
+    assert reached(routes), dict(routes)
+    assert not reference_routes["runs"]
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.faults.injector import FaultInjector
 from repro.network.messages import DataReport
 from repro.network.node import NetworkNode
 from repro.network.radio import Radio
+from repro.network.state import DeviceState
 from repro.query.ast import Query
 from repro.query.executor import QueryExecutor
 from repro.query.planner import QueryPlanner
@@ -199,3 +201,39 @@ def test_any_unpickling_order_restores_onto_one_column(order):
     assert restored.state_digest() == before
     radio.node(7).fail()
     assert not radio.is_alive(7) and 7 not in restored.alive_ids()
+
+
+def _states(charges):
+    states = []
+    for _ in range(2):
+        state = DeviceState(len(charges))
+        state.flags[:] = bytes(len(charges))
+        state.charge[:] = charges
+        states.append(state)
+    return states
+
+
+def test_draw_column_equals_draw_each():
+    """Each slot's charge and spent energy take the same floats from an
+    id array as from the per-id loop, finite and infinite batteries."""
+    loop, column = _states([5.0, math.inf, 0.75, 3.3])
+    ids = [2, 0, 1, 3, 0, 3, 3, 1, 0, 3, 3, 3, 3, 3]
+    drawn = loop.draw_each(ids, 0.1)
+    assert column.draw_column(np.array(ids), 0.1)
+    assert drawn == ids
+    assert column.charge == loop.charge and column.spent == loop.spent
+    assert column.spent[3] != 8 * 0.1 and type(column.charge[0]) is float
+
+
+@pytest.mark.parametrize(
+    "charges,failed", [([0.25, 5.0], None), ([5.0, 5.0], 1)], ids=["empties", "dead"]
+)
+def test_draw_column_leaves_emptying_and_dead_slots_to_the_loop(charges, failed):
+    """A draw that would empty a battery, or a dead slot, makes the
+    column draw refuse and change nothing."""
+    (state,) = _states(charges)[:1]
+    if failed is not None:
+        state.set_failed(failed, True)
+    before = (list(state.charge), list(state.spent), bytes(state.flags))
+    assert not state.draw_column(np.array([1, 0, 0, 0]), 0.1)
+    assert (state.charge, state.spent, bytes(state.flags)) == before

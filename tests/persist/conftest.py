@@ -23,18 +23,25 @@ import io
 import pickle
 import sys
 import types
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core import protocol as protocol_module
 from repro.core.config import ProtocolConfig
+from repro.core.protocol import ProtocolNode
 from repro.core.round_batch import BatchedObservationRouter
 from repro.core.runtime import DEFAULT_CACHE_BYTES, SnapshotRuntime
 from repro.data.random_walk import RandomWalkConfig, generate_random_walk
 from repro.energy.battery import Battery
 from repro.experiments.harness import make_cache_factory
+from repro.models.cache import BYTES_PER_PAIR
 from repro.models.cache_manager import ModelAwareCache
+from repro.models.soa import ModelAwareCacheFleet
 from repro.network.links import GlobalLoss
+from repro.network.messages import DataReport
 from repro.network.radio import Radio
 from repro.network.state import DeviceState
 from repro.network.topology import uniform_random_topology
@@ -95,10 +102,12 @@ def build_runtime(
     loss: float = 0.0,
     oracle: bool = False,
     cache_bytes: int = 1024,
+    **runtime_kwargs,
 ) -> SnapshotRuntime:
     """A small maintenance-ready network, fully determined by its knobs.
 
-    ``oracle=True`` builds the :class:`OracleRuntime` reference instead.
+    ``oracle=True`` builds the :class:`OracleRuntime` reference instead;
+    ``runtime_kwargs`` (batteries, cost model) go to its constructor.
     """
     data_rng = np.random.default_rng(seed)
     dataset, _ = generate_random_walk(
@@ -116,6 +125,7 @@ def build_runtime(
         loss_model=GlobalLoss(loss),
         cache_factory=make_cache_factory(policy, cache_bytes),
         keep_trace_records=True,
+        **runtime_kwargs,
     )
     # Rides inside the pickled graph, so per-round digests survive the
     # freeze/restore cycle along with everything else.
@@ -167,6 +177,153 @@ SCRIPT = (
     _query,
     _advance(HORIZON),
 )
+
+
+# ----------------------------------------------------------------------
+# the columnar training tick: its cases and route counts
+# ----------------------------------------------------------------------
+#
+# A long snoop run on a runtime with a cache fleet takes
+# ``core.protocol._snoop_columns``; there, every cache whose run stays
+# in warm-up is applied in one pass (``ModelAwareCacheFleet.append_runs``)
+# and the rest in waves (``BatchedObservationRouter._waves``).  Each
+# case below drives the scripted run through one corner of that route,
+# and counts which parts of it ran, so a case that stops reaching its
+# corner fails instead of passing vacuously.
+
+
+def count_routes(patch) -> Counter:
+    """Count, through ``patch`` (a monkeypatch context): ``runs``, the
+    snoop runs taking the columnar route; ``draws``, the snoop draws
+    made inside it; ``one-pass`` and ``waves``, the samples the sweep
+    applied each way."""
+    routes = Counter()
+    columns = protocol_module._snoop_columns
+    append_runs = ModelAwareCacheFleet.append_runs
+    waves = BatchedObservationRouter._waves
+    stream = ProtocolNode._rng
+    inside = []
+
+    def counted_columns(*args):
+        routes["runs"] += 1
+        inside.append(True)
+        try:
+            columns(*args)
+        finally:
+            inside.pop()
+
+    def counted_append_runs(fleet, *columns_):
+        applied = append_runs(fleet, *columns_)
+        routes["one-pass"] += int(applied.sum())
+        return applied
+
+    def counted_waves(router, lanes, *columns_):
+        routes["waves"] += lanes.size
+        return waves(router, lanes, *columns_)
+
+    def counted_stream(node):
+        if inside:
+            routes["draws"] += 1
+        return stream.fget(node)
+
+    patch.setattr(protocol_module, "_snoop_columns", counted_columns)
+    patch.setattr(ModelAwareCacheFleet, "append_runs", counted_append_runs)
+    patch.setattr(BatchedObservationRouter, "_waves", counted_waves)
+    patch.setattr(ProtocolNode, "_rng", property(counted_stream))
+    return routes
+
+
+#: When the hand-built waves of :func:`snoop_wave` go out: after
+#: training, before the election starts.
+WAVE_TIME = 8.0
+
+
+def _send_wave(runtime, senders) -> None:
+    nodes = runtime.nodes
+    runtime.radio.broadcast_wave(
+        DataReport(sender=i, query_id=0, origin=i, value=nodes[i].value_fn())
+        for i in senders
+    )
+
+
+def _set_probabilities(runtime, probabilities) -> None:
+    for node_id, probability in probabilities.items():
+        runtime.nodes[node_id].snoop_probability = probability
+
+
+def snoop_wave(senders, probability=None):
+    """A step scheduling one wave of ``senders``' reports (repeats
+    allowed) at :data:`WAVE_TIME`, heard with snoop probability
+    ``probability(node_id)`` (1 when ``None``), restored a time unit
+    later."""
+
+    def step(runtime):
+        nodes = runtime.nodes
+        saved = {node_id: node.snoop_probability for node_id, node in nodes.items()}
+        chosen = {
+            node_id: 1.0 if probability is None else probability(node_id)
+            for node_id in nodes
+        }
+        schedule = runtime.simulator.schedule_at
+        schedule(WAVE_TIME, partial(_set_probabilities, runtime, chosen))
+        schedule(WAVE_TIME, partial(_send_wave, runtime, list(senders)))
+        schedule(WAVE_TIME + 1.0, partial(_set_probabilities, runtime, saved))
+
+    return step
+
+
+def _crash(runtime, node_id) -> None:
+    runtime.radio.node(node_id).fail()
+
+
+def crash_at(time, node_id):
+    """A step scheduling ``node_id``'s crash at ``time``."""
+
+    def step(runtime):
+        runtime.simulator.schedule_at(time, partial(_crash, runtime, node_id))
+
+    return step
+
+
+def _no_draws(routes):
+    return routes["runs"] and routes["one-pass"] and not routes["draws"]
+
+
+#: ``name -> (runtime knobs, steps run before SCRIPT, route check)``.
+#: Knobs are ``loss``, ``cache_bytes`` (pair budget), ``battery`` and
+#: ``transmit`` (the transmit cost; the CPU cost stays 0.1).
+COLUMNAR_CASES = {
+    # Lost reports thin each tick's bursts; training still snoops at 1.
+    "lossy-training": (dict(loss=0.3), (), _no_draws),
+    # A receiver dead from the third tick on: its bursts are cut out.
+    "crash-mid-training": (dict(), (crash_at(2.5, 4),), _no_draws),
+    # The snoops' CPU draws empty batteries inside a tick, so the
+    # radio cuts the wave into runs, some of them short.
+    "drained-in-a-tick": (
+        dict(battery=3.0, transmit=0.0),
+        (),
+        lambda routes: routes["runs"] and routes["one-pass"],
+    ),
+    # 25 pairs fill at the second tick's last sample (13 + 13 = 26
+    # heard): those caches take the waves.
+    "full-mid-tick": (
+        dict(cache_bytes=25 * BYTES_PER_PAIR),
+        (),
+        lambda routes: routes["one-pass"] and routes["waves"],
+    ),
+    # Node 3 reports twice in one wave: its hearers take the waves.
+    "repeated-sender": (
+        dict(),
+        (snoop_wave(list(range(N_NODES)) + [3]),),
+        lambda routes: routes["one-pass"] and routes["waves"],
+    ),
+    # Half the hearers snoop at 0.3 and draw, one never snoops.
+    "snoop-0.3": (
+        dict(),
+        (snoop_wave(range(N_NODES), lambda i: 0.0 if i == 1 else (0.3, 1.0)[i % 2]),),
+        lambda routes: routes["draws"] and routes["one-pass"],
+    ),
+}
 
 
 def outcome(runtime) -> dict:

@@ -26,6 +26,7 @@ from repro.core.protocol import SWEEP_MIN_SAMPLES, ProtocolNode
 from repro.core.round_batch import BatchedObservationRouter
 from repro.core.runtime import SnapshotRuntime
 from repro.core.status import NodeMode
+from repro.energy.costs import EnergyCostModel
 from repro.faults import chaos
 from repro.faults.chaos import ChaosConfig, ChaosRun
 from repro.network.messages import DataReport, HeartbeatReply
@@ -33,12 +34,14 @@ from repro.network.radio import Radio
 from repro.persist import load_checkpoint, save_checkpoint
 
 from tests.persist.conftest import (
+    COLUMNAR_CASES,
     HORIZON,
     SCRIPT,
     OracleRuntime,
     assert_outcomes_equal,
     assert_runs_the_oracle,
     build_runtime,
+    count_routes,
     outcome,
 )
 
@@ -84,6 +87,38 @@ def test_extended_batched_matches_scalar_round_robin(loss):
         _run(4, "round-robin", loss, batched=True),
         _run(4, "round-robin", loss, batched=False),
     )
+
+
+def _case_runtime(knobs, oracle):
+    costs = EnergyCostModel(transmit=knobs.get("transmit", 1.0))
+    return build_runtime(
+        8,
+        loss=knobs.get("loss", 0.0),
+        cache_bytes=knobs.get("cache_bytes", 1024),
+        oracle=oracle,
+        battery_capacity=knobs.get("battery"),
+        cost_model=costs,
+    )
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
+def test_columnar_tick_matches_the_oracle(monkeypatch, case):
+    """Each corner of the columnar snoop route against the oracle,
+    which has no fleet and so never takes it; the counts show the
+    corner was reached."""
+    knobs, steps, reached = COLUMNAR_CASES[case]
+    outcomes = []
+    for oracle in (False, True):
+        runtime = _case_runtime(knobs, oracle)
+        with monkeypatch.context() as patch:
+            routes = count_routes(patch)
+            for step in steps + SCRIPT:
+                step(runtime)
+        outcomes.append((outcome(runtime), routes))
+    (batched, routes), (scalar, oracle_routes) = outcomes
+    assert_outcomes_equal(batched, scalar)
+    assert reached(routes), dict(routes)
+    assert not oracle_routes["runs"]
 
 
 def _chaos_outcome(monkeypatch, batched):
