@@ -10,7 +10,7 @@ Each maintenance round:
 * representatives run the energy check (hand-off below the battery
   threshold) and, optionally, the LEACH-style random rotation.
 
-Heartbeats are *staggered*: each node's periodic task starts with a
+Heartbeats are spread out: each node's periodic task starts with a
 random offset inside the first period, so concurrent invitations do not
 collide (two lone actives inviting at the same instant would refuse to
 adopt each other) and the radio load is spread — the same reason LEACH
@@ -48,13 +48,11 @@ class MaintenanceManager:
         nodes: Mapping[int, ProtocolNode],
         config: ProtocolConfig,
         stats: MessageStats,
-        staggered: bool = True,
     ) -> None:
         self.simulator = simulator
         self.nodes = nodes
         self.config = config
         self.stats = stats
-        self.staggered = staggered
         self._tasks: list[PeriodicTask] = []
         #: ``maintenance.<id>`` streams, created on a node's first draw.
         self._entity_rngs: dict[int, object] = {}
@@ -91,29 +89,20 @@ class MaintenanceManager:
         return self._rounds
 
     def start(self) -> None:
-        """Arm the periodic maintenance tasks.
-
-        With ``staggered=True`` (default) each node acts at its own
-        random offset within every period; otherwise all nodes act
-        together each period (plus a small deterministic per-node
-        stagger to avoid simultaneous invitations).
-        """
+        """Arm the periodic maintenance tasks: each node acts once per
+        period, at its own random offset (drawn from its
+        ``maintenance.<id>`` stream) into the period."""
         if self.running:
             raise RuntimeError("maintenance already started")
         period = self.config.heartbeat_period
-        node_ids = sorted(self.nodes)
-        n = max(1, len(node_ids))
         # Cluster each round's actions into a tight burst: heartbeats,
         # timeouts and the resulting re-election invitations then all
         # fall inside one offer-batching window, so every responder
         # sends at most one combined CandidateList per round — the
         # precondition for Figure 15's 2–4.5 messages/node per update.
         window = min(1.0, period / 4)
-        for index, node_id in enumerate(node_ids):
-            if self.staggered:
-                offset = float(self._node_rng(node_id).uniform(0.0, window))
-            else:
-                offset = window * index / n
+        for node_id in sorted(self.nodes):
+            offset = float(self._node_rng(node_id).uniform(0.0, window))
             task = self.simulator.every(
                 period,
                 partial(self._node_action, node_id),

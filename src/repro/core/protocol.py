@@ -629,12 +629,12 @@ class ProtocolNode:
     # message handling
     # ------------------------------------------------------------------
 
-    def _on_message(self, message: Message, overheard: bool) -> None:
+    def _on_message(self, message: Message) -> None:
         """Handle one delivered message: a run of one burst to one receiver.
 
         The radio hands whole runs to :func:`dispatch_burst`; this is
         the same table entry applied to this node alone.  Addressing
-        comes from the message itself, so ``overheard`` is implied.
+        comes from the message itself.
         """
         burst = _BURSTS.get(type(message))
         if burst is not None:
@@ -812,7 +812,7 @@ class ProtocolNode:
             ),
             message.sender,
         )
-        # Heartbeats arrive staggered across the whole maintenance
+        # Heartbeats arrive spread across the whole maintenance
         # period, so checking here lets a draining representative hand
         # off (§5.1) before its battery actually empties, instead of
         # only at period boundaries.

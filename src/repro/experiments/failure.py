@@ -55,7 +55,7 @@ def _death_plan(
         periods_survived = rng.geometric(death_rate)
         if periods_survived <= _HORIZON_PERIODS:
             # Spread deaths inside their period so they interleave with
-            # the staggered heartbeats rather than landing on boundaries.
+            # the spread-out heartbeats rather than landing on boundaries.
             offset = float(rng.uniform(0.0, period))
             crashes.append(
                 NodeCrash(

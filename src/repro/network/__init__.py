@@ -24,7 +24,6 @@ from repro.network.messages import (
     Invitation,
     Message,
     PROTOCOL_MESSAGE_TYPES,
-    QueryRequest,
     Recall,
     Resign,
     StayActive,
@@ -52,7 +51,6 @@ __all__ = [
     "PERFECT_LINKS",
     "PROTOCOL_MESSAGE_TYPES",
     "PerLinkLoss",
-    "QueryRequest",
     "Radio",
     "Recall",
     "Resign",

@@ -27,14 +27,14 @@ Resign                 energy-aware hand-off (§5.1) — a drained or rotating
                        representative tells its members to re-elect
 =====================  =======================================================
 
-Query-plane messages (``QueryRequest``, ``DataReport``, ``AggregateReport``)
-carry the TAG-style dissemination and collection traffic of §6.2.
+Query-plane messages (``DataReport``, ``AggregateReport``) carry the
+TAG-style collection traffic of §6.2 and the §6.1 training reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 __all__ = [
     "Message",
@@ -47,7 +47,6 @@ __all__ = [
     "Heartbeat",
     "HeartbeatReply",
     "Resign",
-    "QueryRequest",
     "DataReport",
     "AggregateReport",
     "PROTOCOL_MESSAGE_TYPES",
@@ -164,14 +163,6 @@ class Resign(Message):
     """A representative stepping down (energy hand-off or LEACH rotation)."""
 
     members: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QueryRequest(Message):
-    """Query dissemination hop on the aggregation tree."""
-
-    query_id: int
-    payload: Any = None
 
 
 @dataclass(frozen=True)

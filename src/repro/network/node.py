@@ -1,26 +1,24 @@
 """The physical sensor node.
 
-:class:`NetworkNode` is the *device*: an id, a battery, the protocol
-instance resident on it and a set of attached message handlers.  All
-protocol intelligence (model management, election, query processing)
-lives in higher layers; the device merely hands every delivered message
-to them, flagging whether the node was the intended target or merely
-*overheard* a transmission on the shared medium — the paper's
-model-building snoops on exactly such overheard traffic (§3).
+:class:`NetworkNode` is the *device*: an id, a battery and the protocol
+instance resident on it.  All protocol intelligence (model management,
+election, query processing) lives in higher layers.  The radio hands
+delivery runs to the protocol layer's burst table
+(:attr:`~repro.network.radio.Radio.burst_dispatch`), which reaches each
+receiver's protocol through its device; whether a receiver was the
+target or overheard the transmission (the snooping of §3) follows from
+the message's own address fields.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.energy.battery import Battery
 from repro.network.messages import Message
 from repro.network.state import FAILED
 
-__all__ = ["NetworkNode", "MessageHandler"]
-
-#: A message handler receives ``(message, overheard)``.
-MessageHandler = Callable[[Message, bool], None]
+__all__ = ["NetworkNode"]
 
 
 class NetworkNode:
@@ -39,7 +37,6 @@ class NetworkNode:
     def __init__(self, node_id: int, battery: Optional[Battery] = None) -> None:
         self.node_id = node_id
         self.battery = battery if battery is not None else Battery(None)
-        self._handlers: tuple[MessageHandler, ...] = ()
         #: The protocol instance running on this device (a
         #: :class:`~repro.core.protocol.ProtocolNode` registers itself),
         #: or ``None``.  The radio hands it whole delivery bursts
@@ -57,8 +54,6 @@ class NetworkNode:
         state.flags[slot] = self._state.flags[self._slot]
         self._state, self._slot = state, slot
         self.battery._bind(state, slot)
-        if self._handlers:
-            state.hooked.add(slot)
 
     @property
     def alive(self) -> bool:
@@ -86,35 +81,17 @@ class NetworkNode:
         its battery also ran out in the meantime."""
         self._state.set_failed(self._slot, False)
 
-    def attach(self, handler: MessageHandler) -> None:
-        """Register a handler for every future delivery to this node."""
-        self._handlers = self._handlers + (handler,)
-        self._state.hooked.add(self._slot)
-
-    def detach(self, handler: MessageHandler) -> None:
-        """Remove a previously attached handler."""
-        handlers = list(self._handlers)
-        handlers.remove(handler)
-        self._handlers = tuple(handlers)
-        if not handlers:
-            self._state.hooked.discard(self._slot)
-
-    def deliver(self, message: Message, overheard: bool = False) -> None:
-        """Dispatch one delivered message: the protocol, then each handler.
+    def deliver(self, message: Message) -> None:
+        """Hand one delivered message to the resident protocol, if any.
 
         The caller filters liveness and never delivers to a dead node,
-        so this does not check again.  Handlers are stored as an
-        immutable tuple so dispatch iterates a stable snapshot;
-        attach/detach during dispatch affect only later deliveries.
-        The radio itself dispatches whole bursts (see
-        :meth:`~repro.network.radio.Radio._deliver_wave`) with the
-        same per-receiver outcome.
+        so this does not check again.  The radio itself delivers whole
+        runs through its ``burst_dispatch``, with the same per-receiver
+        outcome.
         """
         protocol = self.protocol
         if protocol is not None:
-            protocol._on_message(message, overheard)
-        for handler in self._handlers:
-            handler(message, overheard)
+            protocol._on_message(message)
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else ("failed" if self.failed else "dead")

@@ -6,8 +6,8 @@ each receiver independently loses the message with the link's loss
 probability (the paper's ``P_loss``), drawn from the sender's own
 ``radio.<sender>`` stream.  A receiver that is dead when the message
 arrives is booked as ``dropped_dead``.  A *unicast* is a broadcast with a
-designated target — non-target receivers get the message flagged as
-``overheard``, which is what feeds the snooping-based model building of
+designated target: every receiver in range gets it, and non-targets
+overhear it, which is what feeds the snooping-based model building of
 §3 ("snooping ... values broadcast by its neighbor node in response to
 a query").
 
@@ -22,6 +22,8 @@ category cells of the :class:`~repro.energy.EnergyLedger`.  The live
 ids then go to the protocol layer in one call, which dispatches by
 message type (see ``core.protocol``) and turns into objects only the
 receivers a handler needs: the target alone for an addressed kind.
+That call, :attr:`Radio.burst_dispatch`, is the one way a delivery
+reaches code above the radio; tests observe deliveries by wrapping it.
 
 Energy: the sender pays the transmit cost once per transmission (not per
 receiver), receivers pay the receive cost (zero in the paper's
@@ -144,7 +146,7 @@ class Radio:
     # -- registration ------------------------------------------------------
 
     def register(self, node: NetworkNode) -> NetworkNode:
-        """Attach a device to the medium (one per topology id)."""
+        """Register a device on the medium (one per topology id)."""
         if node.node_id in self._nodes:
             raise ValueError(f"node {node.node_id} already registered")
         if node.node_id not in self.topology.node_ids:
@@ -190,17 +192,17 @@ class Radio:
         """Transmit ``message`` to every node in the sender's range.
 
         Returns ``False`` (and sends nothing) if the sender is dead.
-        All in-range alive receivers get the message with
-        ``overheard=False`` — a broadcast addresses everyone.
+        All in-range alive receivers get the message: a broadcast
+        addresses everyone.
         """
         return self._transmit((message,), None)
 
     def unicast(self, message: Message, target: int) -> bool:
         """Transmit ``message`` addressed to ``target``.
 
-        The medium is still broadcast: in-range non-targets receive the
-        message flagged ``overheard=True`` (subject to the same per-link
-        loss), enabling snooping.
+        The medium is still broadcast: in-range non-targets overhear
+        the message (subject to the same per-link loss), enabling
+        snooping; the message's own address field names the target.
         """
         if target == message.sender:
             raise ValueError("a node does not unicast to itself")
@@ -243,6 +245,9 @@ class Radio:
         the digested state.  The loss survivors' ids make the send's
         burst ``(message, receivers, target)``; dead ones among them
         are filtered, and booked as ``dropped_dead``, at delivery.
+        Delivery reads no ``target`` (a message names its own
+        addressee); it stays in the tuple that the ``queue`` digest
+        describes and pending checkpoints hold.
         """
         simulator, devices, nodes = self.simulator, self.devices, self._nodes
         flags, charge, spent = devices.flags, devices.charge, devices.spent
@@ -326,22 +331,22 @@ class Radio:
         all live and are handed on without a liveness filter."""
         flags = self.devices.flags
         if len(bursts) == 1:
-            message, receivers, target = bursts[0]
+            message, receivers, _ = bursts[0]
             live = [rid for rid in receivers if not flags[rid]]
             dead = len(receivers) - len(live)
-            self._deliver_run((message,), (target,), (live,), live, dead)
+            self._deliver_run((message,), (live,), live, dead)
             return
         start = 0
         while start < len(bursts):
             end = self._run_end(bursts, start)
-            messages, receivers, targets = zip(*bursts[start:end])
+            messages, receivers, _ = zip(*bursts[start:end])
             if flags.count(0) == len(flags):  # no device is dead
                 lives = receivers
             else:
                 lives = [[rid for rid in ids if not flags[rid]] for ids in receivers]
             live = list(chain.from_iterable(lives))
             dead = sum(map(len, receivers)) - len(live)
-            self._deliver_run(messages, targets, lives, live, dead)
+            self._deliver_run(messages, lives, live, dead)
             start = end
 
     def _run_end(self, bursts: list, start: int) -> int:
@@ -351,18 +356,17 @@ class Radio:
         draws its burst could make: the receive cost, then a snoop's
         CPU cost.  The run stops before the burst at which one of them
         would reach the receiver's charge (so infinite batteries never
-        cut it), at a receiver in ``devices.hooked`` and, when both
-        costs are drawn, at a receiver's second appearance, whose draws
-        would otherwise reorder between the two costs.  The first burst
-        always makes a run.
+        cut it) and, when both costs are drawn, at a receiver's second
+        appearance, whose draws would otherwise reorder between the two
+        costs.  The first burst always makes a run.
         """
         if start + 1 == len(bursts):
             return start + 1
         devices, model = self.devices, self.cost_model
-        flags, charge, hooked = devices.flags, devices.charge, devices.hooked
+        flags, charge = devices.flags, devices.charge
         costs = [c for c in (model.receive, model.cpu_cache_update) if c > 0]
         once = len(costs) > 1
-        exact = hooked or once or min(charge) < math.inf
+        exact = once or min(charge) < math.inf
         left: dict[int, float] = {}
         end = start
         for _, receivers, _ in bursts[start:]:
@@ -370,7 +374,7 @@ class Radio:
                 if flags[rid]:
                     continue
                 remaining = left.get(rid)
-                if rid in hooked or (once and remaining is not None):
+                if once and remaining is not None:
                     return max(end, start + 1)
                 remaining = charge[rid] if remaining is None else remaining
                 for cost in costs:
@@ -381,22 +385,19 @@ class Radio:
             end += 1
         return end
 
-    def _deliver_run(self, messages, targets, lives, live: list, dead: int) -> None:
+    def _deliver_run(self, messages, lives, live: list, dead: int) -> None:
         """Deliver one run of bursts, booked over ids as columns: burst
-        ``i`` carries ``messages[i]`` to ``targets[i]`` (``None`` for a
-        broadcast), ``lives[i]`` holds the ids of its receivers alive on
-        arrival, ``live`` all of them in order, and ``dead`` counts the
-        others.
+        ``i`` carries ``messages[i]``, ``lives[i]`` holds the ids of its
+        receivers alive on arrival, ``live`` all of them in order, and
+        ``dead`` counts the others.
 
         The dead are counted as ``dropped_dead``, the live as delivered
         (straight into the kind's column), and a nonzero receive cost is
         drawn — dropping the receivers it drains, which only a run of
         one burst can do.  The live ids then go to the protocols in one
-        call, and to the attached handlers of the devices that have
-        any, flagged ``overheard`` unless addressed.  Neither a node's
-        own handlers nor anything it sends can change another
-        receiver's liveness, so this is the per-receiver outcome of
-        :meth:`NetworkNode.deliver`.
+        :attr:`burst_dispatch` call.  Nothing a node's handler does or
+        sends can change another receiver's liveness, so this is the
+        per-receiver outcome of :meth:`NetworkNode.deliver`.
         """
         devices = self.devices
         message = messages[0]
@@ -415,22 +416,14 @@ class Radio:
             lives = [[rid for rid in ids if not flags[rid]] for ids in lives]
         if self.burst_dispatch is not None:
             self.burst_dispatch(messages, lives, self._nodes)
-        hooked = devices.hooked
-        if hooked:
-            for message, target, live in zip(messages, targets, lives):
-                for rid in live:
-                    if rid in hooked:
-                        overheard = target is not None and rid != target
-                        for handler in self._nodes[rid]._handlers:
-                            handler(message, overheard)
 
     # -- misc --------------------------------------------------------------
 
-    def charge_cpu(self, node_id: int, multiplier: float = 1.0) -> None:
+    def charge_cpu(self, node_id: int) -> None:
         """Charge one cache-maintenance run's CPU cost to ``node_id``."""
-        self.charge_cpu_each((node_id,), multiplier)
+        self.charge_cpu_each((node_id,))
 
-    def charge_cpu_each(self, node_ids, multiplier: float = 1.0) -> None:
+    def charge_cpu_each(self, node_ids) -> None:
         """:meth:`charge_cpu` for each of ``node_ids``, in order.
 
         Dead nodes are skipped; each draw and ledger entry lands in id
@@ -439,7 +432,7 @@ class Radio:
         :meth:`EnergyLedger.record_column`) unless one of its nodes is
         dead or would be emptied, which only a run of one burst can do.
         """
-        cost = self.cost_model.cpu_cache_update * multiplier
+        cost = self.cost_model.cpu_cache_update
         if cost <= 0:
             return
         if isinstance(node_ids, np.ndarray):

@@ -9,8 +9,6 @@
   ``bytearray``; masks compare a numpy view of it, made per call;
 * the battery's ``charge`` (``inf`` for an infinite battery) and the
   energy ``spent`` so far, as two lists of numbers;
-* the ``hooked`` set of ids whose device has attached handlers, so a
-  burst looks up only those devices;
 * ``changes``: liveness writes (:meth:`set_failed`, the emptying
   draw) and resignations, which may happen outside any event; a state
   key counts it.  A class default of 0 serves a state pickled before
@@ -44,7 +42,6 @@ class DeviceState:
         self.spent: list = [0.0] * n_nodes
         #: One-shot depletion callbacks, by slot.
         self.callbacks: dict = {}
-        self.hooked: set[int] = set()
 
     def alive_mask(self) -> np.ndarray:
         """Boolean mask over node ids: alive devices."""

@@ -97,7 +97,7 @@ class TraceLog:
         # tuple and only affects later emissions, never the in-flight
         # one.  Removal is by subscription *identity* — two
         # registrations of an equal callback are distinct, so cancelling
-        # one cannot silently detach (or double-count against) the
+        # one cannot silently remove (or double-count against) the
         # other.
         self._subscribers: dict[str, tuple[TraceSubscription, ...]] = {}
 

@@ -26,6 +26,8 @@ from repro.network.radio import Radio
 from repro.network.topology import Topology
 from repro.simulation.engine import Simulator
 
+from tests.network.deliveries import observe_deliveries
+
 
 def make_cluster(n: int = 4, battery_capacity=None, **config_overrides):
     """``n`` protocol nodes, all in range, constant distinct values."""
@@ -44,6 +46,18 @@ def make_cluster(n: int = 4, battery_capacity=None, **config_overrides):
     return simulator, radio, nodes
 
 
+def replies_to(radio, receiver: int) -> list:
+    """Every ``HeartbeatReply`` ``receiver`` gets from now on."""
+    replies = []
+
+    def record(message, rid):
+        if rid == receiver and isinstance(message, HeartbeatReply):
+            replies.append(message)
+
+    observe_deliveries(radio, record)
+    return replies
+
+
 def teach(nodes, learner: int, subject: int) -> None:
     """Give ``learner`` a usable model of ``subject`` (constant value)."""
     for x in (0.0, 1.0):
@@ -59,8 +73,8 @@ class TestOfferBatching:
         teach(nodes, 0, 2)
         teach(nodes, 0, 3)
         before = radio.stats.sent_of_kind("CandidateList")
-        responder._on_message(Invitation(sender=2, value=2.0, epoch=0), False)
-        responder._on_message(Invitation(sender=3, value=3.0, epoch=0), False)
+        responder._on_message(Invitation(sender=2, value=2.0, epoch=0))
+        responder._on_message(Invitation(sender=3, value=3.0, epoch=0))
         simulator.run_until(simulator.now + 5.0)
         assert radio.stats.sent_of_kind("CandidateList") == before + 1
 
@@ -70,7 +84,7 @@ class TestOfferBatching:
         responder.mode = NodeMode.ACTIVE
         responder.representative_id = 0
         # no model of node 2 at all
-        responder._on_message(Invitation(sender=2, value=2.0, epoch=0), False)
+        responder._on_message(Invitation(sender=2, value=2.0, epoch=0))
         before = radio.stats.sent_of_kind("CandidateList")
         simulator.run_until(simulator.now + 5.0)
         assert radio.stats.sent_of_kind("CandidateList") == before
@@ -83,13 +97,12 @@ class TestOfferBatching:
         nodes[1].mode = NodeMode.ACTIVE
         nodes[1].represented[0] = MemberInfo((0.0, 0.0), 0.0)
         teach(nodes, 0, 2)
-        passive._on_message(Invitation(sender=2, value=2.0, epoch=0), False)
+        passive._on_message(Invitation(sender=2, value=2.0, epoch=0))
         simulator.run_until(simulator.now + 5.0)
         # node 0 offered; simulate node 2 accepting it
         passive._on_message(
             Accept(sender=2, representative=0, epoch=0, location=(0.2, 0.0),
                    timestamp=simulator.now),
-            False,
         )
         simulator.run_until(simulator.now + 1.0)
         assert passive.mode is NodeMode.ACTIVE
@@ -108,7 +121,7 @@ class TestOfferBatching:
         # drain below the 50% threshold (infinite batteries report 1.0)
         radio.node(0).battery.draw(8.0)
         before = radio.stats.sent_of_kind("CandidateList")
-        responder._on_message(Invitation(sender=2, value=2.0, epoch=0), False)
+        responder._on_message(Invitation(sender=2, value=2.0, epoch=0))
         simulator.run_until(simulator.now + 5.0)
         assert radio.stats.sent_of_kind("CandidateList") == before
 
@@ -120,13 +133,8 @@ class TestHeartbeatSemantics:
         rep.mode = NodeMode.ACTIVE
         rep.represented[1] = MemberInfo((0.1, 0.0), 0.0)
         teach(nodes, 0, 1)
-        replies = []
-        member_device = radio.node(1)
-        member_device.attach(
-            lambda msg, overheard: replies.append(msg)
-            if isinstance(msg, HeartbeatReply) else None
-        )
-        rep._on_message(Heartbeat(sender=1, target=0, value=1.0), False)
+        replies = replies_to(radio, 1)
+        rep._on_message(Heartbeat(sender=1, target=0, value=1.0))
         simulator.run_until(simulator.now + 1.0)
         assert len(replies) == 1
         assert replies[0].estimate == pytest.approx(1.0)
@@ -138,12 +146,8 @@ class TestHeartbeatSemantics:
         not_rep = nodes[0]
         not_rep.mode = NodeMode.PASSIVE  # not a representative at all
         teach(nodes, 0, 1)
-        replies = []
-        radio.node(1).attach(
-            lambda msg, overheard: replies.append(msg)
-            if isinstance(msg, HeartbeatReply) else None
-        )
-        not_rep._on_message(Heartbeat(sender=1, target=0, value=1.0), False)
+        replies = replies_to(radio, 1)
+        not_rep._on_message(Heartbeat(sender=1, target=0, value=1.0))
         simulator.run_until(simulator.now + 1.0)
         assert len(replies) == 1
         assert replies[0].estimate is None
@@ -154,10 +158,22 @@ class TestHeartbeatSemantics:
         rep.mode = NodeMode.ACTIVE
         rep.represented[1] = MemberInfo((0.1, 0.0), 0.0)
         assert rep.cache.model(1) is None
-        rep._on_message(Heartbeat(sender=1, target=0, value=7.5), False)
+        rep._on_message(Heartbeat(sender=1, target=0, value=7.5))
         assert rep.cache.model(1) is not None
         # the cache-maintenance CPU charge was applied
         assert radio.ledger._cells[(0, "cpu")] == pytest.approx(0.1)
+
+    def test_device_delivery_reaches_the_protocol(self):
+        """``NetworkNode.deliver`` is the one-message form of a burst."""
+        simulator, radio, nodes = make_cluster(2)
+        rep = nodes[0]
+        rep.mode = NodeMode.ACTIVE
+        rep.represented[1] = MemberInfo((0.1, 0.0), 0.0)
+        replies = replies_to(radio, 1)
+        radio.node(0).deliver(Heartbeat(sender=1, target=0, value=7.5))
+        simulator.run_until(simulator.now + 1.0)
+        assert rep.cache.model(1) is not None
+        assert len(replies) == 1
 
 
 class TestResign:

@@ -8,8 +8,11 @@ only on ``(base_seed, repetitions)`` and never on scheduling.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from repro.experiments.harness import (
@@ -151,3 +154,82 @@ class TestRepeatNoBleedThrough:
         assert repeat(
             _delivered_protocol_messages, repetitions=4, base_seed=6002
         ) == serial
+
+
+# ----------------------------------------------------------------------
+# the resumable progress file
+# ----------------------------------------------------------------------
+
+
+class _Interrupted(Exception):
+    """Stands in for a run killed part-way."""
+
+
+def _sample(seed: int) -> float:
+    return float(np.random.default_rng(seed).random())
+
+
+def _interrupted_repeat(path, after: int, **kwargs) -> None:
+    """A ``repeat(_sample, 5, 6002)`` that dies at its ``after + 1``-th call,
+    flushing every 2 samples."""
+    calls = []
+
+    def dying(seed: int) -> float:
+        if len(calls) == after:
+            raise _Interrupted
+        calls.append(seed)
+        return _sample(seed)
+
+    with pytest.raises(_Interrupted):
+        repeat(dying, 5, 6002, checkpoint_path=path, checkpoint_every=2, **kwargs)
+
+
+class TestRepeatProgressFile:
+    @pytest.fixture(autouse=True)
+    def _serial(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+
+    def test_resumes_to_the_uninterrupted_samples(self, tmp_path):
+        path = tmp_path / "progress.json"
+        _interrupted_repeat(path, after=3)  # samples 0-1 flushed, 2 lost
+        assert sorted(json.loads(path.read_text())["results"]) == ["0", "1"]
+        recomputed = []
+
+        def recording(seed: int) -> float:
+            recomputed.append(seed)
+            return _sample(seed)
+
+        samples = repeat(recording, 5, 6002, checkpoint_path=path, checkpoint_every=2)
+        assert samples == repeat(_sample, 5, 6002)
+        assert recomputed == derive_seeds(6002, 5)[2:]
+
+    def test_file_is_removed_on_completion(self, tmp_path):
+        path = tmp_path / "progress.json"
+        repeat(_sample, 5, 6002, checkpoint_path=path, checkpoint_every=2)
+        assert list(tmp_path.iterdir()) == []
+        _interrupted_repeat(path, after=2)
+        assert path.exists()
+        repeat(_sample, 5, 6002, checkpoint_path=path, checkpoint_every=2)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "base_seed, repetitions, format_",
+        [(6003, 5, None), (6002, 6, None), (6002, 5, 2)],
+        ids=["base_seed", "repetitions", "format"],
+    )
+    def test_refuses_another_experiments_file(
+        self, tmp_path, base_seed, repetitions, format_
+    ):
+        path = tmp_path / "progress.json"
+        _interrupted_repeat(path, after=2)
+        if format_ is not None:
+            payload = json.loads(path.read_text())
+            payload["format"] = format_
+            path.write_text(json.dumps(payload))
+        before = path.read_text()
+        with pytest.raises(ValueError, match=re.escape(repr(str(path)))):
+            repeat(
+                _sample, repetitions, base_seed,
+                checkpoint_path=path, checkpoint_every=2,
+            )
+        assert path.read_text() == before

@@ -28,7 +28,9 @@ from repro.network.links import (
 from repro.network.messages import Invitation
 from repro.network.radio import FANOUT_BUCKETS, Radio
 from repro.simulation.engine import Simulator
+
 from tests.conftest import grid_topology, scalar_delivered
+from tests.network.deliveries import observe_deliveries
 
 
 class _ScalarOnlyLoss(LossModel):
@@ -109,10 +111,10 @@ class TestDeadReceiverAccounting:
         radio.node(3).battery.draw(10.0)
         assert not radio.node(3).alive
         received = []
-        radio.node(1).attach(lambda message, overheard: received.append(message))
+        observe_deliveries(radio, lambda message, rid: received.append(rid))
         radio.broadcast(Invitation(sender=0, value=1.0, epoch=0))
         simulator.run_until(1.0)
-        assert len(received) == 1
+        assert received.count(1) == 1
         assert radio.stats.dropped_dead["Invitation"] == 1
         assert radio.stats.dropped["Invitation"] == 0
         assert radio.stats.delivered[(1, "Invitation")] == 1

@@ -8,9 +8,8 @@ protocols the whole run in one call through the protocol layer's
 per-message-type table, columnar for ``DataReport`` snoops.  The
 reference here is a test-only per-receiver medium: burst by burst, each
 survivor, in turn, is checked for liveness, counted, charged its receive
-cost and handed the message through ``NetworkNode.deliver`` →
-``ProtocolNode._on_message``, the way a receiver-by-receiver radio runs
-a delivery.  Whole runs must digest equal, with ``StateDigest.diff``
+cost and handed to ``radio.burst_dispatch`` as a run of one burst to
+itself alone, the way a receiver-by-receiver radio runs a delivery.  Whole runs must digest equal, with ``StateDigest.diff``
 naming the first divergent component when they do not, over:
 
 * lossless links and ``GlobalLoss(0.3)``;
@@ -20,8 +19,8 @@ naming the first divergent component when they do not, over:
   die in the middle of a training tick's wave;
 * a crash/revive chaos schedule;
 * message-driven query collection (the TAG oracle of
-  ``tests/query/tag_oracle.py``), whose rounds attach per-device
-  handlers next to the protocol;
+  ``tests/query/tag_oracle.py``), whose rounds observe deliveries by
+  wrapping ``burst_dispatch``, so one wrapper sees both media;
 * a free transmit, so the ledger holds ``0.0`` cells;
 * addressed bursts whose target is dead on arrival, has no protocol,
   or is drained by the burst's own receive cost;
@@ -129,10 +128,10 @@ class Radio(radio_module.Radio):
         return sent
 
     def _deliver_wave(self, bursts):
-        for message, receivers, target in bursts:
-            self._deliver_batch(message, receivers, target)
+        for message, receivers, _ in bursts:
+            self._deliver_batch(message, receivers)
 
-    def _deliver_batch(self, message, receivers, target):
+    def _deliver_batch(self, message, receivers):
         cost_receive = self.cost_model.receive
         kind = message.kind
         for rid in receivers:
@@ -146,7 +145,8 @@ class Radio(radio_module.Radio):
                 self.ledger.record(rid, "receive", cost_receive)
                 if not device.alive:
                     continue
-            device.deliver(message, target is not None and rid != target)
+            if self.burst_dispatch is not None:
+                self.burst_dispatch((message,), ((rid,),), self._nodes)
 
 
 def per_receiver(runtime: SnapshotRuntime) -> SnapshotRuntime:
@@ -232,8 +232,8 @@ def build(
 
 def _messaged(aggregate):
     """A query collected by TAG rounds of real messages (the oracle of
-    ``tests/query/tag_oracle.py``): its handlers ride each tree member's
-    device."""
+    ``tests/query/tag_oracle.py``): it hears each round through the
+    radio's ``burst_dispatch``."""
 
     def step(runtime):
         executor = QueryExecutor(runtime)
@@ -466,7 +466,8 @@ def test_burst_matches_per_receiver_when_transmits_drain_senders(monkeypatch):
 
 
 def test_burst_matches_per_receiver_with_messaged_queries():
-    """Collection handlers attached to devices run in the same burst."""
+    """The collection rounds, observed through ``burst_dispatch`` on
+    both media, hear the same reports."""
     burst = run(MESSAGED_SCRIPT, seed=5)
     reference = run(MESSAGED_SCRIPT, seed=5, reference=True)
     assert_same_run(burst, reference)

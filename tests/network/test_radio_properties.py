@@ -12,6 +12,8 @@ from repro.network.radio import Radio
 from repro.network.topology import Topology
 from repro.simulation.engine import Simulator
 
+from tests.network.deliveries import observe_deliveries
+
 
 @st.composite
 def radio_setups(draw):
@@ -35,8 +37,7 @@ def test_broadcast_delivery_bounded_by_neighborhood(setup, sender_choice):
     simulator, radio = setup
     sender = sender_choice % len(radio.topology)
     received: list[int] = []
-    for node_id, node in radio.nodes.items():
-        node.attach(lambda msg, overheard, nid=node_id: received.append(nid))
+    observe_deliveries(radio, lambda message, rid: received.append(rid))
     radio.broadcast(Invitation(sender=sender, value=0.0, epoch=1))
     simulator.run()
     neighborhood = set(radio.topology.out_neighbors(sender))

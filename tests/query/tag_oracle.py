@@ -16,8 +16,12 @@ TAG's slotted schedule (Madden et al., the paper's [11]):
 
 Under a lossless radio its answer equals the central computation, and
 so does its transmit energy wherever the two count messages alike
-(``tests/query/test_collection.py``).  Its receive handlers ride the
-devices through ``NetworkNode.attach``, next to the protocol.
+(``tests/query/test_collection.py``).  It hears the round's messages
+by wrapping the radio's ``burst_dispatch`` for the round
+(``tests/network/deliveries.py``), after the protocols have handled
+them.  A node takes a message of its round only from a child, and a
+child addresses its parent alone, so overheard copies are ignored
+without any flag.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from repro.network.messages import AggregateReport, DataReport, Message
 from repro.query.aggregation_tree import AggregationTree
 from repro.query.ast import Aggregate, Query
 from repro.query.executor import QueryExecutor
+
+from tests.network.deliveries import observe_deliveries
 
 __all__ = ["TagCollection", "CollectionOutcome", "collect"]
 
@@ -86,8 +92,8 @@ class TagCollection:
     Parameters
     ----------
     runtime:
-        The network; transient receive handlers are attached to its
-        devices for the duration of the round.
+        The network; its deliveries are observed for the duration of
+        the round.
     tree:
         The routing tree (built by the flood).
     query:
@@ -122,9 +128,7 @@ class TagCollection:
         self.slot = slot
         self._partials: dict[int, _PartialAggregate] = {}
         self._buffers: dict[int, dict[int, tuple[float, bool]]] = {}
-        self._handlers: dict[int, object] = {}
         self._sent = 0
-        self._finished = False
 
     # ------------------------------------------------------------------
 
@@ -135,7 +139,6 @@ class TagCollection:
         max_depth = max(self.tree.depths[m] for m in members)
 
         for member in members:
-            self._attach(member)
             self._buffers[member] = {}
             self._partials[member] = _PartialAggregate()
 
@@ -159,10 +162,9 @@ class TagCollection:
                 label=f"tag:{self.query_id}",
             )
         # close the round one slot after the depth-1 transmissions land
+        undo = observe_deliveries(self.runtime.radio, self._receive)
         simulator.run_until(t0 + (max_depth + 2) * self.slot)
-        self._finished = True
-        for member in members:
-            self._detach(member)
+        undo()
 
         sink = self.tree.sink
         aggregate_value = None
@@ -217,35 +219,20 @@ class TagCollection:
                 )
                 self._sent += 1 if sent else 0
 
-    def _attach(self, node_id: int) -> None:
-        def handler(message: Message, overheard: bool) -> None:
-            if self._finished or overheard:
-                return
-            if isinstance(message, AggregateReport):
-                if message.query_id == self.query_id and self._is_child(
-                    message.sender, node_id
-                ):
-                    self._partials[node_id].merge(message)
-            elif isinstance(message, DataReport):
-                if message.query_id == self.query_id and self._is_child(
-                    message.sender, node_id
-                ):
-                    self._buffers[node_id][message.origin] = (
-                        message.value,
-                        message.estimated,
-                    )
-
-        device = self.runtime.radio.node(node_id)
-        device.attach(handler)
-        self._handlers[node_id] = handler
+    def _receive(self, message: Message, node_id: int) -> None:
+        """One delivery to ``node_id``: a report of this round from one
+        of its children is merged (aggregates) or buffered."""
+        if getattr(message, "query_id", None) != self.query_id:
+            return
+        if node_id not in self._partials or not self._is_child(message.sender, node_id):
+            return
+        if isinstance(message, AggregateReport):
+            self._partials[node_id].merge(message)
+        elif isinstance(message, DataReport):
+            self._buffers[node_id][message.origin] = (message.value, message.estimated)
 
     def _is_child(self, sender: int, receiver: int) -> bool:
         return self.tree.parent(sender) == receiver
-
-    def _detach(self, node_id: int) -> None:
-        handler = self._handlers.pop(node_id, None)
-        if handler is not None:
-            self.runtime.radio.node(node_id).detach(handler)
 
 
 def collect(
